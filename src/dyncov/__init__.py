@@ -44,7 +44,6 @@ from .harness import (
     OutputPaths,
     ReplaySpec,
     RunResult,
-    SlotRecord,
     compute_baseline,
     emit_outputs,
     load_config,
@@ -60,7 +59,7 @@ from .linalg import (
     frobenius,
     herm_eig,
 )
-from .rate_adapt import LedgerError, RateLedger, decode_check, ledger_step
+from .rate_adapt import LedgerError, RateLedger, decode_check
 from .solvers import (
     CdiPolicy,
     ConstantCovariance,
@@ -97,7 +96,6 @@ __all__ = [
     "RateLedger",
     "ReplaySpec",
     "RunResult",
-    "SlotRecord",
     "TabulatedCsit",
     "WaterfillResult",
     "capacity",
@@ -113,7 +111,6 @@ __all__ = [
     "ergodic_constant_covariance",
     "frobenius",
     "herm_eig",
-    "ledger_step",
     "load_config",
     "load_policy",
     "observe_csit",

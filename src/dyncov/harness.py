@@ -9,7 +9,7 @@ re-derives every verdict from quantities that also land in the CSV.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -56,6 +56,11 @@ class OgdSpec:
     gamma: Optional[float] = 0.01  # None selects the 1/sqrt(t) schedule
     t_delay: int = 1
 
+    def __post_init__(self):
+        # the regret bound divides by gamma, so reject it before the run
+        if self.gamma is not None and not self.gamma > 0:
+            raise ConfigError("gamma must be positive")
+
 
 @dataclass(frozen=True)
 class ReplaySpec:
@@ -86,7 +91,6 @@ class ExperimentConfig:
     rate_adapt_n: Optional[float] = None
     reference: Union[CdiPolicy, ConstantCovariance, float, None] = None
     outputs: Optional[OutputPaths] = None
-    raw: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if not (self.p >= self.p_bar > 0):
@@ -118,22 +122,16 @@ class ExperimentConfig:
         return self.channel.n_r
 
 
-@dataclass(frozen=True)
-class SlotRecord:
-    t: int
-    r: float
-    runavg_r: float
-    tr_q: float
-    runavg_tr_q: float
-    z: Optional[float]  # pre-decision queue; None outside the queue controller
-
-
 @dataclass
 class RunResult:
+    """Per-slot trace of one run; ``runavg_*`` are the prefix means of ``r``
+    and ``tr_q``, and ``z`` the pre-decision queue (queue controller only)."""
+
     config: ExperimentConfig
-    records: list[SlotRecord]
     r: np.ndarray
+    runavg_r: np.ndarray
     tr_q: np.ndarray
+    runavg_tr_q: np.ndarray
     z: Optional[np.ndarray]
     z_final: Optional[float]
     r_ref: Optional[np.ndarray]
@@ -222,6 +220,12 @@ def _resolve(path: str, base_dir: Optional[Path]) -> Path:
     return p
 
 
+_CONFIG_KEYS = frozenset({
+    "channel", "csit_error", "delay", "controller", "p", "p_bar", "horizon",
+    "seed", "rate_adapt", "reference", "outputs",
+})
+
+
 def load_config(source: Union[str, Path, dict]) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON file path or an equivalent dict."""
     base_dir: Optional[Path] = None
@@ -231,6 +235,9 @@ def load_config(source: Union[str, Path, dict]) -> ExperimentConfig:
             obj = json.load(fh)
     else:
         obj = source
+    unknown = sorted(set(obj) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
     try:
         controller = _parse_controller(obj["controller"], base_dir)
         model = _parse_channel(obj["channel"])
@@ -265,7 +272,6 @@ def load_config(source: Union[str, Path, dict]) -> ExperimentConfig:
             rate_adapt_n=float(rate["n_total"]) if rate else None,
             reference=reference,
             outputs=outputs,
-            raw=obj,
         )
     except KeyError as exc:
         raise ConfigError(f"missing config field: {exc}") from exc
@@ -374,19 +380,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     obs_history: list[np.ndarray] = []
     ledger = RateLedger(cfg.rate_adapt_n) if cfg.rate_adapt_n else None
 
-    records: list[SlotRecord] = []
-    sum_r = 0.0
-    sum_tr = 0.0
     for t in range(horizon):
         rng = ch.slot_rng(cfg.seed, t)
         h = ch.sample_channel(cfg.channel, rng)
         h_obs = ch.observe_csit(h, cfg.csit_error, rng)
 
-        z_t = None
         try:
             if dpp_state is not None:
-                z_t = float(dpp_state.z)
-                z_pre[t] = z_t
+                z_pre[t] = dpp_state.z
                 q, dpp_state = dpp_step(dpp_state, h_obs)
             elif ogd_state is not None:
                 obs_history.append(h_obs)
@@ -402,33 +403,21 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             ) from exc
 
         r_t = capacity(h, q)
-        tr_t = trace_real(q)
         r[t] = r_t
-        tr_q[t] = tr_t
+        tr_q[t] = trace_real(q)
         if r_ref is not None:
             r_ref[t] = capacity(h, cfg.reference.q)
         if ledger is not None and not ledger.completed:
             ledger.record(r_t)
 
-        sum_r += r_t
-        sum_tr += tr_t
-        records.append(
-            SlotRecord(
-                t=t,
-                r=r_t,
-                runavg_r=sum_r / (t + 1),
-                tr_q=tr_t,
-                runavg_tr_q=sum_tr / (t + 1),
-                z=z_t,
-            )
-        )
-
+    t_axis = np.arange(1, horizon + 1, dtype=float)
     z_final = dpp_state.z if dpp_state is not None else None
     result = RunResult(
         config=cfg,
-        records=records,
         r=r,
+        runavg_r=np.cumsum(r) / t_axis,
         tr_q=tr_q,
+        runavg_tr_q=np.cumsum(tr_q) / t_axis,
         z=z_pre,
         z_final=z_final,
         r_ref=r_ref,
@@ -456,8 +445,6 @@ def certify_run(result: RunResult, bounds: Optional[BoundReport]) -> list[dict]:
     cfg = result.config
     certs: list[dict] = []
     t_axis = np.arange(1, cfg.horizon + 1, dtype=float)
-    avg_r = np.cumsum(result.r) / t_axis
-    avg_tr = np.cumsum(result.tr_q) / t_axis
 
     if isinstance(cfg.controller, DppSpec):
         cap_gap = float(np.max(result.tr_q) - cfg.p)
@@ -471,7 +458,7 @@ def certify_run(result: RunResult, bounds: Optional[BoundReport]) -> list[dict]:
         )
         # queue vs running power: pure queue arithmetic, distribution-free
         z_seq = np.append(result.z[1:], result.z_final)  # Z(t) for t = 1..horizon
-        rel = avg_tr - (cfg.p_bar + z_seq / t_axis)
+        rel = result.runavg_tr_q - (cfg.p_bar + z_seq / t_axis)
         worst = float(np.max(rel))
         certs.append(
             _cert(
@@ -491,7 +478,8 @@ def certify_run(result: RunResult, bounds: Optional[BoundReport]) -> list[dict]:
                     margin=-worst_z,
                 )
             )
-            gap = float(avg_tr[-1] - (cfg.p_bar + bounds.power_residual_bound(cfg.horizon)))
+            budget = cfg.p_bar + bounds.power_residual_bound(cfg.horizon)
+            gap = float(result.runavg_tr_q[-1] - budget)
             certs.append(
                 _cert(
                     "average-power-budget",
@@ -503,7 +491,7 @@ def certify_run(result: RunResult, bounds: Optional[BoundReport]) -> list[dict]:
             r_opt = _reference_utility(result)
             if r_opt is not None:
                 floor = r_opt - bounds.utility_gap()
-                gap = float(avg_r[-1] - floor)
+                gap = float(result.runavg_r[-1] - floor)
                 certs.append(
                     _cert(
                         "utility-floor",
@@ -533,7 +521,7 @@ def certify_run(result: RunResult, bounds: Optional[BoundReport]) -> list[dict]:
                 slack_seq = np.array([bounds.regret_bound_sqrt(t) for t in range(1, cfg.horizon + 1)])
             else:
                 slack_seq = np.array([bounds.regret_bound(t) for t in range(1, cfg.horizon + 1)])
-            rel = avg_r - (avg_ref - slack_seq)
+            rel = result.runavg_r - (avg_ref - slack_seq)
             worst = float(np.min(rel))
             certs.append(
                 _cert(
@@ -603,8 +591,8 @@ def _build_summary(result: RunResult) -> dict:
         "seed": cfg.seed,
         "controller": type(cfg.controller).__name__,
         "final": {
-            "runavg_r": result.records[-1].runavg_r,
-            "runavg_tr_q": result.records[-1].runavg_tr_q,
+            "runavg_r": float(result.runavg_r[-1]),
+            "runavg_tr_q": float(result.runavg_tr_q[-1]),
             "z_final": result.z_final,
         },
         "constants": {
@@ -637,19 +625,26 @@ def _build_summary(result: RunResult) -> dict:
 # -------------------------------------------------------------- file output
 
 
-def records_to_csv(records: list[SlotRecord]) -> str:
-    """Render records as CSV text (repr floats: shortest exact round-trip)."""
+def trace_to_csv(result: RunResult) -> str:
+    """Render the per-slot trace as CSV text (repr of Python floats: shortest
+    exact round-trip)."""
+    z = result.z.tolist() if result.z is not None else [None] * len(result.r)
+    rows = zip(
+        result.r.tolist(),
+        result.runavg_r.tolist(),
+        result.tr_q.tolist(),
+        result.runavg_tr_q.tolist(),
+        z,
+    )
     lines = [CSV_HEADER]
-    for rec in records:
-        z_txt = repr(rec.z) if rec.z is not None else ""
-        lines.append(
-            f"{rec.t},{rec.r!r},{rec.runavg_r!r},{rec.tr_q!r},{rec.runavg_tr_q!r},{z_txt}"
-        )
+    for t, (r, avg_r, tr, avg_tr, z_t) in enumerate(rows):
+        z_txt = repr(z_t) if z_t is not None else ""
+        lines.append(f"{t},{r!r},{avg_r!r},{tr!r},{avg_tr!r},{z_txt}")
     return "\n".join(lines) + "\n"
 
 
 def csv_to_columns(text: str) -> dict[str, list]:
-    """Parse CSV text produced by records_to_csv back into columns."""
+    """Parse CSV text produced by trace_to_csv back into columns."""
     lines = [ln for ln in text.strip().split("\n") if ln]
     if lines[0] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header {lines[0]!r}")
@@ -671,7 +666,7 @@ def emit_outputs(result: RunResult, outputs: Optional[OutputPaths] = None) -> li
         return written
     if outputs.csv:
         Path(outputs.csv).parent.mkdir(parents=True, exist_ok=True)
-        Path(outputs.csv).write_text(records_to_csv(result.records), encoding="utf-8")
+        Path(outputs.csv).write_text(trace_to_csv(result), encoding="utf-8")
         written.append(outputs.csv)
     if outputs.summary:
         Path(outputs.summary).parent.mkdir(parents=True, exist_ok=True)
@@ -680,11 +675,11 @@ def emit_outputs(result: RunResult, outputs: Optional[OutputPaths] = None) -> li
             encoding="utf-8",
         )
         written.append(outputs.summary)
-    ts = [rec.t for rec in result.records]
+    ts = range(len(result.r))
     if outputs.svg_utility:
         line_chart(
             ts,
-            [rec.runavg_r for rec in result.records],
+            result.runavg_r,
             "running average utility",
             "nats per slot",
             outputs.svg_utility,
@@ -693,7 +688,7 @@ def emit_outputs(result: RunResult, outputs: Optional[OutputPaths] = None) -> li
     if outputs.svg_power:
         line_chart(
             ts,
-            [rec.runavg_tr_q for rec in result.records],
+            result.runavg_tr_q,
             "running average transmit power",
             "power",
             outputs.svg_power,

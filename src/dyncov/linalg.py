@@ -2,8 +2,8 @@
 
 Everything here operates on plain complex numpy arrays of modest size
 (channel matrices and transmit covariances, n <= 8 in practice).  The
-Hermitian eigensolver is a cyclic Jacobi iteration with a closed-form
-2x2 fast path; log-determinants go through a Cholesky factor.
+Hermitian eigensolver is a validating wrapper over LAPACK ``eigh``;
+log-determinants go through a Cholesky factor.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
-
-_JACOBI_MAX_SWEEPS = 100
 
 
 class ConvergenceError(RuntimeError):
@@ -50,18 +48,14 @@ def symmetrize(a) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def is_hermitian(a, atol: float = HERMITIAN_ATOL) -> bool:
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.max(np.abs(m - m.conj().T), initial=0.0) <= atol)
-
-
 def require_hermitian(a, what: str = "matrix") -> np.ndarray:
-    """Validate Hermitian-ness (entrywise 1e-12) and return the symmetrized copy."""
+    """Validate finiteness and Hermitian-ness (entrywise 1e-12) and return
+    the symmetrized copy."""
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has non-finite entries")
     dev = float(np.max(np.abs(m - m.conj().T), initial=0.0))
     if dev > HERMITIAN_ATOL:
         raise ValueError(f"{what} is not Hermitian (max deviation {dev:.3e})")
@@ -73,7 +67,7 @@ class HermEigen:
     """Eigendecomposition A = U^H diag(sigma) U of a Hermitian matrix.
 
     Rows of ``u`` are the eigenvectors (so ``u @ a @ u.conj().T`` is
-    diagonal); ``sigma`` is real, in the order produced by the solver.
+    diagonal); ``sigma`` is real and in descending order.
     """
 
     u: np.ndarray
@@ -88,79 +82,14 @@ class HermEigen:
         return 0.5 * (q + q.conj().T)
 
 
-def _offdiag_mass(m: np.ndarray) -> float:
-    od = m.copy()
-    np.fill_diagonal(od, 0.0)
-    return frobenius(od)
-
-
-def _eig2(app: float, aqq: float, apq: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigensystem of [[app, apq], [conj(apq), aqq]].
-
-    Returns (w, V) with columns of V the orthonormal eigenvectors and
-    w = (lambda_hi, lambda_lo).  The branch choice avoids cancellation.
-    """
-    half_diff = 0.5 * (app - aqq)
-    r = float(np.hypot(half_diff, abs(apq)))
-    mean = 0.5 * (app + aqq)
-    w = np.array([mean + r, mean - r])
-    if r == 0.0:
-        return w, np.eye(2, dtype=np.complex128)
-    if half_diff >= 0.0:
-        v1 = np.array([half_diff + r, np.conj(apq)], dtype=np.complex128)
-    else:
-        v1 = np.array([apq, r - half_diff], dtype=np.complex128)
-    v1 /= np.sqrt((v1.real**2 + v1.imag**2).sum())
-    # orthogonal complement in C^2: (-conj(b), conj(a))
-    v2 = np.array([-np.conj(v1[1]), np.conj(v1[0])])
-    return w, np.column_stack([v1, v2])
-
-
 def herm_eig(a) -> HermEigen:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix by LAPACK (``np.linalg.eigh``).
 
-    The input must be Hermitian to 1e-12 entrywise; it is symmetrized
-    before iterating.  Convergence: off-diagonal Frobenius mass below
-    1e-12 (relative to the matrix norm), at most 100 sweeps.
+    The input must be finite and Hermitian to 1e-12 entrywise; it is
+    symmetrized first.  Eigenvalues come back in descending order.
     """
-    m = require_hermitian(a, "eigensolver input")
-    n = m.shape[0]
-    if n == 1:
-        return HermEigen(u=np.eye(1, dtype=np.complex128), sigma=m.real[:1, 0].copy())
-
-    scale = frobenius(m)
-    tol = 1e-12 * max(1.0, scale)
-    if n == 2:
-        w, vcols = _eig2(m[0, 0].real, m[1, 1].real, m[0, 1])
-        return HermEigen(u=vcols.conj().T, sigma=w)
-
-    v = np.eye(n, dtype=np.complex128)
-    pivot_tol = tol / (n * n)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = _offdiag_mass(m)
-        if off < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(m[p, q]) <= pivot_tol:
-                    continue
-                _, w2 = _eig2(m[p, p].real, m[q, q].real, m[p, q])
-                cols = [p, q]
-                m[:, cols] = m[:, cols] @ w2
-                m[cols, :] = w2.conj().T @ m[cols, :]
-                m[p, q] = 0.0
-                m[q, p] = 0.0
-                m[p, p] = m[p, p].real
-                m[q, q] = m[q, q].real
-                v[:, cols] = v[:, cols] @ w2
-    else:
-        off = _offdiag_mass(m)
-        raise ConvergenceError(
-            f"Jacobi eigensolver did not converge in {_JACOBI_MAX_SWEEPS} sweeps "
-            f"(off-diagonal mass {off:.3e})",
-            residual=off,
-        )
-    return HermEigen(u=v.conj().T, sigma=np.diag(m).real.copy())
+    w, v = np.linalg.eigh(require_hermitian(a, "eigensolver input"))
+    return HermEigen(u=v[:, ::-1].conj().T, sigma=w[::-1].copy())
 
 
 def _gram_plus_identity(h: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -211,8 +140,3 @@ def capacity_gradient(h, q) -> np.ndarray:
     x = np.linalg.solve(m, hm)
     d = hm.conj().T @ x
     return 0.5 * (d + d.conj().T)
-
-
-def min_eigenvalue(a) -> float:
-    """Smallest eigenvalue of a Hermitian matrix (PSD check helper)."""
-    return float(herm_eig(a).sigma.min())

@@ -22,19 +22,18 @@ class RateLedger:
 
     ``completed_at`` is the number of slots consumed when the cumulative
     capacity first reaches ``n_total`` (None while still transmitting).
+    ``delivered`` is that cumulative capacity, summed in slot order.
     """
 
     n_total: float
     capacities: list[float] = field(default_factory=list)
     completed_at: int | None = None
+    delivered: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         if not self.n_total > 0:
             raise ValueError("n_total must be positive")
-
-    @property
-    def delivered(self) -> float:
-        return float(sum(self.capacities))
+        self.delivered = float(sum(self.capacities))
 
     @property
     def residual(self) -> float:
@@ -65,14 +64,9 @@ class RateLedger:
         if r_t < 0:
             raise ValueError("per-slot capacity must be nonnegative")
         self.capacities.append(float(r_t))
+        self.delivered += self.capacities[-1]
         if self.delivered >= self.n_total:
             self.completed_at = len(self.capacities)
-
-
-def ledger_step(ledger: RateLedger, r_t: float) -> RateLedger:
-    """Functional wrapper around RateLedger.record (returns the same object)."""
-    ledger.record(r_t)
-    return ledger
 
 
 def decode_check(ledger: RateLedger) -> list[dict]:

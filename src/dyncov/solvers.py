@@ -36,7 +36,7 @@ class WaterfillResult:
     """Penalized water-filling solution.
 
     ``theta`` is the eigen-domain power loading aligned with ``sigma``
-    (the channel Gram eigenvalues, order as produced); ``mu`` is the
+    (the channel Gram eigenvalues, in descending order); ``mu`` is the
     multiplier of the trace cap; ``q = u^H diag(theta) u``.
     """
 

@@ -18,7 +18,7 @@ from dyncov import (
     run_experiment,
     theoretical_bounds,
 )
-from dyncov.harness import records_to_csv
+from dyncov.harness import trace_to_csv
 from dyncov.validate import (
     check_gradient_error_bounds,
     check_gram_perturbation,
@@ -122,10 +122,10 @@ def test_criterion_05_instantaneous_desk_check(dpp_runs, cdi_reference):
     assert rep.epsilon == pytest.approx(0.02, abs=1e-15)
     r_opt = cdi_reference.r_opt
     floor = r_opt - rep.epsilon - 0.05  # 0.05 stochastic allowance
-    finals = [run.records[-1].runavg_r for run in dpp_runs["exact"]]
+    finals = [run.runavg_r[-1] for run in dpp_runs["exact"]]
     hits = sum(1 for f in finals if f >= floor)
     power_ok = all(
-        run.records[-1].runavg_tr_q <= P_BAR + rep.queue_bound / HORIZON + SLACK
+        run.runavg_tr_q[-1] <= P_BAR + rep.queue_bound / HORIZON + SLACK
         for run in dpp_runs["exact"]
     )
     elapsed = dpp_runs["_elapsed"]
@@ -147,13 +147,13 @@ def test_criterion_06_inaccurate_observation_bound(dpp_runs, cdi_reference):
     for case in ("case1", "case2"):
         _, rep = _bounds_for(case, V)
         floor = r_opt - rep.epsilon - rep.phi_delta
-        finals = [run.records[-1].runavg_r for run in dpp_runs[case]]
+        finals = [run.runavg_r[-1] for run in dpp_runs[case]]
         ok = ok and all(f >= floor - SLACK for f in finals)
         details.append(f"{case}: min {min(finals):.4f} vs floor {floor:.4f}")
     # sample-path ordering is informational only, never asserted
-    exact_final = np.mean([run.records[-1].runavg_r for run in dpp_runs["exact"]])
+    exact_final = np.mean([run.runavg_r[-1] for run in dpp_runs["exact"]])
     for case in ("case1", "case2"):
-        mean_final = np.mean([run.records[-1].runavg_r for run in dpp_runs[case]])
+        mean_final = np.mean([run.runavg_r[-1] for run in dpp_runs[case]])
         details.append(
             f"mean final exact {exact_final:.4f} vs {case} {mean_final:.4f}"
         )
@@ -303,8 +303,8 @@ def test_criterion_12_determinism():
     ]
     ok = True
     for cfg in configs:
-        first = records_to_csv(run_experiment(cfg).records).encode()
-        second = records_to_csv(run_experiment(cfg).records).encode()
+        first = trace_to_csv(run_experiment(cfg)).encode()
+        second = trace_to_csv(run_experiment(cfg)).encode()
         ok = ok and first == second
     _report(
         12,

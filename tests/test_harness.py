@@ -4,6 +4,7 @@ policy files and the CLI."""
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +28,10 @@ from dyncov import (
     run_experiment,
     save_policy,
 )
-from dyncov.harness import ConfigError, csv_to_columns, records_to_csv
+from dyncov.harness import ConfigError, csv_to_columns, trace_to_csv
 from dyncov.matrixio import matrix_from_json, matrix_to_json
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def dpp_config(horizon=100, seed=5, **kw):
@@ -62,30 +65,30 @@ def ogd_config(horizon=100, seed=5, **kw):
 class TestRunExperiment:
     def test_record_count(self):
         result = run_experiment(dpp_config(horizon=100))
-        assert len(result.records) == 100
-        assert result.records[0].t == 0
-        assert result.records[-1].t == 99
+        for col in (result.r, result.runavg_r, result.tr_q, result.runavg_tr_q, result.z):
+            assert col.shape == (100,)
+        assert csv_to_columns(trace_to_csv(result))["t"] == list(range(100))
 
     def test_rerun_is_byte_identical(self):
-        a = records_to_csv(run_experiment(dpp_config(horizon=100)).records)
-        b = records_to_csv(run_experiment(dpp_config(horizon=100)).records)
+        a = trace_to_csv(run_experiment(dpp_config(horizon=100)))
+        b = trace_to_csv(run_experiment(dpp_config(horizon=100)))
         assert a.encode() == b.encode()
 
     def test_running_averages_are_prefix_means(self):
+        # exactly the sequential prefix sums, divided by the slot count
         result = run_experiment(dpp_config(horizon=200))
-        cols = csv_to_columns(records_to_csv(result.records))
-        r = np.array(cols["r"])
-        tr = np.array(cols["tr_q"])
-        t_axis = np.arange(1, len(r) + 1)
-        assert np.max(np.abs(np.cumsum(r) / t_axis - np.array(cols["runavg_r"]))) <= 1e-12
-        assert (
-            np.max(np.abs(np.cumsum(tr) / t_axis - np.array(cols["runavg_tr_q"])))
-            <= 1e-12
-        )
+        cols = csv_to_columns(trace_to_csv(result))
+        for name in ("r", "tr_q"):
+            total = 0.0
+            expected = []
+            for t, x in enumerate(cols[name], start=1):
+                total += x
+                expected.append(total / t)
+            assert cols[f"runavg_{name}"] == expected
 
     def test_final_queue_recomputable_from_csv(self):
         result = run_experiment(dpp_config(horizon=150))
-        cols = csv_to_columns(records_to_csv(result.records))
+        cols = csv_to_columns(trace_to_csv(result))
         z_last = cols["z"][-1]
         tr_last = cols["tr_q"][-1]
         assert result.z_final == pytest.approx(
@@ -93,8 +96,8 @@ class TestRunExperiment:
         )
 
     def test_seeds_change_values_not_schema(self):
-        a = csv_to_columns(records_to_csv(run_experiment(dpp_config(seed=1)).records))
-        b = csv_to_columns(records_to_csv(run_experiment(dpp_config(seed=2)).records))
+        a = csv_to_columns(trace_to_csv(run_experiment(dpp_config(seed=1))))
+        b = csv_to_columns(trace_to_csv(run_experiment(dpp_config(seed=2))))
         assert a.keys() == b.keys()
         assert a["r"] != b["r"]
 
@@ -166,7 +169,7 @@ class TestRunExperiment:
         res_dpp = run_experiment(dpp_config(horizon=200, seed=5))
         # same channel draws: per-slot utility differs only through the policy
         assert res_replay.summary["all_passed"]
-        assert len(res_replay.records) == len(res_dpp.records)
+        assert len(res_replay.r) == len(res_dpp.r)
         # the replayed per-state policy attains its average on long runs
         long_run = run_experiment(
             ExperimentConfig(
@@ -180,7 +183,7 @@ class TestRunExperiment:
                 seed=11,
             )
         )
-        assert long_run.records[-1].runavg_r == pytest.approx(
+        assert long_run.runavg_r[-1] == pytest.approx(
             cdi_reference.r_opt, abs=0.1
         )
 
@@ -234,12 +237,9 @@ class TestOutputs:
         svg = (tmp_path / "utility.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
-    def test_empty_records_header_only(self):
-        assert records_to_csv([]) == "t,r,runavg_r,tr_q,runavg_tr_q,z\n"
-
     def test_csv_round_trip(self):
         result = run_experiment(ogd_config(horizon=30))
-        cols = csv_to_columns(records_to_csv(result.records))
+        cols = csv_to_columns(trace_to_csv(result))
         assert cols["t"] == list(range(30))
         assert cols["z"] == [None] * 30  # empty for non-queue controllers
         assert np.allclose(cols["r"], result.r)
@@ -333,6 +333,49 @@ class TestConfigLoading:
     def test_missing_field_raises(self):
         with pytest.raises(ConfigError, match="missing config field"):
             load_config({"channel": {"preset": "paper-two-state"}})
+
+    def test_unknown_key_raises(self):
+        cfg_obj = {
+            "channel": {"preset": "paper-two-state"},
+            "csit_eror": {"preset": "case1"},
+            "controller": {"kind": "dpp", "v": 1.0},
+            "p": 3.0,
+            "p_bar": 2.0,
+            "horizon": 10,
+            "seed": 1,
+        }
+        with pytest.raises(ConfigError, match="'csit_eror'"):
+            load_config(cfg_obj)
+
+    @pytest.mark.parametrize(
+        "path", sorted((REPO / "configs").glob("*.json")), ids=lambda p: p.name
+    )
+    def test_shipped_configs_load(self, path):
+        assert load_config(path).horizon >= 1
+
+    def test_readme_example_loads(self, cdi_reference, tmp_path):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        blocks = [b.split("```")[0] for b in readme.split("```json\n")[1:]]
+        example = next(b for b in blocks if '"channel"' in b)
+        save_policy(cdi_reference, tmp_path / "ref.json")
+        path = tmp_path / "cfg.json"
+        path.write_text(example, encoding="utf-8")
+        cfg = load_config(path)
+        assert cfg.reference.r_opt == cdi_reference.r_opt
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.01])
+    def test_nonpositive_gamma_raises(self, gamma):
+        with pytest.raises(ConfigError, match="gamma"):
+            load_config(
+                {
+                    "channel": {"preset": "paper-two-state"},
+                    "controller": {"kind": "ogd", "gamma": gamma},
+                    "p": 3.0,
+                    "p_bar": 2.0,
+                    "horizon": 10,
+                    "seed": 1,
+                }
+            )
 
     def test_unknown_preset_raises(self):
         with pytest.raises(ConfigError, match="preset"):

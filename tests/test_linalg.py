@@ -58,6 +58,19 @@ class TestHermEig:
         with pytest.raises(ValueError, match="square"):
             herm_eig(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, n, bad):
+        a = np.eye(n, dtype=complex)
+        a[n - 1, n - 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            herm_eig(a)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_descending_order(self, n):
+        e = herm_eig(random_hermitian(np.random.default_rng(n), n))
+        assert np.all(np.diff(e.sigma) <= 0.0)
+
 
 class TestCapacity:
     def test_zero_channel(self):

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from dyncov import LedgerError, RateLedger, decode_check, ledger_step
+from dyncov import LedgerError, RateLedger, decode_check
 
 
 class TestLedger:
     def test_worked_example(self):
         led = RateLedger(10.0)
         for r in (4.0, 3.0, 5.0):
-            ledger_step(led, r)
+            led.record(r)
         assert led.completed
         assert led.completed_at == 3
         assert led.overhead == pytest.approx(2.0)
@@ -46,6 +46,17 @@ class TestLedger:
         led = RateLedger(1.0)
         with pytest.raises(ValueError):
             led.record(-0.1)
+
+    def test_long_run_matches_sequential_prefix_sums(self):
+        caps = np.random.default_rng(5).uniform(0.0, 2.0, 20_000)
+        n_total = float(caps.sum()) - 1.0
+        led = RateLedger(n_total)
+        while not led.completed:
+            led.record(float(caps[len(led.capacities)]))
+        prefix = np.cumsum(caps)
+        assert led.completed_at == int(np.argmax(prefix >= n_total)) + 1
+        assert led.delivered == sum(led.capacities) == prefix[led.completed_at - 1]
+        assert led.overhead == prefix[led.completed_at - 1] - n_total
 
     def test_nonpositive_total_rejected(self):
         with pytest.raises(ValueError):

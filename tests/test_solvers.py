@@ -100,6 +100,12 @@ class TestWaterfill:
         with pytest.raises(ValueError, match="z_over_v"):
             waterfill_penalized(scalar_channel(1.0), -0.1, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_channel(self, bad):
+        h = np.array([[1.0, bad], [0.5, 2.0]], dtype=complex)
+        with pytest.raises(ValueError, match="non-finite"):
+            waterfill_penalized(h, 0.5, 3.0)
+
 
 class TestProjection:
     def test_feasible_fixed_point(self):
