@@ -49,7 +49,7 @@ class DiscreteChannel:
             raise ValueError("discrete channel needs at least one state")
         if probs.shape != (len(states),):
             raise ValueError("probs length must match number of states")
-        if np.any(probs < 0):
+        if not np.all(probs >= 0):  # also rejects NaN
             raise ValueError("probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {probs.sum()!r}, expected 1")

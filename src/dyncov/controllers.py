@@ -36,7 +36,7 @@ class DppState:
             raise ValueError("v must be positive")
         if not (self.p >= self.p_bar > 0):
             raise ValueError("need p >= p_bar > 0")
-        if self.z < 0:
+        if not self.z >= 0:
             raise ValueError("queue must be nonnegative")
 
 
@@ -154,9 +154,9 @@ class BoundReport:
         """Bound on average power minus p_bar after t slots."""
         return self.queue_bound / t
 
-    def regret_bound(self, t: int) -> float:
+    def regret_bound(self, t: int | np.ndarray) -> float | np.ndarray:
         """Average-utility deficit bound for the constant-step gradient
-        controller after t slots."""
+        controller after t slots (elementwise for an array of t)."""
         gamma = self.v_or_gamma
         worst_grad = self.psi_delta + self.grad_norm_bound
         return (
@@ -165,7 +165,7 @@ class BoundReport:
             + 2.0 * self.psi_delta * self.p_bar
         )
 
-    def regret_bound_sqrt(self, t: int) -> float:
+    def regret_bound_sqrt(self, t: int | np.ndarray) -> float | np.ndarray:
         """Deficit bound under the 1/sqrt(t) step schedule."""
         worst_grad = self.psi_delta + self.grad_norm_bound
         root = np.sqrt(t)

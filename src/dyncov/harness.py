@@ -9,6 +9,7 @@ re-derives every verdict from quantities that also land in the CSV.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -142,6 +143,15 @@ class RunResult:
 # ---------------------------------------------------------------- config io
 
 
+def _number(obj: dict, key: str, default: Optional[float] = None) -> float:
+    """obj[key] (or the default when given and the key is absent) as a
+    finite float; NaN and infinities are rejected with the field's name."""
+    x = float(obj[key] if default is None else obj.get(key, default))
+    if not math.isfinite(x):
+        raise ConfigError(f"config field {key!r} must be finite, got {x!r}")
+    return x
+
+
 def _parse_channel(obj: dict) -> ch.ChannelModel:
     if "preset" in obj:
         name = obj["preset"]
@@ -156,7 +166,7 @@ def _parse_channel(obj: dict) -> ch.ChannelModel:
         return ch.DiscreteChannel(states=states, probs=np.asarray(obj["probs"], dtype=float))
     if kind == "continuous-product":
         return ch.ProductChannel(
-            n_r=int(obj["n_r"]), n_t=int(obj["n_t"]), v_max=float(obj["v_max"])
+            n_r=int(obj["n_r"]), n_t=int(obj["n_t"]), v_max=_number(obj, "v_max")
         )
     raise ConfigError(f"unknown channel kind {kind!r}")
 
@@ -170,13 +180,13 @@ def _parse_csit_error(obj: dict) -> ch.CsitErrorModel:
     if kind == "exact":
         return ch.ExactCsit()
     if kind == "phase-quantize":
-        return ch.PhaseQuantizeCsit(step=float(obj["step"]))
+        return ch.PhaseQuantizeCsit(step=_number(obj, "step"))
     if kind == "mag-phase-quantize":
         return ch.MagPhaseQuantizeCsit(
-            mag_step=float(obj["mag_step"]), phase_step=float(obj["phase_step"])
+            mag_step=_number(obj, "mag_step"), phase_step=_number(obj, "phase_step")
         )
     if kind == "bounded-ball":
-        return ch.BoundedBallCsit(delta=float(obj["delta"]))
+        return ch.BoundedBallCsit(delta=_number(obj, "delta"))
     if kind == "per-state":
         return ch.TabulatedCsit(
             states=tuple(matrix_from_json(s) for s in obj["states"]),
@@ -201,12 +211,12 @@ def _parse_delay(obj: Optional[dict], controller: ControllerSpec) -> ch.DelayMod
 def _parse_controller(obj: dict, base_dir: Optional[Path]) -> ControllerSpec:
     kind = obj.get("kind")
     if kind == "dpp":
-        return DppSpec(v=float(obj["v"]), z0=float(obj.get("z0", 0.0)))
+        return DppSpec(v=_number(obj, "v"), z0=_number(obj, "z0", 0.0))
     if kind == "ogd":
         if obj.get("step") == "inverse-sqrt":
             gamma = None
         else:
-            gamma = float(obj.get("gamma", 0.01))
+            gamma = _number(obj, "gamma", 0.01)
         return OgdSpec(gamma=gamma, t_delay=int(obj.get("t_delay", 1)))
     if kind == "baseline-replay":
         return ReplaySpec(policy=load_policy(_resolve(obj["policy"], base_dir)))
@@ -249,7 +259,7 @@ def load_config(source: Union[str, Path, dict]) -> ExperimentConfig:
             if "policy" in reference:
                 reference = load_policy(_resolve(reference["policy"], base_dir))
             elif "r_opt" in reference:
-                reference = float(reference["r_opt"])
+                reference = _number(reference, "r_opt")
             else:
                 raise ConfigError("reference needs a 'policy' path or an 'r_opt' value")
         outputs = obj.get("outputs")
@@ -265,11 +275,11 @@ def load_config(source: Union[str, Path, dict]) -> ExperimentConfig:
             csit_error=err,
             delay=delay,
             controller=controller,
-            p=float(obj["p"]),
-            p_bar=float(obj["p_bar"]),
+            p=_number(obj, "p"),
+            p_bar=_number(obj, "p_bar"),
             horizon=int(obj["horizon"]),
             seed=int(obj["seed"]),
-            rate_adapt_n=float(rate["n_total"]) if rate else None,
+            rate_adapt_n=_number(rate, "n_total") if rate else None,
             reference=reference,
             outputs=outputs,
         )
@@ -446,16 +456,22 @@ def certify_run(result: RunResult, bounds: Optional[BoundReport]) -> list[dict]:
     certs: list[dict] = []
     t_axis = np.arange(1, cfg.horizon + 1, dtype=float)
 
-    if isinstance(cfg.controller, DppSpec):
-        cap_gap = float(np.max(result.tr_q) - cfg.p)
-        certs.append(
-            _cert(
-                "short-term-power-cap",
-                cap_gap <= SLACK,
-                f"max tr(Q) - p = {cap_gap:.3e}",
-                margin=-cap_gap,
-            )
+    # the gradient controller projects onto tr(Q) <= p_bar; the others cap at p
+    if isinstance(cfg.controller, OgdSpec):
+        cap_name, cap_field, cap = "trace-cap", "p_bar", cfg.p_bar
+    else:
+        cap_name, cap_field, cap = "short-term-power-cap", "p", cfg.p
+    cap_gap = float(np.max(result.tr_q) - cap)
+    certs.append(
+        _cert(
+            cap_name,
+            cap_gap <= SLACK,
+            f"max tr(Q) - {cap_field} = {cap_gap:.3e}",
+            margin=-cap_gap,
         )
+    )
+
+    if isinstance(cfg.controller, DppSpec):
         # queue vs running power: pure queue arithmetic, distribution-free
         z_seq = np.append(result.z[1:], result.z_final)  # Z(t) for t = 1..horizon
         rel = result.runavg_tr_q - (cfg.p_bar + z_seq / t_axis)
@@ -506,21 +522,12 @@ def certify_run(result: RunResult, bounds: Optional[BoundReport]) -> list[dict]:
             )
 
     elif isinstance(cfg.controller, OgdSpec):
-        cap_gap = float(np.max(result.tr_q) - cfg.p_bar)
-        certs.append(
-            _cert(
-                "trace-cap",
-                cap_gap <= SLACK,
-                f"max tr(Q) - p_bar = {cap_gap:.3e}",
-                margin=-cap_gap,
-            )
-        )
         if bounds is not None and result.r_ref is not None:
             avg_ref = np.cumsum(result.r_ref) / t_axis
             if cfg.controller.gamma is None:
-                slack_seq = np.array([bounds.regret_bound_sqrt(t) for t in range(1, cfg.horizon + 1)])
+                slack_seq = bounds.regret_bound_sqrt(t_axis)
             else:
-                slack_seq = np.array([bounds.regret_bound(t) for t in range(1, cfg.horizon + 1)])
+                slack_seq = bounds.regret_bound(t_axis)
             rel = result.runavg_r - (avg_ref - slack_seq)
             worst = float(np.min(rel))
             certs.append(
@@ -539,17 +546,6 @@ def certify_run(result: RunResult, bounds: Optional[BoundReport]) -> list[dict]:
                     "skipped: channel norm has no certified cap",
                 )
             )
-
-    else:  # replay
-        cap_gap = float(np.max(result.tr_q) - cfg.p)
-        certs.append(
-            _cert(
-                "short-term-power-cap",
-                cap_gap <= SLACK,
-                f"max tr(Q) - p = {cap_gap:.3e}",
-                margin=-cap_gap,
-            )
-        )
 
     return certs
 

@@ -41,4 +41,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     flat = np.array(
         [complex(float(e[0]), float(e[1])) for e in entries], dtype=np.complex128
     )
+    if not np.isfinite(flat).all():
+        raise ValueError("matrix JSON has non-finite entries")
     return flat.reshape(rows, cols)

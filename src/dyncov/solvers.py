@@ -2,11 +2,12 @@
 plus distribution-aware baseline optimizers.
 
 ``waterfill_penalized`` maximizes  log det(I + H Q H^H) - z_over_v * tr(Q)
-over PSD Q with tr(Q) <= cap, by eigen-domain water-filling with an exact
-sorted sweep for the trace multiplier.  ``psd_cap_project`` is the
-Frobenius-nearest PSD matrix under a trace cap, by eigenvalue
-soft-thresholding with the analogous sweep.  Both are closed-form up to
-one Hermitian eigendecomposition.
+over PSD Q with tr(Q) <= cap by eigen-domain water-filling, and
+``psd_cap_project`` is the Frobenius-nearest PSD matrix under a trace cap
+by eigenvalue soft-thresholding.  Both loadings are one capped threshold
+theta = max(0, a - tau) on a descending eigenvalue vector a, with the least
+tau above a floor that keeps sum(theta) <= cap, so one exact sorted sweep
+serves both.  Each is closed-form up to one Hermitian eigendecomposition.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .linalg import (
     capacity_gradient,
     frobenius,
     herm_eig,
-    require_hermitian,
     symmetrize,
     trace_real,
 )
@@ -46,28 +46,50 @@ class WaterfillResult:
     sigma: np.ndarray
     u: np.ndarray
 
-    def objective(self, z_over_v: float) -> float:
-        theta = self.theta
-        sigma = self.sigma
-        return float(np.log1p(theta * sigma).sum() - z_over_v * theta.sum())
 
+def _cap_threshold(a: np.ndarray, tau0: float, cap: float) -> tuple[np.ndarray, float]:
+    """theta = max(0, a - tau) for the least tau >= tau0 with sum(theta) <= cap.
 
-def _loading(sigma: np.ndarray, level: float) -> np.ndarray:
-    """theta_i = max(0, level - 1/sigma_i), zero on null modes."""
-    theta = np.zeros_like(sigma)
-    pos = sigma > _SIGMA_FLOOR
-    theta[pos] = np.maximum(0.0, level - 1.0 / sigma[pos])
-    return theta
+    ``a`` must be in descending order, so the active set is a prefix.  tau0
+    is tried first; otherwise the sweep accepts the prefix of length r whose
+    threshold (sum(a[:r]) - cap) / r lies at or above tau0, below a[r-1]
+    and at or above a[r].  Returns theta and tau.
+    """
+    theta = np.maximum(a - tau0, 0.0)
+    if theta.sum() <= cap:
+        return theta, tau0
+    n = len(a)
+    s = 0.0
+    for r in range(1, n + 1):
+        s += a[r - 1]
+        tau = (s - cap) / r
+        if tau < tau0 or not a[r - 1] - tau > 0.0:
+            continue
+        if r < n and a[r] - tau > 0.0:
+            continue
+        # loading on the accepted prefix; algebraically a_j - tau but free of
+        # the large-intermediate cancellation, so it sums to the cap at
+        # machine precision
+        act = a[:r]
+        theta = np.zeros_like(a)
+        theta[:r] = np.maximum(0.0, (cap + (act[:, None] - act[None, :]).sum(axis=1)) / r)
+        return theta, tau
+    raise ConvergenceError(
+        "capped-threshold sweep exhausted without acceptance; "
+        "this contradicts the KKT structure of the problem"
+    )
 
 
 def waterfill_penalized(h_tilde, z_over_v: float, cap: float) -> WaterfillResult:
     """Maximize log det(I + H Q H^H) - z_over_v * tr(Q) s.t. Q PSD, tr(Q) <= cap.
 
-    Eigendecompose H^H H, test the zero-multiplier water level first, and
-    otherwise sweep the eigenvalues in decreasing order for the unique
-    multiplier that makes the loading sum to the cap.
+    Eigendecompose H^H H.  The loading theta_i = max(0, level - 1/sigma_i)
+    on the positive modes is the capped threshold of a = -1/sigma at
+    tau = -level, floored at tau0 = -1/z_over_v (the zero-multiplier water
+    level, infinite when z = 0); a binding cap lowers the level to
+    1/(z_over_v + mu).
     """
-    if z_over_v < 0:
+    if not z_over_v >= 0:
         raise ValueError("z_over_v must be nonnegative")
     if not cap > 0:
         raise ValueError("cap must be positive")
@@ -75,97 +97,29 @@ def waterfill_penalized(h_tilde, z_over_v: float, cap: float) -> WaterfillResult
     gram = symmetrize(h.conj().T @ h)  # exact-arithmetic Hermitian; absorb round-off
     eig = herm_eig(gram)
     sigma = np.maximum(eig.sigma, 0.0)  # Gram eigenvalues; clip round-off
-
-    # zero-multiplier test: water level 1/(z/v), infinite when z = 0
-    if z_over_v > 0.0:
-        theta0 = _loading(sigma, 1.0 / z_over_v)
-        if theta0.sum() <= cap:
-            q = eig.compose(theta0)
-            return WaterfillResult(q=q, mu=0.0, theta=theta0, sigma=sigma, u=eig.u)
-
-    order = np.argsort(-sigma, kind="stable")
-    positive = [int(i) for i in order if sigma[i] > _SIGMA_FLOOR]
-    if not positive:
-        # null channel: no mode can carry power
-        theta = np.zeros_like(sigma)
-        return WaterfillResult(
-            q=eig.compose(theta), mu=0.0, theta=theta, sigma=sigma, u=eig.u
-        )
-
-    s_i = 0.0
-    n_pos = len(positive)
-    for rank, idx in enumerate(positive, start=1):
-        s_i += 1.0 / sigma[idx]
-        mu = rank / (s_i + cap) - z_over_v
-        if mu < 0.0:
-            continue
-        level = 1.0 / (mu + z_over_v)
-        if not level - 1.0 / sigma[idx] > 0.0:
-            continue
-        if rank < n_pos:
-            nxt = positive[rank]
-            if level - 1.0 / sigma[nxt] > 0.0:
-                continue
-        # loading on the accepted active set; algebraically equal to
-        # level - 1/sigma_j but free of the large-intermediate cancellation,
-        # so the active loadings sum to the cap at machine precision
-        active = np.array(positive[:rank])
-        s_act = sigma[active]
-        pair = (s_act[:, None] - s_act[None, :]) / (s_act[:, None] * s_act[None, :])
-        theta = np.zeros_like(sigma)
-        theta[active] = np.maximum(0.0, (cap + pair.sum(axis=1)) / rank)
-        q = eig.compose(theta)
-        return WaterfillResult(q=q, mu=float(mu), theta=theta, sigma=sigma, u=eig.u)
-
-    raise ConvergenceError(
-        "water-filling sweep exhausted without acceptance; "
-        "this contradicts the KKT structure of the problem"
+    k = int(np.count_nonzero(sigma > _SIGMA_FLOOR))  # positive modes: a prefix
+    tau0 = -1.0 / z_over_v if z_over_v > 0.0 else -np.inf
+    theta = np.zeros_like(sigma)
+    theta[:k], tau = _cap_threshold(-1.0 / sigma[:k], tau0, cap)
+    # tau >= tau0 gives mu >= 0 up to the rounding of -1/tau0 back to z_over_v
+    mu = 0.0 if tau == tau0 else max(0.0, -1.0 / tau - z_over_v)
+    return WaterfillResult(
+        q=eig.compose(theta), mu=float(mu), theta=theta, sigma=sigma, u=eig.u
     )
 
 
 def psd_cap_project(x, cap: float) -> np.ndarray:
     """Frobenius projection of a Hermitian matrix onto {Q PSD, tr(Q) <= cap}.
 
-    Eigenvalue soft-thresholding: drop negative eigenvalues if that already
-    meets the cap, otherwise shift the sorted eigenvalues down by the exact
-    multiplier from the sweep.
+    Eigenvalue soft-thresholding: the capped threshold of the eigenvalues
+    with floor 0, i.e. drop the negative ones if that already meets the
+    cap, otherwise shift all down by the exact multiplier.
     """
     if not cap > 0:
         raise ValueError("cap must be positive")
-    xm = require_hermitian(x, "projection input")
-    eig = herm_eig(xm)
-    sigma = eig.sigma
-
-    clipped = np.maximum(sigma, 0.0)
-    if clipped.sum() <= cap:
-        return eig.compose(clipped)
-
-    desc_idx = np.argsort(-sigma, kind="stable")
-    desc = sigma[desc_idx]
-    n = len(desc)
-    s_i = 0.0
-    for i in range(1, n + 1):
-        s_i += desc[i - 1]
-        mu = (s_i - cap) / i
-        if mu < 0.0:
-            continue
-        if not desc[i - 1] - mu > 0.0:
-            continue
-        if i < n and desc[i] - mu > 0.0:
-            continue
-        # same cancellation-free active-set form as the water-filling sweep
-        active = desc_idx[:i]
-        s_act = sigma[active]
-        theta = np.zeros_like(sigma)
-        theta[active] = np.maximum(
-            0.0, (cap + (s_act[:, None] - s_act[None, :]).sum(axis=1)) / i
-        )
-        return eig.compose(theta)
-
-    raise ConvergenceError(
-        "projection sweep exhausted without acceptance; "
-        "this contradicts the KKT structure of the problem"
-    )
+    eig = herm_eig(x)
+    theta, _ = _cap_threshold(eig.sigma, 0.0, cap)
+    return eig.compose(theta)
 
 
 @dataclass(frozen=True)

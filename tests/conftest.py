@@ -7,6 +7,7 @@ from __future__ import annotations
 import time
 
 import pytest
+from hypothesis import settings
 
 from dyncov import (
     DelayedBy,
@@ -29,6 +30,10 @@ HORIZON = 5000
 DPP_SEEDS = tuple(range(1000, 1010))
 OGD_SEED = 2000
 ERROR_CASES = ("exact", "case1", "case2")
+
+# property tests draw the same examples on every run; no per-example deadline
+settings.register_profile("dyncov", derandomize=True, deadline=None)
+settings.load_profile("dyncov")
 
 
 @pytest.fixture(scope="session")

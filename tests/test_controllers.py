@@ -57,6 +57,8 @@ class TestDppStep:
             dpp_init(v=0.0, p=3.0, p_bar=2.0)
         with pytest.raises(ValueError):
             dpp_init(v=1.0, p=1.0, p_bar=2.0)
+        with pytest.raises(ValueError, match="queue"):
+            dpp_init(v=1.0, p=3.0, p_bar=2.0, z0=float("nan"))
 
 
 class TestOgdStep:

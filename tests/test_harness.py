@@ -1,6 +1,7 @@
 """Simulation loop, trace emission, certification plumbing, config parsing,
 policy files and the CLI."""
 
+import copy
 import json
 import subprocess
 import sys
@@ -277,7 +278,59 @@ class TestPolicyFiles:
         assert len(pol.covariances) == 20
 
 
+_DPP_OBJ = {
+    "channel": {"kind": "continuous-product", "n_r": 2, "n_t": 2, "v_max": 1.0},
+    "csit_error": {"kind": "bounded-ball", "delta": 0.1},
+    "controller": {"kind": "dpp", "v": 100.0, "z0": 0.0},
+    "p": 3.0,
+    "p_bar": 2.0,
+    "horizon": 5,
+    "seed": 1,
+    "rate_adapt": {"n_total": 30.0},
+    "reference": {"r_opt": 1.0},
+}
+_OGD_OBJ = {
+    "channel": {"preset": "paper-two-state"},
+    "csit_error": {"kind": "phase-quantize", "step": 0.1},
+    "controller": {"kind": "ogd", "gamma": 0.01},
+    "p": 3.0,
+    "p_bar": 2.0,
+    "horizon": 5,
+    "seed": 1,
+}
+_MAG_PHASE_OBJ = {
+    **_OGD_OBJ,
+    "csit_error": {"kind": "mag-phase-quantize", "mag_step": 0.1, "phase_step": 0.1},
+}
+# (valid config, section holding the field or None for top level, field)
+NUMERIC_FIELDS = [
+    (_DPP_OBJ, None, "p"),
+    (_DPP_OBJ, None, "p_bar"),
+    (_DPP_OBJ, "controller", "v"),
+    (_DPP_OBJ, "controller", "z0"),
+    (_DPP_OBJ, "csit_error", "delta"),
+    (_DPP_OBJ, "channel", "v_max"),
+    (_DPP_OBJ, "reference", "r_opt"),
+    (_DPP_OBJ, "rate_adapt", "n_total"),
+    (_OGD_OBJ, "controller", "gamma"),
+    (_OGD_OBJ, "csit_error", "step"),
+    (_MAG_PHASE_OBJ, "csit_error", "mag_step"),
+    (_MAG_PHASE_OBJ, "csit_error", "phase_step"),
+]
+
+
 class TestConfigLoading:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "base, section, field", NUMERIC_FIELDS, ids=[f for *_, f in NUMERIC_FIELDS]
+    )
+    def test_non_finite_number_raises(self, base, section, field, bad):
+        obj = copy.deepcopy(base)
+        load_config(obj)
+        (obj if section is None else obj[section])[field] = bad
+        with pytest.raises(ConfigError, match=f"'{field}' must be finite"):
+            load_config(obj)
+
     def test_full_config_round_trip(self, tmp_path):
         cfg_obj = {
             "channel": {"preset": "paper-two-state"},
@@ -400,6 +453,11 @@ class TestMatrixJson:
     def test_entry_count_validation(self):
         with pytest.raises(ValueError, match="entries"):
             matrix_from_json({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]})
+
+    @pytest.mark.parametrize("entry", [[float("nan"), 0.0], [0.0, float("-inf")]])
+    def test_non_finite_entries_rejected(self, entry):
+        with pytest.raises(ValueError, match="non-finite"):
+            matrix_from_json({"rows": 1, "cols": 2, "entries": [[1.0, 0.0], entry]})
 
 
 class TestCli:

@@ -3,6 +3,8 @@ points, and their KKT optimality conditions."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dyncov import (
     DiscreteChannel,
@@ -19,10 +21,17 @@ from dyncov.linalg import trace_real
 from dyncov.validate import (
     capacity_stack,
     psd_cap_project_stack,
+    random_complex,
     random_hermitian,
     random_hermitian_stack,
     traces_stack,
 )
+
+# property-test inputs: dimension 1..8, magnitudes over twelve decades
+SIZES = st.integers(1, 8)
+SCALES = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+SEEDS = st.integers(0, 2**32 - 1)
+CAP_RATIOS = st.floats(0.01, 100.0)
 
 
 def scalar_channel(sigma):
@@ -51,8 +60,10 @@ class TestWaterfill:
         assert frobenius(wf.q) == 0.0
 
     def test_zero_channel(self):
-        wf = waterfill_penalized(np.zeros((2, 2)), 0.5, 1.0)
-        assert frobenius(wf.q) == 0.0
+        for z_over_v in (0.0, 0.5):
+            wf = waterfill_penalized(np.zeros((2, 2)), z_over_v, 1.0)
+            assert frobenius(wf.q) == 0.0
+            assert wf.mu == 0.0
 
     def test_kkt_invariants_random(self):
         rng = np.random.default_rng(5)
@@ -99,12 +110,47 @@ class TestWaterfill:
             waterfill_penalized(scalar_channel(1.0), 0.0, 0.0)
         with pytest.raises(ValueError, match="z_over_v"):
             waterfill_penalized(scalar_channel(1.0), -0.1, 1.0)
+        with pytest.raises(ValueError, match="z_over_v"):
+            waterfill_penalized(scalar_channel(1.0), float("nan"), 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_channel(self, bad):
         h = np.array([[1.0, bad], [0.5, 2.0]], dtype=complex)
         with pytest.raises(ValueError, match="non-finite"):
             waterfill_penalized(h, 0.5, 3.0)
+
+    @given(n_t=SIZES, n_r=SIZES, scale=SCALES, seed=SEEDS,
+           z_ratio=st.just(0.0) | st.floats(0.0, 1.2), cap_ratio=CAP_RATIOS)
+    def test_kkt_certificate_property(self, n_t, n_r, scale, seed, z_ratio, cap_ratio):
+        # Gram eigenvalues ~ scale, penalty up to past the top eigenvalue,
+        # cap ~ 1/scale so that both the free and the capped branch occur
+        h = random_complex(np.random.default_rng(seed), (n_r, n_t)) * np.sqrt(scale)
+        ref = np.maximum(np.linalg.eigvalsh(h.conj().T @ h)[::-1], 0.0)
+        sigma_max = ref[0]
+        z = z_ratio * sigma_max
+        cap = cap_ratio / scale
+        wf = waterfill_penalized(h, z, cap)
+        sig, theta, mu = wf.sigma, wf.theta, wf.mu
+
+        assert np.allclose(sig, ref, rtol=0.0, atol=1e-12 * sigma_max)
+        assert np.linalg.eigvalsh(wf.q).min() >= -1e-12 * cap
+        assert trace_real(wf.q) <= cap * (1.0 + 1e-12)
+        assert np.allclose(
+            np.linalg.eigvalsh(wf.q), np.sort(theta), rtol=0.0, atol=1e-12 * cap
+        )
+        assert capacity(h, wf.q) == pytest.approx(
+            np.log1p(sig * theta).sum(), rel=1e-9, abs=1e-12
+        )
+        # dual feasibility and complementary slackness
+        assert mu >= 0.0
+        assert mu == 0.0 or theta.sum() == pytest.approx(cap, rel=1e-12)
+        # stationarity: marginal utility equals the price on the active
+        # modes and does not exceed it on the idle ones
+        price = z + mu
+        active = theta > 0.0
+        marginal = sig[active] / (1.0 + sig[active] * theta[active])
+        assert np.allclose(marginal, price, rtol=1e-9, atol=0.0)
+        assert np.all(sig[~active] <= price * (1.0 + 1e-9) + 1e-12 * sigma_max)
 
 
 class TestProjection:
@@ -150,6 +196,29 @@ class TestProjection:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             psd_cap_project(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+    @given(n=SIZES, scale=SCALES, seed=SEEDS, cap_ratio=CAP_RATIOS)
+    def test_variational_inequality_property(self, n, scale, seed, cap_ratio):
+        # P = proj(X) iff P is feasible and <X - P, Y - P> <= 0 for every
+        # feasible Y; probed at the origin, rank-one vertices and interior points
+        rng = np.random.default_rng(seed)
+        x = random_hermitian(rng, n, scale)  # exactly Hermitian
+        cap = cap_ratio * scale
+        p = psd_cap_project(x, cap)
+        size = frobenius(x) + cap
+
+        assert np.linalg.eigvalsh(p).min() >= -1e-12 * size
+        assert trace_real(p) <= cap * (1.0 + 1e-12)
+        g = random_complex(rng, (16, n, n))
+        g[:8, :, 1:] = 0.0  # rank one
+        ys = g @ np.conj(np.swapaxes(g, 1, 2))
+        weights = np.concatenate([[0.0], np.ones(7), rng.uniform(0.0, 1.0, 8)])
+        ys *= (weights * cap / traces_stack(ys))[:, None, None]
+        inner = np.einsum("ij,bji->b", x - p, ys - p).real
+        assert inner.max() <= 1e-10 * size**2
+
+        ref = psd_cap_project_stack(x[None], cap)[0]
+        assert frobenius(p - ref) <= 1e-10 * size
 
 
 class TestCdiPolicy:
