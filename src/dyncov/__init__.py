@@ -11,10 +11,8 @@ performance bounds on every run.
 from .channel import (
     BoundedBallCsit,
     ChannelBounds,
-    DelayedBy,
     DiscreteChannel,
     ExactCsit,
-    Instantaneous,
     MagPhaseQuantizeCsit,
     PhaseQuantizeCsit,
     ProductChannel,
@@ -78,14 +76,12 @@ __all__ = [
     "ChannelBounds",
     "ConstantCovariance",
     "ConvergenceError",
-    "DelayedBy",
     "DiscreteChannel",
     "DppSpec",
     "DppState",
     "ExactCsit",
     "ExperimentConfig",
     "HermEigen",
-    "Instantaneous",
     "LedgerError",
     "MagPhaseQuantizeCsit",
     "OgdSpec",

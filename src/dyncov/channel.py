@@ -1,6 +1,9 @@
 """Fading-channel models, corrupted transmitter-side observations, and
 the norm/error constants the certification layer consumes.
 
+When an observation reaches the transmitter is not a channel property:
+the controller fixes it (see ``dyncov.harness``).
+
 Randomness is PCG64 via numpy Generators.  Streams are derived from a
 run seed with SeedSequence spawn keys, one stream per slot index, so a
 full (H(t), observation(t)) trace is a pure function of (model, error
@@ -161,25 +164,6 @@ class TabulatedCsit:
 CsitErrorModel = Union[
     ExactCsit, PhaseQuantizeCsit, MagPhaseQuantizeCsit, BoundedBallCsit, TabulatedCsit
 ]
-
-
-@dataclass(frozen=True)
-class Instantaneous:
-    """Observation for slot t available at slot t."""
-
-
-@dataclass(frozen=True)
-class DelayedBy:
-    """Observation for slot t available at slot t + t_slots."""
-
-    t_slots: int = 1
-
-    def __post_init__(self):
-        if self.t_slots < 1:
-            raise ValueError("delay must be at least one slot")
-
-
-DelayModel = Union[Instantaneous, DelayedBy]
 
 
 def sample_channel(model: ChannelModel, rng: np.random.Generator) -> np.ndarray:

@@ -1,6 +1,13 @@
 """Experiment orchestration: slotted simulation, per-run certification of
 the performance bounds, and trace/summary/plot emission.
 
+A run is draw -> decide -> evaluate.  The channel path never depends on a
+decision, so the whole horizon of (H(t), H~(t)) is drawn first; then only
+the controller's recursion runs slot by slot; then capacities and powers
+are evaluated on the stacked trace in one call each.  The observation lag
+is the controller's: none for the queue controller, ``t_delay`` slots for
+the gradient controller.
+
 A run is fully determined by its config (seeded per-slot random streams),
 so repeating a config yields byte-identical CSV output.  Certification
 re-derives every verdict from quantities that also land in the CSV.
@@ -55,12 +62,14 @@ class DppSpec:
 @dataclass(frozen=True)
 class OgdSpec:
     gamma: Optional[float] = 0.01  # None selects the 1/sqrt(t) schedule
-    t_delay: int = 1
+    t_delay: int = 1  # observations arrive t_delay slots late
 
     def __post_init__(self):
         # the regret bound divides by gamma, so reject it before the run
         if self.gamma is not None and not self.gamma > 0:
             raise ConfigError("gamma must be positive")
+        if self.t_delay < 1:
+            raise ConfigError("t_delay must be at least one slot")
 
 
 @dataclass(frozen=True)
@@ -83,7 +92,6 @@ class OutputPaths:
 class ExperimentConfig:
     channel: ch.ChannelModel
     csit_error: ch.CsitErrorModel
-    delay: ch.DelayModel
     controller: ControllerSpec
     p: float
     p_bar: float
@@ -98,21 +106,14 @@ class ExperimentConfig:
             raise ConfigError("need p >= p_bar > 0")
         if self.horizon < 1:
             raise ConfigError("horizon must be at least 1")
-        if isinstance(self.controller, DppSpec) and not isinstance(
-            self.delay, ch.Instantaneous
+        if (
+            isinstance(self.controller, OgdSpec)
+            and self.reference is not None
+            and not isinstance(self.reference, ConstantCovariance)
         ):
-            raise ConfigError("the queue controller requires instantaneous observations")
-        if isinstance(self.controller, OgdSpec):
-            if not isinstance(self.delay, ch.DelayedBy):
-                raise ConfigError("the gradient controller requires delayed observations")
-            if self.delay.t_slots != self.controller.t_delay:
-                raise ConfigError("controller and delay model disagree on the lag")
-            if self.reference is not None and not isinstance(
-                self.reference, ConstantCovariance
-            ):
-                raise ConfigError(
-                    "the gradient controller's reference must be a constant-covariance policy"
-                )
+            raise ConfigError(
+                "the gradient controller's reference must be a constant-covariance policy"
+            )
 
     @property
     def n_t(self) -> int:
@@ -148,7 +149,16 @@ def _number(obj: dict, key: str, default: Optional[float] = None) -> float:
     finite float; NaN and infinities are rejected with the field's name."""
     x = float(obj[key] if default is None else obj.get(key, default))
     if not math.isfinite(x):
-        raise ConfigError(f"config field {key!r} must be finite, got {x!r}")
+        raise ConfigError(f"field {key!r} must be finite, got {x!r}")
+    return x
+
+
+def _finite_array(obj: dict, key: str) -> np.ndarray:
+    """obj[key] as a float array; NaN and infinities are rejected with the
+    field's name."""
+    x = np.asarray(obj[key], dtype=float)
+    if not np.isfinite(x).all():
+        raise ConfigError(f"field {key!r} must be finite")
     return x
 
 
@@ -195,19 +205,6 @@ def _parse_csit_error(obj: dict) -> ch.CsitErrorModel:
     raise ConfigError(f"unknown CSIT error kind {kind!r}")
 
 
-def _parse_delay(obj: Optional[dict], controller: ControllerSpec) -> ch.DelayModel:
-    if obj is None:
-        if isinstance(controller, OgdSpec):
-            return ch.DelayedBy(t_slots=controller.t_delay)
-        return ch.Instantaneous()
-    kind = obj.get("kind")
-    if kind == "instantaneous":
-        return ch.Instantaneous()
-    if kind == "delayed":
-        return ch.DelayedBy(t_slots=int(obj.get("t_slots", 1)))
-    raise ConfigError(f"unknown delay kind {kind!r}")
-
-
 def _parse_controller(obj: dict, base_dir: Optional[Path]) -> ControllerSpec:
     kind = obj.get("kind")
     if kind == "dpp":
@@ -231,7 +228,7 @@ def _resolve(path: str, base_dir: Optional[Path]) -> Path:
 
 
 _CONFIG_KEYS = frozenset({
-    "channel", "csit_error", "delay", "controller", "p", "p_bar", "horizon",
+    "channel", "csit_error", "controller", "p", "p_bar", "horizon",
     "seed", "rate_adapt", "reference", "outputs",
 })
 
@@ -252,7 +249,6 @@ def load_config(source: Union[str, Path, dict]) -> ExperimentConfig:
         controller = _parse_controller(obj["controller"], base_dir)
         model = _parse_channel(obj["channel"])
         err = _parse_csit_error(obj.get("csit_error"))
-        delay = _parse_delay(obj.get("delay"), controller)
         rate = obj.get("rate_adapt")
         reference = obj.get("reference")
         if reference is not None:
@@ -273,7 +269,6 @@ def load_config(source: Union[str, Path, dict]) -> ExperimentConfig:
         return ExperimentConfig(
             channel=model,
             csit_error=err,
-            delay=delay,
             controller=controller,
             p=_number(obj, "p"),
             p_bar=_number(obj, "p_bar"),
@@ -321,16 +316,16 @@ def load_policy(path) -> Union[CdiPolicy, ConstantCovariance]:
     if kind == "with-csit":
         return CdiPolicy(
             states=tuple(matrix_from_json(s) for s in obj["states"]),
-            probs=np.asarray(obj["probs"], dtype=float),
+            probs=_finite_array(obj, "probs"),
             covariances=tuple(matrix_from_json(q) for q in obj["covariances"]),
-            lam=float(obj["lambda"]),
-            r_opt=float(obj["r_opt"]),
+            lam=_number(obj, "lambda"),
+            r_opt=_number(obj, "r_opt"),
         )
     if kind == "no-csit":
         return ConstantCovariance(
             q=matrix_from_json(obj["q"]),
-            per_state_utility=np.asarray(obj["per_state_utility"], dtype=float),
-            r_opt=float(obj["r_opt"]),
+            per_state_utility=_finite_array(obj, "per_state_utility"),
+            r_opt=_number(obj, "r_opt"),
             converged=bool(obj["converged"]),
             iterations=int(obj.get("iterations", 0)),
         )
@@ -364,64 +359,57 @@ def compute_baseline(
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Simulate the configured horizon and certify every applicable bound."""
     horizon = cfg.horizon
-    r = np.empty(horizon)
-    tr_q = np.empty(horizon)
-    z_pre = np.empty(horizon) if isinstance(cfg.controller, DppSpec) else None
-    track_ref = (
-        isinstance(cfg.controller, OgdSpec)
-        and isinstance(cfg.reference, ConstantCovariance)
-    )
-    r_ref = np.empty(horizon) if track_ref else None
 
-    dpp_state = None
-    ogd_state = None
-    replay = None
-    if isinstance(cfg.controller, DppSpec):
-        dpp_state = dpp_init(cfg.controller.v, cfg.p, cfg.p_bar, z0=cfg.controller.z0)
-    elif isinstance(cfg.controller, OgdSpec):
-        ogd_state = ogd_init(
-            cfg.n_t, cfg.p_bar, gamma=cfg.controller.gamma,
-            t_delay=cfg.controller.t_delay,
-        )
-    else:
-        replay = cfg.controller.policy
-
-    lag = cfg.delay.t_slots if isinstance(cfg.delay, ch.DelayedBy) else 0
-    obs_history: list[np.ndarray] = []
-    ledger = RateLedger(cfg.rate_adapt_n) if cfg.rate_adapt_n else None
-
+    # draw: the channel path is exogenous, one seeded stream per slot
+    h = np.empty((horizon, cfg.n_r, cfg.n_t), dtype=np.complex128)
+    h_obs = np.empty_like(h)
     for t in range(horizon):
         rng = ch.slot_rng(cfg.seed, t)
-        h = ch.sample_channel(cfg.channel, rng)
-        h_obs = ch.observe_csit(h, cfg.csit_error, rng)
+        h[t] = ch.sample_channel(cfg.channel, rng)
+        h_obs[t] = ch.observe_csit(h[t], cfg.csit_error, rng)
 
+    # decide: only the controller's recursion is sequential
+    q = np.empty((horizon, cfg.n_t, cfg.n_t), dtype=np.complex128)
+    z_pre = None
+    state = None
+    spec = cfg.controller
+    if isinstance(spec, DppSpec):
+        z_pre = np.empty(horizon)
+        state = dpp_init(spec.v, cfg.p, cfg.p_bar, z0=spec.z0)
+    elif isinstance(spec, OgdSpec):
+        state = ogd_init(cfg.n_t, cfg.p_bar, gamma=spec.gamma, t_delay=spec.t_delay)
+    for t in range(horizon):
         try:
-            if dpp_state is not None:
-                z_pre[t] = dpp_state.z
-                q, dpp_state = dpp_step(dpp_state, h_obs)
-            elif ogd_state is not None:
-                obs_history.append(h_obs)
-                delayed = obs_history[t - lag] if t >= lag else None
-                q, ogd_state = ogd_step(ogd_state, delayed)
-                if len(obs_history) > lag:  # only the lagged tail is ever read again
-                    obs_history[t - lag] = None
+            if isinstance(spec, DppSpec):
+                z_pre[t] = state.z
+                q[t], state = dpp_step(state, h_obs[t])
+            elif isinstance(spec, OgdSpec):
+                lag = spec.t_delay
+                q[t], state = ogd_step(state, h_obs[t - lag] if t >= lag else None)
+            elif isinstance(spec.policy, CdiPolicy):
+                q[t] = spec.policy.lookup(h[t])
             else:
-                q = replay.lookup(h) if isinstance(replay, CdiPolicy) else replay.q
+                q[t] = spec.policy.q
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"solver failure at slot {t}: {exc}", residual=exc.residual
             ) from exc
 
-        r_t = capacity(h, q)
-        r[t] = r_t
-        tr_q[t] = trace_real(q)
-        if r_ref is not None:
-            r_ref[t] = capacity(h, cfg.reference.q)
-        if ledger is not None and not ledger.completed:
+    # evaluate: true-channel capacities and powers over the whole stack
+    r = capacity(h, q)
+    tr_q = trace_real(q)
+    r_ref = None
+    if isinstance(spec, OgdSpec) and isinstance(cfg.reference, ConstantCovariance):
+        r_ref = capacity(h, cfg.reference.q)
+    ledger = None
+    if cfg.rate_adapt_n:
+        ledger = RateLedger(cfg.rate_adapt_n)
+        for r_t in r.tolist():
+            if ledger.completed:
+                break
             ledger.record(r_t)
 
     t_axis = np.arange(1, horizon + 1, dtype=float)
-    z_final = dpp_state.z if dpp_state is not None else None
     result = RunResult(
         config=cfg,
         r=r,
@@ -429,7 +417,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         tr_q=tr_q,
         runavg_tr_q=np.cumsum(tr_q) / t_axis,
         z=z_pre,
-        z_final=z_final,
+        z_final=state.z if isinstance(spec, DppSpec) else None,
         r_ref=r_ref,
         ledger=ledger,
         summary={},

@@ -4,6 +4,9 @@ Everything here operates on plain complex numpy arrays of modest size
 (channel matrices and transmit covariances, n <= 8 in practice).  The
 Hermitian eigensolver is a validating wrapper over LAPACK ``eigh``;
 log-determinants go through a Cholesky factor.
+
+``capacity``, ``capacity_gradient`` and ``trace_real`` also take stacks
+(leading axes broadcast); each entry equals its single-matrix result exactly.
 """
 
 from __future__ import annotations
@@ -37,9 +40,19 @@ def frobenius(a) -> float:
     return float(np.sqrt((m.real * m.real + m.imag * m.imag).sum()))
 
 
-def trace_real(a) -> float:
-    """Real part of the trace (the trace of any Hermitian matrix is real)."""
-    return float(np.trace(np.asarray(a)).real)
+def _ct(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def _scalar_or_stack(x: np.ndarray):
+    return float(x) if x.ndim == 0 else x
+
+
+def trace_real(a):
+    """Real part of the trace over the last two axes (the trace of any
+    Hermitian matrix is real)."""
+    return _scalar_or_stack(np.trace(np.asarray(a), axis1=-2, axis2=-1).real)
 
 
 def symmetrize(a) -> np.ndarray:
@@ -49,15 +62,18 @@ def symmetrize(a) -> np.ndarray:
 
 
 def require_hermitian(a, what: str = "matrix") -> np.ndarray:
-    """Validate finiteness and Hermitian-ness (entrywise 1e-12) and return
-    the symmetrized copy."""
+    """Validate finiteness and Hermitian-ness and return the symmetrized copy.
+
+    The entrywise deviation from A^H may be at most 1e-12 * max(1, max|a_ij|),
+    so round-off on large-magnitude input is not mistaken for asymmetry.
+    """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{what} has non-finite entries")
     dev = float(np.max(np.abs(m - m.conj().T), initial=0.0))
-    if dev > HERMITIAN_ATOL:
+    if dev > HERMITIAN_ATOL * max(1.0, float(np.max(np.abs(m), initial=0.0))):
         raise ValueError(f"{what} is not Hermitian (max deviation {dev:.3e})")
     return symmetrize(m)
 
@@ -85,39 +101,41 @@ class HermEigen:
 def herm_eig(a) -> HermEigen:
     """Eigendecomposition of a Hermitian matrix by LAPACK (``np.linalg.eigh``).
 
-    The input must be finite and Hermitian to 1e-12 entrywise; it is
-    symmetrized first.  Eigenvalues come back in descending order.
+    The input must be finite and Hermitian (see ``require_hermitian``); it
+    is symmetrized first.  Eigenvalues come back in descending order.
     """
     w, v = np.linalg.eigh(require_hermitian(a, "eigensolver input"))
     return HermEigen(u=v[:, ::-1].conj().T, sigma=w[::-1].copy())
 
 
-def _gram_plus_identity(h: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """I + H Q H^H, symmetrized."""
-    m = h @ q @ h.conj().T
-    m = 0.5 * (m + m.conj().T)
-    return np.eye(h.shape[0], dtype=np.complex128) + m
-
-
-def _check_dims(h: np.ndarray, q: np.ndarray) -> None:
-    if q.shape[0] != q.shape[1]:
-        raise ValueError(f"covariance must be square, got shape {q.shape}")
-    if h.shape[1] != q.shape[0]:
+def _capacity_arg(h, q) -> tuple[np.ndarray, np.ndarray]:
+    """Channel stack H (..., n_r, n_t), broadcast against the covariances,
+    and I + H Q H^H, symmetrized."""
+    hm = np.asarray(h, dtype=np.complex128)
+    qm = np.asarray(q, dtype=np.complex128)
+    if hm.ndim < 2 or qm.ndim < 2:
         raise ValueError(
-            f"dimension mismatch: channel is {h.shape}, covariance is {q.shape}"
+            f"expected matrices or stacks of them, got ndim={hm.ndim} and ndim={qm.ndim}"
         )
+    if qm.shape[-2] != qm.shape[-1]:
+        raise ValueError(f"covariance must be square, got shape {qm.shape}")
+    if hm.shape[-1] != qm.shape[-2]:
+        raise ValueError(
+            f"dimension mismatch: channel is {hm.shape}, covariance is {qm.shape}"
+        )
+    m = hm @ qm @ _ct(hm)
+    m = np.eye(hm.shape[-2], dtype=np.complex128) + 0.5 * (m + _ct(m))
+    return np.broadcast_to(hm, m.shape[:-2] + hm.shape[-2:]), m
 
 
-def capacity(h, q) -> float:
+def capacity(h, q):
     """log det(I + H Q H^H) in nats, via Cholesky of the positive definite argument.
 
     Nonnegative for any PSD Q.  A Cholesky failure means the argument was
-    numerically indefinite, which valid inputs cannot produce.
+    numerically indefinite, which valid inputs cannot produce.  Stacks give
+    an array over their broadcast leading axes.
     """
-    hm = as_matrix(h)
-    qm = as_matrix(q)
-    _check_dims(hm, qm)
-    m = _gram_plus_identity(hm, qm)
+    _, m = _capacity_arg(h, q)
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
@@ -125,18 +143,16 @@ def capacity(h, q) -> float:
             "capacity argument I + H Q H^H is numerically indefinite; "
             "is the covariance PSD?"
         ) from exc
-    return float(2.0 * np.log(np.diag(chol).real).sum())
+    diag = np.diagonal(chol, axis1=-2, axis2=-1).real
+    return _scalar_or_stack(2.0 * np.log(diag).sum(axis=-1))
 
 
 def capacity_gradient(h, q) -> np.ndarray:
     """Gradient of Q -> log det(I + H Q H^H): H^H (I + H Q H^H)^{-1} H.
 
-    The result is Hermitian PSD (symmetrized against round-off).
+    The result is Hermitian PSD (symmetrized against round-off); stacks
+    give a stack of gradients.
     """
-    hm = as_matrix(h)
-    qm = as_matrix(q)
-    _check_dims(hm, qm)
-    m = _gram_plus_identity(hm, qm)
-    x = np.linalg.solve(m, hm)
-    d = hm.conj().T @ x
-    return 0.5 * (d + d.conj().T)
+    hm, m = _capacity_arg(h, q)
+    d = _ct(hm) @ np.linalg.solve(m, hm)
+    return 0.5 * (d + _ct(d))

@@ -94,6 +94,8 @@ def waterfill_penalized(h_tilde, z_over_v: float, cap: float) -> WaterfillResult
     if not cap > 0:
         raise ValueError("cap must be positive")
     h = as_matrix(h_tilde)
+    if not np.isfinite(h).all():  # before the Gram product turns inf into NaN
+        raise ValueError("channel has non-finite entries")
     gram = symmetrize(h.conj().T @ h)  # exact-arithmetic Hermitian; absorb round-off
     eig = herm_eig(gram)
     sigma = np.maximum(eig.sigma, 0.0)  # Gram eigenvalues; clip round-off
@@ -140,13 +142,12 @@ class CdiPolicy:
         return self.covariances[int(np.argmin(dists))]
 
     def average_power(self) -> float:
-        return float(sum(p * trace_real(q) for p, q in zip(self.probs, self.covariances)))
+        return float(sum(self.probs * trace_real(np.stack(self.covariances))))
 
 
 def _policy_at(model: DiscreteChannel, lam: float, p: float) -> tuple[tuple[np.ndarray, ...], float]:
     covs = tuple(waterfill_penalized(s, lam, p).q for s in model.states)
-    power = float(sum(pr * trace_real(q) for pr, q in zip(model.probs, covs)))
-    return covs, power
+    return covs, float(sum(model.probs * trace_real(np.stack(covs))))
 
 
 def cdi_optimal_policy(
@@ -196,9 +197,8 @@ def cdi_optimal_policy(
                 f"long-term power bisection did not reach tolerance {tol}"
             )
 
-    r_opt = float(
-        sum(pr * capacity(s, q) for pr, s, q in zip(model.probs, model.states, covs))
-    )
+    # builtin sum: the same sequential order as summing state by state
+    r_opt = float(sum(model.probs * capacity(np.stack(model.states), np.stack(covs))))
     return CdiPolicy(
         states=model.states, probs=model.probs, covariances=covs, lam=lam, r_opt=r_opt
     )
@@ -234,14 +234,13 @@ def ergodic_constant_covariance(
     if not p_bar > 0:
         raise ValueError("p_bar must be positive")
 
-    n_t = model.n_t
-    q = np.zeros((n_t, n_t), dtype=np.complex128)
+    states = np.stack(model.states)
+    probs = model.probs[:, None, None]
+    q = np.zeros((model.n_t, model.n_t), dtype=np.complex128)
     converged = False
     iterations = 0
     for iterations in range(1, iter_cap + 1):
-        grad = sum(
-            pr * capacity_gradient(s, q) for pr, s in zip(model.probs, model.states)
-        )
+        grad = (probs * capacity_gradient(states, q)).sum(axis=0)
         q_next = psd_cap_project(q + step * grad, p_bar)
         delta = frobenius(q_next - q)
         q = q_next
@@ -249,7 +248,7 @@ def ergodic_constant_covariance(
             converged = True
             break
 
-    per_state = np.array([capacity(s, q) for s in model.states])
+    per_state = capacity(states, q)
     r_opt = float((model.probs * per_state).sum())
     return ConstantCovariance(
         q=q, per_state_utility=per_state, r_opt=r_opt, converged=converged,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import channel as ch
 from .controllers import theoretical_bounds
-from .linalg import capacity, frobenius, trace_real
+from .linalg import capacity, capacity_gradient, frobenius, trace_real
 from .rate_adapt import RateLedger, decode_check
 from .solvers import psd_cap_project, waterfill_penalized
 
@@ -84,10 +84,6 @@ def capacity_stack(h: np.ndarray, qs: np.ndarray) -> np.ndarray:
     m = np.eye(h.shape[0]) + np.einsum("ij,bjk,lk->bil", h, qs, np.conj(h))
     sign, logdet = np.linalg.slogdet(m)
     return logdet
-
-
-def traces_stack(qs: np.ndarray) -> np.ndarray:
-    return np.einsum("bii->b", qs).real
 
 
 # ----------------------------------------------------------- matrix algebra
@@ -203,7 +199,7 @@ def check_waterfill_beats_random(
         rand = psd_cap_project_stack(
             random_hermitian_stack(rng, n_feasible, n_t, scale=2.0), cap
         )
-        objs = capacity_stack(h, rand) - z * traces_stack(rand)
+        objs = capacity_stack(h, rand) - z * trace_real(rand)
         worst = max(worst, float(objs.max()) - best)
     return CheckResult(
         "waterfill-beats-random", worst <= 1e-9, f"worst objective excess {worst:.3e}"
@@ -269,7 +265,7 @@ def check_projection_variational(
         px = psd_cap_project(x, cap)
         qs = random_psd_stack(rng, n_feasible, n)
         scale = rng.uniform(0.0, cap, size=n_feasible) / np.maximum(
-            traces_stack(qs), 1e-300
+            trace_real(qs), 1e-300
         )
         qs *= scale[:, None, None]
         resid = x - px
@@ -329,17 +325,11 @@ def check_gradient_error_bounds(
         ]
         ht = h + e
         q = random_psd_stack(rng, count, n_t)
-        q *= (p_bar * rng.uniform(0.0, 1.0, count) / np.maximum(traces_stack(q), 1e-300))[
+        q *= (p_bar * rng.uniform(0.0, 1.0, count) / np.maximum(trace_real(q), 1e-300))[
             :, None, None
         ]
-        eye = np.eye(n_r)
-
-        def grad(hh):
-            m = eye + np.einsum("bij,bjk,blk->bil", hh, q, np.conj(hh))
-            return np.einsum("bji,bjk,bkl->bil", np.conj(hh), np.linalg.inv(m), hh)
-
-        d = grad(h)
-        dt = grad(ht)
+        d = capacity_gradient(h, q)
+        dt = capacity_gradient(ht, q)
         norms = lambda x: np.sqrt((np.abs(x) ** 2).sum(axis=(1, 2)))
         worst = max(
             worst,
@@ -423,14 +413,14 @@ def check_controller_certifications(seed: int = DEFAULT_SEED) -> CheckResult:
     dpp = run_experiment(
         ExperimentConfig(
             channel=model, csit_error=ch.paper_error_case("case1"),
-            delay=ch.Instantaneous(), controller=DppSpec(v=100.0),
+            controller=DppSpec(v=100.0),
             p=3.0, p_bar=2.0, horizon=1500, seed=seed,
         )
     )
     ogd = run_experiment(
         ExperimentConfig(
             channel=model, csit_error=ch.paper_error_case("case2"),
-            delay=ch.DelayedBy(1), controller=OgdSpec(gamma=0.01),
+            controller=OgdSpec(gamma=0.01),
             p=3.0, p_bar=2.0, horizon=1500, seed=seed, reference=ref,
         )
     )
@@ -454,7 +444,7 @@ def check_trace_determinism(seed: int = DEFAULT_SEED) -> CheckResult:
 
     cfg = ExperimentConfig(
         channel=ch.paper_two_state(), csit_error=ch.BoundedBallCsit(delta=0.2),
-        delay=ch.Instantaneous(), controller=DppSpec(v=100.0),
+        controller=DppSpec(v=100.0),
         p=3.0, p_bar=2.0, horizon=300, seed=seed,
     )
     first = trace_to_csv(run_experiment(cfg)).encode()

@@ -10,10 +10,8 @@ import pytest
 from hypothesis import settings
 
 from dyncov import (
-    DelayedBy,
     DppSpec,
     ExperimentConfig,
-    Instantaneous,
     OgdSpec,
     cdi_optimal_policy,
     ergodic_constant_covariance,
@@ -63,7 +61,6 @@ def dpp_runs(preset_model, cdi_reference):
                 ExperimentConfig(
                     channel=preset_model,
                     csit_error=err,
-                    delay=Instantaneous(),
                     controller=DppSpec(v=V),
                     p=P,
                     p_bar=P_BAR,
@@ -82,7 +79,6 @@ def _ogd_config(preset_model, constant_reference, case, gamma, seed=OGD_SEED):
     return ExperimentConfig(
         channel=preset_model,
         csit_error=paper_error_case(case),
-        delay=DelayedBy(1),
         controller=OgdSpec(gamma=gamma, t_delay=1),
         p=P,
         p_bar=P_BAR,

@@ -262,10 +262,8 @@ def test_criterion_11_rate_ledger():
 def test_criterion_12_determinism():
     from dyncov import (
         BoundedBallCsit,
-        DelayedBy,
         DppSpec,
         ExperimentConfig,
-        Instantaneous,
         OgdSpec,
     )
 
@@ -273,7 +271,6 @@ def test_criterion_12_determinism():
         ExperimentConfig(
             channel=paper_two_state(),
             csit_error=paper_error_case("case1"),
-            delay=Instantaneous(),
             controller=DppSpec(v=V),
             p=P,
             p_bar=P_BAR,
@@ -283,7 +280,6 @@ def test_criterion_12_determinism():
         ExperimentConfig(
             channel=paper_two_state(),
             csit_error=BoundedBallCsit(delta=0.2),
-            delay=DelayedBy(1),
             controller=OgdSpec(gamma=GAMMA),
             p=P,
             p_bar=P_BAR,
@@ -293,7 +289,6 @@ def test_criterion_12_determinism():
         ExperimentConfig(
             channel=paper_continuous(),
             csit_error=ExactCsit(),
-            delay=Instantaneous(),
             controller=DppSpec(v=V),
             p=P,
             p_bar=P_BAR,

@@ -2,20 +2,24 @@
 policy files and the CLI."""
 
 import copy
+import dataclasses
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dyncov import (
-    DelayedBy,
+    CdiPolicy,
+    ConstantCovariance,
     DppSpec,
     ExactCsit,
     ExperimentConfig,
-    Instantaneous,
     OgdSpec,
     OutputPaths,
     ReplaySpec,
@@ -35,13 +39,37 @@ from dyncov.matrixio import matrix_from_json, matrix_to_json
 REPO = Path(__file__).resolve().parents[1]
 
 
+def canon(x):
+    """Hashable, exactly comparable form of a config or policy object."""
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,) + tuple(
+            (f.name, canon(getattr(x, f.name))) for f in dataclasses.fields(x)
+        )
+    if isinstance(x, np.ndarray):
+        return (x.dtype.str, x.shape, x.tobytes())
+    if isinstance(x, (tuple, list)):
+        return tuple(canon(v) for v in x)
+    return (type(x).__name__, x)
+
+
+FLOATS = st.floats(-1e3, 1e3, allow_subnormal=False)
+POSITIVE = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def complex_matrices(draw, n_r, n_t):
+    parts = draw(st.lists(FLOATS, min_size=2 * n_r * n_t, max_size=2 * n_r * n_t))
+    return np.array(parts[0::2], dtype=float).reshape(n_r, n_t) + 1j * np.array(
+        parts[1::2], dtype=float
+    ).reshape(n_r, n_t)
+
+
 def dpp_config(horizon=100, seed=5, **kw):
     kw.setdefault("csit_error", ExactCsit())
     kw.setdefault("p", 3.0)
     kw.setdefault("p_bar", 2.0)
     return ExperimentConfig(
         channel=paper_two_state(),
-        delay=Instantaneous(),
         controller=DppSpec(v=100.0),
         horizon=horizon,
         seed=seed,
@@ -53,7 +81,6 @@ def ogd_config(horizon=100, seed=5, **kw):
     return ExperimentConfig(
         channel=paper_two_state(),
         csit_error=kw.pop("csit_error", ExactCsit()),
-        delay=DelayedBy(1),
         controller=OgdSpec(gamma=0.01),
         p=3.0,
         p_bar=2.0,
@@ -124,7 +151,6 @@ class TestRunExperiment:
         cfg = ExperimentConfig(
             channel=paper_continuous(),
             csit_error=ExactCsit(),
-            delay=Instantaneous(),
             controller=DppSpec(v=100.0),
             p=3.0,
             p_bar=2.0,
@@ -159,7 +185,6 @@ class TestRunExperiment:
         replay = ExperimentConfig(
             channel=paper_two_state(),
             csit_error=ExactCsit(),
-            delay=Instantaneous(),
             controller=ReplaySpec(policy=cdi_reference),
             p=3.0,
             p_bar=2.0,
@@ -176,7 +201,6 @@ class TestRunExperiment:
             ExperimentConfig(
                 channel=paper_two_state(),
                 csit_error=ExactCsit(),
-                delay=Instantaneous(),
                 controller=ReplaySpec(policy=cdi_reference),
                 p=3.0,
                 p_bar=2.0,
@@ -187,32 +211,6 @@ class TestRunExperiment:
         assert long_run.runavg_r[-1] == pytest.approx(
             cdi_reference.r_opt, abs=0.1
         )
-
-    def test_dpp_requires_instantaneous(self):
-        with pytest.raises(ConfigError, match="instantaneous"):
-            ExperimentConfig(
-                channel=paper_two_state(),
-                csit_error=ExactCsit(),
-                delay=DelayedBy(1),
-                controller=DppSpec(v=100.0),
-                p=3.0,
-                p_bar=2.0,
-                horizon=10,
-                seed=1,
-            )
-
-    def test_ogd_requires_matching_lag(self):
-        with pytest.raises(ConfigError, match="lag"):
-            ExperimentConfig(
-                channel=paper_two_state(),
-                csit_error=ExactCsit(),
-                delay=DelayedBy(2),
-                controller=OgdSpec(gamma=0.01, t_delay=1),
-                p=3.0,
-                p_bar=2.0,
-                horizon=10,
-                seed=1,
-            )
 
     def test_power_order_validation(self):
         with pytest.raises(ConfigError, match="p_bar"):
@@ -263,11 +261,66 @@ class TestPolicyFiles:
         assert np.array_equal(loaded.q, constant_reference.q)
         assert loaded.converged == constant_reference.converged
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            ("with-csit", "lambda"),
+            ("with-csit", "r_opt"),
+            ("with-csit", "probs"),
+            ("no-csit", "r_opt"),
+            ("no-csit", "per_state_utility"),
+        ],
+    )
+    def test_non_finite_field_raises(
+        self, cdi_reference, constant_reference, tmp_path, kind, field, bad
+    ):
+        policy = cdi_reference if kind == "with-csit" else constant_reference
+        path = tmp_path / "policy.json"
+        save_policy(policy, path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        if isinstance(obj[field], list):
+            obj[field][-1] = bad
+        else:
+            obj[field] = bad
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"'{field}' must be finite"):
+            load_policy(path)
+
+    @given(data=st.data(), kind=st.sampled_from(["with-csit", "no-csit"]))
+    def test_round_trip_property(self, data, kind):
+        n_r = data.draw(st.integers(1, 4))
+        n_t = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(1, 4))
+        if kind == "with-csit":
+            policy = CdiPolicy(
+                states=tuple(data.draw(complex_matrices(n_r, n_t)) for _ in range(k)),
+                probs=np.array(data.draw(st.lists(FLOATS, min_size=k, max_size=k))),
+                covariances=tuple(
+                    data.draw(complex_matrices(n_t, n_t)) for _ in range(k)
+                ),
+                lam=data.draw(FLOATS),
+                r_opt=data.draw(FLOATS),
+            )
+        else:
+            policy = ConstantCovariance(
+                q=data.draw(complex_matrices(n_t, n_t)),
+                per_state_utility=np.array(
+                    data.draw(st.lists(FLOATS, min_size=k, max_size=k))
+                ),
+                r_opt=data.draw(FLOATS),
+                converged=data.draw(st.booleans()),
+                iterations=data.draw(st.integers(0, 10**6)),
+            )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "policy.json"
+            save_policy(policy, path)
+            assert canon(load_policy(path)) == canon(policy)
+
     def test_compute_baseline_continuous_uses_samples(self):
         cfg = ExperimentConfig(
             channel=paper_continuous(),
             csit_error=ExactCsit(),
-            delay=Instantaneous(),
             controller=DppSpec(v=100.0),
             p=3.0,
             p_bar=2.0,
@@ -319,7 +372,116 @@ NUMERIC_FIELDS = [
 ]
 
 
+@st.composite
+def config_dicts(draw, policies):
+    """Valid config dicts over every channel, CSIT and controller kind."""
+    if draw(st.booleans()):
+        n_r, n_t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        k = draw(st.integers(1, 4))
+        states = [draw(complex_matrices(n_r, n_t)) for _ in range(k)]
+        channel = draw(st.sampled_from([
+            {"preset": "paper-two-state"},
+            {
+                "kind": "discrete",
+                "states": [matrix_to_json(s) for s in states],
+                "probs": [1.0 / k] * k,
+            },
+        ]))
+        if "preset" in channel:
+            n_r, n_t = 2, 2
+            states = list(paper_two_state().states)
+    else:
+        n_r, n_t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        states = [draw(complex_matrices(n_r, n_t))]
+        channel = draw(st.sampled_from([
+            {"preset": "paper-continuous"},
+            {"kind": "continuous-product", "n_r": n_r, "n_t": n_t, "v_max": draw(POSITIVE)},
+        ]))
+        if "preset" in channel:
+            n_r, n_t = 2, 2
+            states = [np.eye(2)]
+    csit = draw(st.sampled_from([
+        None,
+        {"preset": "case1"},
+        {"kind": "exact"},
+        {"kind": "phase-quantize", "step": draw(POSITIVE)},
+        {"kind": "mag-phase-quantize", "mag_step": draw(POSITIVE), "phase_step": draw(POSITIVE)},
+        {"kind": "bounded-ball", "delta": draw(POSITIVE)},
+        {
+            "kind": "per-state",
+            "states": [matrix_to_json(s) for s in states],
+            "observed": [matrix_to_json(draw(complex_matrices(n_r, n_t))) for _ in states],
+        },
+    ]))
+    controller = draw(st.sampled_from([
+        {"kind": "dpp", "v": draw(POSITIVE), "z0": draw(st.floats(0.0, 1e3))},
+        {"kind": "ogd", "gamma": draw(POSITIVE), "t_delay": draw(st.integers(1, 5))},
+        {"kind": "ogd", "step": "inverse-sqrt"},
+        {"kind": "baseline-replay", "policy": policies["with-csit"]},
+        {"kind": "baseline-replay", "policy": policies["no-csit"]},
+    ]))
+    p_bar = draw(POSITIVE)
+    obj = {
+        "channel": channel,
+        "controller": controller,
+        "p": p_bar * draw(st.floats(1.0, 10.0)),
+        "p_bar": p_bar,
+        "horizon": draw(st.integers(1, 10**6)),
+        "seed": draw(st.integers(0, 2**63 - 1)),
+    }
+    if csit is not None:
+        obj["csit_error"] = csit
+    if draw(st.booleans()):
+        obj["rate_adapt"] = {"n_total": draw(POSITIVE)}
+    # the gradient controller only takes a constant-covariance reference
+    references = [None, {"policy": policies["no-csit"]}]
+    if controller["kind"] != "ogd":
+        references.append({"r_opt": draw(FLOATS)})
+    obj["reference"] = draw(st.sampled_from(references))
+    if obj["reference"] is None:
+        del obj["reference"]
+    if draw(st.booleans()):
+        obj["outputs"] = {"csv": "out/t.csv", "summary": "out/t.json"}
+    return obj
+
+
+@pytest.fixture(scope="module")
+def policy_paths(cdi_reference, constant_reference, tmp_path_factory):
+    base = tmp_path_factory.mktemp("policies")
+    paths = {}
+    for kind, policy in (("with-csit", cdi_reference), ("no-csit", constant_reference)):
+        paths[kind] = str(base / f"{kind}.json")
+        save_policy(policy, paths[kind])
+    return paths
+
+
 class TestConfigLoading:
+    @given(data=st.data())
+    def test_dict_and_file_load_the_same(self, policy_paths, data):
+        obj = data.draw(config_dicts(policy_paths))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            assert canon(load_config(path)) == canon(load_config(obj))
+
+    def test_zero_t_delay_raises(self):
+        with pytest.raises(ConfigError, match="t_delay"):
+            load_config({**_OGD_OBJ, "controller": {"kind": "ogd", "t_delay": 0}})
+
+    def test_delay_key_raises(self):
+        obj = {**_OGD_OBJ, "delay": {"kind": "delayed", "t_slots": 1}}
+        with pytest.raises(ConfigError, match="unknown config key.*'delay'"):
+            load_config(obj)
+
+    def test_nan_reference_policy_raises(self, constant_reference, tmp_path):
+        path = tmp_path / "ref.json"
+        save_policy(constant_reference, path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj["r_opt"] = float("nan")
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ConfigError, match="'r_opt' must be finite"):
+            load_config({**_OGD_OBJ, "reference": {"policy": str(path)}})
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
     @pytest.mark.parametrize(
         "base, section, field", NUMERIC_FIELDS, ids=[f for *_, f in NUMERIC_FIELDS]
@@ -367,7 +529,7 @@ class TestConfigLoading:
                 "seed": 1,
             }
         )
-        assert isinstance(cfg.delay, DelayedBy) and cfg.delay.t_slots == 2
+        assert cfg.controller.t_delay == 2
         run_experiment(cfg)
 
     def test_inverse_sqrt_spec(self):

@@ -4,8 +4,10 @@ sums, and central finite differences."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dyncov import capacity, capacity_gradient, frobenius, herm_eig
+from dyncov import capacity, capacity_gradient, frobenius, herm_eig, psd_cap_project
 from dyncov.channel import PAPER_H1
 from dyncov.linalg import require_hermitian, symmetrize, trace_real
 
@@ -152,6 +154,52 @@ class TestCapacityGradient:
         assert np.linalg.eigvalsh(d).min() >= -1e-10
 
 
+class TestStacks:
+    @given(
+        n_r=st.integers(1, 8),
+        n_t=st.integers(1, 8),
+        count=st.integers(1, 6),
+        scale=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_equals_per_matrix(self, n_r, n_t, count, scale, seed):
+        rng = np.random.default_rng(seed)
+        h = scale * (
+            rng.standard_normal((count, n_r, n_t))
+            + 1j * rng.standard_normal((count, n_r, n_t))
+        )
+        g = rng.standard_normal((count, n_t, n_t)) + 1j * rng.standard_normal(
+            (count, n_t, n_t)
+        )
+        q = scale * (g @ np.conj(np.swapaxes(g, 1, 2)))
+        r, d, tr = capacity(h, q), capacity_gradient(h, q), trace_real(q)
+        # one covariance broadcast over the channel stack
+        r0, d0 = capacity(h, q[0]), capacity_gradient(h, q[0])
+        assert r.shape == r0.shape == tr.shape == (count,)
+        for k in range(count):
+            assert r[k] == capacity(h[k], q[k])
+            assert np.array_equal(d[k], capacity_gradient(h[k], q[k]))
+            assert tr[k] == trace_real(q[k])
+            assert r0[k] == capacity(h[k], q[0])
+            assert np.array_equal(d0[k], capacity_gradient(h[k], q[0]))
+
+    def test_single_pair_types(self):
+        assert isinstance(capacity(PAPER_H1, np.eye(2)), float)
+        assert isinstance(trace_real(np.eye(2)), float)
+        assert capacity_gradient(PAPER_H1, np.eye(2)).shape == (2, 2)
+
+    def test_leading_axes_broadcast(self):
+        h = np.broadcast_to(PAPER_H1, (3, 4, 2, 2))
+        assert capacity(h, np.eye(2)).shape == (3, 4)
+        assert capacity_gradient(h, np.eye(2)).shape == (3, 4, 2, 2)
+
+    def test_rejects_vectors(self):
+        with pytest.raises(ValueError, match="ndim=1"):
+            capacity(np.ones(2), np.eye(2))
+        with pytest.raises(ValueError, match="ndim=1"):
+            capacity_gradient(np.eye(2), np.ones(2))
+
+
 class TestFrobenius:
     def test_zero(self):
         assert frobenius(np.zeros((3, 2))) == 0.0
@@ -182,6 +230,24 @@ class TestHelpers:
         bad = np.array([[1.0, 0.5 + 1e-9j], [0.5 - 5e-9j, 2.0]])
         with pytest.raises(ValueError):
             require_hermitian(bad)
+
+    def test_large_gram_round_off_accepted(self):
+        # at scale 1e10 the round-off asymmetry of g g^H is ~1e-6 absolute,
+        # ~1e-16 relative
+        rng = np.random.default_rng(1)
+        g = 1e5 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        a = g @ g.conj().T
+        assert np.max(np.abs(a - a.conj().T)) > 1e-12
+        herm_eig(a)
+        assert trace_real(psd_cap_project(a, 1.0)) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e10])
+    def test_relative_asymmetry_rejected(self, scale):
+        a = scale * np.array([[1.0, 0.5 + 1e-6], [0.5 - 1e-6, 2.0]])
+        with pytest.raises(ValueError, match="Hermitian"):
+            require_hermitian(a)
+        with pytest.raises(ValueError, match="Hermitian"):
+            herm_eig(a)
 
     def test_trace_real(self):
         assert trace_real(np.diag([1.0 + 0j, 2.0])) == 3.0

@@ -24,7 +24,6 @@ from dyncov.validate import (
     random_complex,
     random_hermitian,
     random_hermitian_stack,
-    traces_stack,
 )
 
 # property-test inputs: dimension 1..8, magnitudes over twelve decades
@@ -94,7 +93,7 @@ class TestWaterfill:
             wf = waterfill_penalized(h, z, cap)
             best = capacity(h, wf.q) - z * trace_real(wf.q)
             qs = psd_cap_project_stack(random_hermitian_stack(rng, 200, 3, 2.0), cap)
-            objs = capacity_stack(h, qs) - z * traces_stack(qs)
+            objs = capacity_stack(h, qs) - z * trace_real(qs)
             assert objs.max() <= best + 1e-9
 
     def test_repeated_eigenvalues_regression(self):
@@ -213,7 +212,7 @@ class TestProjection:
         g[:8, :, 1:] = 0.0  # rank one
         ys = g @ np.conj(np.swapaxes(g, 1, 2))
         weights = np.concatenate([[0.0], np.ones(7), rng.uniform(0.0, 1.0, 8)])
-        ys *= (weights * cap / traces_stack(ys))[:, None, None]
+        ys *= (weights * cap / trace_real(ys))[:, None, None]
         inner = np.einsum("ij,bji->b", x - p, ys - p).real
         assert inner.max() <= 1e-10 * size**2
 
@@ -261,7 +260,7 @@ class TestCdiPolicy:
         for s, q in zip(pol.states, pol.covariances):
             mine = capacity(s, q) - pol.lam * trace_real(q)
             qs = psd_cap_project_stack(random_hermitian_stack(rng, 500, 2, 2.0), 3.0)
-            objs = capacity_stack(s, qs) - pol.lam * traces_stack(qs)
+            objs = capacity_stack(s, qs) - pol.lam * trace_real(qs)
             assert objs.max() <= mine + 1e-9
 
     def test_lookup_returns_nearest(self, cdi_reference):
