@@ -25,16 +25,7 @@ from .channel import (
     sample_channel,
     slot_rng,
 )
-from .controllers import (
-    BoundReport,
-    DppState,
-    OgdState,
-    dpp_init,
-    dpp_step,
-    ogd_init,
-    ogd_step,
-    theoretical_bounds,
-)
+from .controllers import BoundReport, dpp_step, ogd_step, theoretical_bounds
 from .harness import (
     DppSpec,
     ExperimentConfig,
@@ -78,14 +69,12 @@ __all__ = [
     "ConvergenceError",
     "DiscreteChannel",
     "DppSpec",
-    "DppState",
     "ExactCsit",
     "ExperimentConfig",
     "HermEigen",
     "LedgerError",
     "MagPhaseQuantizeCsit",
     "OgdSpec",
-    "OgdState",
     "OutputPaths",
     "PhaseQuantizeCsit",
     "ProductChannel",
@@ -100,7 +89,6 @@ __all__ = [
     "channel_bounds",
     "compute_baseline",
     "decode_check",
-    "dpp_init",
     "dpp_step",
     "emit_outputs",
     "empirical_policy",
@@ -110,7 +98,6 @@ __all__ = [
     "load_config",
     "load_policy",
     "observe_csit",
-    "ogd_init",
     "ogd_step",
     "paper_continuous",
     "paper_error_case",

@@ -13,19 +13,15 @@ model, seed) and reproduces bit-for-bit across platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius
+from .linalg import as_matrix, frobenius, nearest_index
 
 # stream domains: (domain, index) spawn keys under the run seed
 _STREAM_SLOT = 0
 _STREAM_BASELINE = 1
-_STREAM_BOUNDS = 2
-
-_BOUNDS_DRAWS = 100_000
-_BOUNDS_QUANTILE = 0.99999
 
 
 def slot_rng(seed: int, t: int) -> np.random.Generator:
@@ -159,6 +155,7 @@ class TabulatedCsit:
             raise ValueError("tabulated model needs matching state/observation lists")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "observed", observed)
+        object.__setattr__(self, "_stack", np.stack(states))
 
 
 CsitErrorModel = Union[
@@ -223,8 +220,7 @@ def observe_csit(h, err: CsitErrorModel, rng: np.random.Generator | None = None)
             e = np.zeros_like(hm)
         return hm + e
     if isinstance(err, TabulatedCsit):
-        dists = [frobenius(hm - s) for s in err.states]
-        return err.observed[int(np.argmin(dists))].copy()
+        return err.observed[nearest_index(hm, err._stack)].copy()
     raise TypeError(f"unknown CSIT error model {type(err).__name__}")
 
 
@@ -232,37 +228,31 @@ def observe_csit(h, err: CsitErrorModel, rng: np.random.Generator | None = None)
 class ChannelBounds:
     """Norm cap b on the channel and radius delta on the observation error.
 
-    ``unbounded_support`` flags models whose channel norm has no hard cap;
-    there b is an empirical high-quantile estimate and bound certification
-    should not treat it as a guarantee.
+    Either is None where the model has no hard cap: b for a channel with
+    unbounded support, delta for a deterministic quantizer on one.
     """
 
-    b: float
-    delta: float
-    unbounded_support: bool = False
+    b: Optional[float]
+    delta: Optional[float]
+
+    @property
+    def unbounded_support(self) -> bool:
+        return self.b is None
 
 
 def channel_bounds(model: ChannelModel, err: CsitErrorModel) -> ChannelBounds:
     """Constants consumed by the performance bounds.
 
-    Discrete models: b is the exact max state norm; delta is evaluated
-    exactly for deterministic error models and is the configured radius
-    for bounded-ball.  Continuous models get an empirical 99.999th
-    percentile of the norm from a fixed seeded sample, flagged as
-    unbounded support.
+    Discrete models: b is the exact max state norm, and delta is evaluated
+    exactly for deterministic error models.  Continuous models have no norm
+    cap, so b is None, and so is delta for a deterministic error model, whose
+    error grows with the channel.  Exact and bounded-ball observations have
+    their exact radius (0 and the configured delta) on any model.
     """
     if isinstance(model, DiscreteChannel):
         b = max(frobenius(s) for s in model.states)
-        unbounded = False
     elif isinstance(model, ProductChannel):
-        rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(_STREAM_BOUNDS,)))
-        u = rng.standard_normal((_BOUNDS_DRAWS, model.n_r, model.n_t)) + 1j * rng.standard_normal(
-            (_BOUNDS_DRAWS, model.n_r, model.n_t)
-        )
-        v = rng.uniform(0.0, model.v_max, size=(_BOUNDS_DRAWS, model.n_r, model.n_t))
-        norms = np.sqrt((np.abs(u * v) ** 2).sum(axis=(1, 2)))
-        b = float(np.quantile(norms, _BOUNDS_QUANTILE))
-        unbounded = True
+        b = None
     else:
         raise TypeError(f"unknown channel model {type(model).__name__}")
 
@@ -271,21 +261,13 @@ def channel_bounds(model: ChannelModel, err: CsitErrorModel) -> ChannelBounds:
     elif isinstance(err, BoundedBallCsit):
         delta = err.delta
     elif isinstance(err, (PhaseQuantizeCsit, MagPhaseQuantizeCsit, TabulatedCsit)):
-        if isinstance(model, DiscreteChannel):
-            delta = max(
-                frobenius(observe_csit(s, err) - s) for s in model.states
-            )
+        if b is None:
+            delta = None
         else:
-            # no hard radius for deterministic quantizers on unbounded support;
-            # worst case over the sample used for b
-            rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(_STREAM_BOUNDS, 1)))
-            delta = 0.0
-            for _ in range(1000):
-                h = sample_channel(model, rng)
-                delta = max(delta, frobenius(observe_csit(h, err) - h))
+            delta = max(frobenius(observe_csit(s, err) - s) for s in model.states)
     else:
         raise TypeError(f"unknown CSIT error model {type(err).__name__}")
-    return ChannelBounds(b=b, delta=delta, unbounded_support=unbounded)
+    return ChannelBounds(b=b, delta=delta)
 
 
 def _polar(mag: float, phase_over_pi: float) -> complex:

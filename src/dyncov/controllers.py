@@ -7,13 +7,15 @@ queue.  The projected-gradient controller handles observations delayed by
 T slots: it takes one inexact gradient step from the covariance committed
 T slots ago and projects back onto the trace-capped PSD set.
 
-Controllers never see the true channel; the harness computes realized
-utility separately.
+Both steps are pure one-slot functions: the recursion's state (the queue
+sequence Z and the covariance stack Q) is the run's arrays, which
+``dyncov.harness`` owns.  Controllers never see the true channel; the
+harness computes realized utility separately.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,105 +23,21 @@ from .linalg import capacity_gradient, trace_real
 from .solvers import psd_cap_project, waterfill_penalized
 
 
-@dataclass(frozen=True)
-class DppState:
-    """Virtual-queue controller state: queue z, tradeoff v, power caps, slot t."""
-
-    z: float
-    v: float
-    p: float
-    p_bar: float
-    t: int = 0
-
-    def __post_init__(self):
-        if not self.v > 0:
-            raise ValueError("v must be positive")
-        if not (self.p >= self.p_bar > 0):
-            raise ValueError("need p >= p_bar > 0")
-        if not self.z >= 0:
-            raise ValueError("queue must be nonnegative")
+def dpp_step(
+    z: float, h_tilde, v: float, p: float, p_bar: float
+) -> tuple[np.ndarray, float]:
+    """One slot at queue z: solve the queue-penalized water-filling on the
+    observed channel, then book the power overshoot,
+    Z(t+1) = max(Z(t) + tr Q(t) - p_bar, 0)."""
+    q = waterfill_penalized(h_tilde, z / v, p).q
+    return q, max(0.0, z + trace_real(q) - p_bar)
 
 
-def dpp_init(v: float, p: float, p_bar: float, z0: float = 0.0) -> DppState:
-    """Fresh controller state; z0 defaults to an empty queue."""
-    return DppState(z=z0, v=v, p=p, p_bar=p_bar, t=0)
-
-
-def dpp_step(state: DppState, h_tilde) -> tuple[np.ndarray, DppState]:
-    """One slot: solve the queue-penalized water-filling on the observed
-    channel, then update the queue with the power overshoot."""
-    wf = waterfill_penalized(h_tilde, state.z / state.v, state.p)
-    used = trace_real(wf.q)
-    z_next = max(0.0, state.z + used - state.p_bar)
-    return wf.q, replace(state, z=z_next, t=state.t + 1)
-
-
-@dataclass(frozen=True)
-class OgdState:
-    """Projected-gradient controller state.
-
-    ``ring`` holds the last ``t_delay`` committed covariances, oldest
-    first, so ring[0] is the covariance from t_delay slots ago once the
-    warm-up has passed.  ``gamma`` is the constant step size, or None for
-    the 1/sqrt(t) schedule.
-    """
-
-    ring: tuple[np.ndarray, ...]
-    p_bar: float
-    gamma: float | None
-    t_delay: int = 1
-    t: int = 0
-
-    def __post_init__(self):
-        if not self.p_bar > 0:
-            raise ValueError("p_bar must be positive")
-        if self.gamma is not None and not self.gamma >= 0:
-            raise ValueError("gamma must be nonnegative")
-        if self.t_delay < 1:
-            raise ValueError("delay must be at least one slot")
-
-    def step_size(self, t: int) -> float:
-        if self.gamma is not None:
-            return self.gamma
-        return 1.0 / np.sqrt(t)
-
-
-def ogd_init(
-    n_t: int,
-    p_bar: float,
-    gamma: float | None = 0.01,
-    t_delay: int = 1,
-) -> OgdState:
-    """Fresh state starting from the zero covariance (feasible, deterministic).
-
-    gamma=None selects the 1/sqrt(t) step schedule.
-    """
-    q0 = np.zeros((n_t, n_t), dtype=np.complex128)
-    return OgdState(ring=(q0,), p_bar=p_bar, gamma=gamma, t_delay=t_delay, t=0)
-
-
-def ogd_step(state: OgdState, h_tilde_delayed) -> tuple[np.ndarray, OgdState]:
-    """One slot.  During the first t_delay slots no observation has arrived
-    yet and the initial covariance is re-emitted; afterwards the committed
-    covariance is project(Q(t - T) + step * gradient at Q(t - T)) where the
-    gradient uses the delayed observation."""
-    t = state.t
-    if t < state.t_delay:
-        if h_tilde_delayed is not None:
-            raise ValueError(
-                f"no observation can have arrived before slot {state.t_delay}"
-            )
-        q = state.ring[0]
-        ring = state.ring + (q,) if len(state.ring) < state.t_delay else state.ring
-        return q, replace(state, ring=ring, t=t + 1)
-
-    if h_tilde_delayed is None:
-        raise ValueError("a delayed observation is required after warm-up")
-    q_lag = state.ring[0]
-    grad = capacity_gradient(h_tilde_delayed, q_lag)
-    q = psd_cap_project(q_lag + state.step_size(t) * grad, state.p_bar)
-    ring = state.ring[1:] + (q,)
-    return q, replace(state, ring=ring, t=t + 1)
+def ogd_step(q_lag: np.ndarray, h_lag, step: float, p_bar: float) -> np.ndarray:
+    """One slot: Q(t) = P[Q(t-T) + step * D~(t-T)], the projection onto
+    {tr Q <= p_bar} of one inexact gradient step from the covariance committed
+    T slots ago, with the gradient taken on the observation from that slot."""
+    return psd_cap_project(q_lag + step * capacity_gradient(h_lag, q_lag), p_bar)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -24,14 +25,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import channel as ch
-from .controllers import (
-    BoundReport,
-    dpp_init,
-    dpp_step,
-    ogd_init,
-    ogd_step,
-    theoretical_bounds,
-)
+from .controllers import BoundReport, dpp_step, ogd_step, theoretical_bounds
 from .linalg import ConvergenceError, capacity, trace_real
 from .matrixio import matrix_from_json, matrix_to_json
 from .rate_adapt import RateLedger, decode_check
@@ -56,7 +50,14 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class DppSpec:
     v: float
-    z0: float = 0.0
+    z0: float = 0.0  # queue before slot 0
+
+    def __post_init__(self):
+        # z / v is the water-filling penalty, and a queue is never negative
+        if not self.v > 0:
+            raise ConfigError("v must be positive")
+        if not self.z0 >= 0:
+            raise ConfigError("z0 must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,10 @@ class ExperimentConfig:
             raise ConfigError("need p >= p_bar > 0")
         if self.horizon < 1:
             raise ConfigError("horizon must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        if self.rate_adapt_n is not None and not self.rate_adapt_n > 0:
+            raise ConfigError("rate_adapt n_total must be positive")
         if (
             isinstance(self.controller, OgdSpec)
             and self.reference is not None
@@ -153,6 +158,18 @@ def _number(obj: dict, key: str, default: Optional[float] = None) -> float:
     return x
 
 
+def _integer(obj: dict, key: str, default: Optional[int] = None) -> int:
+    """obj[key] (or the default when given and the key is absent) as an int;
+    bools, fractions, non-finite and non-numeric values are rejected with
+    the field's name (an integral float such as 20.0 is accepted)."""
+    x = obj[key] if default is None else obj.get(key, default)
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return int(x)
+    if isinstance(x, float) and math.isfinite(x) and x.is_integer():
+        return int(x)
+    raise ConfigError(f"field {key!r} must be an integer, got {x!r}")
+
+
 def _finite_array(obj: dict, key: str) -> np.ndarray:
     """obj[key] as a float array; NaN and infinities are rejected with the
     field's name."""
@@ -176,7 +193,7 @@ def _parse_channel(obj: dict) -> ch.ChannelModel:
         return ch.DiscreteChannel(states=states, probs=np.asarray(obj["probs"], dtype=float))
     if kind == "continuous-product":
         return ch.ProductChannel(
-            n_r=int(obj["n_r"]), n_t=int(obj["n_t"]), v_max=_number(obj, "v_max")
+            n_r=_integer(obj, "n_r"), n_t=_integer(obj, "n_t"), v_max=_number(obj, "v_max")
         )
     raise ConfigError(f"unknown channel kind {kind!r}")
 
@@ -214,7 +231,7 @@ def _parse_controller(obj: dict, base_dir: Optional[Path]) -> ControllerSpec:
             gamma = None
         else:
             gamma = _number(obj, "gamma", 0.01)
-        return OgdSpec(gamma=gamma, t_delay=int(obj.get("t_delay", 1)))
+        return OgdSpec(gamma=gamma, t_delay=_integer(obj, "t_delay", 1))
     if kind == "baseline-replay":
         return ReplaySpec(policy=load_policy(_resolve(obj["policy"], base_dir)))
     raise ConfigError(f"unknown controller kind {kind!r}")
@@ -272,9 +289,9 @@ def load_config(source: Union[str, Path, dict]) -> ExperimentConfig:
             controller=controller,
             p=_number(obj, "p"),
             p_bar=_number(obj, "p_bar"),
-            horizon=int(obj["horizon"]),
-            seed=int(obj["seed"]),
-            rate_adapt_n=_number(rate, "n_total") if rate else None,
+            horizon=_integer(obj, "horizon"),
+            seed=_integer(obj, "seed"),
+            rate_adapt_n=_number(rate, "n_total") if rate is not None else None,
             reference=reference,
             outputs=outputs,
         )
@@ -368,24 +385,24 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         h[t] = ch.sample_channel(cfg.channel, rng)
         h_obs[t] = ch.observe_csit(h[t], cfg.csit_error, rng)
 
-    # decide: only the controller's recursion is sequential
-    q = np.empty((horizon, cfg.n_t, cfg.n_t), dtype=np.complex128)
-    z_pre = None
-    state = None
+    # decide: only the controller's recursion is sequential, and its state
+    # is these arrays: the queue z (Z(t) before slot t) or the lagged q[t - T]
+    q = np.zeros((horizon, cfg.n_t, cfg.n_t), dtype=np.complex128)
+    z = None
     spec = cfg.controller
     if isinstance(spec, DppSpec):
-        z_pre = np.empty(horizon)
-        state = dpp_init(spec.v, cfg.p, cfg.p_bar, z0=spec.z0)
-    elif isinstance(spec, OgdSpec):
-        state = ogd_init(cfg.n_t, cfg.p_bar, gamma=spec.gamma, t_delay=spec.t_delay)
+        z = np.empty(horizon + 1)
+        z[0] = spec.z0
     for t in range(horizon):
         try:
             if isinstance(spec, DppSpec):
-                z_pre[t] = state.z
-                q[t], state = dpp_step(state, h_obs[t])
+                q[t], z[t + 1] = dpp_step(z[t], h_obs[t], spec.v, cfg.p, cfg.p_bar)
             elif isinstance(spec, OgdSpec):
+                # before slot T no observation has arrived: q[t] stays zero
                 lag = spec.t_delay
-                q[t], state = ogd_step(state, h_obs[t - lag] if t >= lag else None)
+                if t >= lag:
+                    step = spec.gamma if spec.gamma is not None else 1.0 / np.sqrt(t)
+                    q[t] = ogd_step(q[t - lag], h_obs[t - lag], step, cfg.p_bar)
             elif isinstance(spec.policy, CdiPolicy):
                 q[t] = spec.policy.lookup(h[t])
             else:
@@ -402,7 +419,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     if isinstance(spec, OgdSpec) and isinstance(cfg.reference, ConstantCovariance):
         r_ref = capacity(h, cfg.reference.q)
     ledger = None
-    if cfg.rate_adapt_n:
+    if cfg.rate_adapt_n is not None:
         ledger = RateLedger(cfg.rate_adapt_n)
         for r_t in r.tolist():
             if ledger.completed:
@@ -416,8 +433,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         runavg_r=np.cumsum(r) / t_axis,
         tr_q=tr_q,
         runavg_tr_q=np.cumsum(tr_q) / t_axis,
-        z=z_pre,
-        z_final=state.z if isinstance(spec, DppSpec) else None,
+        z=z[:-1] if z is not None else None,
+        z_final=float(z[-1]) if z is not None else None,
         r_ref=r_ref,
         ledger=ledger,
         summary={},

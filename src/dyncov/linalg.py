@@ -40,6 +40,13 @@ def frobenius(a) -> float:
     return float(np.sqrt((m.real * m.real + m.imag * m.imag).sum()))
 
 
+def nearest_index(h, states: np.ndarray) -> int:
+    """Index of the matrix in the stack ``states`` nearest to h in Frobenius
+    distance, the first on a tie; each distance equals ``frobenius(h - s)``."""
+    e = as_matrix(h) - states
+    return int(np.argmin(np.sqrt((e.real * e.real + e.imag * e.imag).sum(axis=(1, 2)))))
+
+
 def _ct(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the last two axes."""
     return np.conj(np.swapaxes(a, -1, -2))

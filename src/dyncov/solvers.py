@@ -24,6 +24,7 @@ from .linalg import (
     capacity_gradient,
     frobenius,
     herm_eig,
+    nearest_index,
     symmetrize,
     trace_real,
 )
@@ -135,11 +136,12 @@ class CdiPolicy:
     lam: float
     r_opt: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "_stack", np.stack(self.states))
+
     def lookup(self, h) -> np.ndarray:
         """Covariance of the stored state nearest to h in Frobenius distance."""
-        hm = as_matrix(h)
-        dists = [frobenius(hm - s) for s in self.states]
-        return self.covariances[int(np.argmin(dists))]
+        return self.covariances[nearest_index(h, self._stack)]
 
     def average_power(self) -> float:
         return float(sum(self.probs * trace_real(np.stack(self.covariances))))

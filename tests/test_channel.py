@@ -158,11 +158,18 @@ class TestChannelBounds:
         assert cb.delta == 0.3
 
     def test_continuous_flags_unbounded_support(self):
+        # no norm cap, and no radius for a quantizer whose error grows with H
         cb = channel_bounds(paper_continuous(), ExactCsit())
         assert cb.unbounded_support
-        assert cb.b > 0.0
-        # deterministic: recompute gives the same estimate
-        assert channel_bounds(paper_continuous(), ExactCsit()).b == cb.b
+        assert cb.b is None
+        assert cb.delta == 0.0
+        ball = channel_bounds(paper_continuous(), BoundedBallCsit(delta=0.3))
+        assert ball.b is None and ball.delta == 0.3
+        for err in (
+            PhaseQuantizeCsit(step=np.pi / 4),
+            MagPhaseQuantizeCsit(mag_step=0.1, phase_step=np.pi / 2),
+        ):
+            assert channel_bounds(paper_continuous(), err).delta is None
 
     def test_observation_within_delta_on_all_deterministic_models(self):
         model = paper_two_state()

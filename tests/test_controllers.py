@@ -4,17 +4,24 @@ import numpy as np
 import pytest
 
 from dyncov import (
+    DppSpec,
+    ExactCsit,
+    ExperimentConfig,
+    OgdSpec,
     capacity_gradient,
-    dpp_init,
     dpp_step,
     frobenius,
-    ogd_init,
     ogd_step,
+    paper_two_state,
     psd_cap_project,
+    run_experiment,
     theoretical_bounds,
     waterfill_penalized,
 )
+from dyncov.harness import ConfigError
 from dyncov.linalg import trace_real
+
+ZERO = np.zeros((2, 2), dtype=complex)
 
 
 def strong_channel():
@@ -24,110 +31,123 @@ def strong_channel():
 
 class TestDppStep:
     def test_zero_queue_is_plain_waterfilling(self):
-        state = dpp_init(v=100.0, p=3.0, p_bar=2.0)
         h = strong_channel()
-        q, _ = dpp_step(state, h)
+        q, _ = dpp_step(0.0, h, v=100.0, p=3.0, p_bar=2.0)
         assert np.array_equal(q, waterfill_penalized(h, 0.0, 3.0).q)
 
     def test_saturated_queue_emits_zero(self):
         # queue at v * sigma_max shuts every mode off and the queue drains
-        h = strong_channel()
         sigma_max = 16.0
-        state = dpp_init(v=10.0, p=3.0, p_bar=2.0, z0=10.0 * sigma_max)
-        q, nxt = dpp_step(state, h)
+        z = 10.0 * sigma_max
+        q, z_next = dpp_step(z, strong_channel(), v=10.0, p=3.0, p_bar=2.0)
         assert frobenius(q) == 0.0
-        assert nxt.z == state.z - 2.0
+        assert z_next == z - 2.0
 
     def test_queue_arithmetic(self):
         # tr(q) = 3 against p_bar = 2 from z = 1 books one unit
-        state = dpp_init(v=100.0, p=3.0, p_bar=2.0, z0=1.0)
-        q, nxt = dpp_step(state, strong_channel())
+        q, z_next = dpp_step(1.0, strong_channel(), v=100.0, p=3.0, p_bar=2.0)
         assert trace_real(q) == pytest.approx(3.0, abs=1e-9)
-        assert nxt.z == pytest.approx(2.0, abs=1e-9)
-        assert nxt.t == 1
+        assert z_next == pytest.approx(2.0, abs=1e-9)
+        assert z_next == max(0.0, 1.0 + trace_real(q) - 2.0)
 
     def test_queue_never_negative(self):
-        state = dpp_init(v=100.0, p=3.0, p_bar=2.0)
-        q, nxt = dpp_step(state, np.zeros((2, 2)))
+        q, z_next = dpp_step(0.0, np.zeros((2, 2)), v=100.0, p=3.0, p_bar=2.0)
         assert frobenius(q) == 0.0
-        assert nxt.z == 0.0
+        assert z_next == 0.0
 
     def test_state_validation(self):
-        with pytest.raises(ValueError):
-            dpp_init(v=0.0, p=3.0, p_bar=2.0)
-        with pytest.raises(ValueError):
-            dpp_init(v=1.0, p=1.0, p_bar=2.0)
-        with pytest.raises(ValueError, match="queue"):
-            dpp_init(v=1.0, p=3.0, p_bar=2.0, z0=float("nan"))
+        # the controller's parameters are checked once, at the spec
+        with pytest.raises(ConfigError, match="v must be positive"):
+            DppSpec(v=0.0)
+        with pytest.raises(ConfigError, match="v must be positive"):
+            DppSpec(v=float("nan"))
+        with pytest.raises(ConfigError, match="z0"):
+            DppSpec(v=1.0, z0=-1.0)
+        with pytest.raises(ConfigError, match="z0"):
+            DppSpec(v=1.0, z0=float("nan"))
+        with pytest.raises(ConfigError, match="p_bar"):
+            ExperimentConfig(
+                channel=paper_two_state(), csit_error=ExactCsit(),
+                controller=DppSpec(v=1.0), p=1.0, p_bar=2.0, horizon=1, seed=0,
+            )
 
 
 class TestOgdStep:
     def test_warm_up_emits_zero_without_observation(self):
-        state = ogd_init(n_t=2, p_bar=2.0, gamma=0.01, t_delay=3)
-        for _ in range(3):
-            q, state = ogd_step(state, None)
-            assert frobenius(q) == 0.0
-        assert state.t == 3
-
-    def test_zero_step_keeps_feasible_iterate(self):
-        from dyncov import OgdState
-
-        # nonzero feasible previous covariance survives a zero-size step
-        q0 = np.diag([1.2, 0.5]).astype(complex)
-        state = OgdState(ring=(q0,), p_bar=2.0, gamma=0.0, t_delay=1, t=1)
-        q, _ = ogd_step(state, strong_channel())
-        assert frobenius(q - q0) <= 1e-10
-
-    def test_gradient_at_zero(self):
-        gamma = 0.05
-        state = ogd_init(n_t=2, p_bar=2.0, gamma=gamma)
-        _, state = ogd_step(state, None)
-        h = strong_channel()
-        q, _ = ogd_step(state, h)
-        expect = psd_cap_project(gamma * h.conj().T @ h, 2.0)
-        assert frobenius(q - expect) <= 1e-12
+        # no observation has arrived before slot T, so the first T slots
+        # transmit nothing and the first step lands at slot T
+        result = run_experiment(
+            ExperimentConfig(
+                channel=paper_two_state(), csit_error=ExactCsit(),
+                controller=OgdSpec(gamma=0.01, t_delay=3),
+                p=3.0, p_bar=2.0, horizon=6, seed=0,
+            )
+        )
+        assert result.tr_q[:3].tolist() == [0.0, 0.0, 0.0]
+        assert result.r[:3].tolist() == [0.0, 0.0, 0.0]
+        assert result.tr_q[3] > 0.0
 
     def test_three_slot_delay_recursion(self):
-        # Q(t) must depend only on Q(t-3) and the observation from t-3
+        # Q(t) must depend only on Q(t-3) and the observation from t-3, so
+        # the three residue classes mod 3 evolve as independent chains
         rng = np.random.default_rng(3)
         obs = [
             rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             for _ in range(9)
         ]
         gamma, p_bar, lag = 0.1, 2.0, 3
-        state = ogd_init(n_t=2, p_bar=p_bar, gamma=gamma, t_delay=lag)
-        qs = []
-        for t in range(9):
-            delayed = obs[t - lag] if t >= lag else None
-            q, state = ogd_step(state, delayed)
-            qs.append(q)
-        zero = np.zeros((2, 2), dtype=complex)
+
+        def run(observations):
+            qs = []
+            for t in range(9):
+                q = ZERO if t < lag else ogd_step(
+                    qs[t - lag], observations[t - lag], gamma, p_bar
+                )
+                qs.append(q)
+            return qs
+
+        qs = run(obs)
         for t in range(3):
-            assert frobenius(qs[t] - zero) == 0.0
+            assert frobenius(qs[t]) == 0.0
         for t in range(3, 9):
-            q_lag = qs[t - lag] if t - lag >= 0 else zero
+            q_lag = qs[t - lag]
             expect = psd_cap_project(
                 q_lag + gamma * capacity_gradient(obs[t - lag], q_lag), p_bar
             )
             assert frobenius(qs[t] - expect) <= 1e-12
+        # replacing the observations off the t = 0 (mod 3) chain leaves it as is
+        other = [o if t % lag == 0 else 2.0 * o for t, o in enumerate(obs)]
+        for t, (a, b) in enumerate(zip(qs, run(other))):
+            if t % lag == 0:
+                assert np.array_equal(a, b)
+
+    def test_zero_step_keeps_feasible_iterate(self):
+        # nonzero feasible previous covariance survives a zero-size step
+        q0 = np.diag([1.2, 0.5]).astype(complex)
+        q = ogd_step(q0, strong_channel(), 0.0, 2.0)
+        assert frobenius(q - q0) <= 1e-10
+
+    def test_gradient_at_zero(self):
+        gamma = 0.05
+        h = strong_channel()
+        q = ogd_step(ZERO, h, gamma, 2.0)
+        expect = psd_cap_project(gamma * h.conj().T @ h, 2.0)
+        assert frobenius(q - expect) <= 1e-12
 
     def test_inverse_sqrt_schedule(self):
-        state = ogd_init(n_t=2, p_bar=2.0, gamma=None)
-        assert state.step_size(1) == 1.0
-        assert state.step_size(4) == 0.5
-        _, state = ogd_step(state, None)
+        # the harness passes step 1/sqrt(t): slot 1 takes a unit step, slot 4 half
         h = strong_channel()
-        q, _ = ogd_step(state, h)  # slot 1: step 1/sqrt(1)
-        expect = psd_cap_project(1.0 * h.conj().T @ h, 2.0)
-        assert frobenius(q - expect) <= 1e-12
+        for t, step in ((1, 1.0), (4, 0.5)):
+            assert 1.0 / np.sqrt(t) == step
+            expect = psd_cap_project(step * h.conj().T @ h, 2.0)
+            assert frobenius(ogd_step(ZERO, h, step, 2.0) - expect) <= 1e-12
 
     def test_trace_cap_always(self):
         rng = np.random.default_rng(5)
-        state = ogd_init(n_t=2, p_bar=2.0, gamma=0.5)
-        _, state = ogd_step(state, None)
-        for t in range(1, 50):
+        q = ZERO
+        for _ in range(49):
             h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            q, state = ogd_step(state, h)
+            q = ogd_step(q, h, 0.5, 2.0)
             assert trace_real(q) <= 2.0 + 1e-9
 
     def test_per_step_descent_inequality(self):
@@ -138,26 +158,16 @@ class TestOgdStep:
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         q_star = g @ g.conj().T
         q_star *= p_bar / trace_real(q_star)
-        state = ogd_init(n_t=2, p_bar=p_bar, gamma=gamma)
-        q_prev, state = ogd_step(state, None)
+        q_prev = ZERO
         for _ in range(100):
             h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            q, state = ogd_step(state, h)
+            q = ogd_step(q_prev, h, gamma, p_bar)
             pre_projection = q_prev + gamma * capacity_gradient(h, q_prev)
             assert (
                 frobenius(q - q_star)
                 <= frobenius(pre_projection - q_star) + 1e-9
             )
             q_prev = q
-
-    def test_observation_timing_errors(self):
-        state = ogd_init(n_t=2, p_bar=2.0, gamma=0.01, t_delay=2)
-        with pytest.raises(ValueError, match="no observation"):
-            ogd_step(state, strong_channel())
-        _, state = ogd_step(state, None)
-        _, state = ogd_step(state, None)
-        with pytest.raises(ValueError, match="required"):
-            ogd_step(state, None)
 
 
 class TestTheoreticalBounds:

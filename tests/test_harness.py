@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dyncov import (
+    BoundedBallCsit,
     CdiPolicy,
     ConstantCovariance,
     DppSpec,
@@ -27,13 +28,18 @@ from dyncov import (
     emit_outputs,
     load_config,
     load_policy,
+    observe_csit,
     paper_continuous,
     paper_error_case,
     paper_two_state,
+    psd_cap_project,
     run_experiment,
+    sample_channel,
     save_policy,
+    slot_rng,
 )
 from dyncov.harness import ConfigError, csv_to_columns, trace_to_csv
+from dyncov.linalg import capacity, capacity_gradient, trace_real
 from dyncov.matrixio import matrix_from_json, matrix_to_json
 
 REPO = Path(__file__).resolve().parents[1]
@@ -142,6 +148,42 @@ class TestRunExperiment:
         assert result.summary["all_passed"]
         names = {c["name"] for c in result.summary["certifications"]}
         assert {"trace-cap", "per-slot-regret-floor"} <= names
+
+    @pytest.mark.parametrize("gamma", [0.1, None], ids=["constant", "inverse-sqrt"])
+    def test_delayed_gradient_recursion(self, gamma):
+        # Q(t) = P[Q(t-T) + step D~(t-T)] recomputed from the slot streams,
+        # with Q(t) = 0 before the first observation arrives at slot T
+        lag, horizon, seed, p_bar = 3, 40, 8, 2.0
+        model, err = paper_continuous(), BoundedBallCsit(delta=0.1)
+        result = run_experiment(
+            ExperimentConfig(
+                channel=model,
+                csit_error=err,
+                controller=OgdSpec(gamma=gamma, t_delay=lag),
+                p=3.0,
+                p_bar=p_bar,
+                horizon=horizon,
+                seed=seed,
+            )
+        )
+        qs, obs = [], []
+        for t in range(horizon):
+            rng = slot_rng(seed, t)
+            h = sample_channel(model, rng)
+            obs.append(observe_csit(h, err, rng))
+            if t < lag:
+                q = np.zeros((2, 2), dtype=complex)
+            else:
+                step = gamma if gamma is not None else 1.0 / np.sqrt(t)
+                q_lag = qs[t - lag]
+                q = psd_cap_project(
+                    q_lag + step * capacity_gradient(obs[t - lag], q_lag), p_bar
+                )
+            qs.append(q)
+            assert result.r[t] == capacity(h, q)
+            assert result.tr_q[t] == trace_real(q)
+        assert result.r[:lag].tolist() == result.tr_q[:lag].tolist() == [0.0] * lag
+        assert result.tr_q[lag] > 0.0
 
     def test_ogd_trace_cap_enforced(self):
         result = run_experiment(ogd_config(horizon=300))
@@ -351,6 +393,7 @@ _OGD_OBJ = {
     "horizon": 5,
     "seed": 1,
 }
+_OGD_OBJ_DELAYED = {**_OGD_OBJ, "controller": {"kind": "ogd", "gamma": 0.01, "t_delay": 2}}
 _MAG_PHASE_OBJ = {
     **_OGD_OBJ,
     "csit_error": {"kind": "mag-phase-quantize", "mag_step": 0.1, "phase_step": 0.1},
@@ -369,6 +412,13 @@ NUMERIC_FIELDS = [
     (_OGD_OBJ, "csit_error", "step"),
     (_MAG_PHASE_OBJ, "csit_error", "mag_step"),
     (_MAG_PHASE_OBJ, "csit_error", "phase_step"),
+]
+INTEGER_FIELDS = [
+    (_DPP_OBJ, None, "horizon"),
+    (_DPP_OBJ, None, "seed"),
+    (_DPP_OBJ, "channel", "n_r"),
+    (_DPP_OBJ, "channel", "n_t"),
+    (_OGD_OBJ_DELAYED, "controller", "t_delay"),
 ]
 
 
@@ -492,6 +542,38 @@ class TestConfigLoading:
         (obj if section is None else obj[section])[field] = bad
         with pytest.raises(ConfigError, match=f"'{field}' must be finite"):
             load_config(obj)
+
+    @pytest.mark.parametrize(
+        "bad", [True, 20.7, float("inf"), float("nan"), "5"],
+        ids=["bool", "fraction", "inf", "nan", "string"],
+    )
+    @pytest.mark.parametrize(
+        "base, section, field", INTEGER_FIELDS, ids=[f for *_, f in INTEGER_FIELDS]
+    )
+    def test_non_integer_raises(self, base, section, field, bad):
+        obj = copy.deepcopy(base)
+        load_config(obj)
+        (obj if section is None else obj[section])[field] = bad
+        with pytest.raises(ConfigError, match=f"'{field}' must be an integer"):
+            load_config(obj)
+
+    @pytest.mark.parametrize(
+        "base, section, field", INTEGER_FIELDS, ids=[f for *_, f in INTEGER_FIELDS]
+    )
+    def test_integral_float_accepted(self, base, section, field):
+        obj = copy.deepcopy(base)
+        target = obj if section is None else obj[section]
+        target[field] = float(target[field])
+        assert canon(load_config(obj)) == canon(load_config(base))
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            load_config({**_DPP_OBJ, "seed": -1})
+
+    @pytest.mark.parametrize("n_total", [0, -5])
+    def test_nonpositive_ledger_size_raises(self, n_total):
+        with pytest.raises(ConfigError, match="n_total must be positive"):
+            load_config({**_DPP_OBJ, "rate_adapt": {"n_total": n_total}})
 
     def test_full_config_round_trip(self, tmp_path):
         cfg_obj = {

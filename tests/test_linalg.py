@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dyncov import capacity, capacity_gradient, frobenius, herm_eig, psd_cap_project
 from dyncov.channel import PAPER_H1
-from dyncov.linalg import require_hermitian, symmetrize, trace_real
+from dyncov.linalg import nearest_index, require_hermitian, symmetrize, trace_real
 
 # elementwise oracle: sqrt(sum of printed squared magnitudes)
 H1_FROBENIUS = 4.692305883038744
@@ -216,6 +216,33 @@ class TestFrobenius:
         assert frobenius(a) == pytest.approx(
             np.sqrt(np.trace(a.conj().T @ a).real), abs=1e-12
         )
+
+
+class TestNearestIndex:
+    @given(
+        n_r=st.integers(1, 8),
+        n_t=st.integers(1, 8),
+        count=st.integers(1, 100),
+        seed=st.integers(0, 2**32 - 1),
+        ties=st.sampled_from(["none", "duplicates", "mirrored"]),
+    )
+    def test_equals_list_argmin(self, n_r, n_t, count, seed, ties):
+        # the stacked distances are the per-matrix frobenius values exactly,
+        # so the index (first on a tie) is the list-and-argmin index
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal((n_r, n_t)) + 1j * rng.standard_normal((n_r, n_t))
+        states = [
+            rng.standard_normal((n_r, n_t)) + 1j * rng.standard_normal((n_r, n_t))
+            for _ in range(count)
+        ]
+        if ties == "duplicates":
+            states = states + states[::-1]
+        elif ties == "mirrored":
+            # h +- d are equidistant from h, with the far states behind them
+            d = 0.01 * states[0]
+            states = [h - s for s in states] + [h + d, h - d]
+        dists = [frobenius(h - s) for s in states]
+        assert nearest_index(h, np.stack(states)) == int(np.argmin(dists))
 
 
 class TestHelpers:
