@@ -3,9 +3,10 @@
 An online queue-penalized water-filling policy for instantaneous (possibly
 inaccurate) transmitter-side channel observations, a projected-gradient
 policy for delayed observations, the exact convex subproblem solvers both
-rely on, distribution-aware baselines, a rateless-transmission accounting
-ledger, and a seeded simulation harness that certifies the closed-form
-performance bounds on every run.
+rely on, distribution-aware baselines (the best fixed covariance by
+accelerated projected gradient), a rateless-transmission accounting ledger,
+and a seeded simulation harness that certifies the closed-form performance
+bounds on every run.
 """
 
 from .channel import (

@@ -19,25 +19,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import capacity_gradient, trace_real
-from .solvers import psd_cap_project, waterfill_penalized
+from .linalg import HermEigen, capacity_gradient, trace_real
+from .solvers import _cap_project, _waterfill_loading
 
 
 def dpp_step(
-    z: float, h_tilde, v: float, p: float, p_bar: float
+    z: float, gram: HermEigen, v: float, p: float, p_bar: float
 ) -> tuple[np.ndarray, float]:
     """One slot at queue z: solve the queue-penalized water-filling on the
-    observed channel, then book the power overshoot,
+    spectrum ``gram`` of the observed channel's Gram matrix H~^H H~ (as
+    ``herm_eig`` returns it), then book the power overshoot,
     Z(t+1) = max(Z(t) + tr Q(t) - p_bar, 0)."""
-    q = waterfill_penalized(h_tilde, z / v, p).q
+    q = gram.compose(_waterfill_loading(gram.sigma, z / v, p)[0])
     return q, max(0.0, z + trace_real(q) - p_bar)
 
 
 def ogd_step(q_lag: np.ndarray, h_lag, step: float, p_bar: float) -> np.ndarray:
     """One slot: Q(t) = P[Q(t-T) + step * D~(t-T)], the projection onto
     {tr Q <= p_bar} of one inexact gradient step from the covariance committed
-    T slots ago, with the gradient taken on the observation from that slot."""
-    return psd_cap_project(q_lag + step * capacity_gradient(h_lag, q_lag), p_bar)
+    T slots ago, with the gradient taken on the observation from that slot.
+    Both terms are exactly Hermitian, so the projection skips validation."""
+    return _cap_project(q_lag + step * capacity_gradient(h_lag, q_lag), p_bar)
 
 
 @dataclass(frozen=True)

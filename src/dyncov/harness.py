@@ -27,11 +27,12 @@ import numpy as np
 from . import channel as ch
 from .controllers import BoundReport, dpp_step, ogd_step, theoretical_bounds
 from .linalg import ConvergenceError, capacity, trace_real
-from .matrixio import matrix_from_json, matrix_to_json
+from .matrixio import json_text, matrix_from_json
 from .rate_adapt import RateLedger, decode_check
 from .solvers import (
     CdiPolicy,
     ConstantCovariance,
+    _gram_eig,
     cdi_optimal_policy,
     empirical_policy,
     ergodic_constant_covariance,
@@ -151,8 +152,12 @@ class RunResult:
 
 def _number(obj: dict, key: str, default: Optional[float] = None) -> float:
     """obj[key] (or the default when given and the key is absent) as a
-    finite float; NaN and infinities are rejected with the field's name."""
-    x = float(obj[key] if default is None else obj.get(key, default))
+    finite float; bools, non-numbers, NaN and infinities are rejected with
+    the field's name."""
+    x = obj[key] if default is None else obj.get(key, default)
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ConfigError(f"field {key!r} must be a number, got {x!r}")
+    x = float(x)
     if not math.isfinite(x):
         raise ConfigError(f"field {key!r} must be finite, got {x!r}")
     return x
@@ -309,13 +314,13 @@ def save_policy(policy: Union[CdiPolicy, ConstantCovariance], path) -> None:
             "lambda": policy.lam,
             "r_opt": policy.r_opt,
             "probs": [float(p) for p in policy.probs],
-            "states": [matrix_to_json(s) for s in policy.states],
-            "covariances": [matrix_to_json(q) for q in policy.covariances],
+            "states": np.stack(policy.states),
+            "covariances": np.stack(policy.covariances),
         }
     elif isinstance(policy, ConstantCovariance):
         obj = {
             "kind": "no-csit",
-            "q": matrix_to_json(policy.q),
+            "q": policy.q,
             "r_opt": policy.r_opt,
             "per_state_utility": [float(x) for x in policy.per_state_utility],
             "converged": bool(policy.converged),
@@ -323,7 +328,7 @@ def save_policy(policy: Union[CdiPolicy, ConstantCovariance], path) -> None:
         }
     else:
         raise TypeError(f"cannot save policy of type {type(policy).__name__}")
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json_text(obj) + "\n", encoding="utf-8")
 
 
 def load_policy(path) -> Union[CdiPolicy, ConstantCovariance]:
@@ -339,12 +344,15 @@ def load_policy(path) -> Union[CdiPolicy, ConstantCovariance]:
             r_opt=_number(obj, "r_opt"),
         )
     if kind == "no-csit":
+        converged = obj["converged"]
+        if not isinstance(converged, bool):  # not bool(...): "false" is truthy
+            raise ConfigError(f"field 'converged' must be true or false, got {converged!r}")
         return ConstantCovariance(
             q=matrix_from_json(obj["q"]),
             per_state_utility=_finite_array(obj, "per_state_utility"),
             r_opt=_number(obj, "r_opt"),
-            converged=bool(obj["converged"]),
-            iterations=int(obj.get("iterations", 0)),
+            converged=converged,
+            iterations=_integer(obj, "iterations", 0),
         )
     raise ConfigError(f"unknown policy kind {kind!r}")
 
@@ -393,10 +401,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     if isinstance(spec, DppSpec):
         z = np.empty(horizon + 1)
         z[0] = spec.z0
+        gram = _gram_eig(h_obs)  # every observed Gram spectrum in one stacked solve
     for t in range(horizon):
         try:
             if isinstance(spec, DppSpec):
-                q[t], z[t + 1] = dpp_step(z[t], h_obs[t], spec.v, cfg.p, cfg.p_bar)
+                q[t], z[t + 1] = dpp_step(z[t], gram[t], spec.v, cfg.p, cfg.p_bar)
             elif isinstance(spec, OgdSpec):
                 # before slot T no observation has arrived: q[t] stays zero
                 lag = spec.t_delay

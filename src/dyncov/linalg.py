@@ -2,8 +2,9 @@
 
 Everything here operates on plain complex numpy arrays of modest size
 (channel matrices and transmit covariances, n <= 8 in practice).  The
-Hermitian eigensolver is a validating wrapper over LAPACK ``eigh``;
-log-determinants go through a Cholesky factor.
+Hermitian eigensolver validates, then calls the stack-aware LAPACK ``eigh``
+kernel that the solvers call directly; log-determinants go through a
+Cholesky factor.
 
 ``capacity``, ``capacity_gradient`` and ``trace_real`` also take stacks
 (leading axes broadcast); each entry equals its single-matrix result exactly.
@@ -96,13 +97,20 @@ class HermEigen:
     u: np.ndarray
     sigma: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return self.u.conj().T @ np.diag(self.sigma) @ self.u
-
     def compose(self, loading: np.ndarray) -> np.ndarray:
         """Assemble U^H diag(loading) U, re-symmetrized against round-off."""
         q = self.u.conj().T @ (loading[:, None] * self.u)
         return 0.5 * (q + q.conj().T)
+
+    def __getitem__(self, i) -> HermEigen:  # entry i of a stacked decomposition
+        return HermEigen(u=self.u[i], sigma=self.sigma[i])
+
+
+def _eigh_desc(a: np.ndarray) -> HermEigen:
+    """``herm_eig`` of a finite, exactly Hermitian matrix or stack (..., n, n),
+    unvalidated; each stacked entry equals its single-matrix result exactly."""
+    w, v = np.linalg.eigh(a)
+    return HermEigen(u=v[..., ::-1].conj().swapaxes(-1, -2), sigma=w[..., ::-1].copy())
 
 
 def herm_eig(a) -> HermEigen:
@@ -111,8 +119,7 @@ def herm_eig(a) -> HermEigen:
     The input must be finite and Hermitian (see ``require_hermitian``); it
     is symmetrized first.  Eigenvalues come back in descending order.
     """
-    w, v = np.linalg.eigh(require_hermitian(a, "eigensolver input"))
-    return HermEigen(u=v[:, ::-1].conj().T, sigma=w[::-1].copy())
+    return _eigh_desc(require_hermitian(a, "eigensolver input"))
 
 
 def _capacity_arg(h, q) -> tuple[np.ndarray, np.ndarray]:

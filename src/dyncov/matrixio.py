@@ -1,10 +1,13 @@
 """JSON wire format for complex matrices.
 
 Schema: {"rows": m, "cols": n, "entries": [[re, im], ...]} with entries in
-row-major order.  This is the format the CLI subcommands read and print.
+row-major order.  This is the format the CLI subcommands read and print,
+and the one policy files store.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -20,6 +23,35 @@ def matrix_to_json(a) -> dict:
         "cols": int(cols),
         "entries": [[float(x.real), float(x.imag)] for x in flat],
     }
+
+
+def json_text(x, pad: str = "") -> str:
+    """``json.dumps(x, indent=2)`` byte for byte, where a finite complex
+    matrix stands for its ``matrix_to_json`` dict and a stack (k, m, n) for
+    a list of k of them.  The encoder that ``indent`` selects works item by
+    item in Python; here a matrix or a stack is one %-format, since matrices
+    are nearly all of a policy file."""
+    inner = pad + "  "
+    if isinstance(x, np.ndarray):
+        m = np.asarray(x, dtype=np.complex128)
+        p = inner if m.ndim == 3 else pad  # indentation of each matrix dict
+        rows, cols = m.shape[-2:]
+        pair = f"{p}    [\n{p}      %r,\n{p}      %r\n{p}    ]"
+        one = (
+            f'{{\n{p}  "rows": {rows},\n{p}  "cols": {cols},\n{p}  "entries": [\n'
+            + ",\n".join([pair] * (rows * cols))
+            + f"\n{p}  ]\n{p}}}"
+        )
+        flat = np.stack([m.real, m.imag], axis=-1).ravel().tolist()
+        text = f",\n{p}".join([one] * (m.size // (rows * cols))) % tuple(flat)
+        return text if m.ndim == 2 else f"[\n{p}{text}\n{pad}]"
+    if isinstance(x, dict) and x:
+        items = [f"{json.dumps(k)}: {json_text(v, inner)}" for k, v in x.items()]
+        return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
+    if isinstance(x, list) and x:
+        items = [json_text(v, inner) for v in x]
+        return "[\n" + inner + f",\n{inner}".join(items) + f"\n{pad}]"
+    return json.dumps(x)
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

@@ -19,13 +19,16 @@ import numpy as np
 from .channel import DiscreteChannel
 from .linalg import (
     ConvergenceError,
+    HermEigen,
+    _ct,
+    _eigh_desc,
     as_matrix,
     capacity,
     capacity_gradient,
     frobenius,
     herm_eig,
     nearest_index,
-    symmetrize,
+    require_hermitian,
     trace_real,
 )
 
@@ -81,6 +84,25 @@ def _cap_threshold(a: np.ndarray, tau0: float, cap: float) -> tuple[np.ndarray, 
     )
 
 
+def _gram_eig(h: np.ndarray) -> HermEigen:
+    """Spectrum of H^H H for a finite channel or a stack of them (unvalidated)."""
+    g = _ct(h) @ h
+    return _eigh_desc(0.5 * (g + _ct(g)))
+
+
+def _waterfill_loading(sigma: np.ndarray, z_over_v: float, cap: float) -> tuple[np.ndarray, float]:
+    """Water-filling loading theta on the descending Gram eigenvalues sigma
+    (round-off below zero clipped), and the multiplier mu of the trace cap."""
+    sigma = np.maximum(sigma, 0.0)
+    k = int(np.count_nonzero(sigma > _SIGMA_FLOOR))  # positive modes: a prefix
+    tau0 = -1.0 / z_over_v if z_over_v > 0.0 else -np.inf
+    theta = np.zeros_like(sigma)
+    theta[:k], tau = _cap_threshold(-1.0 / sigma[:k], tau0, cap)
+    # tau >= tau0 gives mu >= 0 up to the rounding of -1/tau0 back to z_over_v
+    mu = 0.0 if tau == tau0 else max(0.0, -1.0 / tau - z_over_v)
+    return theta, float(mu)
+
+
 def waterfill_penalized(h_tilde, z_over_v: float, cap: float) -> WaterfillResult:
     """Maximize log det(I + H Q H^H) - z_over_v * tr(Q) s.t. Q PSD, tr(Q) <= cap.
 
@@ -97,18 +119,17 @@ def waterfill_penalized(h_tilde, z_over_v: float, cap: float) -> WaterfillResult
     h = as_matrix(h_tilde)
     if not np.isfinite(h).all():  # before the Gram product turns inf into NaN
         raise ValueError("channel has non-finite entries")
-    gram = symmetrize(h.conj().T @ h)  # exact-arithmetic Hermitian; absorb round-off
-    eig = herm_eig(gram)
-    sigma = np.maximum(eig.sigma, 0.0)  # Gram eigenvalues; clip round-off
-    k = int(np.count_nonzero(sigma > _SIGMA_FLOOR))  # positive modes: a prefix
-    tau0 = -1.0 / z_over_v if z_over_v > 0.0 else -np.inf
-    theta = np.zeros_like(sigma)
-    theta[:k], tau = _cap_threshold(-1.0 / sigma[:k], tau0, cap)
-    # tau >= tau0 gives mu >= 0 up to the rounding of -1/tau0 back to z_over_v
-    mu = 0.0 if tau == tau0 else max(0.0, -1.0 / tau - z_over_v)
-    return WaterfillResult(
-        q=eig.compose(theta), mu=float(mu), theta=theta, sigma=sigma, u=eig.u
-    )
+    eig = herm_eig(h.conj().T @ h)  # also rejects a Gram product that overflowed
+    theta, mu = _waterfill_loading(eig.sigma, z_over_v, cap)
+    sigma = np.maximum(eig.sigma, 0.0)
+    return WaterfillResult(q=eig.compose(theta), mu=mu, theta=theta, sigma=sigma, u=eig.u)
+
+
+def _cap_project(x: np.ndarray, cap: float) -> np.ndarray:
+    """``psd_cap_project`` of an exactly Hermitian matrix (unvalidated)."""
+    eig = _eigh_desc(x)
+    theta, _ = _cap_threshold(eig.sigma, 0.0, cap)
+    return eig.compose(theta)
 
 
 def psd_cap_project(x, cap: float) -> np.ndarray:
@@ -120,9 +141,7 @@ def psd_cap_project(x, cap: float) -> np.ndarray:
     """
     if not cap > 0:
         raise ValueError("cap must be positive")
-    eig = herm_eig(x)
-    theta, _ = _cap_threshold(eig.sigma, 0.0, cap)
-    return eig.compose(theta)
+    return _cap_project(require_hermitian(x, "eigensolver input"), cap)
 
 
 @dataclass(frozen=True)
@@ -225,11 +244,13 @@ def ergodic_constant_covariance(
     iter_cap: int = 100_000,
 ) -> ConstantCovariance:
     """Maximize the probability-weighted capacity over {Q PSD, tr(Q) <= p_bar}
-    by projected gradient ascent from Q = 0.
+    by accelerated projected gradient ascent from Q = 0.
 
-    Stops when consecutive iterates are within tol in Frobenius norm; if the
-    iteration cap is hit first the best iterate is returned flagged
-    non-converged.
+    FISTA (Beck & Teboulle 2009), restarted when the step Q+ - Y opposes the
+    move Q+ - Q (O'Donoghue & Candes 2015), with Q+ = P(Y + step grad f(Y)).
+    Stops when ||Q+ - Y||_F <= tol and returns Q+, which passes the same test
+    since the projected-gradient map is nonexpansive; if the iteration cap
+    is hit first the last iterate is returned flagged non-converged.
     """
     if not isinstance(model, DiscreteChannel):
         raise TypeError("ergodic_constant_covariance needs a discrete channel model")
@@ -238,17 +259,22 @@ def ergodic_constant_covariance(
 
     states = np.stack(model.states)
     probs = model.probs[:, None, None]
-    q = np.zeros((model.n_t, model.n_t), dtype=np.complex128)
+    q = y = np.zeros((model.n_t, model.n_t), dtype=np.complex128)
+    momentum = 1.0
     converged = False
     iterations = 0
     for iterations in range(1, iter_cap + 1):
-        grad = (probs * capacity_gradient(states, q)).sum(axis=0)
-        q_next = psd_cap_project(q + step * grad, p_bar)
-        delta = frobenius(q_next - q)
-        q = q_next
-        if delta <= tol:
+        # y stays exactly Hermitian: sums and real multiples of Hermitian matrices
+        grad = (probs * capacity_gradient(states, y)).sum(axis=0)
+        q_prev, q = q, _cap_project(y + step * grad, p_bar)
+        if frobenius(q - y) <= tol:
             converged = True
             break
+        if np.vdot(q - y, q - q_prev).real < 0.0:  # restart: momentum opposes the step
+            momentum = 1.0
+        momentum_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
+        y = q + ((momentum - 1.0) / momentum_next) * (q - q_prev)
+        momentum = momentum_next
 
     per_state = capacity(states, q)
     r_opt = float((model.probs * per_state).sum())

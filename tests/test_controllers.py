@@ -11,6 +11,7 @@ from dyncov import (
     capacity_gradient,
     dpp_step,
     frobenius,
+    herm_eig,
     ogd_step,
     paper_two_state,
     psd_cap_project,
@@ -29,29 +30,34 @@ def strong_channel():
     return np.diag([4.0, 4.0]).astype(complex)
 
 
+def gram(h):
+    """The spectrum dpp_step takes: that of the Gram matrix H^H H."""
+    return herm_eig(h.conj().T @ h)
+
+
 class TestDppStep:
     def test_zero_queue_is_plain_waterfilling(self):
         h = strong_channel()
-        q, _ = dpp_step(0.0, h, v=100.0, p=3.0, p_bar=2.0)
+        q, _ = dpp_step(0.0, gram(h), v=100.0, p=3.0, p_bar=2.0)
         assert np.array_equal(q, waterfill_penalized(h, 0.0, 3.0).q)
 
     def test_saturated_queue_emits_zero(self):
         # queue at v * sigma_max shuts every mode off and the queue drains
         sigma_max = 16.0
         z = 10.0 * sigma_max
-        q, z_next = dpp_step(z, strong_channel(), v=10.0, p=3.0, p_bar=2.0)
+        q, z_next = dpp_step(z, gram(strong_channel()), v=10.0, p=3.0, p_bar=2.0)
         assert frobenius(q) == 0.0
         assert z_next == z - 2.0
 
     def test_queue_arithmetic(self):
         # tr(q) = 3 against p_bar = 2 from z = 1 books one unit
-        q, z_next = dpp_step(1.0, strong_channel(), v=100.0, p=3.0, p_bar=2.0)
+        q, z_next = dpp_step(1.0, gram(strong_channel()), v=100.0, p=3.0, p_bar=2.0)
         assert trace_real(q) == pytest.approx(3.0, abs=1e-9)
         assert z_next == pytest.approx(2.0, abs=1e-9)
         assert z_next == max(0.0, 1.0 + trace_real(q) - 2.0)
 
     def test_queue_never_negative(self):
-        q, z_next = dpp_step(0.0, np.zeros((2, 2)), v=100.0, p=3.0, p_bar=2.0)
+        q, z_next = dpp_step(0.0, gram(np.zeros((2, 2))), v=100.0, p=3.0, p_bar=2.0)
         assert frobenius(q) == 0.0
         assert z_next == 0.0
 

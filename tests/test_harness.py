@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from dyncov import (
     sample_channel,
     save_policy,
     slot_rng,
+    waterfill_penalized,
 )
 from dyncov.harness import ConfigError, csv_to_columns, trace_to_csv
 from dyncov.linalg import capacity, capacity_gradient, trace_real
@@ -63,11 +65,34 @@ POSITIVE = st.floats(1e-3, 1e3)
 
 
 @st.composite
-def complex_matrices(draw, n_r, n_t):
-    parts = draw(st.lists(FLOATS, min_size=2 * n_r * n_t, max_size=2 * n_r * n_t))
+def complex_matrices(draw, n_r, n_t, floats=FLOATS):
+    parts = draw(st.lists(floats, min_size=2 * n_r * n_t, max_size=2 * n_r * n_t))
     return np.array(parts[0::2], dtype=float).reshape(n_r, n_t) + 1j * np.array(
         parts[1::2], dtype=float
     ).reshape(n_r, n_t)
+
+
+def draw_policy(data, kind, floats=FLOATS):
+    """A random with-csit or no-csit policy of up to 4 states, 4x4."""
+    n_r = data.draw(st.integers(1, 4))
+    n_t = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, 4))
+    matrices = partial(complex_matrices, floats=floats)
+    if kind == "with-csit":
+        return CdiPolicy(
+            states=tuple(data.draw(matrices(n_r, n_t)) for _ in range(k)),
+            probs=np.array(data.draw(st.lists(floats, min_size=k, max_size=k))),
+            covariances=tuple(data.draw(matrices(n_t, n_t)) for _ in range(k)),
+            lam=data.draw(floats),
+            r_opt=data.draw(floats),
+        )
+    return ConstantCovariance(
+        q=data.draw(matrices(n_t, n_t)),
+        per_state_utility=np.array(data.draw(st.lists(floats, min_size=k, max_size=k))),
+        r_opt=data.draw(floats),
+        converged=data.draw(st.booleans()),
+        iterations=data.draw(st.integers(0, 10**6)),
+    )
 
 
 def dpp_config(horizon=100, seed=5, **kw):
@@ -184,6 +209,41 @@ class TestRunExperiment:
             assert result.tr_q[t] == trace_real(q)
         assert result.r[:lag].tolist() == result.tr_q[:lag].tolist() == [0.0] * lag
         assert result.tr_q[lag] > 0.0
+
+    @pytest.mark.parametrize(
+        "model, err",
+        [
+            (paper_two_state(), paper_error_case("case1")),
+            (paper_continuous(), BoundedBallCsit(delta=0.1)),
+        ],
+        ids=["two-state-case1", "continuous-ball"],
+    )
+    def test_queue_controller_recursion(self, model, err):
+        # Q(t) = W(H~(t), Z(t)/v, p) and Z(t+1) = max(Z(t) + tr Q(t) - p_bar, 0)
+        # recomputed slot by slot through the public water-filling, from z0 > 0
+        v, z0, p, p_bar, horizon, seed = 10.0, 5.0, 3.0, 2.0, 200, 4
+        result = run_experiment(
+            ExperimentConfig(
+                channel=model,
+                csit_error=err,
+                controller=DppSpec(v=v, z0=z0),
+                p=p,
+                p_bar=p_bar,
+                horizon=horizon,
+                seed=seed,
+            )
+        )
+        z = z0
+        for t in range(horizon):
+            rng = slot_rng(seed, t)
+            h = sample_channel(model, rng)
+            q = waterfill_penalized(observe_csit(h, err, rng), z / v, p).q
+            assert result.z[t] == z
+            assert result.r[t] == capacity(h, q)
+            assert result.tr_q[t] == trace_real(q)
+            z = max(0.0, z + trace_real(q) - p_bar)
+        assert result.z_final == z
+        assert np.count_nonzero(result.z) > horizon // 2  # the penalty is active
 
     def test_ogd_trace_cap_enforced(self):
         result = run_experiment(ogd_config(horizon=300))
@@ -329,35 +389,63 @@ class TestPolicyFiles:
         with pytest.raises(ConfigError, match=f"'{field}' must be finite"):
             load_policy(path)
 
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            ("iterations", 2.5, "must be an integer"),
+            ("iterations", True, "must be an integer"),
+            ("converged", "false", "must be true or false"),
+            ("converged", 1, "must be true or false"),
+        ],
+        ids=["iterations-fraction", "iterations-bool", "converged-string", "converged-int"],
+    )
+    def test_no_csit_solver_fields_are_strict(
+        self, constant_reference, tmp_path, field, bad, message
+    ):
+        path = tmp_path / "policy.json"
+        save_policy(constant_reference, path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj[field] = bad
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"'{field}' {message}"):
+            load_policy(path)
+
     @given(data=st.data(), kind=st.sampled_from(["with-csit", "no-csit"]))
     def test_round_trip_property(self, data, kind):
-        n_r = data.draw(st.integers(1, 4))
-        n_t = data.draw(st.integers(1, 4))
-        k = data.draw(st.integers(1, 4))
-        if kind == "with-csit":
-            policy = CdiPolicy(
-                states=tuple(data.draw(complex_matrices(n_r, n_t)) for _ in range(k)),
-                probs=np.array(data.draw(st.lists(FLOATS, min_size=k, max_size=k))),
-                covariances=tuple(
-                    data.draw(complex_matrices(n_t, n_t)) for _ in range(k)
-                ),
-                lam=data.draw(FLOATS),
-                r_opt=data.draw(FLOATS),
-            )
-        else:
-            policy = ConstantCovariance(
-                q=data.draw(complex_matrices(n_t, n_t)),
-                per_state_utility=np.array(
-                    data.draw(st.lists(FLOATS, min_size=k, max_size=k))
-                ),
-                r_opt=data.draw(FLOATS),
-                converged=data.draw(st.booleans()),
-                iterations=data.draw(st.integers(0, 10**6)),
-            )
+        policy = draw_policy(data, kind)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "policy.json"
             save_policy(policy, path)
             assert canon(load_policy(path)) == canon(policy)
+
+    @given(data=st.data(), kind=st.sampled_from(["with-csit", "no-csit"]))
+    def test_file_is_indented_json_dumps(self, data, kind):
+        # save_policy formats the matrices itself; its bytes must stay those
+        # of json.dumps(indent=2) over the matrix_to_json dicts
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        policy = draw_policy(data, kind, finite)
+        if kind == "with-csit":
+            obj = {
+                "kind": kind,
+                "lambda": policy.lam,
+                "r_opt": policy.r_opt,
+                "probs": policy.probs.tolist(),
+                "states": [matrix_to_json(s) for s in policy.states],
+                "covariances": [matrix_to_json(q) for q in policy.covariances],
+            }
+        else:
+            obj = {
+                "kind": kind,
+                "q": matrix_to_json(policy.q),
+                "r_opt": policy.r_opt,
+                "per_state_utility": policy.per_state_utility.tolist(),
+                "converged": policy.converged,
+                "iterations": policy.iterations,
+            }
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "policy.json"
+            save_policy(policy, path)
+            assert path.read_text(encoding="utf-8") == json.dumps(obj, indent=2) + "\n"
 
     def test_compute_baseline_continuous_uses_samples(self):
         cfg = ExperimentConfig(
@@ -541,6 +629,19 @@ class TestConfigLoading:
         load_config(obj)
         (obj if section is None else obj[section])[field] = bad
         with pytest.raises(ConfigError, match=f"'{field}' must be finite"):
+            load_config(obj)
+
+    @pytest.mark.parametrize(
+        "bad", [True, False, "1.5"], ids=["true", "false", "string"]
+    )
+    @pytest.mark.parametrize(
+        "base, section, field", NUMERIC_FIELDS, ids=[f for *_, f in NUMERIC_FIELDS]
+    )
+    def test_non_number_raises(self, base, section, field, bad):
+        # a JSON boolean is not read as 1.0 or 0.0, nor a string as its value
+        obj = copy.deepcopy(base)
+        (obj if section is None else obj[section])[field] = bad
+        with pytest.raises(ConfigError, match=f"'{field}' must be a number"):
             load_config(obj)
 
     @pytest.mark.parametrize(

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from dyncov import capacity, capacity_gradient, frobenius, herm_eig, psd_cap_project
 from dyncov.channel import PAPER_H1
-from dyncov.linalg import nearest_index, require_hermitian, symmetrize, trace_real
+from dyncov.linalg import (
+    _ct,
+    _eigh_desc,
+    nearest_index,
+    require_hermitian,
+    symmetrize,
+    trace_real,
+)
 
 # elementwise oracle: sqrt(sum of printed squared magnitudes)
 H1_FROBENIUS = 4.692305883038744
@@ -40,7 +47,7 @@ class TestHermEig:
         for _ in range(50):
             a = random_hermitian(rng, n)
             e = herm_eig(a)
-            assert frobenius(e.reconstruct() - a) <= 1e-10
+            assert frobenius(e.u.conj().T @ np.diag(e.sigma) @ e.u - a) <= 1e-10
             assert frobenius(e.u @ e.u.conj().T - np.eye(n)) <= 1e-10
             assert np.isrealobj(e.sigma)
 
@@ -72,6 +79,34 @@ class TestHermEig:
     def test_descending_order(self, n):
         e = herm_eig(random_hermitian(np.random.default_rng(n), n))
         assert np.all(np.diff(e.sigma) <= 0.0)
+
+    @given(
+        n=st.integers(1, 8),
+        count=st.integers(1, 6),
+        kind=st.sampled_from(["generic", "rank-deficient", "repeated"]),
+        scale=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_kernel_equals_herm_eig(self, n, count, kind, scale, seed):
+        # the solvers decompose exactly Hermitian stacks with the unvalidated
+        # kernel; each entry must be the public herm_eig result bit for bit
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+        if kind == "rank-deficient":
+            g[..., rng.integers(0, n) :] = 0.0  # rank below n, possibly zero
+            a = g @ _ct(g)
+        elif kind == "repeated":
+            unitary, _ = np.linalg.qr(g)
+            w = rng.choice([-1.0, 0.0, 2.0], size=(count, n))
+            a = unitary @ (w[..., None] * _ct(unitary))
+        else:
+            a = g
+        a = scale * (0.5 * (a + _ct(a)))  # exactly Hermitian
+        stacked = _eigh_desc(a)
+        for k in range(count):
+            e = herm_eig(a[k])
+            assert np.array_equal(stacked[k].u, e.u)
+            assert np.array_equal(stacked[k].sigma, e.sigma)
 
 
 class TestCapacity:

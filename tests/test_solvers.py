@@ -33,6 +33,23 @@ SEEDS = st.integers(0, 2**32 - 1)
 CAP_RATIOS = st.floats(0.01, 100.0)
 
 
+def continuous_model(seed, count=100):
+    """Uniform empirical model over samples of the continuous preset, as
+    ``dyncov baseline`` draws them for that sampling seed."""
+    from dyncov import paper_continuous, sample_channel
+    from dyncov.channel import sampling_rng
+
+    rng = sampling_rng(seed)
+    samples = tuple(sample_channel(paper_continuous(), rng) for _ in range(count))
+    return DiscreteChannel(states=samples, probs=np.full(count, 1.0 / count))
+
+
+def fixed_point_residual(model, q, p_bar, step=0.05):
+    """||P(Q + step grad f(Q)) - Q||_F, zero exactly at the constant optimum."""
+    grad = sum(p * capacity_gradient(s, q) for p, s in zip(model.probs, model.states))
+    return frobenius(psd_cap_project(q + step * grad, p_bar) - q)
+
+
 def scalar_channel(sigma):
     # 1x1 channel whose Gram eigenvalue is sigma
     return np.array([[np.sqrt(sigma)]], dtype=complex)
@@ -263,6 +280,15 @@ class TestCdiPolicy:
             objs = capacity_stack(s, qs) - pol.lam * trace_real(qs)
             assert objs.max() <= mine + 1e-9
 
+    def test_empirical_certificate(self):
+        # every covariance is the per-state water-filling at the returned
+        # multiplier, and the average power sits in [p_bar - tol, p_bar]
+        pol = cdi_optimal_policy(continuous_model(9), p_bar=2.0, p=3.0)
+        assert pol.lam > 0.0
+        for s, q in zip(pol.states, pol.covariances):
+            assert np.array_equal(q, waterfill_penalized(s, pol.lam, 3.0).q)
+        assert 2.0 - 1e-6 <= pol.average_power() <= 2.0
+
     def test_lookup_returns_nearest(self, cdi_reference):
         assert np.array_equal(
             cdi_reference.lookup(cdi_reference.states[1]),
@@ -284,13 +310,21 @@ class TestConstantCovariance:
         assert frobenius(out.q - np.eye(2)) <= 1e-6
 
     def test_fixed_point_property(self, preset_model, constant_reference):
-        out = constant_reference
-        grad = sum(
-            p * capacity_gradient(s, out.q)
-            for p, s in zip(preset_model.probs, preset_model.states)
-        )
-        again = psd_cap_project(out.q + 0.05 * grad, 2.0)
-        assert frobenius(again - out.q) <= 1e-9
+        assert fixed_point_residual(preset_model, constant_reference.q, 2.0) <= 1e-9
+
+    def test_fixed_point_certificate_on_empirical_model(self):
+        # as test_fixed_point_property, on the 100-sample continuous model:
+        # the returned Q is a fixed point of the projected-gradient map to
+        # within tol, whatever the iteration that found it
+        model = continuous_model(9)
+        out = ergodic_constant_covariance(model, p_bar=2.0)
+        assert out.converged
+        assert fixed_point_residual(model, out.q, 2.0) <= 1e-9
+
+    def test_two_state_iteration_count(self, constant_reference):
+        # accelerated: plain projected gradient takes 1178 iterations here
+        assert constant_reference.converged
+        assert constant_reference.iterations <= 300
 
     def test_beats_random_feasible(self, preset_model, constant_reference):
         rng = np.random.default_rng(29)
