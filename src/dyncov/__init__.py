@@ -19,6 +19,7 @@ from .channel import (
     ProductChannel,
     TabulatedCsit,
     channel_bounds,
+    draw_path,
     observe_csit,
     paper_continuous,
     paper_error_case,
@@ -91,6 +92,7 @@ __all__ = [
     "compute_baseline",
     "decode_check",
     "dpp_step",
+    "draw_path",
     "emit_outputs",
     "empirical_policy",
     "ergodic_constant_covariance",

@@ -7,11 +7,19 @@ the controller fixes it (see ``dyncov.harness``).
 Randomness is PCG64 via numpy Generators.  Streams are derived from a
 run seed with SeedSequence spawn keys, one stream per slot index, so a
 full (H(t), observation(t)) trace is a pure function of (model, error
-model, seed) and reproduces bit-for-bit across platforms.
+model, seed) and reproduces bit-for-bit across platforms.  ``slot_rng``
+is the reference definition of slot t's stream.  ``draw_path`` draws a
+whole horizon without building a Generator per slot: it restates numpy's
+SeedSequence hash and PCG64 seeding as vectorised integer arithmetic over
+t (a counter-based derivation of the same stream layout), then either
+reads each slot's single uniform straight from its first PCG64 output or,
+where numpy's samplers are needed, loads each slot's seeded state into
+one reused Generator.  Its draws equal the ``slot_rng`` loop bit for bit.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -27,6 +35,116 @@ _STREAM_BASELINE = 1
 def slot_rng(seed: int, t: int) -> np.random.Generator:
     """Generator for slot t of the run with the given seed."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_STREAM_SLOT, t)))
+
+
+# numpy's SeedSequence constants (pool of four uint32 words) and the
+# 128-bit LCG multiplier of its PCG64
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's word hash (``hashmix``) on uint32 arrays, with its
+    running multiplier: xor, advance the multiplier, multiply, xorshift."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _M32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _seed_words(seed: int, slots: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(0, t)).generate_state(4, np.uint64)``
+    for every t in ``slots`` (each below 2**32), as a (len(slots), 4) uint64
+    array.  The words before the spawn key's last one do not depend on t, so
+    they hash as one-element arrays and only the final mixing broadcasts."""
+    slots = np.asarray(slots)
+    if slots.size and int(slots.max()) > _M32:
+        raise ValueError("slot indices must be below 2**32")
+    seed = operator.index(seed)  # numpy integers too, as SeedSequence takes them
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    # the seed's little-endian uint32 words, zero-padded to the pool size
+    # because a spawn key follows
+    n_words = max(_POOL_SIZE, -(-seed.bit_length() // 32))
+    run = [(seed >> 32 * i) & _M32 for i in range(n_words)]
+    entropy = [np.array([w], dtype=np.uint32) for w in run + [_STREAM_SLOT]]
+    entropy.append(slots.astype(np.uint32))
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return r ^ (r >> np.uint32(16))
+
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    # generate_state(4, np.uint64): eight uint32 words cycled from the pool,
+    # paired little-endian
+    out = _hasher(_INIT_B, _MULT_B)
+    state = [out(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
+    words = [state[2 * k] | (state[2 * k + 1] << np.uint64(32)) for k in range(_POOL_SIZE)]
+    return np.stack(words, axis=-1)
+
+
+def _mul64(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full 128-bit product of uint64 arrays as (high, low) words."""
+    m32, s32 = np.uint64(_M32), np.uint64(32)
+    a0, a1, b0, b1 = a & m32, a >> s32, b & m32, b >> s32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> s32) + (p01 & m32) + (p10 & m32)
+    return a1 * b1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32), (p00 & m32) | (mid << s32)
+
+
+def _add128(a, b):
+    """a + b mod 2**128 on (high, low) uint64 words."""
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < b[1]).astype(np.uint64), lo
+
+
+def _lcg_step(state, inc):
+    """One PCG64 step, state * multiplier + inc mod 2**128, on (high, low)
+    uint64 words."""
+    hi, lo = _mul64(state[1], _PCG_MULT[1])
+    hi = hi + state[1] * _PCG_MULT[0] + state[0] * _PCG_MULT[1]
+    return _add128((hi, lo), inc)
+
+
+def _pcg64_seeded(words: np.ndarray):
+    """The (state, inc) that ``PCG64`` seeds from its four SeedSequence
+    words, each a (high, low) pair of uint64 arrays: inc = seq << 1 | 1, one
+    step from zero, add the initial state, one more step."""
+    one = np.uint64(1)
+    inc = (words[:, 2] << one | words[:, 3] >> np.uint64(63), words[:, 3] << one | one)
+    # the first step from a zero state lands on inc
+    state = _add128(inc, (words[:, 0], words[:, 1]))
+    return _lcg_step(state, inc), inc
+
+
+def _first_uniforms(words: np.ndarray) -> np.ndarray:
+    """Each stream's first ``Generator.random()``: one PCG64 step, the
+    XSL-RR output, then its top 53 bits scaled by 2**-53."""
+    state, inc = _pcg64_seeded(words)
+    hi, lo = _lcg_step(state, inc)
+    x, rot = hi ^ lo, hi >> np.uint64(58)
+    out = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return (out >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def sampling_rng(seed: int) -> np.random.Generator:
@@ -222,6 +340,40 @@ def observe_csit(h, err: CsitErrorModel, rng: np.random.Generator | None = None)
     if isinstance(err, TabulatedCsit):
         return err.observed[nearest_index(hm, err._stack)].copy()
     raise TypeError(f"unknown CSIT error model {type(err).__name__}")
+
+
+def draw_path(
+    model: ChannelModel, err: CsitErrorModel, seed: int, horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The channel path H(t) and its observations H~(t) for t < horizon, as
+    two (horizon, n_r, n_t) stacks equal bit for bit to drawing slot t with
+    ``sample_channel`` then ``observe_csit`` from ``slot_rng(seed, t)``.
+
+    A discrete channel under a deterministic error model draws one uniform
+    per slot, so its state indices come from the streams' first outputs and
+    each state's observation is computed once.  Every other pair keeps
+    numpy's samplers and their call order in one reused Generator, which
+    loads each slot's seeded PCG64 state in turn."""
+    words = _seed_words(seed, np.arange(horizon))
+    if isinstance(model, DiscreteChannel) and not isinstance(err, BoundedBallCsit):
+        k = np.searchsorted(model._cum, _first_uniforms(words), side="right")
+        idx = np.minimum(k, len(model.states) - 1)
+        observed = np.stack([observe_csit(s, err) for s in model.states])
+        return np.stack(model.states)[idx], observed[idx]
+
+    state, inc = _pcg64_seeded(words)
+    h = np.empty((horizon, model.n_r, model.n_t), dtype=np.complex128)
+    h_obs = np.empty_like(h)
+    rng = np.random.Generator(np.random.PCG64(0))
+    fixed = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    limbs = zip(state[0].tolist(), state[1].tolist(), inc[0].tolist(), inc[1].tolist())
+    for t, (s_hi, s_lo, i_hi, i_lo) in enumerate(limbs):
+        rng.bit_generator.state = {
+            **fixed, "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
+        }
+        h[t] = sample_channel(model, rng)
+        h_obs[t] = observe_csit(h[t], err, rng)
+    return h, h_obs
 
 
 @dataclass(frozen=True)

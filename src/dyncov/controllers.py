@@ -111,10 +111,11 @@ def theoretical_bounds(
     epsilon inverts the tradeoff choice v = max(p_bar^2, (p - p_bar)^2) / (2 eps);
     phi is the instantaneous-observation degradation 2 p sqrt(n_t) (2b + delta) delta;
     psi bounds the gradient error under delayed observations; the queue
-    bound is v (b + delta)^2 + (p - p_bar).
+    bound is v (b + delta)^2 + (p - p_bar).  Nothing divides by b, so an
+    all-zero channel (b = 0) is certified like any other.
     """
-    if min(b, p, p_bar, v_or_gamma) <= 0 or delta < 0:
-        raise ValueError("bound parameters must be positive (delta nonnegative)")
+    if min(p, p_bar, v_or_gamma) <= 0 or min(b, delta) < 0:
+        raise ValueError("bound parameters must be positive (b and delta nonnegative)")
     epsilon = max(p_bar**2, (p - p_bar) ** 2) / (2.0 * v_or_gamma)
     phi = 2.0 * p * np.sqrt(n_t) * (2.0 * b + delta) * delta
     psi = (

@@ -120,6 +120,22 @@ class ExperimentConfig:
             raise ConfigError(
                 "the gradient controller's reference must be a constant-covariance policy"
             )
+        # a policy solved for other antenna counts would fail only mid-run
+        channel_shape, cov_shape = (self.n_r, self.n_t), (self.n_t, self.n_t)
+        replayed = getattr(self.controller, "policy", None)
+        for role, policy in (("replayed", replayed), ("reference", self.reference)):
+            if isinstance(policy, ConstantCovariance):
+                fits = policy.q.shape == cov_shape
+            elif isinstance(policy, CdiPolicy):
+                fits = all(s.shape == channel_shape for s in policy.states) and all(
+                    q.shape == cov_shape for q in policy.covariances
+                )
+            else:
+                continue
+            if not fits:
+                raise ConfigError(
+                    f"{role} policy dimensions do not fit the {self.n_r}x{self.n_t} channel"
+                )
 
     @property
     def n_t(self) -> int:
@@ -335,25 +351,37 @@ def load_policy(path) -> Union[CdiPolicy, ConstantCovariance]:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     kind = obj.get("kind")
-    if kind == "with-csit":
-        return CdiPolicy(
-            states=tuple(matrix_from_json(s) for s in obj["states"]),
-            probs=_finite_array(obj, "probs"),
-            covariances=tuple(matrix_from_json(q) for q in obj["covariances"]),
-            lam=_number(obj, "lambda"),
-            r_opt=_number(obj, "r_opt"),
-        )
-    if kind == "no-csit":
-        converged = obj["converged"]
-        if not isinstance(converged, bool):  # not bool(...): "false" is truthy
-            raise ConfigError(f"field 'converged' must be true or false, got {converged!r}")
-        return ConstantCovariance(
-            q=matrix_from_json(obj["q"]),
-            per_state_utility=_finite_array(obj, "per_state_utility"),
-            r_opt=_number(obj, "r_opt"),
-            converged=converged,
-            iterations=_integer(obj, "iterations", 0),
-        )
+    try:
+        if kind == "with-csit":
+            states = tuple(matrix_from_json(s) for s in obj["states"])
+            probs = _finite_array(obj, "probs")
+            covariances = tuple(matrix_from_json(q) for q in obj["covariances"])
+            if not states or not len(states) == len(probs) == len(covariances):
+                raise ConfigError(
+                    f"with-csit policy needs one probability and one covariance per "
+                    f"state: {len(states)} states, {len(probs)} probs, "
+                    f"{len(covariances)} covariances"
+                )
+            return CdiPolicy(
+                states=states,
+                probs=probs,
+                covariances=covariances,
+                lam=_number(obj, "lambda"),
+                r_opt=_number(obj, "r_opt"),
+            )
+        if kind == "no-csit":
+            converged = obj["converged"]
+            if not isinstance(converged, bool):  # not bool(...): "false" is truthy
+                raise ConfigError(f"field 'converged' must be true or false, got {converged!r}")
+            return ConstantCovariance(
+                q=matrix_from_json(obj["q"]),
+                per_state_utility=_finite_array(obj, "per_state_utility"),
+                r_opt=_number(obj, "r_opt"),
+                converged=converged,
+                iterations=_integer(obj, "iterations", 0),
+            )
+    except KeyError as exc:
+        raise ConfigError(f"missing policy field: {exc}") from exc
     raise ConfigError(f"unknown policy kind {kind!r}")
 
 
@@ -386,12 +414,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     horizon = cfg.horizon
 
     # draw: the channel path is exogenous, one seeded stream per slot
-    h = np.empty((horizon, cfg.n_r, cfg.n_t), dtype=np.complex128)
-    h_obs = np.empty_like(h)
-    for t in range(horizon):
-        rng = ch.slot_rng(cfg.seed, t)
-        h[t] = ch.sample_channel(cfg.channel, rng)
-        h_obs[t] = ch.observe_csit(h[t], cfg.csit_error, rng)
+    h, h_obs = ch.draw_path(cfg.channel, cfg.csit_error, cfg.seed, horizon)
 
     # decide: only the controller's recursion is sequential, and its state
     # is these arrays: the queue z (Z(t) before slot t) or the lagged q[t - T]

@@ -402,6 +402,37 @@ def check_observation_radius(n_draws: int = 500, seed: int = DEFAULT_SEED) -> Ch
     )
 
 
+def check_draw_stream(horizon: int = 150, seed: int = DEFAULT_SEED) -> CheckResult:
+    """The run's vectorised draw equals the ``slot_rng`` reference, slot by
+    slot and byte for byte, on every channel/CSIT pair (a one-word and a
+    three-word seed).  A numpy whose SeedSequence or PCG64 stream moved
+    fails here instead of silently changing traces."""
+    errs = (
+        ch.ExactCsit(),
+        ch.PhaseQuantizeCsit(step=np.pi / 4),
+        ch.MagPhaseQuantizeCsit(mag_step=0.1, phase_step=np.pi / 2),
+        ch.BoundedBallCsit(delta=0.3),
+        ch.paper_error_case("case1"),
+    )
+    failed = []
+    checked = 0
+    for model in (ch.paper_two_state(), ch.paper_continuous()):
+        for err in errs:
+            for s in (seed, seed + 2**64):
+                h, h_obs = ch.draw_path(model, err, s, horizon)
+                checked += horizon
+                for t in range(horizon):
+                    rng = ch.slot_rng(s, t)
+                    ref = ch.sample_channel(model, rng)
+                    ref_obs = ch.observe_csit(ref, err, rng)
+                    if h[t].tobytes() + h_obs[t].tobytes() != ref.tobytes() + ref_obs.tobytes():
+                        pair = f"{type(model).__name__}/{type(err).__name__}"
+                        failed.append(f"{pair} seed={s} t={t}")
+                        break
+    detail = f"failed: {', '.join(failed)}" if failed else f"{checked} slots byte-identical"
+    return CheckResult("draw-stream", not failed, detail)
+
+
 def check_controller_certifications(seed: int = DEFAULT_SEED) -> CheckResult:
     """Short seeded runs of both controllers (corrupted observations) must
     pass every in-run bound certification."""
@@ -472,6 +503,7 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_gradient_error_bounds,
     check_ledger_properties,
     check_observation_radius,
+    check_draw_stream,
     check_controller_certifications,
     check_trace_determinism,
 )

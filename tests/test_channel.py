@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dyncov import (
     BoundedBallCsit,
@@ -11,6 +13,7 @@ from dyncov import (
     PhaseQuantizeCsit,
     ProductChannel,
     channel_bounds,
+    draw_path,
     observe_csit,
     paper_continuous,
     paper_error_case,
@@ -24,6 +27,8 @@ from dyncov.channel import (
     PAPER_H1,
     PAPER_H2,
     TabulatedCsit,
+    _first_uniforms,
+    _seed_words,
 )
 from dyncov.linalg import frobenius
 
@@ -133,6 +138,91 @@ class TestObservation:
 
         for (h1, o1), (h2, o2) in zip(trace(123), trace(123)):
             assert np.array_equal(h1, h2) and np.array_equal(o1, o2)
+
+
+def loop_path(model, err, seed, horizon):
+    """The reference draw: slot t samples, then observes, from slot_rng(seed, t)."""
+    h, h_obs = [], []
+    for t in range(horizon):
+        rng = slot_rng(seed, t)
+        h.append(sample_channel(model, rng))
+        h_obs.append(observe_csit(h[-1], err, rng))
+    return np.stack(h), np.stack(h_obs)
+
+
+def _matrices(seed, count, n_r, n_t):
+    rng = np.random.default_rng(seed)
+    return tuple(
+        rng.standard_normal((n_r, n_t)) + 1j * rng.standard_normal((n_r, n_t))
+        for _ in range(count)
+    )
+
+
+_TWO_BY_THREE = _matrices(1, 3, 2, 3)
+_THREE_BY_ONE = _matrices(2, 2, 3, 1)
+# (id, channel, states a tabulated observation model is keyed on)
+DRAW_CHANNELS = [
+    ("two-state", paper_two_state(), (PAPER_H1, PAPER_H2)),
+    (
+        "three-state-2x3",
+        DiscreteChannel(states=_TWO_BY_THREE, probs=np.array([0.2, 0.5, 0.3])),
+        _TWO_BY_THREE,
+    ),
+    (
+        "two-state-3x1",
+        DiscreteChannel(states=_THREE_BY_ONE, probs=np.array([0.9, 0.1])),
+        _THREE_BY_ONE,
+    ),
+    ("continuous-2x2", paper_continuous(), _matrices(3, 4, 2, 2)),
+    ("continuous-4x4", ProductChannel(n_r=4, n_t=4, v_max=1.0), _matrices(4, 3, 4, 4)),
+    ("continuous-2x1", ProductChannel(n_r=2, n_t=1, v_max=0.7), _matrices(5, 2, 2, 1)),
+]
+DRAW_CSIT = {
+    "exact": lambda states: ExactCsit(),
+    "phase": lambda states: PhaseQuantizeCsit(step=np.pi / 4),
+    "mag-phase": lambda states: MagPhaseQuantizeCsit(mag_step=0.1, phase_step=np.pi / 2),
+    "ball": lambda states: BoundedBallCsit(delta=0.3),
+    "tabulated": lambda states: TabulatedCsit(
+        states=states, observed=tuple(s + 0.1j for s in states)
+    ),
+}
+
+
+class TestDrawPath:
+    @given(seed=st.integers(0, 2**80), t=st.integers(0, 2**20))
+    def test_stream_words_match_numpy(self, seed, t):
+        # a numpy whose SeedSequence or PCG64 moved fails here, not in a trace
+        words = _seed_words(seed, np.array([t]))
+        expected = np.random.SeedSequence(seed, spawn_key=(0, t)).generate_state(4, np.uint64)
+        assert words.dtype == np.uint64
+        assert words[0].tobytes() == expected.tobytes()
+        assert _first_uniforms(words)[0] == slot_rng(seed, t).random()
+
+    @pytest.mark.parametrize("seed", [7, 2**32 + 5, 2**70 + 3])
+    @pytest.mark.parametrize("csit", list(DRAW_CSIT))
+    @pytest.mark.parametrize(
+        "name, model, states", DRAW_CHANNELS, ids=[c[0] for c in DRAW_CHANNELS]
+    )
+    def test_equals_slot_rng_loop(self, name, model, states, csit, seed):
+        err = DRAW_CSIT[csit](states)
+        h, h_obs = draw_path(model, err, seed, 200)
+        ref_h, ref_obs = loop_path(model, err, seed, 200)
+        assert h.dtype == h_obs.dtype == np.complex128
+        assert h.shape == h_obs.shape == (200, model.n_r, model.n_t)
+        assert h.tobytes() == ref_h.tobytes()
+        assert h_obs.tobytes() == ref_obs.tobytes()
+
+    def test_seed_types_follow_slot_rng(self):
+        # numpy integer seeds draw as their value; negative and fractional
+        # seeds fail as SeedSequence fails on them
+        for model in (paper_two_state(), paper_continuous()):
+            a = draw_path(model, ExactCsit(), np.uint64(2**40 + 1), 50)
+            b = loop_path(model, ExactCsit(), 2**40 + 1, 50)
+            assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
+        with pytest.raises(ValueError):
+            draw_path(paper_two_state(), ExactCsit(), -1, 5)
+        with pytest.raises(TypeError):
+            draw_path(paper_two_state(), ExactCsit(), 1.5, 5)
 
 
 class TestChannelBounds:

@@ -234,8 +234,18 @@ class TestTheoreticalBounds:
         )
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            theoretical_bounds(
-                b=0.0, delta=0.0, p=3.0, p_bar=2.0, n_t=2, n_r=2,
-                v_or_gamma=1.0, horizon=1,
-            )
+        good = dict(b=1.0, delta=0.0, p=3.0, p_bar=2.0, n_t=2, n_r=2, v_or_gamma=1.0, horizon=1)
+        for field, bad in (
+            ("b", -1.0), ("delta", -0.1), ("p", 0.0), ("p_bar", 0.0), ("v_or_gamma", 0.0),
+        ):
+            with pytest.raises(ValueError, match="bound parameters"):
+                theoretical_bounds(**{**good, field: bad})
+
+    def test_zero_norm_cap_is_accepted(self):
+        # an all-zero channel has b = 0; no bound divides by it
+        rep = theoretical_bounds(
+            b=0.0, delta=0.0, p=3.0, p_bar=2.0, n_t=2, n_r=2,
+            v_or_gamma=10.0, horizon=1,
+        )
+        assert (rep.phi_delta, rep.psi_delta, rep.grad_norm_bound) == (0.0, 0.0, 0.0)
+        assert rep.queue_bound == 1.0

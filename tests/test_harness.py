@@ -19,6 +19,7 @@ from dyncov import (
     BoundedBallCsit,
     CdiPolicy,
     ConstantCovariance,
+    DiscreteChannel,
     DppSpec,
     ExactCsit,
     ExperimentConfig,
@@ -318,6 +319,54 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="p_bar"):
             dpp_config(p=1.0, p_bar=2.0)
 
+    @pytest.mark.parametrize(
+        "controller", [DppSpec(v=10.0), OgdSpec(gamma=0.01)], ids=["dpp", "ogd"]
+    )
+    def test_all_zero_channel_certifies(self, controller):
+        zero = DiscreteChannel(states=(np.zeros((2, 2)),) * 2, probs=np.array([0.5, 0.5]))
+        result = run_experiment(
+            ExperimentConfig(
+                channel=zero, csit_error=ExactCsit(), controller=controller,
+                p=3.0, p_bar=2.0, horizon=2000, seed=1,
+            )
+        )
+        assert result.summary["constants"]["b"] == 0.0
+        assert result.summary["all_passed"]
+        assert not result.r.any() and not result.tr_q.any()
+
+    @pytest.mark.parametrize(
+        "role, kind",
+        [
+            ("ogd-reference", "no-csit"),
+            ("replay", "no-csit"),
+            ("replay", "with-csit"),
+            ("dpp-reference", "no-csit"),
+            ("dpp-reference", "with-csit"),
+        ],
+    )
+    def test_policy_dimensions_must_fit_channel(self, role, kind):
+        if kind == "no-csit":
+            policy = ConstantCovariance(
+                q=np.eye(4, dtype=complex), per_state_utility=np.zeros(2),
+                r_opt=1.0, converged=True, iterations=1,
+            )
+        else:
+            # right covariances, states of the wrong shape
+            policy = CdiPolicy(
+                states=(np.ones((2, 3)),) * 2, probs=np.array([0.5, 0.5]),
+                covariances=(np.eye(2, dtype=complex),) * 2, lam=0.0, r_opt=1.0,
+            )
+        kwargs = {
+            "ogd-reference": dict(controller=OgdSpec(gamma=0.01), reference=policy),
+            "replay": dict(controller=ReplaySpec(policy=policy)),
+            "dpp-reference": dict(controller=DppSpec(v=10.0), reference=policy),
+        }[role]
+        with pytest.raises(ConfigError, match="policy dimensions do not fit the 2x2 channel"):
+            ExperimentConfig(
+                channel=paper_two_state(), csit_error=ExactCsit(),
+                p=3.0, p_bar=2.0, horizon=10, seed=1, **kwargs,
+            )
+
 
 class TestOutputs:
     def test_emit_files(self, tmp_path):
@@ -408,6 +457,43 @@ class TestPolicyFiles:
         obj[field] = bad
         path.write_text(json.dumps(obj), encoding="utf-8")
         with pytest.raises(ConfigError, match=f"'{field}' {message}"):
+            load_policy(path)
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            ("with-csit", "states"),
+            ("with-csit", "probs"),
+            ("with-csit", "covariances"),
+            ("with-csit", "lambda"),
+            ("with-csit", "r_opt"),
+            ("no-csit", "q"),
+            ("no-csit", "per_state_utility"),
+            ("no-csit", "r_opt"),
+            ("no-csit", "converged"),
+        ],
+    )
+    def test_missing_field_raises(
+        self, cdi_reference, constant_reference, tmp_path, kind, field
+    ):
+        policy = cdi_reference if kind == "with-csit" else constant_reference
+        path = tmp_path / "policy.json"
+        save_policy(policy, path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        del obj[field]
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"missing policy field: '{field}'"):
+            load_policy(path)
+
+    @pytest.mark.parametrize("field", ["probs", "covariances", "states"])
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_with_csit_lengths_must_match(self, cdi_reference, tmp_path, field, count):
+        path = tmp_path / "policy.json"
+        save_policy(cdi_reference, path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj[field] = (obj[field] * 2)[:count]  # the preset policy has two states
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ConfigError, match="one probability and one covariance per state"):
             load_policy(path)
 
     @given(data=st.data(), kind=st.sampled_from(["with-csit", "no-csit"]))
@@ -551,13 +637,19 @@ def config_dicts(draw, policies):
             "observed": [matrix_to_json(draw(complex_matrices(n_r, n_t))) for _ in states],
         },
     ]))
-    controller = draw(st.sampled_from([
+    # the policy files are the two-state preset's, so only a 2x2 channel fits them
+    fits_policies = (n_r, n_t) == (2, 2)
+    controllers = [
         {"kind": "dpp", "v": draw(POSITIVE), "z0": draw(st.floats(0.0, 1e3))},
         {"kind": "ogd", "gamma": draw(POSITIVE), "t_delay": draw(st.integers(1, 5))},
         {"kind": "ogd", "step": "inverse-sqrt"},
-        {"kind": "baseline-replay", "policy": policies["with-csit"]},
-        {"kind": "baseline-replay", "policy": policies["no-csit"]},
-    ]))
+    ]
+    if fits_policies:
+        controllers += [
+            {"kind": "baseline-replay", "policy": policies["with-csit"]},
+            {"kind": "baseline-replay", "policy": policies["no-csit"]},
+        ]
+    controller = draw(st.sampled_from(controllers))
     p_bar = draw(POSITIVE)
     obj = {
         "channel": channel,
@@ -572,7 +664,7 @@ def config_dicts(draw, policies):
     if draw(st.booleans()):
         obj["rate_adapt"] = {"n_total": draw(POSITIVE)}
     # the gradient controller only takes a constant-covariance reference
-    references = [None, {"policy": policies["no-csit"]}]
+    references = [None, {"policy": policies["no-csit"]}] if fits_policies else [None]
     if controller["kind"] != "ogd":
         references.append({"r_opt": draw(FLOATS)})
     obj["reference"] = draw(st.sampled_from(references))
