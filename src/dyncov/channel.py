@@ -271,6 +271,9 @@ class TabulatedCsit:
         observed = tuple(as_matrix(o) for o in self.observed)
         if len(states) == 0 or len(states) != len(observed):
             raise ValueError("tabulated model needs matching state/observation lists")
+        shapes = sorted({m.shape for m in states + observed})
+        if len(shapes) > 1:
+            raise ValueError(f"tabulated states and observations differ in shape: {shapes}")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "observed", observed)
         object.__setattr__(self, "_stack", np.stack(states))

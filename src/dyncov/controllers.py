@@ -19,27 +19,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermEigen, capacity_gradient, trace_real
+from .linalg import _capacity_gradient, _compose, trace_real
 from .solvers import _cap_project, _waterfill_loading
 
 
 def dpp_step(
-    z: float, gram: HermEigen, v: float, p: float, p_bar: float
+    z: float, u: np.ndarray, a: list[float], v: float, p: float, p_bar: float
 ) -> tuple[np.ndarray, float]:
     """One slot at queue z: solve the queue-penalized water-filling on the
-    spectrum ``gram`` of the observed channel's Gram matrix H~^H H~ (as
-    ``herm_eig`` returns it), then book the power overshoot,
+    observed channel's Gram matrix H~^H H~, given its eigenvector rows u (as
+    ``herm_eig`` returns them) and the thresholds a = -1/sigma of its
+    positive modes, then book the power overshoot,
     Z(t+1) = max(Z(t) + tr Q(t) - p_bar, 0)."""
-    q = gram.compose(_waterfill_loading(gram.sigma, z / v, p)[0])
+    q = _compose(u, _waterfill_loading(a, len(u), z / v, p)[0])
     return q, max(0.0, z + trace_real(q) - p_bar)
 
 
-def ogd_step(q_lag: np.ndarray, h_lag, step: float, p_bar: float) -> np.ndarray:
+def ogd_step(q_lag: np.ndarray, h_lag: np.ndarray, step: float, p_bar: float) -> np.ndarray:
     """One slot: Q(t) = P[Q(t-T) + step * D~(t-T)], the projection onto
     {tr Q <= p_bar} of one inexact gradient step from the covariance committed
     T slots ago, with the gradient taken on the observation from that slot.
-    Both terms are exactly Hermitian, so the projection skips validation."""
-    return _cap_project(q_lag + step * capacity_gradient(h_lag, q_lag), p_bar)
+    q_lag and h_lag are complex arrays of fitting shapes and both terms are
+    exactly Hermitian, so neither the gradient nor the projection validates."""
+    return _cap_project(q_lag + step * _capacity_gradient(h_lag, q_lag), p_bar)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .solvers import (
     CdiPolicy,
     ConstantCovariance,
     _gram_eig,
+    _waterfill_thresholds,
     cdi_optimal_policy,
     empirical_policy,
     ergodic_constant_covariance,
@@ -120,8 +121,14 @@ class ExperimentConfig:
             raise ConfigError(
                 "the gradient controller's reference must be a constant-covariance policy"
             )
-        # a policy solved for other antenna counts would fail only mid-run
+        # a table or policy made for other antenna counts would fail only mid-run
         channel_shape, cov_shape = (self.n_r, self.n_t), (self.n_t, self.n_t)
+        table = self.csit_error
+        if isinstance(table, ch.TabulatedCsit) and table.states[0].shape != channel_shape:
+            raise ConfigError(
+                f"per-state CSIT table entries are {table.states[0].shape}, "
+                f"not the channel's {channel_shape}"
+            )
         replayed = getattr(self.controller, "policy", None)
         for role, policy in (("replayed", replayed), ("reference", self.reference)):
             if isinstance(policy, ConstantCovariance):
@@ -200,8 +207,18 @@ def _finite_array(obj: dict, key: str) -> np.ndarray:
     return x
 
 
+def _keys(obj: dict, allowed: set, section: Optional[str] = None) -> None:
+    """Reject any key of obj outside ``allowed``, naming the section (None
+    for the top level) and the keys."""
+    unknown = sorted(repr(k) for k in set(obj) - allowed)
+    if unknown:
+        where = f" in {section!r}" if section else ""
+        raise ConfigError(f"unknown config key(s){where}: {', '.join(unknown)}")
+
+
 def _parse_channel(obj: dict) -> ch.ChannelModel:
     if "preset" in obj:
+        _keys(obj, {"preset"}, "channel")
         name = obj["preset"]
         if name == "paper-two-state":
             return ch.paper_two_state()
@@ -210,9 +227,11 @@ def _parse_channel(obj: dict) -> ch.ChannelModel:
         raise ConfigError(f"unknown channel preset {name!r}")
     kind = obj.get("kind")
     if kind == "discrete":
+        _keys(obj, {"kind", "states", "probs"}, "channel")
         states = tuple(matrix_from_json(s) for s in obj["states"])
         return ch.DiscreteChannel(states=states, probs=np.asarray(obj["probs"], dtype=float))
     if kind == "continuous-product":
+        _keys(obj, {"kind", "n_r", "n_t", "v_max"}, "channel")
         return ch.ProductChannel(
             n_r=_integer(obj, "n_r"), n_t=_integer(obj, "n_t"), v_max=_number(obj, "v_max")
         )
@@ -223,37 +242,53 @@ def _parse_csit_error(obj: dict) -> ch.CsitErrorModel:
     if obj is None:
         return ch.ExactCsit()
     if "preset" in obj:
+        _keys(obj, {"preset"}, "csit_error")
         return ch.paper_error_case(obj["preset"])
     kind = obj.get("kind", "exact")
     if kind == "exact":
+        _keys(obj, {"kind"}, "csit_error")
         return ch.ExactCsit()
     if kind == "phase-quantize":
+        _keys(obj, {"kind", "step"}, "csit_error")
         return ch.PhaseQuantizeCsit(step=_number(obj, "step"))
     if kind == "mag-phase-quantize":
+        _keys(obj, {"kind", "mag_step", "phase_step"}, "csit_error")
         return ch.MagPhaseQuantizeCsit(
             mag_step=_number(obj, "mag_step"), phase_step=_number(obj, "phase_step")
         )
     if kind == "bounded-ball":
+        _keys(obj, {"kind", "delta"}, "csit_error")
         return ch.BoundedBallCsit(delta=_number(obj, "delta"))
     if kind == "per-state":
-        return ch.TabulatedCsit(
-            states=tuple(matrix_from_json(s) for s in obj["states"]),
-            observed=tuple(matrix_from_json(s) for s in obj["observed"]),
-        )
+        _keys(obj, {"kind", "states", "observed"}, "csit_error")
+        try:
+            return ch.TabulatedCsit(
+                states=tuple(matrix_from_json(s) for s in obj["states"]),
+                observed=tuple(matrix_from_json(s) for s in obj["observed"]),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"per-state CSIT table: {exc}") from exc
     raise ConfigError(f"unknown CSIT error kind {kind!r}")
 
 
 def _parse_controller(obj: dict, base_dir: Optional[Path]) -> ControllerSpec:
     kind = obj.get("kind")
     if kind == "dpp":
+        _keys(obj, {"kind", "v", "z0"}, "controller")
         return DppSpec(v=_number(obj, "v"), z0=_number(obj, "z0", 0.0))
     if kind == "ogd":
-        if obj.get("step") == "inverse-sqrt":
-            gamma = None
-        else:
+        _keys(obj, {"kind", "gamma", "step", "t_delay"}, "controller")
+        if "step" not in obj:
             gamma = _number(obj, "gamma", 0.01)
+        elif obj["step"] != "inverse-sqrt":
+            raise ConfigError(f"controller 'step' must be 'inverse-sqrt', got {obj['step']!r}")
+        elif "gamma" in obj:
+            raise ConfigError("controller takes 'gamma' or 'step': 'inverse-sqrt', not both")
+        else:
+            gamma = None
         return OgdSpec(gamma=gamma, t_delay=_integer(obj, "t_delay", 1))
     if kind == "baseline-replay":
+        _keys(obj, {"kind", "policy"}, "controller")
         return ReplaySpec(policy=load_policy(_resolve(obj["policy"], base_dir)))
     raise ConfigError(f"unknown controller kind {kind!r}")
 
@@ -280,9 +315,10 @@ def load_config(source: Union[str, Path, dict]) -> ExperimentConfig:
             obj = json.load(fh)
     else:
         obj = source
-    unknown = sorted(set(obj) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
+    _keys(obj, _CONFIG_KEYS)
+    for section in ("channel", "csit_error", "controller", "reference", "rate_adapt", "outputs"):
+        if obj.get(section) is not None and not isinstance(obj[section], dict):
+            raise ConfigError(f"config section {section!r} must be a JSON object")
     try:
         controller = _parse_controller(obj["controller"], base_dir)
         model = _parse_channel(obj["channel"])
@@ -290,14 +326,20 @@ def load_config(source: Union[str, Path, dict]) -> ExperimentConfig:
         rate = obj.get("rate_adapt")
         reference = obj.get("reference")
         if reference is not None:
+            _keys(reference, {"policy", "r_opt"}, "reference")
+            if len(reference) != 1:
+                raise ConfigError(
+                    "'reference' needs one of 'policy' (a path) and 'r_opt' (a value)"
+                )
             if "policy" in reference:
                 reference = load_policy(_resolve(reference["policy"], base_dir))
-            elif "r_opt" in reference:
-                reference = _number(reference, "r_opt")
             else:
-                raise ConfigError("reference needs a 'policy' path or an 'r_opt' value")
+                reference = _number(reference, "r_opt")
+        if rate is not None:
+            _keys(rate, {"n_total"}, "rate_adapt")
         outputs = obj.get("outputs")
         if outputs is not None:
+            _keys(outputs, {"csv", "summary", "svg_utility", "svg_power"}, "outputs")
             outputs = OutputPaths(
                 csv=outputs.get("csv"),
                 summary=outputs.get("summary"),
@@ -344,6 +386,9 @@ def save_policy(policy: Union[CdiPolicy, ConstantCovariance], path) -> None:
         }
     else:
         raise TypeError(f"cannot save policy of type {type(policy).__name__}")
+    # replace the file instead of truncating it: ext4 flushes a file that
+    # is truncated and rewritten when it is closed, ~10x the cost of the write
+    Path(path).unlink(missing_ok=True)
     Path(path).write_text(json_text(obj) + "\n", encoding="utf-8")
 
 
@@ -409,6 +454,47 @@ def compute_baseline(
 # ---------------------------------------------------------------- main loop
 
 
+def _decide(
+    cfg: ExperimentConfig, h: np.ndarray, h_obs: np.ndarray
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The controller's recursion over a drawn path: the committed
+    covariances q and, for the queue controller, Z(t) for t = 0..horizon.
+    Its state is these arrays: the queue z (Z(t) before slot t) or the
+    lagged q[t - T]; everything that does not depend on that state is
+    computed up front."""
+    q = np.zeros((cfg.horizon, cfg.n_t, cfg.n_t), dtype=np.complex128)
+    spec = cfg.controller
+    t = 0
+    try:
+        if isinstance(spec, DppSpec):
+            gram = _gram_eig(h_obs)  # every observed Gram spectrum in one stacked solve
+            a = _waterfill_thresholds(gram.sigma)
+            z = [spec.z0]
+            for t in range(cfg.horizon):
+                q[t], z_next = dpp_step(z[t], gram.u[t], a[t], spec.v, cfg.p, cfg.p_bar)
+                z.append(z_next)
+            return q, np.array(z)
+        elif isinstance(spec, OgdSpec):
+            # before slot T no observation has arrived: q[t] stays zero
+            lag, ts = spec.t_delay, range(spec.t_delay, cfg.horizon)
+            if spec.gamma is None:
+                steps = (1.0 / np.sqrt(ts)).tolist()
+            else:
+                steps = [spec.gamma] * len(ts)
+            for t, step in zip(ts, steps):
+                q[t] = ogd_step(q[t - lag], h_obs[t - lag], step, cfg.p_bar)
+        elif isinstance(spec.policy, CdiPolicy):
+            for t in range(cfg.horizon):
+                q[t] = spec.policy.lookup(h[t])
+        else:
+            q[:] = spec.policy.q
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"solver failure at slot {t}: {exc}", residual=exc.residual
+        ) from exc
+    return q, None
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Simulate the configured horizon and certify every applicable bound."""
     horizon = cfg.horizon
@@ -416,39 +502,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     # draw: the channel path is exogenous, one seeded stream per slot
     h, h_obs = ch.draw_path(cfg.channel, cfg.csit_error, cfg.seed, horizon)
 
-    # decide: only the controller's recursion is sequential, and its state
-    # is these arrays: the queue z (Z(t) before slot t) or the lagged q[t - T]
-    q = np.zeros((horizon, cfg.n_t, cfg.n_t), dtype=np.complex128)
-    z = None
-    spec = cfg.controller
-    if isinstance(spec, DppSpec):
-        z = np.empty(horizon + 1)
-        z[0] = spec.z0
-        gram = _gram_eig(h_obs)  # every observed Gram spectrum in one stacked solve
-    for t in range(horizon):
-        try:
-            if isinstance(spec, DppSpec):
-                q[t], z[t + 1] = dpp_step(z[t], gram[t], spec.v, cfg.p, cfg.p_bar)
-            elif isinstance(spec, OgdSpec):
-                # before slot T no observation has arrived: q[t] stays zero
-                lag = spec.t_delay
-                if t >= lag:
-                    step = spec.gamma if spec.gamma is not None else 1.0 / np.sqrt(t)
-                    q[t] = ogd_step(q[t - lag], h_obs[t - lag], step, cfg.p_bar)
-            elif isinstance(spec.policy, CdiPolicy):
-                q[t] = spec.policy.lookup(h[t])
-            else:
-                q[t] = spec.policy.q
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"solver failure at slot {t}: {exc}", residual=exc.residual
-            ) from exc
+    # decide: only the controller's recursion is sequential
+    q, z = _decide(cfg, h, h_obs)
 
     # evaluate: true-channel capacities and powers over the whole stack
     r = capacity(h, q)
     tr_q = trace_real(q)
     r_ref = None
-    if isinstance(spec, OgdSpec) and isinstance(cfg.reference, ConstantCovariance):
+    if isinstance(cfg.controller, OgdSpec) and isinstance(cfg.reference, ConstantCovariance):
         r_ref = capacity(h, cfg.reference.q)
     ledger = None
     if cfg.rate_adapt_n is not None:

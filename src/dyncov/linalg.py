@@ -50,7 +50,7 @@ def nearest_index(h, states: np.ndarray) -> int:
 
 def _ct(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the last two axes."""
-    return np.conj(np.swapaxes(a, -1, -2))
+    return a.swapaxes(-1, -2).conj()
 
 
 def _scalar_or_stack(x: np.ndarray):
@@ -97,13 +97,18 @@ class HermEigen:
     u: np.ndarray
     sigma: np.ndarray
 
-    def compose(self, loading: np.ndarray) -> np.ndarray:
+    def compose(self, loading) -> np.ndarray:
         """Assemble U^H diag(loading) U, re-symmetrized against round-off."""
-        q = self.u.conj().T @ (loading[:, None] * self.u)
-        return 0.5 * (q + q.conj().T)
+        return _compose(self.u, loading)
 
     def __getitem__(self, i) -> HermEigen:  # entry i of a stacked decomposition
         return HermEigen(u=self.u[i], sigma=self.sigma[i])
+
+
+def _compose(u: np.ndarray, loading) -> np.ndarray:
+    """``HermEigen.compose`` on the eigenvector rows u of one matrix."""
+    q = u.conj().T @ (np.asarray(loading)[:, None] * u)
+    return 0.5 * (q + q.conj().T)
 
 
 def _eigh_desc(a: np.ndarray) -> HermEigen:
@@ -123,8 +128,8 @@ def herm_eig(a) -> HermEigen:
 
 
 def _capacity_arg(h, q) -> tuple[np.ndarray, np.ndarray]:
-    """Channel stack H (..., n_r, n_t), broadcast against the covariances,
-    and I + H Q H^H, symmetrized."""
+    """Channel stack H (..., n_r, n_t) and covariance stack Q (..., n_t, n_t)
+    as complex arrays, checked to fit together."""
     hm = np.asarray(h, dtype=np.complex128)
     qm = np.asarray(q, dtype=np.complex128)
     if hm.ndim < 2 or qm.ndim < 2:
@@ -137,9 +142,13 @@ def _capacity_arg(h, q) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"dimension mismatch: channel is {hm.shape}, covariance is {qm.shape}"
         )
+    return hm, qm
+
+
+def _identity_plus(hm: np.ndarray, qm: np.ndarray) -> np.ndarray:
+    """I + H Q H^H, symmetrized, for a pair that ``_capacity_arg`` accepts."""
     m = hm @ qm @ _ct(hm)
-    m = np.eye(hm.shape[-2], dtype=np.complex128) + 0.5 * (m + _ct(m))
-    return np.broadcast_to(hm, m.shape[:-2] + hm.shape[-2:]), m
+    return np.eye(hm.shape[-2], dtype=np.complex128) + 0.5 * (m + _ct(m))
 
 
 def capacity(h, q):
@@ -149,7 +158,7 @@ def capacity(h, q):
     numerically indefinite, which valid inputs cannot produce.  Stacks give
     an array over their broadcast leading axes.
     """
-    _, m = _capacity_arg(h, q)
+    m = _identity_plus(*_capacity_arg(h, q))
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
@@ -161,12 +170,19 @@ def capacity(h, q):
     return _scalar_or_stack(2.0 * np.log(diag).sum(axis=-1))
 
 
+def _capacity_gradient(hm: np.ndarray, qm: np.ndarray) -> np.ndarray:
+    """``capacity_gradient`` of a pair that ``_capacity_arg`` accepts."""
+    m = _identity_plus(hm, qm)
+    if hm.shape[:-2] != m.shape[:-2]:  # solve needs the channel stack in full
+        hm = np.broadcast_to(hm, m.shape[:-2] + hm.shape[-2:])
+    d = _ct(hm) @ np.linalg.solve(m, hm)
+    return 0.5 * (d + _ct(d))
+
+
 def capacity_gradient(h, q) -> np.ndarray:
     """Gradient of Q -> log det(I + H Q H^H): H^H (I + H Q H^H)^{-1} H.
 
     The result is Hermitian PSD (symmetrized against round-off); stacks
     give a stack of gradients.
     """
-    hm, m = _capacity_arg(h, q)
-    d = _ct(hm) @ np.linalg.solve(m, hm)
-    return 0.5 * (d + _ct(d))
+    return _capacity_gradient(*_capacity_arg(h, q))

@@ -8,6 +8,7 @@ and the one policy files store.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -29,8 +30,8 @@ def json_text(x, pad: str = "") -> str:
     """``json.dumps(x, indent=2)`` byte for byte, where a finite complex
     matrix stands for its ``matrix_to_json`` dict and a stack (k, m, n) for
     a list of k of them.  The encoder that ``indent`` selects works item by
-    item in Python; here a matrix or a stack is one %-format, since matrices
-    are nearly all of a policy file."""
+    item in Python; here a matrix, a stack or a list of finite floats is one
+    %-format, since these are nearly all of a policy file."""
     inner = pad + "  "
     if isinstance(x, np.ndarray):
         m = np.asarray(x, dtype=np.complex128)
@@ -49,8 +50,12 @@ def json_text(x, pad: str = "") -> str:
         items = [f"{json.dumps(k)}: {json_text(v, inner)}" for k, v in x.items()]
         return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
     if isinstance(x, list) and x:
+        if all(type(v) is float and math.isfinite(v) for v in x):
+            return ("[\n" + inner + f",\n{inner}".join(["%r"] * len(x)) + f"\n{pad}]") % tuple(x)
         items = [json_text(v, inner) for v in x]
         return "[\n" + inner + f",\n{inner}".join(items) + f"\n{pad}]"
+    if type(x) is float and math.isfinite(x):  # what json.dumps writes for it
+        return repr(x)
     return json.dumps(x)
 
 

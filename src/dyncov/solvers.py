@@ -13,6 +13,8 @@ serves both.  Each is closed-form up to one Hermitian eigendecomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -51,16 +53,23 @@ class WaterfillResult:
     u: np.ndarray
 
 
-def _cap_threshold(a: np.ndarray, tau0: float, cap: float) -> tuple[np.ndarray, float]:
+def _sum(xs: list[float]) -> float:
+    """``np.sum`` of a list of floats, in numpy's order: term by term from 0.0
+    below eight terms, numpy's pairwise sum from eight on."""
+    return float(np.add.reduce(xs)) if len(xs) >= 8 else reduce(add, xs, 0.0)
+
+
+def _cap_threshold(a: list[float], tau0: float, cap: float) -> tuple[list[float], float]:
     """theta = max(0, a - tau) for the least tau >= tau0 with sum(theta) <= cap.
 
     ``a`` must be in descending order, so the active set is a prefix.  tau0
     is tried first; otherwise the sweep accepts the prefix of length r whose
     threshold (sum(a[:r]) - cap) / r lies at or above tau0, below a[r-1]
-    and at or above a[r].  Returns theta and tau.
+    and at or above a[r].  Returns theta and tau.  Works on Python floats:
+    each operation is the IEEE one numpy would do on the array.
     """
-    theta = np.maximum(a - tau0, 0.0)
-    if theta.sum() <= cap:
+    theta = [max(x - tau0, 0.0) for x in a]
+    if _sum(theta) <= cap:
         return theta, tau0
     n = len(a)
     s = 0.0
@@ -75,9 +84,8 @@ def _cap_threshold(a: np.ndarray, tau0: float, cap: float) -> tuple[np.ndarray, 
         # the large-intermediate cancellation, so it sums to the cap at
         # machine precision
         act = a[:r]
-        theta = np.zeros_like(a)
-        theta[:r] = np.maximum(0.0, (cap + (act[:, None] - act[None, :]).sum(axis=1)) / r)
-        return theta, tau
+        theta = [max((cap + _sum([x - y for y in act])) / r, 0.0) for x in act]
+        return theta if r == n else theta + [0.0] * (n - r), tau
     raise ConvergenceError(
         "capped-threshold sweep exhausted without acceptance; "
         "this contradicts the KKT structure of the problem"
@@ -90,17 +98,26 @@ def _gram_eig(h: np.ndarray) -> HermEigen:
     return _eigh_desc(0.5 * (g + _ct(g)))
 
 
-def _waterfill_loading(sigma: np.ndarray, z_over_v: float, cap: float) -> tuple[np.ndarray, float]:
-    """Water-filling loading theta on the descending Gram eigenvalues sigma
-    (round-off below zero clipped), and the multiplier mu of the trace cap."""
-    sigma = np.maximum(sigma, 0.0)
-    k = int(np.count_nonzero(sigma > _SIGMA_FLOOR))  # positive modes: a prefix
+def _waterfill_thresholds(sigma: np.ndarray) -> list:
+    """The capped-threshold input a = -1/sigma on the positive modes of the
+    descending Gram eigenvalues sigma (n,), which are the prefix above the
+    floor; for a stack (m, n), the list of each spectrum's."""
+    if sigma.ndim == 1:
+        return [-1.0 / x for x in sigma.tolist() if x > _SIGMA_FLOOR]
+    return [[-1.0 / x for x in row if x > _SIGMA_FLOOR] for row in sigma.tolist()]
+
+
+def _waterfill_loading(
+    a: list[float], n: int, z_over_v: float, cap: float
+) -> tuple[list[float], float]:
+    """Water-filling loading theta on n modes, given the thresholds ``a`` of
+    the positive ones (``_waterfill_thresholds``), and the multiplier mu of
+    the trace cap."""
     tau0 = -1.0 / z_over_v if z_over_v > 0.0 else -np.inf
-    theta = np.zeros_like(sigma)
-    theta[:k], tau = _cap_threshold(-1.0 / sigma[:k], tau0, cap)
+    theta, tau = _cap_threshold(a, tau0, cap)
     # tau >= tau0 gives mu >= 0 up to the rounding of -1/tau0 back to z_over_v
     mu = 0.0 if tau == tau0 else max(0.0, -1.0 / tau - z_over_v)
-    return theta, float(mu)
+    return theta + [0.0] * (n - len(a)), float(mu)
 
 
 def waterfill_penalized(h_tilde, z_over_v: float, cap: float) -> WaterfillResult:
@@ -120,16 +137,17 @@ def waterfill_penalized(h_tilde, z_over_v: float, cap: float) -> WaterfillResult
     if not np.isfinite(h).all():  # before the Gram product turns inf into NaN
         raise ValueError("channel has non-finite entries")
     eig = herm_eig(h.conj().T @ h)  # also rejects a Gram product that overflowed
-    theta, mu = _waterfill_loading(eig.sigma, z_over_v, cap)
+    theta, mu = _waterfill_loading(_waterfill_thresholds(eig.sigma), h.shape[1], z_over_v, cap)
     sigma = np.maximum(eig.sigma, 0.0)
-    return WaterfillResult(q=eig.compose(theta), mu=mu, theta=theta, sigma=sigma, u=eig.u)
+    return WaterfillResult(
+        q=eig.compose(theta), mu=mu, theta=np.array(theta), sigma=sigma, u=eig.u
+    )
 
 
 def _cap_project(x: np.ndarray, cap: float) -> np.ndarray:
     """``psd_cap_project`` of an exactly Hermitian matrix (unvalidated)."""
     eig = _eigh_desc(x)
-    theta, _ = _cap_threshold(eig.sigma, 0.0, cap)
-    return eig.compose(theta)
+    return eig.compose(_cap_threshold(eig.sigma.tolist(), 0.0, cap)[0])
 
 
 def psd_cap_project(x, cap: float) -> np.ndarray:

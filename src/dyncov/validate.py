@@ -86,6 +86,30 @@ def capacity_stack(h: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return logdet
 
 
+def decide_reference(cfg, h_obs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The decide recursion of ``run_experiment`` on the observations h_obs,
+    slot by slot through the validated public functions: the queue
+    controller by ``waterfill_penalized`` and ``trace_real``, the gradient
+    controller by ``psd_cap_project(q + step * capacity_gradient(h, q), p_bar)``.
+    Returns the covariances and, for the queue controller, Z(0..horizon)."""
+    from .harness import DppSpec
+
+    spec = cfg.controller
+    q = np.zeros((cfg.horizon, cfg.n_t, cfg.n_t), dtype=np.complex128)
+    if isinstance(spec, DppSpec):
+        z = [spec.z0]
+        for t in range(cfg.horizon):
+            q[t] = waterfill_penalized(h_obs[t], z[t] / spec.v, cfg.p).q
+            z.append(max(0.0, z[t] + trace_real(q[t]) - cfg.p_bar))
+        return q, np.array(z)
+    lag = spec.t_delay
+    for t in range(lag, cfg.horizon):
+        step = spec.gamma if spec.gamma is not None else 1.0 / np.sqrt(t)
+        grad = capacity_gradient(h_obs[t - lag], q[t - lag])
+        q[t] = psd_cap_project(q[t - lag] + step * grad, cfg.p_bar)
+    return q, None
+
+
 # ----------------------------------------------------------- matrix algebra
 
 
@@ -433,6 +457,36 @@ def check_draw_stream(horizon: int = 150, seed: int = DEFAULT_SEED) -> CheckResu
     return CheckResult("draw-stream", not failed, detail)
 
 
+def check_decide_recursion(horizon: int = 300, seed: int = DEFAULT_SEED) -> CheckResult:
+    """The run's decide step, which skips validation and precomputes what
+    does not depend on the recursion state, equals ``decide_reference`` byte
+    for byte (q and z) for both controllers and both step rules on a 2x2
+    discrete, a 2x2 continuous and a 4x4 continuous channel."""
+    from .harness import DppSpec, ExperimentConfig, OgdSpec, _decide
+
+    cases = (
+        (ch.paper_two_state(), ch.paper_error_case("case1")),
+        (ch.paper_continuous(), ch.BoundedBallCsit(delta=0.1)),
+        (ch.ProductChannel(n_r=4, n_t=4, v_max=0.5), ch.BoundedBallCsit(delta=0.1)),
+    )
+    specs = (DppSpec(v=100.0, z0=5.0), OgdSpec(gamma=0.01, t_delay=2), OgdSpec(gamma=None))
+    failed = []
+    for model, err in cases:
+        h, h_obs = ch.draw_path(model, err, seed, horizon)
+        for spec in specs:
+            cfg = ExperimentConfig(
+                channel=model, csit_error=err, controller=spec,
+                p=3.0, p_bar=2.0, horizon=horizon, seed=seed,
+            )
+            (q, z), (q_ref, z_ref) = _decide(cfg, h, h_obs), decide_reference(cfg, h_obs)
+            if q.tobytes() != q_ref.tobytes() or (z is not None and z.tobytes() != z_ref.tobytes()):
+                failed.append(f"{type(model).__name__}({model.n_r}x{model.n_t})/{spec}")
+    detail = f"failed: {', '.join(failed)}" if failed else (
+        f"{len(cases) * len(specs)} runs of {horizon} slots byte-identical"
+    )
+    return CheckResult("decide-recursion", not failed, detail)
+
+
 def check_controller_certifications(seed: int = DEFAULT_SEED) -> CheckResult:
     """Short seeded runs of both controllers (corrupted observations) must
     pass every in-run bound certification."""
@@ -504,6 +558,7 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_ledger_properties,
     check_observation_radius,
     check_draw_stream,
+    check_decide_recursion,
     check_controller_certifications,
     check_trace_determinism,
 )

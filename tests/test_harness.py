@@ -25,8 +25,11 @@ from dyncov import (
     ExperimentConfig,
     OgdSpec,
     OutputPaths,
+    ProductChannel,
     ReplaySpec,
+    TabulatedCsit,
     compute_baseline,
+    draw_path,
     emit_outputs,
     load_config,
     load_policy,
@@ -41,9 +44,10 @@ from dyncov import (
     slot_rng,
     waterfill_penalized,
 )
-from dyncov.harness import ConfigError, csv_to_columns, trace_to_csv
+from dyncov.harness import ConfigError, _decide, csv_to_columns, trace_to_csv
 from dyncov.linalg import capacity, capacity_gradient, trace_real
-from dyncov.matrixio import matrix_from_json, matrix_to_json
+from dyncov.matrixio import json_text, matrix_from_json, matrix_to_json
+from dyncov.validate import check_decide_recursion, decide_reference
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -174,6 +178,53 @@ class TestRunExperiment:
         assert result.summary["all_passed"]
         names = {c["name"] for c in result.summary["certifications"]}
         assert {"trace-cap", "per-slot-regret-floor"} <= names
+
+    @given(data=st.data())
+    def test_decide_equals_public_recursion(self, data):
+        # the lean per-slot steps on precomputed stacks must give the bytes
+        # of the slot-by-slot recursion through the validated public functions
+        n_r, n_t = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        entries = partial(complex_matrices, floats=st.floats(-10, 10, allow_subnormal=False))
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(1, 3))
+            weights = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k)))
+            states = tuple(data.draw(entries(n_r, n_t)) for _ in range(k))
+            channel = DiscreteChannel(states=states, probs=weights / weights.sum())
+            table = TabulatedCsit(
+                states=states, observed=[data.draw(entries(n_r, n_t)) for _ in states]
+            )
+        else:
+            channel = ProductChannel(n_r=n_r, n_t=n_t, v_max=data.draw(st.floats(0.1, 2.0)))
+            table = ExactCsit()
+        err = data.draw(st.sampled_from(
+            [ExactCsit(), table, BoundedBallCsit(delta=data.draw(st.floats(0.01, 1.0)))]
+        ))
+        spec = data.draw(st.sampled_from([
+            DppSpec(v=data.draw(st.floats(0.5, 200.0)), z0=data.draw(st.floats(0.0, 50.0))),
+            OgdSpec(
+                gamma=data.draw(st.none() | st.floats(1e-3, 1.0)),
+                t_delay=data.draw(st.integers(1, 3)),
+            ),
+        ]))
+        p_bar = data.draw(st.floats(0.1, 5.0))
+        cfg = ExperimentConfig(
+            channel=channel, csit_error=err, controller=spec,
+            p=p_bar * data.draw(st.floats(1.0, 3.0)), p_bar=p_bar,
+            horizon=data.draw(st.integers(1, 30)), seed=data.draw(st.integers(0, 2**70)),
+        )
+        h, h_obs = draw_path(channel, err, cfg.seed, cfg.horizon)
+        q_ref, z_ref = decide_reference(cfg, h_obs)
+        q, z = _decide(cfg, h, h_obs)
+        result = run_experiment(cfg)
+        assert q.tobytes() == q_ref.tobytes()
+        assert result.tr_q.tobytes() == trace_real(q_ref).tobytes()
+        if z_ref is not None:
+            assert z.tobytes() == z_ref.tobytes()
+            assert np.append(result.z, result.z_final).tobytes() == z_ref.tobytes()
+
+    def test_decide_recursion_check_passes(self):
+        check = check_decide_recursion(horizon=60)
+        assert check.passed, check.detail
 
     @pytest.mark.parametrize("gamma", [0.1, None], ids=["constant", "inverse-sqrt"])
     def test_delayed_gradient_recursion(self, gamma):
@@ -405,6 +456,14 @@ class TestPolicyFiles:
         for a, b in zip(loaded.covariances, cdi_reference.covariances):
             assert np.array_equal(a, b)
 
+    def test_save_replaces_existing_file(self, cdi_reference, constant_reference, tmp_path):
+        # a shorter policy over a longer file leaves no trailing bytes behind
+        path, fresh = tmp_path / "policy.json", tmp_path / "fresh.json"
+        save_policy(cdi_reference, path)
+        save_policy(constant_reference, path)
+        save_policy(constant_reference, fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+
     def test_no_csit_round_trip(self, constant_reference, tmp_path):
         path = tmp_path / "policy.json"
         save_policy(constant_reference, path)
@@ -533,6 +592,21 @@ class TestPolicyFiles:
             save_policy(policy, path)
             assert path.read_text(encoding="utf-8") == json.dumps(obj, indent=2) + "\n"
 
+    @given(
+        x=st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+            | st.lists(st.floats(), max_size=6)
+            | st.floats().map(np.float64),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+            max_leaves=16,
+        )
+    )
+    def test_json_text_is_indented_json_dumps(self, x):
+        # lists of finite floats and finite float scalars take the %r path;
+        # ints, bools, NaN, infinities and numpy scalars must not
+        assert json_text(x) == json.dumps(x, indent=2)
+
     def test_compute_baseline_continuous_uses_samples(self):
         cfg = ExperimentConfig(
             channel=paper_continuous(),
@@ -624,9 +698,9 @@ def config_dicts(draw, policies):
         if "preset" in channel:
             n_r, n_t = 2, 2
             states = [np.eye(2)]
-    csit = draw(st.sampled_from([
-        None,
-        {"preset": "case1"},
+    # the case1 preset tables are 2x2, and a table must fit the channel
+    case1 = [{"preset": "case1"}] if (n_r, n_t) == (2, 2) else []
+    csit = draw(st.sampled_from([None] + case1 + [
         {"kind": "exact"},
         {"kind": "phase-quantize", "step": draw(POSITIVE)},
         {"kind": "mag-phase-quantize", "mag_step": draw(POSITIVE), "phase_step": draw(POSITIVE)},
@@ -836,6 +910,53 @@ class TestConfigLoading:
         }
         with pytest.raises(ConfigError, match="'csit_eror'"):
             load_config(cfg_obj)
+
+    @pytest.mark.parametrize(
+        "base, section, value, match",
+        [
+            (_OGD_OBJ, "controller", {"kind": "ogd", "step": "inverse_sqrt"},
+             "'step' must be 'inverse-sqrt'"),
+            (_OGD_OBJ, "controller", {"kind": "ogd", "gama": 0.02}, "in 'controller': 'gama'"),
+            (_OGD_OBJ, "controller", {"kind": "ogd", "step": "inverse-sqrt", "gamma": 0.02},
+             "'gamma' or 'step'"),
+            (_DPP_OBJ, "controller", {"kind": "dpp", "v": 1.0, "z_0": 1.0},
+             "in 'controller': 'z_0'"),
+            (_DPP_OBJ, "csit_error", {"kind": "bounded-ball", "detla": 0.1},
+             "in 'csit_error': 'detla'"),
+            (_OGD_OBJ, "csit_error", {"preset": "case1", "kind": "exact"},
+             "in 'csit_error': 'kind'"),
+            (_DPP_OBJ, "channel", {"preset": "paper-two-state", "n_t": 2},
+             "in 'channel': 'n_t'"),
+            (_DPP_OBJ, "outputs", {"cvs": "out/t.csv"}, "in 'outputs': 'cvs'"),
+            (_DPP_OBJ, "rate_adapt", {"n_total": 30.0, "n": 1}, "in 'rate_adapt': 'n'"),
+            (_DPP_OBJ, "reference", {"policy": "ref.json", "r_opt": 1.0},
+             "'reference' needs one of 'policy'"),
+            (_DPP_OBJ, "controller", "dpp", "section 'controller' must be a JSON object"),
+        ],
+        ids=[
+            "step-typo", "gama", "step-and-gamma", "z_0", "detla", "preset-and-kind",
+            "preset-and-dims", "cvs", "rate-extra", "policy-and-r_opt", "not-an-object",
+        ],
+    )
+    def test_unknown_section_key_raises(self, base, section, value, match):
+        # each of these used to load, silently dropping or ignoring the key
+        with pytest.raises(ConfigError, match=match):
+            load_config({**base, section: value})
+
+    @pytest.mark.parametrize(
+        "states, observed",
+        [((3, 3), (3, 3)), ((2, 2), (3, 3)), ((3, 3), (2, 2))],
+        ids=["table-3x3", "observed-3x3", "states-3x3"],
+    )
+    def test_per_state_table_must_fit_channel(self, states, observed):
+        # used to load and then fail in the draw with a numpy broadcast error
+        table = {
+            "kind": "per-state",
+            "states": [matrix_to_json(np.eye(*states))],
+            "observed": [matrix_to_json(np.eye(*observed))],
+        }
+        with pytest.raises(ConfigError, match="per-state CSIT table"):
+            load_config({**_OGD_OBJ, "csit_error": table})
 
     @pytest.mark.parametrize(
         "path", sorted((REPO / "configs").glob("*.json")), ids=lambda p: p.name

@@ -3,7 +3,7 @@ points, and their KKT optimality conditions."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dyncov import (
@@ -17,7 +17,8 @@ from dyncov import (
     psd_cap_project,
     waterfill_penalized,
 )
-from dyncov.linalg import trace_real
+from dyncov.linalg import ConvergenceError, trace_real
+from dyncov.solvers import _cap_threshold
 from dyncov.validate import (
     capacity_stack,
     psd_cap_project_stack,
@@ -53,6 +54,62 @@ def fixed_point_residual(model, q, p_bar, step=0.05):
 def scalar_channel(sigma):
     # 1x1 channel whose Gram eigenvalue is sigma
     return np.array([[np.sqrt(sigma)]], dtype=complex)
+
+
+def cap_threshold_numpy(a, tau0, cap):
+    """The numpy-scalar sweep that ``_cap_threshold`` replaced, kept as its
+    oracle: the Python-float sweep must return the same bytes."""
+    theta = np.maximum(a - tau0, 0.0)
+    if theta.sum() <= cap:
+        return theta, tau0
+    n = len(a)
+    s = 0.0
+    for r in range(1, n + 1):
+        s += a[r - 1]
+        tau = (s - cap) / r
+        if tau < tau0 or not a[r - 1] - tau > 0.0:
+            continue
+        if r < n and a[r] - tau > 0.0:
+            continue
+        act = a[:r]
+        theta = np.zeros_like(a)
+        theta[:r] = np.maximum(0.0, (cap + (act[:, None] - act[None, :]).sum(axis=1)) / r)
+        return theta, tau
+    raise ConvergenceError("sweep exhausted")
+
+
+class TestCapThreshold:
+    @pytest.mark.parametrize(
+        "tau0_kind, binding",
+        [("-inf", True), ("finite", True), ("finite", False)],
+        ids=["floorless", "binding", "slack"],
+    )
+    @pytest.mark.parametrize("n", range(1, 9))
+    @given(data=st.data())
+    def test_python_float_sweep_equals_numpy_sweep(self, n, tau0_kind, binding, data):
+        magnitude = data.draw(SCALES)
+        a = sorted(
+            data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)), reverse=True
+        )
+        a = (np.array(a) * magnitude).tolist()
+        tau0 = -np.inf if tau0_kind == "-inf" else data.draw(st.floats(-1.0, 1.0)) * magnitude
+        if tau0_kind == "-inf":
+            cap = data.draw(st.floats(1e-3, 10.0)) * magnitude
+        else:
+            total = float(np.maximum(np.array(a) - tau0, 0.0).sum())
+            fraction = data.draw(st.floats(0.01, 0.99))
+            cap = total * fraction if binding else total * (1.0 + fraction) + magnitude * 1e-3
+            assume(cap > 0.0)
+        try:
+            expect = cap_threshold_numpy(np.array(a), tau0, cap)
+        except ConvergenceError:
+            with pytest.raises(ConvergenceError):
+                _cap_threshold(a, tau0, cap)
+            return
+        theta, tau = _cap_threshold(a, tau0, cap)
+        assert np.array(theta).tobytes() == expect[0].tobytes()
+        assert np.float64(tau).tobytes() == np.float64(expect[1]).tobytes()
+        assert (tau != tau0) == binding
 
 
 class TestWaterfill:
