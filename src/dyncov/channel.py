@@ -14,7 +14,8 @@ SeedSequence hash and PCG64 seeding as vectorised integer arithmetic over
 t (a counter-based derivation of the same stream layout), then either
 reads each slot's single uniform straight from its first PCG64 output or,
 where numpy's samplers are needed, loads each slot's seeded state into
-one reused Generator.  Its draws equal the ``slot_rng`` loop bit for bit.
+one reused Generator that only fills buffers; the arithmetic, of which
+``sample_channel`` and ``observe_csit`` are the one-slot case, runs once.
 """
 
 from __future__ import annotations
@@ -177,10 +178,10 @@ class DiscreteChannel:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "_cum", np.cumsum(probs))
 
-    def draw_index(self, rng: np.random.Generator) -> int:
-        """State index with the configured probabilities (one uniform draw)."""
-        k = int(np.searchsorted(self._cum, rng.random(), side="right"))
-        return min(k, len(self.states) - 1)
+    def index(self, x):
+        """State indices with the configured probabilities, from unit uniforms
+        x (a scalar or an array)."""
+        return np.minimum(np.searchsorted(self._cum, x, side="right"), len(self.states) - 1)
 
     @property
     def n_r(self) -> int:
@@ -284,16 +285,25 @@ CsitErrorModel = Union[
 ]
 
 
+def _complex(g: np.ndarray) -> np.ndarray:
+    """Complex entries from normals g (..., 2, n_r, n_t): real parts, then
+    imaginary parts."""
+    return g[..., 0, :, :] + 1j * g[..., 1, :, :]
+
+
+def _product(model: ProductChannel, g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Realizations from their normals g (..., 2, n_r, n_t) and unit uniforms
+    u (..., n_r, n_t); numpy's ``uniform(0, v_max)`` is 0.0 + v_max * u."""
+    return _complex(g) * (model.v_max * u)
+
+
 def sample_channel(model: ChannelModel, rng: np.random.Generator) -> np.ndarray:
     """Draw one channel realization."""
     if isinstance(model, DiscreteChannel):
-        return model.states[model.draw_index(rng)].copy()
+        return model.states[int(model.index(rng.random()))].copy()
     if isinstance(model, ProductChannel):
-        u = rng.standard_normal((model.n_r, model.n_t)) + 1j * rng.standard_normal(
-            (model.n_r, model.n_t)
-        )
-        v = rng.uniform(0.0, model.v_max, size=(model.n_r, model.n_t))
-        return u * v
+        g = rng.standard_normal((2, model.n_r, model.n_t))
+        return _product(model, g, rng.random((model.n_r, model.n_t)))
     raise TypeError(f"unknown channel model {type(model).__name__}")
 
 
@@ -316,6 +326,27 @@ def _quantize_magnitude(h: np.ndarray, step: float) -> np.ndarray:
     return mag * np.exp(1j * phase)
 
 
+def _observe(h: np.ndarray, err: CsitErrorModel, g=None, r=None) -> np.ndarray:
+    """Observations of channels h (..., n_r, n_t); a bounded-ball error takes
+    its normals g (..., 2, n_r, n_t) and its radii's unit uniforms r (...)."""
+    if isinstance(err, ExactCsit):
+        return h.copy()
+    if isinstance(err, PhaseQuantizeCsit):
+        return _quantize_phase(h, err.step)
+    if isinstance(err, MagPhaseQuantizeCsit):
+        return _quantize_phase(_quantize_magnitude(h, err.mag_step), err.phase_step)
+    if isinstance(err, BoundedBallCsit):
+        e = _complex(g)
+        norm = np.sqrt((e.real * e.real + e.imag * e.imag).sum(axis=(-2, -1)))
+        zero = ~(norm > 0.0)
+        e = e * (err.delta * r / np.where(zero, 1.0, norm))[..., None, None]
+        e[zero] = 0.0
+        return h + e
+    if isinstance(err, TabulatedCsit):
+        return np.stack(err.observed)[nearest_index(h, err._stack)]
+    raise TypeError(f"unknown CSIT error model {type(err).__name__}")
+
+
 def observe_csit(h, err: CsitErrorModel, rng: np.random.Generator | None = None) -> np.ndarray:
     """Corrupted transmitter-side view of a channel realization.
 
@@ -323,26 +354,11 @@ def observe_csit(h, err: CsitErrorModel, rng: np.random.Generator | None = None)
     deterministic functions of the channel.
     """
     hm = as_matrix(h)
-    if isinstance(err, ExactCsit):
-        return hm.copy()
-    if isinstance(err, PhaseQuantizeCsit):
-        return _quantize_phase(hm, err.step)
-    if isinstance(err, MagPhaseQuantizeCsit):
-        return _quantize_phase(_quantize_magnitude(hm, err.mag_step), err.phase_step)
-    if isinstance(err, BoundedBallCsit):
-        if rng is None:
-            raise ValueError("bounded-ball observation needs a generator")
-        e = rng.standard_normal(hm.shape) + 1j * rng.standard_normal(hm.shape)
-        norm = frobenius(e)
-        radius = err.delta * rng.uniform()
-        if norm > 0.0:
-            e *= radius / norm
-        else:
-            e = np.zeros_like(hm)
-        return hm + e
-    if isinstance(err, TabulatedCsit):
-        return err.observed[nearest_index(hm, err._stack)].copy()
-    raise TypeError(f"unknown CSIT error model {type(err).__name__}")
+    if not isinstance(err, BoundedBallCsit):
+        return _observe(hm, err)
+    if rng is None:
+        raise ValueError("bounded-ball observation needs a generator")
+    return _observe(hm, err, rng.standard_normal((2,) + hm.shape), rng.random())
 
 
 def draw_path(
@@ -354,29 +370,38 @@ def draw_path(
 
     A discrete channel under a deterministic error model draws one uniform
     per slot, so its state indices come from the streams' first outputs and
-    each state's observation is computed once.  Every other pair keeps
-    numpy's samplers and their call order in one reused Generator, which
-    loads each slot's seeded PCG64 state in turn."""
+    each state's observation is computed once.  Every other pair loads each
+    slot's seeded PCG64 state into one reused Generator, which only fills
+    buffers in numpy's call order (the channel's normals and uniforms, then
+    the ball's); the arithmetic on the filled stacks runs once."""
     words = _seed_words(seed, np.arange(horizon))
-    if isinstance(model, DiscreteChannel) and not isinstance(err, BoundedBallCsit):
-        k = np.searchsorted(model._cum, _first_uniforms(words), side="right")
-        idx = np.minimum(k, len(model.states) - 1)
-        observed = np.stack([observe_csit(s, err) for s in model.states])
-        return np.stack(model.states)[idx], observed[idx]
+    ball = isinstance(err, BoundedBallCsit)
+    states = np.stack(model.states) if isinstance(model, DiscreteChannel) else None
+    if states is not None and not ball:
+        idx = model.index(_first_uniforms(words))
+        return states[idx], _observe(states, err)[idx]
 
     state, inc = _pcg64_seeded(words)
-    h = np.empty((horizon, model.n_r, model.n_t), dtype=np.complex128)
-    h_obs = np.empty_like(h)
+    n = (model.n_r, model.n_t)
+    g, g_err = np.empty((2, horizon, 2) + n)  # the channel's and the ball's normals
+    u = np.empty((horizon,) + n if states is None else horizon)  # the channel's uniforms
+    r = np.empty(horizon)  # the ball's radii
     rng = np.random.Generator(np.random.PCG64(0))
+    bits, normal, uniform = rng.bit_generator, rng.standard_normal, rng.random
     fixed = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
     limbs = zip(state[0].tolist(), state[1].tolist(), inc[0].tolist(), inc[1].tolist())
     for t, (s_hi, s_lo, i_hi, i_lo) in enumerate(limbs):
-        rng.bit_generator.state = {
-            **fixed, "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
-        }
-        h[t] = sample_channel(model, rng)
-        h_obs[t] = observe_csit(h[t], err, rng)
-    return h, h_obs
+        bits.state = {**fixed, "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}}
+        if states is None:
+            normal(out=g[t])
+            uniform(out=u[t])
+        else:
+            u[t] = uniform()
+        if ball:
+            normal(out=g_err[t])
+            r[t] = uniform()
+    h = _product(model, g, u) if states is None else states[model.index(u)]
+    return h, _observe(h, err, g_err, r)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ Subcommands:
   validate        run the invariant/property suite and print a table
 
 Matrices on stdin/stdout use {"rows": m, "cols": n, "entries": [[re, im], ...]}
-in row-major order.  Exit status is nonzero on any certification failure.
+in row-major order.  Exit status is 1 on a failed certification or check, and
+2 on a missing file, malformed JSON or an invalid config (``dyncov: error: ...``).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import sys
 
 from .harness import (
+    ConfigError,
     OutputPaths,
     compute_baseline,
     emit_outputs,
@@ -170,7 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+        what = "malformed JSON: " if isinstance(exc, json.JSONDecodeError) else ""
+        parser.exit(2, f"dyncov: error: {what}{exc}\n")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ import numpy as np
 from . import channel as ch
 from .controllers import BoundReport, dpp_step, ogd_step, theoretical_bounds
 from .linalg import ConvergenceError, capacity, trace_real
-from .matrixio import json_text, matrix_from_json
+from .matrixio import json_text, matrix_from_json, replace_file
 from .rate_adapt import RateLedger, decode_check
 from .solvers import (
     CdiPolicy,
@@ -386,10 +386,7 @@ def save_policy(policy: Union[CdiPolicy, ConstantCovariance], path) -> None:
         }
     else:
         raise TypeError(f"cannot save policy of type {type(policy).__name__}")
-    # replace the file instead of truncating it: ext4 flushes a file that
-    # is truncated and rewritten when it is closed, ~10x the cost of the write
-    Path(path).unlink(missing_ok=True)
-    Path(path).write_text(json_text(obj) + "\n", encoding="utf-8")
+    replace_file(path, json_text(obj) + "\n")
 
 
 def load_policy(path) -> Union[CdiPolicy, ConstantCovariance]:
@@ -760,14 +757,11 @@ def emit_outputs(result: RunResult, outputs: Optional[OutputPaths] = None) -> li
         return written
     if outputs.csv:
         Path(outputs.csv).parent.mkdir(parents=True, exist_ok=True)
-        Path(outputs.csv).write_text(trace_to_csv(result), encoding="utf-8")
+        replace_file(outputs.csv, trace_to_csv(result))
         written.append(outputs.csv)
     if outputs.summary:
         Path(outputs.summary).parent.mkdir(parents=True, exist_ok=True)
-        Path(outputs.summary).write_text(
-            json.dumps(result.summary, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        replace_file(outputs.summary, json.dumps(result.summary, indent=2, sort_keys=True) + "\n")
         written.append(outputs.summary)
     ts = range(len(result.r))
     if outputs.svg_utility:

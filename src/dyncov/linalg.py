@@ -41,11 +41,17 @@ def frobenius(a) -> float:
     return float(np.sqrt((m.real * m.real + m.imag * m.imag).sum()))
 
 
-def nearest_index(h, states: np.ndarray) -> int:
+def nearest_index(h, states: np.ndarray):
     """Index of the matrix in the stack ``states`` nearest to h in Frobenius
-    distance, the first on a tie; each distance equals ``frobenius(h - s)``."""
-    e = as_matrix(h) - states
-    return int(np.argmin(np.sqrt((e.real * e.real + e.imag * e.imag).sum(axis=(1, 2)))))
+    distance, the first on a tie; each distance equals ``frobenius(h - s)``.
+    A stack of matrices h (k, n_r, n_t) gives k indices, found in blocks
+    that bound the (block, states, n_r, n_t) temporaries."""
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim == 3 and len(h) > 256:
+        return np.concatenate([nearest_index(h[i:i + 256], states) for i in range(0, len(h), 256)])
+    e = h[..., None, :, :] - states
+    k = np.argmin(np.sqrt((e.real * e.real + e.imag * e.imag).sum(axis=(-2, -1))), axis=-1)
+    return int(k) if k.ndim == 0 else k
 
 
 def _ct(a: np.ndarray) -> np.ndarray:

@@ -2,13 +2,14 @@
 
 Schema: {"rows": m, "cols": n, "entries": [[re, im], ...]} with entries in
 row-major order.  This is the format the CLI subcommands read and print,
-and the one policy files store.
+and the one policy files store.  ``replace_file`` writes every output file.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -57,6 +58,13 @@ def json_text(x, pad: str = "") -> str:
     if type(x) is float and math.isfinite(x):  # what json.dumps writes for it
         return repr(x)
     return json.dumps(x)
+
+
+def replace_file(path, text: str) -> None:
+    """Write text to path as a new file: ext4 flushes a file truncated and
+    rewritten when it is closed, several times the cost of the write."""
+    Path(path).unlink(missing_ok=True)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

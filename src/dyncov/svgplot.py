@@ -5,7 +5,7 @@ Good enough for eyeballing running averages against slot index.
 
 from __future__ import annotations
 
-from pathlib import Path
+from .matrixio import replace_file
 
 _WIDTH, _HEIGHT = 720, 420
 _MARGIN = 56
@@ -63,4 +63,4 @@ def line_chart(xs, ys, title: str, y_label: str, path) -> None:
             f'<polyline points="{points}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    replace_file(path, "\n".join(parts) + "\n")

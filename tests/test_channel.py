@@ -176,12 +176,16 @@ DRAW_CHANNELS = [
     ("continuous-2x2", paper_continuous(), _matrices(3, 4, 2, 2)),
     ("continuous-4x4", ProductChannel(n_r=4, n_t=4, v_max=1.0), _matrices(4, 3, 4, 4)),
     ("continuous-2x1", ProductChannel(n_r=2, n_t=1, v_max=0.7), _matrices(5, 2, 2, 1)),
+    # 9 and 64 entries: the ball norm's sum has a pairwise remainder
+    ("continuous-3x3", ProductChannel(n_r=3, n_t=3, v_max=0.4), _matrices(6, 2, 3, 3)),
+    ("continuous-8x8", ProductChannel(n_r=8, n_t=8, v_max=0.2), _matrices(7, 2, 8, 8)),
 ]
 DRAW_CSIT = {
     "exact": lambda states: ExactCsit(),
     "phase": lambda states: PhaseQuantizeCsit(step=np.pi / 4),
     "mag-phase": lambda states: MagPhaseQuantizeCsit(mag_step=0.1, phase_step=np.pi / 2),
     "ball": lambda states: BoundedBallCsit(delta=0.3),
+    "ball-zero": lambda states: BoundedBallCsit(delta=0.0),
     "tabulated": lambda states: TabulatedCsit(
         states=states, observed=tuple(s + 0.1j for s in states)
     ),
@@ -205,12 +209,28 @@ class TestDrawPath:
     )
     def test_equals_slot_rng_loop(self, name, model, states, csit, seed):
         err = DRAW_CSIT[csit](states)
-        h, h_obs = draw_path(model, err, seed, 200)
-        ref_h, ref_obs = loop_path(model, err, seed, 200)
-        assert h.dtype == h_obs.dtype == np.complex128
-        assert h.shape == h_obs.shape == (200, model.n_r, model.n_t)
-        assert h.tobytes() == ref_h.tobytes()
-        assert h_obs.tobytes() == ref_obs.tobytes()
+        for horizon in (200, 1):
+            h, h_obs = draw_path(model, err, seed, horizon)
+            ref_h, ref_obs = loop_path(model, err, seed, horizon)
+            assert h.dtype == h_obs.dtype == np.complex128
+            assert h.shape == h_obs.shape == (horizon, model.n_r, model.n_t)
+            assert h.tobytes() == ref_h.tobytes()
+            assert h_obs.tobytes() == ref_obs.tobytes()
+
+    @pytest.mark.parametrize("n_r, n_t", [(2, 2), (3, 3), (8, 8), (2, 1)])
+    def test_one_slot_draw_is_numpy_samplers(self, n_r, n_t):
+        # the per-slot draw written out with numpy's samplers is the oracle of
+        # the transforms that the one-slot and the stacked draw share
+        model, err, shape = ProductChannel(n_r, n_t, v_max=0.7), BoundedBallCsit(0.3), (n_r, n_t)
+        for t in range(40):
+            rng, ref = slot_rng(3, t), slot_rng(3, t)
+            h = sample_channel(model, rng)
+            u = ref.standard_normal(shape) + 1j * ref.standard_normal(shape)
+            ref_h = u * ref.uniform(0.0, 0.7, size=shape)
+            e = ref.standard_normal(shape) + 1j * ref.standard_normal(shape)
+            e *= 0.3 * ref.uniform() / frobenius(e)
+            assert h.tobytes() == ref_h.tobytes()
+            assert observe_csit(h, err, rng).tobytes() == (ref_h + e).tobytes()
 
     def test_seed_types_follow_slot_rng(self):
         # numpy integer seeds draw as their value; negative and fractional

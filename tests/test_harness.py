@@ -438,6 +438,21 @@ class TestOutputs:
         svg = (tmp_path / "utility.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    def test_emit_replaces_existing_files(self, tmp_path):
+        # a short run emitted over a long run's files leaves no trailing bytes
+        def paths(d):
+            d.mkdir()
+            names = ("trace.csv", "summary.json", "utility.svg", "power.svg")
+            return OutputPaths(*(str(d / name) for name in names))
+
+        over, fresh = paths(tmp_path / "over"), paths(tmp_path / "fresh")
+        emit_outputs(run_experiment(dpp_config(horizon=400)), over)
+        short = run_experiment(dpp_config(horizon=20))
+        emit_outputs(short, over)
+        emit_outputs(short, fresh)
+        for a, b in zip(dataclasses.astuple(over), dataclasses.astuple(fresh)):
+            assert Path(a).read_bytes() == Path(b).read_bytes()
+
     def test_csv_round_trip(self):
         result = run_experiment(ogd_config(horizon=30))
         cols = csv_to_columns(trace_to_csv(result))
@@ -1053,6 +1068,34 @@ class TestCli:
         assert out.returncode == 0, out.stderr + out.stdout
         assert "PASS" in out.stdout
         assert (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "baseline"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "No such file or directory"),
+            ('{"channel": ', "malformed JSON: Expecting value"),
+            (
+                json.dumps({
+                    "channel": {"preset": "paper-two-state"},
+                    "controller": {"kind": "dpp", "v": -1},
+                    "p": 3.0, "p_bar": 2.0, "horizon": 10, "seed": 1,
+                }),
+                "v must be positive",
+            ),
+        ],
+        ids=["missing-file", "malformed-json", "config-error"],
+    )
+    def test_bad_input_exits_2_without_traceback(self, tmp_path, command, text, message):
+        # exit 1 stays the certification-failure status
+        cfg_path = tmp_path / "cfg.json"
+        if text is not None:
+            cfg_path.write_text(text)
+        extra = ["--kind", "with-csit", "--out", str(tmp_path / "ref.json")]
+        out = self.run_cli(command, str(cfg_path), *(extra if command == "baseline" else []))
+        assert out.returncode == 2
+        assert out.stderr.startswith("dyncov: error: ") and message in out.stderr
+        assert "Traceback" not in out.stderr and out.stdout == ""
 
     def test_solve_waterfill_stdin(self):
         mat = {"rows": 1, "cols": 1, "entries": [[2.0, 0.0]]}

@@ -279,6 +279,16 @@ class TestNearestIndex:
         dists = [frobenius(h - s) for s in states]
         assert nearest_index(h, np.stack(states)) == int(np.argmin(dists))
 
+    @pytest.mark.parametrize("count", [1, 256, 257, 700])
+    def test_stack_equals_per_matrix(self, count):
+        # a stack of more than one block gives each matrix's own index
+        rng = np.random.default_rng(count)
+        states = rng.standard_normal((5, 3, 2)) + 1j * rng.standard_normal((5, 3, 2))
+        h = rng.standard_normal((count, 3, 2)) + 1j * rng.standard_normal((count, 3, 2))
+        k = nearest_index(h, states)
+        assert k.shape == (count,)
+        assert k.tolist() == [nearest_index(m, states) for m in h]
+
 
 class TestHelpers:
     def test_symmetrize_fixes_round_off(self):
