@@ -170,7 +170,7 @@ class DiscreteChannel:
         if not np.all(probs >= 0):  # also rejects NaN
             raise ValueError("probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, expected 1")
+            raise ValueError(f"probabilities sum to {float(probs.sum())!r}, expected 1")
         shape = states[0].shape
         if any(s.shape != shape for s in states):
             raise ValueError("all channel states must share dimensions")

@@ -9,7 +9,7 @@ Subcommands:
 
 Matrices on stdin/stdout use {"rows": m, "cols": n, "entries": [[re, im], ...]}
 in row-major order.  Exit status is 1 on a failed certification or check, and
-2 on a missing file, malformed JSON or an invalid config (``dyncov: error: ...``).
+2 on bad input, such as a missing file or an invalid config (``dyncov: error: ...``).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .harness import (
     ConfigError,
@@ -37,6 +38,18 @@ def _read_matrix(spec: str):
         return matrix_from_json(json.load(sys.stdin))
     with open(spec, encoding="utf-8") as fh:
         return matrix_from_json(json.load(fh))
+
+
+@contextmanager
+def _matrix_input():
+    """A ValueError from reading or solving one matrix is bad input (exit
+    2), such as a short entries list or a negative cap."""
+    try:
+        yield
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _cmd_run(args) -> int:
@@ -87,8 +100,8 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_solve_waterfill(args) -> int:
-    h = _read_matrix(args.matrix)
-    res = waterfill_penalized(h, args.z_over_v, args.cap)
+    with _matrix_input():
+        res = waterfill_penalized(_read_matrix(args.matrix), args.z_over_v, args.cap)
     out = {
         "q": matrix_to_json(res.q),
         "mu": res.mu,
@@ -101,8 +114,8 @@ def _cmd_solve_waterfill(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    x = _read_matrix(args.matrix)
-    q = psd_cap_project(x, args.cap)
+    with _matrix_input():
+        q = psd_cap_project(_read_matrix(args.matrix), args.cap)
     json.dump(matrix_to_json(q), sys.stdout, indent=2)
     print()
     return 0

@@ -53,14 +53,8 @@ class BoundReport:
     constant step, whichever applies.
     """
 
-    b: float
-    delta: float
-    p: float
     p_bar: float
-    n_t: int
-    n_r: int
     v_or_gamma: float
-    horizon: int
     epsilon: float
     phi_delta: float
     psi_delta: float
@@ -106,7 +100,6 @@ def theoretical_bounds(
     n_t: int,
     n_r: int,
     v_or_gamma: float,
-    horizon: int,
 ) -> BoundReport:
     """Instantiate every certified constant for the given configuration.
 
@@ -128,14 +121,8 @@ def theoretical_bounds(
     queue_bound = v_or_gamma * (b + delta) ** 2 + (p - p_bar)
     grad_norm = np.sqrt(n_r) * b**2
     return BoundReport(
-        b=b,
-        delta=delta,
-        p=p,
         p_bar=p_bar,
-        n_t=n_t,
-        n_r=n_r,
         v_or_gamma=v_or_gamma,
-        horizon=horizon,
         epsilon=float(epsilon),
         phi_delta=float(phi),
         psi_delta=float(psi),

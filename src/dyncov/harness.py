@@ -44,6 +44,9 @@ CSV_HEADER = "t,r,runavg_r,tr_q,runavg_tr_q,z"
 
 SLACK = 1e-9
 
+# the BoundReport constants a summary reports, None without a certified cap
+_BOUND_CONSTANTS = ("epsilon", "phi_delta", "psi_delta", "queue_bound", "grad_norm_bound")
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
@@ -360,6 +363,10 @@ def load_config(source: Union[str, Path, dict]) -> ExperimentConfig:
         )
     except KeyError as exc:
         raise ConfigError(f"missing config field: {exc}") from exc
+    except (ConfigError, json.JSONDecodeError):
+        raise
+    except ValueError as exc:  # a model's own check, such as a negative delta
+        raise ConfigError(str(exc)) from exc
 
 
 # ------------------------------------------------------------- policy files
@@ -481,14 +488,11 @@ def _decide(
             for t, step in zip(ts, steps):
                 q[t] = ogd_step(q[t - lag], h_obs[t - lag], step, cfg.p_bar)
         elif isinstance(spec.policy, CdiPolicy):
-            for t in range(cfg.horizon):
-                q[t] = spec.policy.lookup(h[t])
+            q[:] = spec.policy.lookup(h)
         else:
             q[:] = spec.policy.q
     except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"solver failure at slot {t}: {exc}", residual=exc.residual
-        ) from exc
+        raise ConvergenceError(f"solver failure at slot {t}: {exc}") from exc
     return q, None
 
 
@@ -536,11 +540,22 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 # ------------------------------------------------------------ certification
 
 
-def _cert(name: str, passed: Optional[bool], detail: str, margin: Optional[float] = None) -> dict:
-    entry = {"name": name, "passed": passed, "detail": detail}
-    if margin is not None:
-        entry["margin"] = float(margin)
-    return entry
+def _upper(name: str, what: str, excess: float) -> dict:
+    """Verdict on an upper bound that ``what`` exceeds by ``excess``: it
+    passes within SLACK, and its margin is how far below the bound it stayed."""
+    detail = f"{what} = {excess:.3e}"
+    return {"name": name, "passed": excess <= SLACK, "detail": detail, "margin": -excess}
+
+
+def _floor(name: str, what: str, gap: float) -> dict:
+    """Verdict on a floor that ``what`` stays above by ``gap`` (negative when
+    below): it passes within SLACK, and its margin is the gap."""
+    detail = f"{what} = {gap:.3e}"
+    return {"name": name, "passed": gap >= -SLACK, "detail": detail, "margin": gap}
+
+
+def _skipped(name: str) -> dict:
+    return {"name": name, "passed": None, "detail": "skipped: channel norm has no certified cap"}
 
 
 def certify_run(result: RunResult, bounds: Optional[BoundReport]) -> list[dict]:
@@ -548,99 +563,53 @@ def certify_run(result: RunResult, bounds: Optional[BoundReport]) -> list[dict]:
     per-slot trace (plus the final queue value, which follows from the last
     row by the queue recursion)."""
     cfg = result.config
-    certs: list[dict] = []
+    spec = cfg.controller
     t_axis = np.arange(1, cfg.horizon + 1, dtype=float)
 
     # the gradient controller projects onto tr(Q) <= p_bar; the others cap at p
-    if isinstance(cfg.controller, OgdSpec):
+    if isinstance(spec, OgdSpec):
         cap_name, cap_field, cap = "trace-cap", "p_bar", cfg.p_bar
     else:
         cap_name, cap_field, cap = "short-term-power-cap", "p", cfg.p
-    cap_gap = float(np.max(result.tr_q) - cap)
-    certs.append(
-        _cert(
-            cap_name,
-            cap_gap <= SLACK,
-            f"max tr(Q) - {cap_field} = {cap_gap:.3e}",
-            margin=-cap_gap,
-        )
-    )
+    certs = [_upper(cap_name, f"max tr(Q) - {cap_field}", float(np.max(result.tr_q) - cap))]
 
-    if isinstance(cfg.controller, DppSpec):
+    if isinstance(spec, DppSpec):
         # queue vs running power: pure queue arithmetic, distribution-free
         z_seq = np.append(result.z[1:], result.z_final)  # Z(t) for t = 1..horizon
         rel = result.runavg_tr_q - (cfg.p_bar + z_seq / t_axis)
-        worst = float(np.max(rel))
-        certs.append(
-            _cert(
-                "running-power-vs-queue",
-                worst <= SLACK,
-                f"max over t of avg power - (p_bar + Z(t)/t) = {worst:.3e}",
-                margin=-worst,
-            )
-        )
-        if bounds is not None:
-            worst_z = float(max(np.max(result.z), result.z_final) - bounds.queue_bound)
-            certs.append(
-                _cert(
-                    "queue-bound",
-                    worst_z <= SLACK,
-                    f"max Z(t) - queue bound = {worst_z:.3e}",
-                    margin=-worst_z,
-                )
-            )
+        certs.append(_upper(
+            "running-power-vs-queue", "max over t of avg power - (p_bar + Z(t)/t)",
+            float(np.max(rel)),
+        ))
+        if bounds is None:
+            certs.append(_skipped("queue-bound"))
+        else:
+            worst_z = max(np.max(result.z), result.z_final) - bounds.queue_bound
+            certs.append(_upper("queue-bound", "max Z(t) - queue bound", float(worst_z)))
             budget = cfg.p_bar + bounds.power_residual_bound(cfg.horizon)
-            gap = float(result.runavg_tr_q[-1] - budget)
-            certs.append(
-                _cert(
-                    "average-power-budget",
-                    gap <= SLACK,
-                    f"final avg power - budgeted bound = {gap:.3e}",
-                    margin=-gap,
-                )
-            )
+            certs.append(_upper(
+                "average-power-budget", "final avg power - budgeted bound",
+                float(result.runavg_tr_q[-1] - budget),
+            ))
             r_opt = _reference_utility(result)
             if r_opt is not None:
                 floor = r_opt - bounds.utility_gap()
-                gap = float(result.runavg_r[-1] - floor)
-                certs.append(
-                    _cert(
-                        "utility-floor",
-                        gap >= -SLACK,
-                        f"final avg utility - (reference - eps - phi) = {gap:.3e}",
-                        margin=gap,
-                    )
-                )
-        else:
-            certs.append(
-                _cert("queue-bound", None, "skipped: channel norm has no certified cap")
-            )
+                certs.append(_floor(
+                    "utility-floor", "final avg utility - (reference - eps - phi)",
+                    float(result.runavg_r[-1] - floor),
+                ))
 
-    elif isinstance(cfg.controller, OgdSpec):
-        if bounds is not None and result.r_ref is not None:
+    elif isinstance(spec, OgdSpec):
+        if bounds is None:
+            certs.append(_skipped("per-slot-regret-floor"))
+        elif result.r_ref is not None:
             avg_ref = np.cumsum(result.r_ref) / t_axis
-            if cfg.controller.gamma is None:
-                slack_seq = bounds.regret_bound_sqrt(t_axis)
-            else:
-                slack_seq = bounds.regret_bound(t_axis)
-            rel = result.runavg_r - (avg_ref - slack_seq)
-            worst = float(np.min(rel))
-            certs.append(
-                _cert(
-                    "per-slot-regret-floor",
-                    worst >= -SLACK,
-                    f"min over t of avg utility - (reference avg - bound) = {worst:.3e}",
-                    margin=worst,
-                )
-            )
-        elif bounds is None:
-            certs.append(
-                _cert(
-                    "per-slot-regret-floor",
-                    None,
-                    "skipped: channel norm has no certified cap",
-                )
-            )
+            regret = bounds.regret_bound_sqrt if spec.gamma is None else bounds.regret_bound
+            certs.append(_floor(
+                "per-slot-regret-floor",
+                "min over t of avg utility - (reference avg - bound)",
+                float(np.min(result.runavg_r - (avg_ref - regret(t_axis)))),
+            ))
 
     return certs
 
@@ -673,7 +642,6 @@ def _build_summary(result: RunResult) -> dict:
             n_t=cfg.n_t,
             n_r=cfg.n_r,
             v_or_gamma=v_or_gamma,
-            horizon=cfg.horizon,
         )
 
     certs = certify_run(result, bounds)
@@ -690,11 +658,7 @@ def _build_summary(result: RunResult) -> dict:
             "b": cb.b,
             "delta": cb.delta,
             "unbounded_support": cb.unbounded_support,
-            "epsilon": bounds.epsilon if bounds else None,
-            "phi_delta": bounds.phi_delta if bounds else None,
-            "psi_delta": bounds.psi_delta if bounds else None,
-            "queue_bound": bounds.queue_bound if bounds else None,
-            "grad_norm_bound": bounds.grad_norm_bound if bounds else None,
+            **{name: getattr(bounds, name, None) for name in _BOUND_CONSTANTS},
         },
         "reference_r_opt": _reference_utility(result),
         "certifications": certs,
@@ -756,11 +720,9 @@ def emit_outputs(result: RunResult, outputs: Optional[OutputPaths] = None) -> li
     if outputs is None:
         return written
     if outputs.csv:
-        Path(outputs.csv).parent.mkdir(parents=True, exist_ok=True)
         replace_file(outputs.csv, trace_to_csv(result))
         written.append(outputs.csv)
     if outputs.summary:
-        Path(outputs.summary).parent.mkdir(parents=True, exist_ok=True)
         replace_file(outputs.summary, json.dumps(result.summary, indent=2, sort_keys=True) + "\n")
         written.append(outputs.summary)
     ts = range(len(result.r))

@@ -20,11 +20,7 @@ HERMITIAN_ATOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative routine ran out of iterations; carries the residual."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """An iterative routine ran out of iterations."""
 
 
 def as_matrix(a) -> np.ndarray:

@@ -61,8 +61,9 @@ def json_text(x, pad: str = "") -> str:
 
 
 def replace_file(path, text: str) -> None:
-    """Write text to path as a new file: ext4 flushes a file truncated and
-    rewritten when it is closed, several times the cost of the write."""
+    """Write text to path as a new file, making its directory: ext4 flushes a
+    file truncated and rewritten when it is closed, several times the write's cost."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).unlink(missing_ok=True)
     Path(path).write_text(text, encoding="utf-8")
 

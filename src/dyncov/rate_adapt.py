@@ -26,14 +26,13 @@ class RateLedger:
     """
 
     n_total: float
-    capacities: list[float] = field(default_factory=list)
-    completed_at: int | None = None
+    capacities: list[float] = field(default_factory=list, init=False)
+    completed_at: int | None = field(default=None, init=False)
     delivered: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         if not self.n_total > 0:
             raise ValueError("n_total must be positive")
-        self.delivered = float(sum(self.capacities))
 
     @property
     def residual(self) -> float:

@@ -175,13 +175,15 @@ class CdiPolicy:
 
     def __post_init__(self):
         object.__setattr__(self, "_stack", np.stack(self.states))
+        object.__setattr__(self, "_covs", np.stack(self.covariances))
 
     def lookup(self, h) -> np.ndarray:
-        """Covariance of the stored state nearest to h in Frobenius distance."""
-        return self.covariances[nearest_index(h, self._stack)]
+        """Covariance of the stored state nearest to h in Frobenius distance;
+        a stack of channels (k, n_r, n_t) gives the k covariances."""
+        return self._covs[nearest_index(h, self._stack)]
 
     def average_power(self) -> float:
-        return float(sum(self.probs * trace_real(np.stack(self.covariances))))
+        return float(sum(self.probs * trace_real(self._covs)))
 
 
 def _policy_at(model: DiscreteChannel, lam: float, p: float) -> tuple[tuple[np.ndarray, ...], float]:

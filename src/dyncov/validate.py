@@ -337,7 +337,7 @@ def check_gradient_error_bounds(
     for n_r, n_t, count in ((2, 2, n_draws // 2), (3, 2, n_draws - n_draws // 2)):
         bounds = theoretical_bounds(
             b=b, delta=delta, p=p_bar, p_bar=p_bar, n_t=n_t, n_r=n_r,
-            v_or_gamma=1.0, horizon=1,
+            v_or_gamma=1.0,
         )
         h = random_complex(rng, (count, n_r, n_t))
         h *= (b * rng.uniform(0.0, 1.0, count) / np.sqrt((np.abs(h) ** 2).sum(axis=(1, 2))))[

@@ -52,7 +52,7 @@ def _bounds_for(case: str, v_or_gamma: float):
     cb = channel_bounds(model, paper_error_case(case))
     return cb, theoretical_bounds(
         b=cb.b, delta=cb.delta, p=P, p_bar=P_BAR, n_t=model.n_t, n_r=model.n_r,
-        v_or_gamma=v_or_gamma, horizon=HORIZON,
+        v_or_gamma=v_or_gamma,
     )
 
 

@@ -183,21 +183,21 @@ class TestTheoreticalBounds:
     def test_epsilon_inverts_tradeoff_choice(self):
         rep = theoretical_bounds(
             b=4.0, delta=0.0, p=3.0, p_bar=2.0, n_t=2, n_r=2,
-            v_or_gamma=100.0, horizon=5000,
+            v_or_gamma=100.0,
         )
         assert rep.epsilon == pytest.approx(0.02, abs=1e-15)
 
     def test_queue_bound_instantiation(self):
         rep = theoretical_bounds(
             b=5.0, delta=0.0, p=3.0, p_bar=2.0, n_t=2, n_r=2,
-            v_or_gamma=100.0, horizon=1,
+            v_or_gamma=100.0,
         )
         assert rep.queue_bound == pytest.approx(2501.0, abs=1e-12)
 
     def test_zero_delta_collapse(self):
         rep = theoretical_bounds(
             b=4.0, delta=0.0, p=3.0, p_bar=2.0, n_t=2, n_r=2,
-            v_or_gamma=0.01, horizon=5000,
+            v_or_gamma=0.01,
         )
         assert rep.phi_delta == 0.0
         assert rep.psi_delta == 0.0
@@ -209,7 +209,7 @@ class TestTheoreticalBounds:
         b, delta, p, p_bar, n_t, n_r = 4.0, 0.5, 3.0, 2.0, 2, 3
         rep = theoretical_bounds(
             b=b, delta=delta, p=p, p_bar=p_bar, n_t=n_t, n_r=n_r,
-            v_or_gamma=0.02, horizon=100,
+            v_or_gamma=0.02,
         )
         assert rep.phi_delta == pytest.approx(
             2 * p * np.sqrt(n_t) * (2 * b + delta) * delta, rel=1e-12
@@ -230,14 +230,14 @@ class TestTheoreticalBounds:
     def test_power_residual_matches_queue_bound(self):
         rep = theoretical_bounds(
             b=4.0, delta=0.1, p=3.0, p_bar=2.0, n_t=2, n_r=2,
-            v_or_gamma=100.0, horizon=100,
+            v_or_gamma=100.0,
         )
         assert rep.power_residual_bound(100) == pytest.approx(
             rep.queue_bound / 100, rel=1e-15
         )
 
     def test_rejects_bad_parameters(self):
-        good = dict(b=1.0, delta=0.0, p=3.0, p_bar=2.0, n_t=2, n_r=2, v_or_gamma=1.0, horizon=1)
+        good = dict(b=1.0, delta=0.0, p=3.0, p_bar=2.0, n_t=2, n_r=2, v_or_gamma=1.0)
         for field, bad in (
             ("b", -1.0), ("delta", -0.1), ("p", 0.0), ("p_bar", 0.0), ("v_or_gamma", 0.0),
         ):
@@ -248,7 +248,7 @@ class TestTheoreticalBounds:
         # an all-zero channel has b = 0; no bound divides by it
         rep = theoretical_bounds(
             b=0.0, delta=0.0, p=3.0, p_bar=2.0, n_t=2, n_r=2,
-            v_or_gamma=10.0, horizon=1,
+            v_or_gamma=10.0,
         )
         assert (rep.phi_delta, rep.psi_delta, rep.grad_norm_bound) == (0.0, 0.0, 0.0)
         assert rep.queue_bound == 1.0

@@ -453,6 +453,19 @@ class TestOutputs:
         for a, b in zip(dataclasses.astuple(over), dataclasses.astuple(fresh)):
             assert Path(a).read_bytes() == Path(b).read_bytes()
 
+    def test_missing_directories_are_created(self, cdi_reference, tmp_path):
+        # the charts alone, and a policy file, each into a directory not yet there
+        paths = OutputPaths(
+            svg_utility=str(tmp_path / "u" / "utility.svg"),
+            svg_power=str(tmp_path / "p" / "power.svg"),
+        )
+        assert emit_outputs(run_experiment(dpp_config(horizon=20)), paths) == [
+            paths.svg_utility, paths.svg_power,
+        ]
+        save_policy(cdi_reference, tmp_path / "new" / "policy.json")
+        assert load_policy(tmp_path / "new" / "policy.json").r_opt == cdi_reference.r_opt
+        assert Path(paths.svg_utility).exists() and Path(paths.svg_power).exists()
+
     def test_csv_round_trip(self):
         result = run_experiment(ogd_config(horizon=30))
         cols = csv_to_columns(trace_to_csv(result))
@@ -1033,6 +1046,15 @@ class TestMatrixJson:
             matrix_from_json({"rows": 1, "cols": 2, "entries": [[1.0, 0.0], entry]})
 
 
+def config_text(**sections):
+    """A short two-state dpp config as JSON text, with sections replaced."""
+    return json.dumps({
+        "channel": {"preset": "paper-two-state"},
+        "controller": {"kind": "dpp", "v": 100.0},
+        "p": 3.0, "p_bar": 2.0, "horizon": 10, "seed": 1, **sections,
+    })
+
+
 class TestCli:
     def run_cli(self, *args, stdin=None):
         return subprocess.run(
@@ -1075,16 +1097,21 @@ class TestCli:
         [
             (None, "No such file or directory"),
             ('{"channel": ', "malformed JSON: Expecting value"),
-            (
-                json.dumps({
-                    "channel": {"preset": "paper-two-state"},
-                    "controller": {"kind": "dpp", "v": -1},
-                    "p": 3.0, "p_bar": 2.0, "horizon": 10, "seed": 1,
-                }),
-                "v must be positive",
-            ),
+            (config_text(controller={"kind": "dpp", "v": -1}), "v must be positive"),
+            (config_text(csit_error={"kind": "bounded-ball", "delta": -0.1}),
+             "delta must be nonnegative"),
+            (config_text(channel={
+                "kind": "discrete", "probs": [0.5],
+                "states": [{"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}],
+            }), "probabilities sum to 0.5, expected 1"),
+            (config_text(channel={"kind": "continuous-product", "n_r": 0, "n_t": 2,
+                                 "v_max": 1.0}), "antenna counts must be positive"),
+            (config_text(csit_error={"preset": "case9"}), "unknown error preset 'case9'"),
         ],
-        ids=["missing-file", "malformed-json", "config-error"],
+        ids=[
+            "missing-file", "malformed-json", "config-error", "negative-delta",
+            "probs-sum", "no-antennas", "unknown-csit-preset",
+        ],
     )
     def test_bad_input_exits_2_without_traceback(self, tmp_path, command, text, message):
         # exit 1 stays the certification-failure status
@@ -1096,6 +1123,24 @@ class TestCli:
         assert out.returncode == 2
         assert out.stderr.startswith("dyncov: error: ") and message in out.stderr
         assert "Traceback" not in out.stderr and out.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args, entries, message",
+        [
+            (["project", "--cap", "1"], 1, "expected 4 entries for a 2x2 matrix, got 1"),
+            (["solve-waterfill", "--cap", "1"], 1, "expected 4 entries for a 2x2 matrix, got 1"),
+            (["project", "--cap", "-1"], 4, "cap must be positive"),
+            (["solve-waterfill", "--cap", "-1"], 4, "cap must be positive"),
+            (["solve-waterfill", "--cap", "1", "--z-over-v", "-1"], 4,
+             "z_over_v must be nonnegative"),
+        ],
+        ids=["project-short", "waterfill-short", "project-cap", "waterfill-cap", "z-over-v"],
+    )
+    def test_bad_matrix_input_exits_2_without_traceback(self, args, entries, message):
+        mat = {"rows": 2, "cols": 2, "entries": [[1.0, 0.0]] * entries}
+        out = self.run_cli(*args, "--matrix", "-", stdin=json.dumps(mat))
+        assert out.returncode == 2
+        assert out.stderr == f"dyncov: error: {message}\n" and out.stdout == ""
 
     def test_solve_waterfill_stdin(self):
         mat = {"rows": 1, "cols": 1, "entries": [[2.0, 0.0]]}

@@ -62,6 +62,12 @@ class TestLedger:
         with pytest.raises(ValueError):
             RateLedger(0.0)
 
+    @pytest.mark.parametrize("field", [{"capacities": [5.0]}, {"completed_at": 1}])
+    def test_recorded_state_is_not_an_argument(self, field):
+        # a ledger starts empty; its slots arrive only through record
+        with pytest.raises(TypeError):
+            RateLedger(1.0, **field)
+
 
 class TestDecodeCheck:
     def test_worked_example_assignments(self):

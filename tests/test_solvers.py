@@ -424,6 +424,20 @@ class TestEmpiricalPolicy:
         pol = empirical_policy(samples, p_bar=2.0, p=3.0, mode="with-csit")
         assert len(pol.covariances) == 100
 
+    def test_stacked_lookup_equals_per_slot_lookup(self):
+        from dyncov import ExactCsit, draw_path, paper_continuous, sample_channel
+        from dyncov.channel import sampling_rng
+
+        model = paper_continuous()
+        rng = sampling_rng(2)
+        pol = empirical_policy(
+            [sample_channel(model, rng) for _ in range(30)], p_bar=2.0, p=3.0, mode="with-csit"
+        )
+        h, _ = draw_path(model, ExactCsit(), 3, 600)  # more than one 256-slot block
+        stacked = pol.lookup(h)
+        assert stacked.shape == (600, 2, 2)
+        assert np.array_equal(stacked, np.stack([pol.lookup(x) for x in h]))
+
     def test_no_csit_mode(self, preset_model, constant_reference):
         pol = empirical_policy(
             list(preset_model.states), p_bar=2.0, p=3.0, mode="no-csit"
