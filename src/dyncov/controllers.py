@@ -7,8 +7,8 @@ queue.  The projected-gradient controller handles observations delayed by
 T slots: it takes one inexact gradient step from the covariance committed
 T slots ago and projects back onto the trace-capped PSD set.
 
-Both steps are pure one-slot functions: the recursion's state (the queue
-sequence Z and the covariance stack Q) is the run's arrays, which
+Both steps are pure one-slot functions: the recursion's state (the scalar
+queue Z, or the covariance Q(t - T)) is the run's arrays, which
 ``dyncov.harness`` owns.  Controllers never see the true channel; the
 harness computes realized utility separately.
 """
@@ -19,20 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _capacity_gradient, _compose, trace_real
-from .solvers import _cap_project, _waterfill_loading
+from .linalg import _capacity_gradient
+from .solvers import _cap_project, _sum, _waterfill_loading
 
 
 def dpp_step(
-    z: float, u: np.ndarray, a: list[float], v: float, p: float, p_bar: float
-) -> tuple[np.ndarray, float]:
-    """One slot at queue z: solve the queue-penalized water-filling on the
-    observed channel's Gram matrix H~^H H~, given its eigenvector rows u (as
-    ``herm_eig`` returns them) and the thresholds a = -1/sigma of its
-    positive modes, then book the power overshoot,
-    Z(t+1) = max(Z(t) + tr Q(t) - p_bar, 0)."""
-    q = _compose(u, _waterfill_loading(a, len(u), z / v, p)[0])
-    return q, max(0.0, z + trace_real(q) - p_bar)
+    z: float, a: list[float], n: int, v: float, p: float, p_bar: float
+) -> tuple[list[float], float]:
+    """One slot at queue z: the queue-penalized water-filling loading theta on
+    the n eigenmodes of the observed Gram matrix H~^H H~, given the thresholds
+    a = -1/sigma of its positive modes, and Z(t+1) = max(Z(t) + sum(theta) - p_bar, 0),
+    where sum(theta) = tr Q(t) in exact arithmetic; the queue never reads Q(t)."""
+    theta = _waterfill_loading(a, n, z / v, p)[0]
+    return theta, max(0.0, z + _sum(theta) - p_bar)
 
 
 def ogd_step(q_lag: np.ndarray, h_lag: np.ndarray, step: float, p_bar: float) -> np.ndarray:
@@ -40,7 +39,8 @@ def ogd_step(q_lag: np.ndarray, h_lag: np.ndarray, step: float, p_bar: float) ->
     {tr Q <= p_bar} of one inexact gradient step from the covariance committed
     T slots ago, with the gradient taken on the observation from that slot.
     q_lag and h_lag are complex arrays of fitting shapes and both terms are
-    exactly Hermitian, so neither the gradient nor the projection validates."""
+    exactly Hermitian, so neither the gradient nor the projection validates.
+    Run it under ``linalg._lapack_guard``, as the decide loop does."""
     return _cap_project(q_lag + step * _capacity_gradient(h_lag, q_lag), p_bar)
 
 

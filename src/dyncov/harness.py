@@ -26,7 +26,7 @@ import numpy as np
 
 from . import channel as ch
 from .controllers import BoundReport, dpp_step, ogd_step, theoretical_bounds
-from .linalg import ConvergenceError, capacity, trace_real
+from .linalg import ConvergenceError, _ct, _lapack_guard, capacity, trace_real
 from .matrixio import json_text, matrix_from_json, replace_file
 from .rate_adapt import RateLedger, decode_check
 from .solvers import (
@@ -470,27 +470,31 @@ def _decide(
     spec = cfg.controller
     t = 0
     try:
-        if isinstance(spec, DppSpec):
-            gram = _gram_eig(h_obs)  # every observed Gram spectrum in one stacked solve
-            a = _waterfill_thresholds(gram.sigma)
-            z = [spec.z0]
-            for t in range(cfg.horizon):
-                q[t], z_next = dpp_step(z[t], gram.u[t], a[t], spec.v, cfg.p, cfg.p_bar)
-                z.append(z_next)
-            return q, np.array(z)
-        elif isinstance(spec, OgdSpec):
-            # before slot T no observation has arrived: q[t] stays zero
-            lag, ts = spec.t_delay, range(spec.t_delay, cfg.horizon)
-            if spec.gamma is None:
-                steps = (1.0 / np.sqrt(ts)).tolist()
+        with _lapack_guard():  # one failure guard for every LAPACK call of the run
+            if isinstance(spec, DppSpec):
+                gram = _gram_eig(h_obs)  # every observed Gram spectrum in one stacked solve
+                a = _waterfill_thresholds(gram.sigma)
+                z, theta = [spec.z0], []
+                for t in range(cfg.horizon):
+                    theta_t, z_next = dpp_step(z[t], a[t], cfg.n_t, spec.v, cfg.p, cfg.p_bar)
+                    theta.append(theta_t)
+                    z.append(z_next)
+                # the queue never reads Q(t) = U^H diag(theta) U: compose them all at once
+                q = _ct(gram.u) @ (np.array(theta)[..., None] * gram.u)
+                return 0.5 * (q + _ct(q)), np.array(z)
+            elif isinstance(spec, OgdSpec):
+                # before slot T no observation has arrived: q[t] stays zero
+                lag, ts = spec.t_delay, range(spec.t_delay, cfg.horizon)
+                if spec.gamma is None:
+                    steps = (1.0 / np.sqrt(ts)).tolist()
+                else:
+                    steps = [spec.gamma] * len(ts)
+                for t, step in zip(ts, steps):
+                    q[t] = ogd_step(q[t - lag], h_obs[t - lag], step, cfg.p_bar)
+            elif isinstance(spec.policy, CdiPolicy):
+                q[:] = spec.policy.lookup(h)
             else:
-                steps = [spec.gamma] * len(ts)
-            for t, step in zip(ts, steps):
-                q[t] = ogd_step(q[t - lag], h_obs[t - lag], step, cfg.p_bar)
-        elif isinstance(spec.policy, CdiPolicy):
-            q[:] = spec.policy.lookup(h)
-        else:
-            q[:] = spec.policy.q
+                q[:] = spec.policy.q
     except ConvergenceError as exc:
         raise ConvergenceError(f"solver failure at slot {t}: {exc}") from exc
     return q, None
@@ -627,13 +631,11 @@ def _build_summary(result: RunResult) -> dict:
     cfg = result.config
     cb = ch.channel_bounds(cfg.channel, cfg.csit_error)
     bounds: Optional[BoundReport] = None
+    # the queue controller's v or the gradient controller's constant step; a
+    # replay or a 1/sqrt(t) run has none, and no certification of it reads
+    # the constants a placeholder 1.0 would give (epsilon, queue_bound)
+    v_or_gamma = getattr(cfg.controller, "v", None) or getattr(cfg.controller, "gamma", None)
     if not cb.unbounded_support:
-        if isinstance(cfg.controller, DppSpec):
-            v_or_gamma = cfg.controller.v
-        elif isinstance(cfg.controller, OgdSpec):
-            v_or_gamma = cfg.controller.gamma if cfg.controller.gamma is not None else 1.0
-        else:
-            v_or_gamma = 1.0
         bounds = theoretical_bounds(
             b=cb.b,
             delta=cb.delta,
@@ -641,7 +643,7 @@ def _build_summary(result: RunResult) -> dict:
             p_bar=cfg.p_bar,
             n_t=cfg.n_t,
             n_r=cfg.n_r,
-            v_or_gamma=v_or_gamma,
+            v_or_gamma=v_or_gamma or 1.0,
         )
 
     certs = certify_run(result, bounds)
@@ -659,6 +661,7 @@ def _build_summary(result: RunResult) -> dict:
             "delta": cb.delta,
             "unbounded_support": cb.unbounded_support,
             **{name: getattr(bounds, name, None) for name in _BOUND_CONSTANTS},
+            **({} if v_or_gamma else {"epsilon": None, "queue_bound": None}),
         },
         "reference_r_opt": _reference_utility(result),
         "certifications": certs,

@@ -4,7 +4,8 @@ Everything here operates on plain complex numpy arrays of modest size
 (channel matrices and transmit covariances, n <= 8 in practice).  The
 Hermitian eigensolver validates, then calls the stack-aware LAPACK ``eigh``
 kernel that the solvers call directly; log-determinants go through a
-Cholesky factor.
+Cholesky factor.  The eigensolves and the gradient's solve call numpy's
+LAPACK gufuncs directly, under ``np.linalg``'s failure contract.
 
 ``capacity``, ``capacity_gradient`` and ``trace_real`` also take stacks
 (leading axes broadcast); each entry equals its single-matrix result exactly.
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 HERMITIAN_ATOL = 1e-12
 
@@ -101,32 +103,37 @@ class HermEigen:
 
     def compose(self, loading) -> np.ndarray:
         """Assemble U^H diag(loading) U, re-symmetrized against round-off."""
-        return _compose(self.u, loading)
-
-    def __getitem__(self, i) -> HermEigen:  # entry i of a stacked decomposition
-        return HermEigen(u=self.u[i], sigma=self.sigma[i])
+        q = self.u.conj().T @ (np.asarray(loading)[:, None] * self.u)
+        return 0.5 * (q + q.conj().T)
 
 
-def _compose(u: np.ndarray, loading) -> np.ndarray:
-    """``HermEigen.compose`` on the eigenvector rows u of one matrix."""
-    q = u.conj().T @ (np.asarray(loading)[:, None] * u)
-    return 0.5 * (q + q.conj().T)
+def _lapack_failed(err, flag):
+    raise LinAlgError("LAPACK kernel failed: singular matrix or eigenvalues did not converge")
+
+
+def _lapack_guard() -> np.errstate:
+    """``np.linalg``'s state around its gufuncs: a failed kernel (singular
+    system, unconverged eigensolve) raises LinAlgError.  The direct kernels
+    run under it, entered per public call or once around a hot loop."""
+    return np.errstate(call=_lapack_failed, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
 
 
 def _eigh_desc(a: np.ndarray) -> HermEigen:
-    """``herm_eig`` of a finite, exactly Hermitian matrix or stack (..., n, n),
-    unvalidated; each stacked entry equals its single-matrix result exactly."""
-    w, v = np.linalg.eigh(a)
+    """``herm_eig`` of a finite, exactly Hermitian complex matrix or stack
+    (..., n, n), unvalidated; each stacked entry equals its single-matrix result exactly."""
+    w, v = _umath_linalg.eigh_lo(a, signature="D->dD")
     return HermEigen(u=v[..., ::-1].conj().swapaxes(-1, -2), sigma=w[..., ::-1].copy())
 
 
 def herm_eig(a) -> HermEigen:
-    """Eigendecomposition of a Hermitian matrix by LAPACK (``np.linalg.eigh``).
+    """Eigendecomposition of a Hermitian matrix by LAPACK (``np.linalg.eigh``'s gufunc).
 
     The input must be finite and Hermitian (see ``require_hermitian``); it
     is symmetrized first.  Eigenvalues come back in descending order.
     """
-    return _eigh_desc(require_hermitian(a, "eigensolver input"))
+    with _lapack_guard():
+        return _eigh_desc(require_hermitian(a, "eigensolver input"))
 
 
 def _capacity_arg(h, q) -> tuple[np.ndarray, np.ndarray]:
@@ -177,7 +184,7 @@ def _capacity_gradient(hm: np.ndarray, qm: np.ndarray) -> np.ndarray:
     m = _identity_plus(hm, qm)
     if hm.shape[:-2] != m.shape[:-2]:  # solve needs the channel stack in full
         hm = np.broadcast_to(hm, m.shape[:-2] + hm.shape[-2:])
-    d = _ct(hm) @ np.linalg.solve(m, hm)
+    d = _ct(hm) @ _umath_linalg.solve(m, hm, signature="DD->D")
     return 0.5 * (d + _ct(d))
 
 
@@ -185,6 +192,8 @@ def capacity_gradient(h, q) -> np.ndarray:
     """Gradient of Q -> log det(I + H Q H^H): H^H (I + H Q H^H)^{-1} H.
 
     The result is Hermitian PSD (symmetrized against round-off); stacks
-    give a stack of gradients.
+    give a stack of gradients.  A singular I + H Q H^H (Q not PSD) raises
+    LinAlgError.
     """
-    return _capacity_gradient(*_capacity_arg(h, q))
+    with _lapack_guard():
+        return _capacity_gradient(*_capacity_arg(h, q))

@@ -79,14 +79,22 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         ) from exc
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
+    if not isinstance(entries, list):
+        raise ValueError(f"matrix 'entries' must be a list of [re, im] pairs, got {entries!r}")
     if len(entries) != rows * cols:
         raise ValueError(
             f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
             f"got {len(entries)}"
         )
-    flat = np.array(
-        [complex(float(e[0]), float(e[1])) for e in entries], dtype=np.complex128
-    )
+    flat = np.empty(len(entries), dtype=np.complex128)
+    for i, e in enumerate(entries):
+        try:
+            re, im = e
+            flat[i] = complex(float(re), float(im))
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"matrix entry {i} is not an [re, im] pair of numbers: {e!r}"
+            ) from None
     if not np.isfinite(flat).all():
         raise ValueError("matrix JSON has non-finite entries")
     return flat.reshape(rows, cols)

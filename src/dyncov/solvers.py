@@ -17,16 +17,18 @@ from functools import reduce
 from operator import add
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .channel import DiscreteChannel
 from .linalg import (
     ConvergenceError,
     HermEigen,
+    _capacity_gradient,
     _ct,
     _eigh_desc,
+    _lapack_guard,
     as_matrix,
     capacity,
-    capacity_gradient,
     frobenius,
     herm_eig,
     nearest_index,
@@ -145,9 +147,13 @@ def waterfill_penalized(h_tilde, z_over_v: float, cap: float) -> WaterfillResult
 
 
 def _cap_project(x: np.ndarray, cap: float) -> np.ndarray:
-    """``psd_cap_project`` of an exactly Hermitian matrix (unvalidated)."""
-    eig = _eigh_desc(x)
-    return eig.compose(_cap_threshold(eig.sigma.tolist(), 0.0, cap)[0])
+    """``psd_cap_project`` of an exactly Hermitian complex matrix (unvalidated),
+    composed from the ascending LAPACK pair reversed, without ``HermEigen``."""
+    w, v = _umath_linalg.eigh_lo(x, signature="D->dD")
+    theta = _cap_threshold(w[::-1].tolist(), 0.0, cap)[0]
+    v = v[:, ::-1]
+    q = v @ (np.asarray(theta)[:, None] * v.conj().T)
+    return 0.5 * (q + q.conj().T)
 
 
 def psd_cap_project(x, cap: float) -> np.ndarray:
@@ -159,7 +165,8 @@ def psd_cap_project(x, cap: float) -> np.ndarray:
     """
     if not cap > 0:
         raise ValueError("cap must be positive")
-    return _cap_project(require_hermitian(x, "eigensolver input"), cap)
+    with _lapack_guard():
+        return _cap_project(require_hermitian(x, "eigensolver input"), cap)
 
 
 @dataclass(frozen=True)
@@ -283,18 +290,19 @@ def ergodic_constant_covariance(
     momentum = 1.0
     converged = False
     iterations = 0
-    for iterations in range(1, iter_cap + 1):
-        # y stays exactly Hermitian: sums and real multiples of Hermitian matrices
-        grad = (probs * capacity_gradient(states, y)).sum(axis=0)
-        q_prev, q = q, _cap_project(y + step * grad, p_bar)
-        if frobenius(q - y) <= tol:
-            converged = True
-            break
-        if np.vdot(q - y, q - q_prev).real < 0.0:  # restart: momentum opposes the step
-            momentum = 1.0
-        momentum_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
-        y = q + ((momentum - 1.0) / momentum_next) * (q - q_prev)
-        momentum = momentum_next
+    with _lapack_guard():
+        for iterations in range(1, iter_cap + 1):
+            # y stays exactly Hermitian: sums and real multiples of Hermitian matrices
+            grad = (probs * _capacity_gradient(states, y)).sum(axis=0)
+            q_prev, q = q, _cap_project(y + step * grad, p_bar)
+            if frobenius(q - y) <= tol:
+                converged = True
+                break
+            if np.vdot(q - y, q - q_prev).real < 0.0:  # restart: momentum opposes the step
+                momentum = 1.0
+            momentum_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
+            y = q + ((momentum - 1.0) / momentum_next) * (q - q_prev)
+            momentum = momentum_next
 
     per_state = capacity(states, q)
     r_opt = float((model.probs * per_state).sum())

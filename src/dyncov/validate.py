@@ -11,16 +11,22 @@ and prints a table.
 
 from __future__ import annotations
 
+import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from . import channel as ch
-from .controllers import theoretical_bounds
-from .linalg import capacity, capacity_gradient, frobenius, trace_real
+from .controllers import ogd_step, theoretical_bounds
+from .linalg import (
+    _capacity_gradient, _ct, _eigh_desc, _identity_plus, _lapack_guard,
+    capacity, capacity_gradient, frobenius, trace_real,
+)
 from .rate_adapt import RateLedger, decode_check
-from .solvers import psd_cap_project, waterfill_penalized
+from .solvers import _sum, psd_cap_project, waterfill_penalized
 
 DEFAULT_SEED = 20240821
 
@@ -89,7 +95,7 @@ def capacity_stack(h: np.ndarray, qs: np.ndarray) -> np.ndarray:
 def decide_reference(cfg, h_obs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """The decide recursion of ``run_experiment`` on the observations h_obs,
     slot by slot through the validated public functions: the queue
-    controller by ``waterfill_penalized`` and ``trace_real``, the gradient
+    controller by ``waterfill_penalized``, booking its loading's sum, the gradient
     controller by ``psd_cap_project(q + step * capacity_gradient(h, q), p_bar)``.
     Returns the covariances and, for the queue controller, Z(0..horizon)."""
     from .harness import DppSpec
@@ -99,8 +105,9 @@ def decide_reference(cfg, h_obs: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
     if isinstance(spec, DppSpec):
         z = [spec.z0]
         for t in range(cfg.horizon):
-            q[t] = waterfill_penalized(h_obs[t], z[t] / spec.v, cfg.p).q
-            z.append(max(0.0, z[t] + trace_real(q[t]) - cfg.p_bar))
+            wf = waterfill_penalized(h_obs[t], z[t] / spec.v, cfg.p)
+            q[t] = wf.q
+            z.append(max(0.0, z[t] + _sum(wf.theta.tolist()) - cfg.p_bar))
         return q, np.array(z)
     lag = spec.t_delay
     for t in range(lag, cfg.horizon):
@@ -458,6 +465,48 @@ def check_draw_stream(horizon: int = 150, seed: int = DEFAULT_SEED) -> CheckResu
     return CheckResult("draw-stream", not failed, detail)
 
 
+def check_lapack_kernels(count: int = 40, seed: int = DEFAULT_SEED) -> CheckResult:
+    """The kernels that call LAPACK's gufuncs directly equal ``np.linalg``
+    byte for byte on stacks with n = 1..8 and generic, rank-deficient and
+    repeated spectra; a singular system and an unconverged eigensolve (3x3
+    NaN) raise LinAlgError, not a RuntimeWarning, in the guarded hot path
+    and through the public ``capacity_gradient``."""
+    rng = np.random.default_rng(seed + 14)
+    failed = []
+    for n in range(1, 9):
+        g = random_complex(rng, (3, count, n, n))
+        g[1, ..., n // 2:] = 0.0  # rank n // 2
+        u, w = np.linalg.qr(g[2])[0], rng.choice([-1.0, 0.0, 2.0], size=(count, n))
+        a = np.concatenate([g[0], g[1] @ _ct(g[1]), u @ (w[..., None] * _ct(u))])
+        a, h = 0.5 * (a + _ct(a)), random_complex(rng, a.shape)
+        with _lapack_guard():
+            e, d = _eigh_desc(a), _capacity_gradient(h, a @ a)
+        w, v = np.linalg.eigh(a)
+        d_ref = _ct(h) @ np.linalg.solve(_identity_plus(h, a @ a), h)
+        ref = (w[..., ::-1], _ct(v[..., ::-1]), 0.5 * (d_ref + _ct(d_ref)))
+        if any(x.tobytes() != y.tobytes() for x, y in zip((e.sigma, e.u, d), ref)):
+            failed.append(f"n={n}")
+    eye, nan = np.eye(3, dtype=complex), np.full((3, 3), np.nan, dtype=complex)
+    for what, guard, call in (
+        ("singular hot path", _lapack_guard, lambda: ogd_step(-eye, eye, 1.0, 1.0)),
+        ("singular capacity_gradient", nullcontext, lambda: capacity_gradient(eye, -eye)),
+        ("NaN hot path", _lapack_guard, lambda: ogd_step(nan, eye, 1.0, 1.0)),
+    ):
+        with warnings.catch_warnings(), guard():
+            warnings.simplefilter("error")
+            try:
+                call()
+            except LinAlgError:
+                continue
+            except RuntimeWarning:
+                pass
+        failed.append(what)
+    detail = f"failed: {', '.join(failed)}" if failed else (
+        f"{24 * count} decompositions and solves byte-identical, failures raise"
+    )
+    return CheckResult("lapack-kernels", not failed, detail)
+
+
 def check_decide_recursion(horizon: int = 300, seed: int = DEFAULT_SEED) -> CheckResult:
     """The run's decide step, which skips validation and precomputes what
     does not depend on the recursion state, equals ``decide_reference`` byte
@@ -559,6 +608,7 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_ledger_properties,
     check_observation_radius,
     check_draw_stream,
+    check_lapack_kernels,
     check_decide_recursion,
     check_controller_certifications,
     check_trace_determinism,

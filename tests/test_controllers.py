@@ -21,7 +21,7 @@ from dyncov import (
 )
 from dyncov.harness import ConfigError
 from dyncov.linalg import trace_real
-from dyncov.solvers import _waterfill_thresholds
+from dyncov.solvers import _sum, _waterfill_thresholds
 
 ZERO = np.zeros((2, 2), dtype=complex)
 
@@ -32,36 +32,36 @@ def strong_channel():
 
 
 def gram(h):
-    """What dpp_step takes of the Gram matrix H^H H: its eigenvector rows and
-    the water-filling thresholds of its spectrum."""
+    """What dpp_step takes of the Gram matrix H^H H: the water-filling
+    thresholds of its spectrum and its size."""
     e = herm_eig(h.conj().T @ h)
-    return e.u, _waterfill_thresholds(e.sigma)
+    return _waterfill_thresholds(e.sigma), len(e.sigma)
 
 
 class TestDppStep:
     def test_zero_queue_is_plain_waterfilling(self):
         h = strong_channel()
-        q, _ = dpp_step(0.0, *gram(h), v=100.0, p=3.0, p_bar=2.0)
-        assert np.array_equal(q, waterfill_penalized(h, 0.0, 3.0).q)
+        theta, _ = dpp_step(0.0, *gram(h), v=100.0, p=3.0, p_bar=2.0)
+        assert theta == waterfill_penalized(h, 0.0, 3.0).theta.tolist()
 
     def test_saturated_queue_emits_zero(self):
         # queue at v * sigma_max shuts every mode off and the queue drains
         sigma_max = 16.0
         z = 10.0 * sigma_max
-        q, z_next = dpp_step(z, *gram(strong_channel()), v=10.0, p=3.0, p_bar=2.0)
-        assert frobenius(q) == 0.0
+        theta, z_next = dpp_step(z, *gram(strong_channel()), v=10.0, p=3.0, p_bar=2.0)
+        assert theta == [0.0, 0.0]
         assert z_next == z - 2.0
 
     def test_queue_arithmetic(self):
-        # tr(q) = 3 against p_bar = 2 from z = 1 books one unit
-        q, z_next = dpp_step(1.0, *gram(strong_channel()), v=100.0, p=3.0, p_bar=2.0)
-        assert trace_real(q) == pytest.approx(3.0, abs=1e-9)
+        # sum(theta) = 3 against p_bar = 2 from z = 1 books one unit
+        theta, z_next = dpp_step(1.0, *gram(strong_channel()), v=100.0, p=3.0, p_bar=2.0)
+        assert _sum(theta) == pytest.approx(3.0, abs=1e-9)
         assert z_next == pytest.approx(2.0, abs=1e-9)
-        assert z_next == max(0.0, 1.0 + trace_real(q) - 2.0)
+        assert z_next == max(0.0, 1.0 + _sum(theta) - 2.0)
 
     def test_queue_never_negative(self):
-        q, z_next = dpp_step(0.0, *gram(np.zeros((2, 2))), v=100.0, p=3.0, p_bar=2.0)
-        assert frobenius(q) == 0.0
+        theta, z_next = dpp_step(0.0, *gram(np.zeros((2, 2))), v=100.0, p=3.0, p_bar=2.0)
+        assert theta == [0.0, 0.0]
         assert z_next == 0.0
 
     def test_state_validation(self):

@@ -23,12 +23,14 @@ from dyncov import (
     DppSpec,
     ExactCsit,
     ExperimentConfig,
+    HermEigen,
     OgdSpec,
     OutputPaths,
     ProductChannel,
     ReplaySpec,
     TabulatedCsit,
     compute_baseline,
+    dpp_step,
     draw_path,
     emit_outputs,
     load_config,
@@ -47,6 +49,7 @@ from dyncov import (
 from dyncov.harness import ConfigError, _decide, csv_to_columns, trace_to_csv
 from dyncov.linalg import capacity, capacity_gradient, trace_real
 from dyncov.matrixio import json_text, matrix_from_json, matrix_to_json
+from dyncov.solvers import _gram_eig, _sum, _waterfill_thresholds
 from dyncov.validate import check_decide_recursion, decide_reference
 
 REPO = Path(__file__).resolve().parents[1]
@@ -271,7 +274,7 @@ class TestRunExperiment:
         ids=["two-state-case1", "continuous-ball"],
     )
     def test_queue_controller_recursion(self, model, err):
-        # Q(t) = W(H~(t), Z(t)/v, p) and Z(t+1) = max(Z(t) + tr Q(t) - p_bar, 0)
+        # Q(t) = W(H~(t), Z(t)/v, p) and Z(t+1) = max(Z(t) + sum(theta(t)) - p_bar, 0)
         # recomputed slot by slot through the public water-filling, from z0 > 0
         v, z0, p, p_bar, horizon, seed = 10.0, 5.0, 3.0, 2.0, 200, 4
         result = run_experiment(
@@ -289,13 +292,54 @@ class TestRunExperiment:
         for t in range(horizon):
             rng = slot_rng(seed, t)
             h = sample_channel(model, rng)
-            q = waterfill_penalized(observe_csit(h, err, rng), z / v, p).q
+            wf = waterfill_penalized(observe_csit(h, err, rng), z / v, p)
+            q = wf.q
             assert result.z[t] == z
             assert result.r[t] == capacity(h, q)
             assert result.tr_q[t] == trace_real(q)
-            z = max(0.0, z + trace_real(q) - p_bar)
+            z = max(0.0, z + _sum(wf.theta.tolist()) - p_bar)
         assert result.z_final == z
         assert np.count_nonzero(result.z) > horizon // 2  # the penalty is active
+
+    @pytest.mark.parametrize("n_r, n_t", [(2, 2), (4, 4), (3, 8)])
+    def test_stacked_dpp_compose_equals_per_slot_compose(self, n_r, n_t):
+        # the decide composes every Q(t) = U^H diag(theta(t)) U after the
+        # loop, in one stacked product; each equals HermEigen.compose
+        cfg = ExperimentConfig(
+            channel=ProductChannel(n_r=n_r, n_t=n_t, v_max=1.0),
+            csit_error=BoundedBallCsit(delta=0.1), controller=DppSpec(v=10.0, z0=5.0),
+            p=3.0, p_bar=2.0, horizon=200, seed=3,
+        )
+        h, h_obs = draw_path(cfg.channel, cfg.csit_error, cfg.seed, cfg.horizon)
+        q, z = _decide(cfg, h, h_obs)
+        gram = _gram_eig(h_obs)
+        a = _waterfill_thresholds(gram.sigma)
+        for t in range(cfg.horizon):
+            theta, z_next = dpp_step(z[t], a[t], n_t, 10.0, 3.0, 2.0)
+            assert z_next == z[t + 1]
+            expect = HermEigen(u=gram.u[t], sigma=gram.sigma[t]).compose(theta)
+            assert q[t].tobytes() == expect.tobytes()
+        assert np.count_nonzero(z) > cfg.horizon // 2  # the penalty is active
+
+    def test_tradeoff_constants_null_without_tradeoff_parameter(self, cdi_reference):
+        # epsilon and the queue bound are functions of v or the constant step;
+        # a replay or a 1/sqrt(t) run has neither, and reports null for both
+        for spec, has_tradeoff in (
+            (ReplaySpec(policy=cdi_reference), False),
+            (OgdSpec(gamma=None), False),
+            (OgdSpec(gamma=0.01), True),
+            (DppSpec(v=100.0), True),
+        ):
+            constants = run_experiment(ExperimentConfig(
+                channel=paper_two_state(), csit_error=paper_error_case("case1"),
+                controller=spec, p=3.0, p_bar=2.0, horizon=50, seed=1,
+            )).summary["constants"]
+            assert list(constants) == [
+                "b", "delta", "unbounded_support", "epsilon", "phi_delta", "psi_delta",
+                "queue_bound", "grad_norm_bound",
+            ]
+            nulled = [k for k, x in constants.items() if x is None]
+            assert nulled == ([] if has_tradeoff else ["epsilon", "queue_bound"])
 
     def test_ogd_trace_cap_enforced(self):
         result = run_experiment(ogd_config(horizon=300))
@@ -1040,10 +1084,20 @@ class TestMatrixJson:
         with pytest.raises(ValueError, match="entries"):
             matrix_from_json({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]})
 
+    @pytest.mark.parametrize("entry", [1.0, [1.0], [1.0, 0.0, 0.0], [None, 0.0], "ab", ["x", 0]])
+    def test_malformed_entry_rejected(self, entry):
+        with pytest.raises(ValueError, match=r"matrix entry 1 is not an \[re, im\] pair"):
+            matrix_from_json({"rows": 1, "cols": 2, "entries": [[1.0, 0.0], entry]})
+
     @pytest.mark.parametrize("entry", [[float("nan"), 0.0], [0.0, float("-inf")]])
     def test_non_finite_entries_rejected(self, entry):
         with pytest.raises(ValueError, match="non-finite"):
             matrix_from_json({"rows": 1, "cols": 2, "entries": [[1.0, 0.0], entry]})
+
+
+def square(k):
+    """A 2x2 matrix in the JSON schema with k entries of [1, 0]."""
+    return {"rows": 2, "cols": 2, "entries": [[1.0, 0.0]] * k}
 
 
 def config_text(**sections):
@@ -1107,10 +1161,14 @@ class TestCli:
             (config_text(channel={"kind": "continuous-product", "n_r": 0, "n_t": 2,
                                  "v_max": 1.0}), "antenna counts must be positive"),
             (config_text(csit_error={"preset": "case9"}), "unknown error preset 'case9'"),
+            (config_text(channel={
+                "kind": "discrete", "probs": [1.0],
+                "states": [{"rows": 1, "cols": 1, "entries": [1.0]}],
+            }), "matrix entry 0 is not an [re, im] pair of numbers: 1.0"),
         ],
         ids=[
             "missing-file", "malformed-json", "config-error", "negative-delta",
-            "probs-sum", "no-antennas", "unknown-csit-preset",
+            "probs-sum", "no-antennas", "unknown-csit-preset", "malformed-entry",
         ],
     )
     def test_bad_input_exits_2_without_traceback(self, tmp_path, command, text, message):
@@ -1125,19 +1183,28 @@ class TestCli:
         assert "Traceback" not in out.stderr and out.stdout == ""
 
     @pytest.mark.parametrize(
-        "args, entries, message",
+        "args, mat, message",
         [
-            (["project", "--cap", "1"], 1, "expected 4 entries for a 2x2 matrix, got 1"),
-            (["solve-waterfill", "--cap", "1"], 1, "expected 4 entries for a 2x2 matrix, got 1"),
-            (["project", "--cap", "-1"], 4, "cap must be positive"),
-            (["solve-waterfill", "--cap", "-1"], 4, "cap must be positive"),
-            (["solve-waterfill", "--cap", "1", "--z-over-v", "-1"], 4,
+            (["project", "--cap", "1"], square(1), "expected 4 entries for a 2x2 matrix, got 1"),
+            (["solve-waterfill", "--cap", "1"], square(1),
+             "expected 4 entries for a 2x2 matrix, got 1"),
+            (["project", "--cap", "-1"], square(4), "cap must be positive"),
+            (["solve-waterfill", "--cap", "-1"], square(4), "cap must be positive"),
+            (["solve-waterfill", "--cap", "1", "--z-over-v", "-1"], square(4),
              "z_over_v must be nonnegative"),
+            (["project", "--cap", "1"], {"rows": 1, "cols": 1, "entries": [1.0]},
+             "matrix entry 0 is not an [re, im] pair of numbers: 1.0"),
+            (["solve-waterfill", "--cap", "1"], {"rows": 1, "cols": 1, "entries": [1.0]},
+             "matrix entry 0 is not an [re, im] pair of numbers: 1.0"),
+            (["project", "--cap", "1"], {"rows": 1, "cols": 1, "entries": 5},
+             "matrix 'entries' must be a list of [re, im] pairs, got 5"),
         ],
-        ids=["project-short", "waterfill-short", "project-cap", "waterfill-cap", "z-over-v"],
+        ids=[
+            "project-short", "waterfill-short", "project-cap", "waterfill-cap", "z-over-v",
+            "project-malformed-entry", "waterfill-malformed-entry", "entries-not-a-list",
+        ],
     )
-    def test_bad_matrix_input_exits_2_without_traceback(self, args, entries, message):
-        mat = {"rows": 2, "cols": 2, "entries": [[1.0, 0.0]] * entries}
+    def test_bad_matrix_input_exits_2_without_traceback(self, args, mat, message):
         out = self.run_cli(*args, "--matrix", "-", stdin=json.dumps(mat))
         assert out.returncode == 2
         assert out.stderr == f"dyncov: error: {message}\n" and out.stdout == ""

@@ -2,21 +2,43 @@
 oracles: LAPACK reconstruction, hand determinant expansion, elementwise
 sums, and central finite differences."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.linalg import LinAlgError
 
-from dyncov import capacity, capacity_gradient, frobenius, herm_eig, psd_cap_project
+from dyncov import (
+    DppSpec,
+    ExactCsit,
+    ExperimentConfig,
+    OgdSpec,
+    ProductChannel,
+    capacity,
+    capacity_gradient,
+    draw_path,
+    frobenius,
+    herm_eig,
+    ogd_step,
+    psd_cap_project,
+)
 from dyncov.channel import PAPER_H1
+from dyncov.harness import _decide
 from dyncov.linalg import (
+    _capacity_gradient,
     _ct,
     _eigh_desc,
+    _identity_plus,
+    _lapack_guard,
     nearest_index,
     require_hermitian,
     symmetrize,
     trace_real,
 )
+from dyncov.solvers import _cap_project, _cap_threshold
+from dyncov.validate import check_lapack_kernels
 
 # elementwise oracle: sqrt(sum of printed squared magnitudes)
 H1_FROBENIUS = 4.692305883038744
@@ -27,6 +49,147 @@ H1_IDENTITY_CAPACITY = 3.441468408299966
 def random_hermitian(rng, n, scale=1.0):
     g = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return 0.5 * (g + g.conj().T)
+
+
+def hermitian_stack(rng, n, count, kind, scale):
+    """An exactly Hermitian (count, n, n) stack with a generic spectrum, rank
+    below n (possibly zero), or eigenvalues repeated from {-1, 0, 2}."""
+    g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    if kind == "rank-deficient":
+        g[..., rng.integers(0, n) :] = 0.0
+        a = g @ _ct(g)
+    elif kind == "repeated":
+        unitary, _ = np.linalg.qr(g)
+        w = rng.choice([-1.0, 0.0, 2.0], size=(count, n))
+        a = unitary @ (w[..., None] * _ct(unitary))
+    else:
+        a = g
+    return scale * (0.5 * (a + _ct(a)))
+
+
+def outcome(f, *args):
+    """What a call does, comparable byte for byte: the LinAlgError it raises
+    or the bytes of every array it returns.  Any warning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = f(*args)
+        except LinAlgError:
+            return LinAlgError
+    return tuple(x.tobytes() for x in (out if isinstance(out, tuple) else (out,)))
+
+
+def eigh_oracle(a):
+    """``_eigh_desc`` through ``np.linalg.eigh``: the rows of the reversed
+    eigenvector columns, conjugated, and the reversed eigenvalues."""
+    w, v = np.linalg.eigh(a)
+    return v[..., ::-1].conj().swapaxes(-1, -2), w[..., ::-1].copy()
+
+
+def gradient_oracle(h, q):
+    """``_capacity_gradient`` through ``np.linalg.solve``."""
+    d = _ct(h) @ np.linalg.solve(_identity_plus(h, q), h)
+    return 0.5 * (d + _ct(d))
+
+
+def guarded(f, *args):
+    with _lapack_guard():  # what the hot loops hold around their steps
+        return f(*args)
+
+
+def eigh_kernel(a):
+    e = guarded(_eigh_desc, a)
+    return e.u, e.sigma
+
+
+NAN_PATTERNS = ["corner", "full", "one-entry"]
+
+
+def nan_matrix(n, pattern):
+    a = np.eye(n, dtype=complex) if pattern == "corner" else np.ones((n, n), dtype=complex)
+    if pattern == "corner":
+        a[0, -1] = a[-1, 0] = np.nan
+    elif pattern == "full":
+        a[:] = np.nan
+    else:
+        a[0, 0] = np.nan
+    return a
+
+
+class TestLapackKernels:
+    """The kernels call LAPACK's gufuncs without np.linalg's wrappers; they
+    must equal np.linalg byte for byte and fail exactly where it fails."""
+
+    @given(
+        n=st.integers(1, 8),
+        count=st.integers(1, 6),
+        kind=st.sampled_from(["generic", "rank-deficient", "repeated"]),
+        scale=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_direct_calls_equal_np_linalg(self, n, count, kind, scale, seed):
+        rng = np.random.default_rng(seed)
+        a = hermitian_stack(rng, n, count, kind, scale)
+        h = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+        q = a @ a  # PSD, so I + H Q H^H is nonsingular
+        assert outcome(eigh_kernel, a) == outcome(eigh_oracle, a)
+        assert outcome(guarded, _capacity_gradient, h, q) == outcome(gradient_oracle, h, q)
+        for k in range(count):
+            # the lean projection against the HermEigen round trip it replaced
+            e = _eigh_desc(a[k])
+            expect = e.compose(_cap_threshold(e.sigma.tolist(), 0.0, scale)[0])
+            assert guarded(_cap_project, a[k], scale).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("pattern", NAN_PATTERNS)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_nan_input_fails_like_np_linalg(self, n, pattern):
+        # np.linalg.eigh raises on some NaN inputs and returns NaN on others;
+        # np.linalg.solve returns NaN.  The direct calls do the same, with no
+        # RuntimeWarning either way
+        a = nan_matrix(n, pattern)
+        assert outcome(eigh_kernel, a) == outcome(eigh_oracle, a)
+        h, q = np.ones((n, n), dtype=complex), np.eye(n, dtype=complex)
+        h[0, 0] = np.nan
+        assert outcome(guarded, _capacity_gradient, h, q) == outcome(gradient_oracle, h, q)
+        assert outcome(guarded, _capacity_gradient, a, q) == outcome(gradient_oracle, a, q)
+        assert outcome(capacity_gradient, a, q) == outcome(gradient_oracle, a, q)
+
+    def test_unconverged_eigensolve_raises(self):
+        nan = nan_matrix(3, "full")
+        assert outcome(eigh_oracle, nan) is LinAlgError
+        assert outcome(eigh_kernel, nan) is LinAlgError
+        assert outcome(guarded, _cap_project, nan, 1.0) is LinAlgError
+        assert outcome(guarded, ogd_step, nan, np.eye(3), 1.0, 1.0) is LinAlgError
+        # the public functions reject a NaN input before LAPACK sees it
+        for f, args in ((herm_eig, ()), (psd_cap_project, (1.0,))):
+            with pytest.raises(ValueError, match="non-finite"):
+                f(nan, *args)
+
+    def test_singular_system_raises(self):
+        # I + H Q H^H = 0 for H = I, Q = -I
+        eye = np.eye(2, dtype=complex)
+        assert outcome(gradient_oracle, eye, -eye) is LinAlgError
+        assert outcome(guarded, _capacity_gradient, eye, -eye) is LinAlgError
+        assert outcome(guarded, ogd_step, -eye, eye, 1.0, 1.0) is LinAlgError
+        assert outcome(capacity_gradient, eye, -eye) is LinAlgError
+
+    @pytest.mark.parametrize(
+        "controller", [DppSpec(v=10.0), OgdSpec(gamma=0.1)], ids=["dpp", "ogd"]
+    )
+    def test_run_decide_raises_on_unconverged_eigensolve(self, controller):
+        # the decide holds one guard over its loop; without it the failed
+        # eigensolve would be a RuntimeWarning and NaN covariances
+        cfg = ExperimentConfig(
+            channel=ProductChannel(n_r=3, n_t=3, v_max=1.0), csit_error=ExactCsit(),
+            controller=controller, p=3.0, p_bar=2.0, horizon=5, seed=1,
+        )
+        h, h_obs = draw_path(cfg.channel, cfg.csit_error, cfg.seed, cfg.horizon)
+        h_obs[0] = np.nan
+        assert outcome(_decide, cfg, h, h_obs) is LinAlgError
+
+    def test_validate_check_passes(self):
+        check = check_lapack_kernels(count=10)
+        assert check.passed, check.detail
 
 
 class TestHermEig:
@@ -90,23 +253,12 @@ class TestHermEig:
     def test_stack_kernel_equals_herm_eig(self, n, count, kind, scale, seed):
         # the solvers decompose exactly Hermitian stacks with the unvalidated
         # kernel; each entry must be the public herm_eig result bit for bit
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-        if kind == "rank-deficient":
-            g[..., rng.integers(0, n) :] = 0.0  # rank below n, possibly zero
-            a = g @ _ct(g)
-        elif kind == "repeated":
-            unitary, _ = np.linalg.qr(g)
-            w = rng.choice([-1.0, 0.0, 2.0], size=(count, n))
-            a = unitary @ (w[..., None] * _ct(unitary))
-        else:
-            a = g
-        a = scale * (0.5 * (a + _ct(a)))  # exactly Hermitian
+        a = hermitian_stack(np.random.default_rng(seed), n, count, kind, scale)
         stacked = _eigh_desc(a)
         for k in range(count):
             e = herm_eig(a[k])
-            assert np.array_equal(stacked[k].u, e.u)
-            assert np.array_equal(stacked[k].sigma, e.sigma)
+            assert np.array_equal(stacked.u[k], e.u)
+            assert np.array_equal(stacked.sigma[k], e.sigma)
 
 
 class TestCapacity:
