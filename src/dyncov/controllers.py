@@ -50,15 +50,16 @@ class BoundReport:
 
     All delta-dependent terms vanish at delta = 0.  ``v_or_gamma`` is the
     queue controller's tradeoff parameter or the gradient controller's
-    constant step, whichever applies.
+    constant step, whichever applies; without one (a replay or a 1/sqrt(t)
+    run) it is None, and so are ``epsilon`` and ``queue_bound``.
     """
 
     p_bar: float
-    v_or_gamma: float
-    epsilon: float
+    v_or_gamma: float | None
+    epsilon: float | None
     phi_delta: float
     psi_delta: float
-    queue_bound: float
+    queue_bound: float | None
     grad_norm_bound: float
 
     def utility_gap(self) -> float:
@@ -99,7 +100,7 @@ def theoretical_bounds(
     p_bar: float,
     n_t: int,
     n_r: int,
-    v_or_gamma: float,
+    v_or_gamma: float | None,
 ) -> BoundReport:
     """Instantiate every certified constant for the given configuration.
 
@@ -109,23 +110,25 @@ def theoretical_bounds(
     bound is v (b + delta)^2 + (p - p_bar).  Nothing divides by b, so an
     all-zero channel (b = 0) is certified like any other.
     """
-    if min(p, p_bar, v_or_gamma) <= 0 or min(b, delta) < 0:
+    if min(p, p_bar, 1.0 if v_or_gamma is None else v_or_gamma) <= 0 or min(b, delta) < 0:
         raise ValueError("bound parameters must be positive (b and delta nonnegative)")
-    epsilon = max(p_bar**2, (p - p_bar) ** 2) / (2.0 * v_or_gamma)
     phi = 2.0 * p * np.sqrt(n_t) * (2.0 * b + delta) * delta
     psi = (
         np.sqrt(n_r) * b
         + np.sqrt(n_r) * (b + delta)
         + (b + delta) ** 2 * n_r * p_bar * (2.0 * b + delta)
     ) * delta
-    queue_bound = v_or_gamma * (b + delta) ** 2 + (p - p_bar)
     grad_norm = np.sqrt(n_r) * b**2
+    epsilon = queue_bound = None
+    if v_or_gamma is not None:
+        epsilon = float(max(p_bar**2, (p - p_bar) ** 2) / (2.0 * v_or_gamma))
+        queue_bound = float(v_or_gamma * (b + delta) ** 2 + (p - p_bar))
     return BoundReport(
         p_bar=p_bar,
         v_or_gamma=v_or_gamma,
-        epsilon=float(epsilon),
+        epsilon=epsilon,
         phi_delta=float(phi),
         psi_delta=float(psi),
-        queue_bound=float(queue_bound),
+        queue_bound=queue_bound,
         grad_norm_bound=float(grad_norm),
     )

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import channel as ch
 from .controllers import BoundReport, dpp_step, ogd_step, theoretical_bounds
-from .linalg import ConvergenceError, _ct, _lapack_guard, capacity, trace_real
+from .linalg import ConvergenceError, _compose, _lapack_guard, capacity, trace_real
 from .matrixio import json_text, matrix_from_json, replace_file
 from .rate_adapt import RateLedger, decode_check
 from .solvers import (
@@ -444,6 +444,8 @@ def compute_baseline(
     drawn from a dedicated stream of the run seed and the policy is solved
     on the uniform empirical distribution.
     """
+    if n_samples < 1:
+        raise ConfigError(f"n_samples must be at least 1, got {n_samples}")
     if isinstance(cfg.channel, ch.DiscreteChannel):
         if kind == "with-csit":
             return cdi_optimal_policy(cfg.channel, cfg.p_bar, cfg.p)
@@ -472,16 +474,15 @@ def _decide(
     try:
         with _lapack_guard():  # one failure guard for every LAPACK call of the run
             if isinstance(spec, DppSpec):
-                gram = _gram_eig(h_obs)  # every observed Gram spectrum in one stacked solve
-                a = _waterfill_thresholds(gram.sigma)
+                sigma, v = _gram_eig(h_obs)  # every observed Gram spectrum in one stacked solve
+                a = _waterfill_thresholds(sigma)
                 z, theta = [spec.z0], []
                 for t in range(cfg.horizon):
                     theta_t, z_next = dpp_step(z[t], a[t], cfg.n_t, spec.v, cfg.p, cfg.p_bar)
                     theta.append(theta_t)
                     z.append(z_next)
-                # the queue never reads Q(t) = U^H diag(theta) U: compose them all at once
-                q = _ct(gram.u) @ (np.array(theta)[..., None] * gram.u)
-                return 0.5 * (q + _ct(q)), np.array(z)
+                # the queue never reads Q(t) = V diag(theta) V^H: compose them all at once
+                return _compose(v, theta), np.array(z)
             elif isinstance(spec, OgdSpec):
                 # before slot T no observation has arrived: q[t] stays zero
                 lag, ts = spec.t_delay, range(spec.t_delay, cfg.horizon)
@@ -631,10 +632,6 @@ def _build_summary(result: RunResult) -> dict:
     cfg = result.config
     cb = ch.channel_bounds(cfg.channel, cfg.csit_error)
     bounds: Optional[BoundReport] = None
-    # the queue controller's v or the gradient controller's constant step; a
-    # replay or a 1/sqrt(t) run has none, and no certification of it reads
-    # the constants a placeholder 1.0 would give (epsilon, queue_bound)
-    v_or_gamma = getattr(cfg.controller, "v", None) or getattr(cfg.controller, "gamma", None)
     if not cb.unbounded_support:
         bounds = theoretical_bounds(
             b=cb.b,
@@ -643,7 +640,7 @@ def _build_summary(result: RunResult) -> dict:
             p_bar=cfg.p_bar,
             n_t=cfg.n_t,
             n_r=cfg.n_r,
-            v_or_gamma=v_or_gamma or 1.0,
+            v_or_gamma=getattr(cfg.controller, "v", None) or getattr(cfg.controller, "gamma", None),
         )
 
     certs = certify_run(result, bounds)
@@ -661,7 +658,6 @@ def _build_summary(result: RunResult) -> dict:
             "delta": cb.delta,
             "unbounded_support": cb.unbounded_support,
             **{name: getattr(bounds, name, None) for name in _BOUND_CONSTANTS},
-            **({} if v_or_gamma else {"epsilon": None, "queue_bound": None}),
         },
         "reference_r_opt": _reference_utility(result),
         "certifications": certs,

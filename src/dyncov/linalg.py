@@ -1,11 +1,11 @@
 """Dense complex linear algebra kernels for small matrices.
 
 Everything here operates on plain complex numpy arrays of modest size
-(channel matrices and transmit covariances, n <= 8 in practice).  The
-Hermitian eigensolver validates, then calls the stack-aware LAPACK ``eigh``
-kernel that the solvers call directly; log-determinants go through a
-Cholesky factor.  The eigensolves and the gradient's solve call numpy's
-LAPACK gufuncs directly, under ``np.linalg``'s failure contract.
+(channel matrices and transmit covariances, n <= 8 in practice).  Every
+eigensolve is the stack-aware LAPACK ``eigh`` call of ``_eigh_desc``, and
+every covariance built from a spectrum is ``_compose``'s; log-determinants go
+through a Cholesky factor.  The eigensolve and the gradient's solve call
+numpy's LAPACK gufuncs directly, under ``np.linalg``'s failure contract.
 
 ``capacity``, ``capacity_gradient`` and ``trace_real`` also take stacks
 (leading axes broadcast); each entry equals its single-matrix result exactly.
@@ -54,7 +54,7 @@ def nearest_index(h, states: np.ndarray):
 
 def _ct(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the last two axes."""
-    return a.swapaxes(-1, -2).conj()
+    return a.conj().swapaxes(-1, -2)
 
 
 def _scalar_or_stack(x: np.ndarray):
@@ -103,8 +103,7 @@ class HermEigen:
 
     def compose(self, loading) -> np.ndarray:
         """Assemble U^H diag(loading) U, re-symmetrized against round-off."""
-        q = self.u.conj().T @ (np.asarray(loading)[:, None] * self.u)
-        return 0.5 * (q + q.conj().T)
+        return _compose(_ct(self.u), loading)
 
 
 def _lapack_failed(err, flag):
@@ -119,11 +118,18 @@ def _lapack_guard() -> np.errstate:
                        under="ignore")
 
 
-def _eigh_desc(a: np.ndarray) -> HermEigen:
-    """``herm_eig`` of a finite, exactly Hermitian complex matrix or stack
-    (..., n, n), unvalidated; each stacked entry equals its single-matrix result exactly."""
+def _eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending (sigma, v), A = V diag(sigma) V^H, of a finite, exactly Hermitian matrix
+    or stack, unvalidated: LAPACK's pair reversed, uncopied, each entry as if alone."""
     w, v = _umath_linalg.eigh_lo(a, signature="D->dD")
-    return HermEigen(u=v[..., ::-1].conj().swapaxes(-1, -2), sigma=w[..., ::-1].copy())
+    return w[..., ::-1], v[..., ::-1]
+
+
+def _compose(v: np.ndarray, theta) -> np.ndarray:
+    """V diag(theta) V^H for eigenvector columns v (..., n, n) and loadings theta
+    (..., n), re-symmetrized; each stacked entry equals its single-matrix result exactly."""
+    q = v @ (np.asarray(theta)[..., None] * _ct(v))
+    return 0.5 * (q + _ct(q))
 
 
 def herm_eig(a) -> HermEigen:
@@ -133,18 +139,22 @@ def herm_eig(a) -> HermEigen:
     is symmetrized first.  Eigenvalues come back in descending order.
     """
     with _lapack_guard():
-        return _eigh_desc(require_hermitian(a, "eigensolver input"))
+        sigma, v = _eigh_desc(require_hermitian(a, "eigensolver input"))
+    return HermEigen(u=_ct(v), sigma=sigma)
 
 
 def _capacity_arg(h, q) -> tuple[np.ndarray, np.ndarray]:
     """Channel stack H (..., n_r, n_t) and covariance stack Q (..., n_t, n_t)
-    as complex arrays, checked to fit together."""
+    as finite complex arrays, checked to fit together."""
     hm = np.asarray(h, dtype=np.complex128)
     qm = np.asarray(q, dtype=np.complex128)
     if hm.ndim < 2 or qm.ndim < 2:
         raise ValueError(
             f"expected matrices or stacks of them, got ndim={hm.ndim} and ndim={qm.ndim}"
         )
+    for what, m in (("channel", hm), ("covariance", qm)):
+        if not np.isfinite(m).all():
+            raise ValueError(f"{what} has non-finite entries")
     if qm.shape[-2] != qm.shape[-1]:
         raise ValueError(f"covariance must be square, got shape {qm.shape}")
     if hm.shape[-1] != qm.shape[-2]:

@@ -74,17 +74,21 @@ def decode_check(ledger: RateLedger) -> list[dict]:
     The last slot is assigned the remainder n_total - sum of the earlier
     capacities; each earlier slot is assigned exactly its capacity.  Every
     assignment must fit within its slot's capacity; the assignments sum to
-    n_total.  A violation indicates a corrupted ledger and raises.
+    n_total.  The last slot fits when the earlier capacities plus its own,
+    summed in slot order as ``record`` sums them, reach n_total.  A
+    violation indicates a corrupted ledger and raises.
     """
     if not ledger.completed:
         raise LedgerError("decode check requires a completed ledger")
     caps = ledger.capacities
     t_done = ledger.completed_at
-    head = sum(caps[: t_done - 1])
+    head = 0.0
+    for c in caps[: t_done - 1]:
+        head += c
     table = []
     for tau in range(t_done):
         assigned = caps[tau] if tau < t_done - 1 else ledger.n_total - head
-        if assigned > caps[tau] + 1e-12:
+        if tau == t_done - 1 and not head + caps[tau] >= ledger.n_total:
             raise LedgerError(
                 f"slot {tau} assignment {assigned!r} exceeds capacity {caps[tau]!r}"
             )

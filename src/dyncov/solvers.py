@@ -17,13 +17,12 @@ from functools import reduce
 from operator import add
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .channel import DiscreteChannel
 from .linalg import (
     ConvergenceError,
-    HermEigen,
     _capacity_gradient,
+    _compose,
     _ct,
     _eigh_desc,
     _lapack_guard,
@@ -45,14 +44,13 @@ class WaterfillResult:
 
     ``theta`` is the eigen-domain power loading aligned with ``sigma``
     (the channel Gram eigenvalues, in descending order); ``mu`` is the
-    multiplier of the trace cap; ``q = u^H diag(theta) u``.
+    multiplier of the trace cap; ``q`` is theta composed on the Gram eigenvectors.
     """
 
     q: np.ndarray
     mu: float
     theta: np.ndarray
     sigma: np.ndarray
-    u: np.ndarray
 
 
 def _sum(xs: list[float]) -> float:
@@ -94,8 +92,8 @@ def _cap_threshold(a: list[float], tau0: float, cap: float) -> tuple[list[float]
     )
 
 
-def _gram_eig(h: np.ndarray) -> HermEigen:
-    """Spectrum of H^H H for a finite channel or a stack of them (unvalidated)."""
+def _gram_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_eigh_desc`` of H^H H for a finite channel or a stack of them (unvalidated)."""
     g = _ct(h) @ h
     return _eigh_desc(0.5 * (g + _ct(g)))
 
@@ -141,19 +139,13 @@ def waterfill_penalized(h_tilde, z_over_v: float, cap: float) -> WaterfillResult
     eig = herm_eig(h.conj().T @ h)  # also rejects a Gram product that overflowed
     theta, mu = _waterfill_loading(_waterfill_thresholds(eig.sigma), h.shape[1], z_over_v, cap)
     sigma = np.maximum(eig.sigma, 0.0)
-    return WaterfillResult(
-        q=eig.compose(theta), mu=mu, theta=np.array(theta), sigma=sigma, u=eig.u
-    )
+    return WaterfillResult(q=eig.compose(theta), mu=mu, theta=np.array(theta), sigma=sigma)
 
 
 def _cap_project(x: np.ndarray, cap: float) -> np.ndarray:
-    """``psd_cap_project`` of an exactly Hermitian complex matrix (unvalidated),
-    composed from the ascending LAPACK pair reversed, without ``HermEigen``."""
-    w, v = _umath_linalg.eigh_lo(x, signature="D->dD")
-    theta = _cap_threshold(w[::-1].tolist(), 0.0, cap)[0]
-    v = v[:, ::-1]
-    q = v @ (np.asarray(theta)[:, None] * v.conj().T)
-    return 0.5 * (q + q.conj().T)
+    """``psd_cap_project`` of an exactly Hermitian complex matrix (unvalidated)."""
+    sigma, v = _eigh_desc(x)
+    return _compose(v, _cap_threshold(sigma.tolist(), 0.0, cap)[0])
 
 
 def psd_cap_project(x, cap: float) -> np.ndarray:

@@ -244,6 +244,18 @@ class TestTheoreticalBounds:
             with pytest.raises(ValueError, match="bound parameters"):
                 theoretical_bounds(**{**good, field: bad})
 
+    def test_no_tradeoff_parameter_gives_no_tradeoff_constants(self):
+        # a replay or a 1/sqrt(t) run has neither v nor a constant step: the
+        # two constants that need one are None, the others as with one
+        good = dict(b=1.0, delta=0.1, p=3.0, p_bar=2.0, n_t=2, n_r=2)
+        rep = theoretical_bounds(**good, v_or_gamma=None)
+        ref = theoretical_bounds(**good, v_or_gamma=1.0)
+        assert (rep.v_or_gamma, rep.epsilon, rep.queue_bound) == (None, None, None)
+        for name in ("phi_delta", "psi_delta", "grad_norm_bound"):
+            assert getattr(rep, name) == getattr(ref, name)
+        assert np.array_equal(rep.regret_bound_sqrt(np.arange(1, 50)),
+                              ref.regret_bound_sqrt(np.arange(1, 50)))
+
     def test_zero_norm_cap_is_accepted(self):
         # an all-zero channel has b = 0; no bound divides by it
         rep = theoretical_bounds(

@@ -23,7 +23,6 @@ from dyncov import (
     DppSpec,
     ExactCsit,
     ExperimentConfig,
-    HermEigen,
     OgdSpec,
     OutputPaths,
     ProductChannel,
@@ -47,7 +46,7 @@ from dyncov import (
     waterfill_penalized,
 )
 from dyncov.harness import ConfigError, _decide, csv_to_columns, trace_to_csv
-from dyncov.linalg import capacity, capacity_gradient, trace_real
+from dyncov.linalg import _compose, capacity, capacity_gradient, trace_real
 from dyncov.matrixio import json_text, matrix_from_json, matrix_to_json
 from dyncov.solvers import _gram_eig, _sum, _waterfill_thresholds
 from dyncov.validate import check_decide_recursion, decide_reference
@@ -303,8 +302,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("n_r, n_t", [(2, 2), (4, 4), (3, 8)])
     def test_stacked_dpp_compose_equals_per_slot_compose(self, n_r, n_t):
-        # the decide composes every Q(t) = U^H diag(theta(t)) U after the
-        # loop, in one stacked product; each equals HermEigen.compose
+        # the decide composes every Q(t) = V diag(theta(t)) V^H after the
+        # loop, in one stacked product; each equals the single-matrix compose
         cfg = ExperimentConfig(
             channel=ProductChannel(n_r=n_r, n_t=n_t, v_max=1.0),
             csit_error=BoundedBallCsit(delta=0.1), controller=DppSpec(v=10.0, z0=5.0),
@@ -312,12 +311,12 @@ class TestRunExperiment:
         )
         h, h_obs = draw_path(cfg.channel, cfg.csit_error, cfg.seed, cfg.horizon)
         q, z = _decide(cfg, h, h_obs)
-        gram = _gram_eig(h_obs)
-        a = _waterfill_thresholds(gram.sigma)
+        sigma, v = _gram_eig(h_obs)
+        a = _waterfill_thresholds(sigma)
         for t in range(cfg.horizon):
             theta, z_next = dpp_step(z[t], a[t], n_t, 10.0, 3.0, 2.0)
             assert z_next == z[t + 1]
-            expect = HermEigen(u=gram.u[t], sigma=gram.sigma[t]).compose(theta)
+            expect = _compose(v[t], theta)
             assert q[t].tobytes() == expect.tobytes()
         assert np.count_nonzero(z) > cfg.horizon // 2  # the penalty is active
 
@@ -1109,6 +1108,28 @@ def config_text(**sections):
     })
 
 
+# (id, config text or None for a missing file, the error it gives)
+BAD_CONFIGS = [
+    ("missing-file", None, "No such file or directory"),
+    ("malformed-json", '{"channel": ', "malformed JSON: Expecting value"),
+    ("config-error", config_text(controller={"kind": "dpp", "v": -1}), "v must be positive"),
+    ("negative-delta", config_text(csit_error={"kind": "bounded-ball", "delta": -0.1}),
+     "delta must be nonnegative"),
+    ("probs-sum", config_text(channel={
+        "kind": "discrete", "probs": [0.5],
+        "states": [{"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}],
+    }), "probabilities sum to 0.5, expected 1"),
+    ("no-antennas", config_text(channel={"kind": "continuous-product", "n_r": 0, "n_t": 2,
+                                         "v_max": 1.0}), "antenna counts must be positive"),
+    ("unknown-csit-preset", config_text(csit_error={"preset": "case9"}),
+     "unknown error preset 'case9'"),
+    ("malformed-entry", config_text(channel={
+        "kind": "discrete", "probs": [1.0],
+        "states": [{"rows": 1, "cols": 1, "entries": [1.0]}],
+    }), "matrix entry 0 is not an [re, im] pair of numbers: 1.0"),
+]
+
+
 class TestCli:
     def run_cli(self, *args, stdin=None):
         return subprocess.run(
@@ -1145,38 +1166,26 @@ class TestCli:
         assert "PASS" in out.stdout
         assert (tmp_path / "trace.csv").exists()
 
-    @pytest.mark.parametrize("command", ["run", "baseline"])
     @pytest.mark.parametrize(
-        "text, message",
+        "command, text, samples, message",
         [
-            (None, "No such file or directory"),
-            ('{"channel": ', "malformed JSON: Expecting value"),
-            (config_text(controller={"kind": "dpp", "v": -1}), "v must be positive"),
-            (config_text(csit_error={"kind": "bounded-ball", "delta": -0.1}),
-             "delta must be nonnegative"),
-            (config_text(channel={
-                "kind": "discrete", "probs": [0.5],
-                "states": [{"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}],
-            }), "probabilities sum to 0.5, expected 1"),
-            (config_text(channel={"kind": "continuous-product", "n_r": 0, "n_t": 2,
-                                 "v_max": 1.0}), "antenna counts must be positive"),
-            (config_text(csit_error={"preset": "case9"}), "unknown error preset 'case9'"),
-            (config_text(channel={
-                "kind": "discrete", "probs": [1.0],
-                "states": [{"rows": 1, "cols": 1, "entries": [1.0]}],
-            }), "matrix entry 0 is not an [re, im] pair of numbers: 1.0"),
-        ],
-        ids=[
-            "missing-file", "malformed-json", "config-error", "negative-delta",
-            "probs-sum", "no-antennas", "unknown-csit-preset", "malformed-entry",
+            pytest.param(command, text, "100", message, id=f"{name}-{command}")
+            for name, text, message in BAD_CONFIGS
+            for command in ("run", "baseline")
+        ] + [
+            pytest.param(
+                "baseline", config_text(channel={"preset": "paper-continuous"}), samples,
+                f"n_samples must be at least 1, got {samples}", id=f"{name}-baseline",
+            )
+            for name, samples in (("no-samples", "0"), ("negative-samples", "-1"))
         ],
     )
-    def test_bad_input_exits_2_without_traceback(self, tmp_path, command, text, message):
+    def test_bad_input_exits_2_without_traceback(self, tmp_path, command, text, samples, message):
         # exit 1 stays the certification-failure status
         cfg_path = tmp_path / "cfg.json"
         if text is not None:
             cfg_path.write_text(text)
-        extra = ["--kind", "with-csit", "--out", str(tmp_path / "ref.json")]
+        extra = ["--kind", "with-csit", "--samples", samples, "--out", str(tmp_path / "ref.json")]
         out = self.run_cli(command, str(cfg_path), *(extra if command == "baseline" else []))
         assert out.returncode == 2
         assert out.stderr.startswith("dyncov: error: ") and message in out.stderr

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from numpy.linalg import LinAlgError
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from dyncov import (
     DppSpec,
@@ -28,6 +28,7 @@ from dyncov.channel import PAPER_H1
 from dyncov.harness import _decide
 from dyncov.linalg import (
     _capacity_gradient,
+    _compose,
     _ct,
     _eigh_desc,
     _identity_plus,
@@ -80,10 +81,10 @@ def outcome(f, *args):
 
 
 def eigh_oracle(a):
-    """``_eigh_desc`` through ``np.linalg.eigh``: the rows of the reversed
-    eigenvector columns, conjugated, and the reversed eigenvalues."""
+    """``_eigh_desc`` through ``np.linalg.eigh``: its pair reversed, the
+    descending eigenvalues and the eigenvector columns in their order."""
     w, v = np.linalg.eigh(a)
-    return v[..., ::-1].conj().swapaxes(-1, -2), w[..., ::-1].copy()
+    return w[..., ::-1], v[..., ::-1]
 
 
 def gradient_oracle(h, q):
@@ -98,8 +99,17 @@ def guarded(f, *args):
 
 
 def eigh_kernel(a):
-    e = guarded(_eigh_desc, a)
-    return e.u, e.sigma
+    return guarded(_eigh_desc, a)
+
+
+# hypothesis arguments of the ``hermitian_stack`` property tests
+HERMITIAN_STACKS = dict(
+    n=st.integers(1, 8),
+    count=st.integers(1, 6),
+    kind=st.sampled_from(["generic", "rank-deficient", "repeated"]),
+    scale=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    seed=st.integers(0, 2**32 - 1),
+)
 
 
 NAN_PATTERNS = ["corner", "full", "one-entry"]
@@ -120,13 +130,7 @@ class TestLapackKernels:
     """The kernels call LAPACK's gufuncs without np.linalg's wrappers; they
     must equal np.linalg byte for byte and fail exactly where it fails."""
 
-    @given(
-        n=st.integers(1, 8),
-        count=st.integers(1, 6),
-        kind=st.sampled_from(["generic", "rank-deficient", "repeated"]),
-        scale=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(**HERMITIAN_STACKS)
     def test_direct_calls_equal_np_linalg(self, n, count, kind, scale, seed):
         rng = np.random.default_rng(seed)
         a = hermitian_stack(rng, n, count, kind, scale)
@@ -136,7 +140,7 @@ class TestLapackKernels:
         assert outcome(guarded, _capacity_gradient, h, q) == outcome(gradient_oracle, h, q)
         for k in range(count):
             # the lean projection against the HermEigen round trip it replaced
-            e = _eigh_desc(a[k])
+            e = herm_eig(a[k])
             expect = e.compose(_cap_threshold(e.sigma.tolist(), 0.0, scale)[0])
             assert guarded(_cap_project, a[k], scale).tobytes() == expect.tobytes()
 
@@ -145,14 +149,15 @@ class TestLapackKernels:
     def test_nan_input_fails_like_np_linalg(self, n, pattern):
         # np.linalg.eigh raises on some NaN inputs and returns NaN on others;
         # np.linalg.solve returns NaN.  The direct calls do the same, with no
-        # RuntimeWarning either way
+        # RuntimeWarning either way; the public gradient rejects NaN input
         a = nan_matrix(n, pattern)
         assert outcome(eigh_kernel, a) == outcome(eigh_oracle, a)
         h, q = np.ones((n, n), dtype=complex), np.eye(n, dtype=complex)
         h[0, 0] = np.nan
         assert outcome(guarded, _capacity_gradient, h, q) == outcome(gradient_oracle, h, q)
         assert outcome(guarded, _capacity_gradient, a, q) == outcome(gradient_oracle, a, q)
-        assert outcome(capacity_gradient, a, q) == outcome(gradient_oracle, a, q)
+        with pytest.raises(ValueError, match="channel has non-finite entries"):
+            capacity_gradient(a, q)
 
     def test_unconverged_eigensolve_raises(self):
         nan = nan_matrix(3, "full")
@@ -190,6 +195,55 @@ class TestLapackKernels:
     def test_validate_check_passes(self):
         check = check_lapack_kernels(count=10)
         assert check.passed, check.detail
+
+
+def lean_cap_project(x, cap):
+    """The projection as it composed on LAPACK's columns before ``_compose``
+    existed, verbatim: the oracle of the shared kernel's projection."""
+    w, v = _umath_linalg.eigh_lo(x, signature="D->dD")
+    theta = _cap_threshold(w[::-1].tolist(), 0.0, cap)[0]
+    v = v[:, ::-1]
+    q = v @ (np.asarray(theta)[:, None] * v.conj().T)
+    return 0.5 * (q + q.conj().T)
+
+
+class TestSpectralLayout:
+    """One layout: ``_eigh_desc`` returns (sigma, v) with eigenvector
+    columns, ``_compose`` turns a stack of them back into matrices, and only
+    ``herm_eig`` builds the public rows."""
+
+    @pytest.mark.parametrize("kind", ["generic", "rank-deficient", "repeated"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stacked_compose_equals_per_matrix(self, n, kind):
+        rng = np.random.default_rng(60 + n)
+        a = hermitian_stack(rng, n, 64, kind, 1.0)
+        sigma, v = guarded(_eigh_desc, a)
+        theta = rng.uniform(0.0, 2.0, (64, n)).tolist()
+        q = _compose(v, theta)
+        for k in range(64):
+            assert q[k].tobytes() == _compose(v[k], theta[k]).tobytes()
+        assert np.array_equal(q, _ct(q))  # exactly Hermitian
+        assert np.allclose(_compose(v, sigma), a, atol=1e-12)  # V diag(sigma) V^H = A
+
+    @given(**HERMITIAN_STACKS)
+    def test_cap_project_equals_lean_formula(self, n, count, kind, scale, seed):
+        a = hermitian_stack(np.random.default_rng(seed), n, count, kind, scale)
+        for k in range(count):
+            for cap in (0.5 * scale, 2.0 * scale):
+                assert outcome(guarded, _cap_project, a[k], cap) == outcome(
+                    guarded, lean_cap_project, a[k], cap
+                )
+
+    @given(**HERMITIAN_STACKS)
+    def test_herm_eig_rows_equal_np_linalg(self, n, count, kind, scale, seed):
+        # the public rows are np.linalg.eigh's pair reversed, the columns
+        # conjugated and transposed
+        a = hermitian_stack(np.random.default_rng(seed), n, count, kind, scale)
+        for k in range(count):
+            w, v = np.linalg.eigh(a[k])
+            e = herm_eig(a[k])
+            assert e.u.tobytes() == v[:, ::-1].conj().T.tobytes()
+            assert e.sigma.tobytes() == w[::-1].tobytes()
 
 
 class TestHermEig:
@@ -243,22 +297,16 @@ class TestHermEig:
         e = herm_eig(random_hermitian(np.random.default_rng(n), n))
         assert np.all(np.diff(e.sigma) <= 0.0)
 
-    @given(
-        n=st.integers(1, 8),
-        count=st.integers(1, 6),
-        kind=st.sampled_from(["generic", "rank-deficient", "repeated"]),
-        scale=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(**HERMITIAN_STACKS)
     def test_stack_kernel_equals_herm_eig(self, n, count, kind, scale, seed):
         # the solvers decompose exactly Hermitian stacks with the unvalidated
         # kernel; each entry must be the public herm_eig result bit for bit
         a = hermitian_stack(np.random.default_rng(seed), n, count, kind, scale)
-        stacked = _eigh_desc(a)
+        sigma, v = _eigh_desc(a)
         for k in range(count):
             e = herm_eig(a[k])
-            assert np.array_equal(stacked.u[k], e.u)
-            assert np.array_equal(stacked.sigma[k], e.sigma)
+            assert np.array_equal(_ct(v[k]), e.u)
+            assert np.array_equal(sigma[k], e.sigma)
 
 
 class TestCapacity:
@@ -287,6 +335,19 @@ class TestCapacity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             capacity(np.zeros((2, 3)), np.eye(2))
+
+    @pytest.mark.parametrize("f", [capacity, capacity_gradient])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("what", ["channel", "covariance"])
+    def test_rejects_non_finite(self, f, bad, what):
+        # the public boundary names the argument; without the check NaN
+        # came back silently and inf as NaN with a RuntimeWarning
+        h, q = np.eye(2, dtype=complex), np.eye(2, dtype=complex)
+        (h if what == "channel" else q)[1, 0] = bad
+        with pytest.raises(ValueError, match=f"^{what} has non-finite entries$"):
+            f(h, q)
+        with pytest.raises(ValueError, match=f"^{what} has non-finite entries$"):
+            f(np.stack([np.eye(2), h]), np.stack([np.eye(2), q]))
 
     def test_indefinite_argument_rejected(self):
         # strongly negative "covariance" drives I + H Q H^H indefinite

@@ -91,6 +91,33 @@ class TestDecodeCheck:
         with pytest.raises(LedgerError, match="completed"):
             decode_check(led)
 
+    def test_accepts_what_record_completed(self):
+        # 999998 + (2 - 2e-11) rounds to 1e6, so record completes the ledger,
+        # though n_total - 999998 = 2.0 exceeds the last capacity by 2e-11,
+        # more than an absolute 1e-12 slack forgives
+        led = RateLedger(1e6)
+        led.record(999998.0)
+        led.record(2.0 - 2e-11)
+        assert led.completed and led.delivered == 1e6
+        table = decode_check(led)
+        assert [row["assigned"] for row in table] == [999998.0, 2.0]
+
+    def test_rejects_last_capacity_edited_after_completion(self):
+        led = RateLedger(1e6)
+        led.record(999998.0)
+        led.record(2.0 - 2e-11)
+        led.capacities[-1] = 2.0 - 4e-10  # 999998 + this rounds below 1e6
+        with pytest.raises(LedgerError, match="slot 1 assignment 2.0 exceeds capacity"):
+            decode_check(led)
+
+    def test_rejects_completion_record_did_not_declare(self):
+        led = RateLedger(10.0)
+        for r in (4.0, 3.0):
+            led.record(r)
+        led.completed_at = 2  # 4 + 3 < 10
+        with pytest.raises(LedgerError, match="slot 1 assignment 6.0 exceeds capacity 3.0"):
+            decode_check(led)
+
     def test_random_runs_overhead_and_feasibility(self):
         rng = np.random.default_rng(31)
         for _ in range(1000):
