@@ -44,7 +44,6 @@ from .harness import (
 )
 from .linalg import (
     ConvergenceError,
-    HermEigen,
     capacity,
     capacity_gradient,
     frobenius,
@@ -73,7 +72,6 @@ __all__ = [
     "DppSpec",
     "ExactCsit",
     "ExperimentConfig",
-    "HermEigen",
     "LedgerError",
     "MagPhaseQuantizeCsit",
     "OgdSpec",

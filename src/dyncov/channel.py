@@ -26,7 +26,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius, nearest_index
+from .linalg import as_matrix, check_fields, frobenius, nearest_index
 
 # stream domains: (domain, index) spawn keys under the run seed
 _STREAM_SLOT = 0
@@ -155,13 +155,15 @@ def sampling_rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class DiscreteChannel:
-    """Finitely many channel matrices drawn i.i.d. with fixed probabilities."""
+    """Finitely many channel matrices drawn i.i.d. with fixed probabilities;
+    ``states`` is one (k, n_r, n_t) complex stack, built from any sequence of
+    matrices."""
 
-    states: tuple[np.ndarray, ...]
+    states: np.ndarray
     probs: np.ndarray
 
     def __post_init__(self):
-        states = tuple(as_matrix(s) for s in self.states)
+        states = [as_matrix(s) for s in self.states]
         probs = np.asarray(self.probs, dtype=float)
         if len(states) == 0:
             raise ValueError("discrete channel needs at least one state")
@@ -174,6 +176,9 @@ class DiscreteChannel:
         shape = states[0].shape
         if any(s.shape != shape for s in states):
             raise ValueError("all channel states must share dimensions")
+        states = np.stack(states)
+        if not np.isfinite(states).all():
+            raise ValueError("channel states have non-finite entries")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "_cum", np.cumsum(probs))
@@ -185,11 +190,11 @@ class DiscreteChannel:
 
     @property
     def n_r(self) -> int:
-        return self.states[0].shape[0]
+        return self.states.shape[1]
 
     @property
     def n_t(self) -> int:
-        return self.states[0].shape[1]
+        return self.states.shape[2]
 
 
 @dataclass(frozen=True)
@@ -202,6 +207,7 @@ class ProductChannel:
     v_max: float
 
     def __post_init__(self):
+        check_fields(self, finite=("v_max",), counts=("n_r", "n_t"))
         if self.n_r < 1 or self.n_t < 1:
             raise ValueError("antenna counts must be positive")
         if not self.v_max > 0:
@@ -224,6 +230,7 @@ class PhaseQuantizeCsit:
     step: float
 
     def __post_init__(self):
+        check_fields(self, finite=("step",))
         if not self.step > 0:
             raise ValueError("phase step must be positive")
 
@@ -237,6 +244,7 @@ class MagPhaseQuantizeCsit:
     phase_step: float
 
     def __post_init__(self):
+        check_fields(self, finite=("mag_step", "phase_step"))
         if not (self.mag_step > 0 and self.phase_step > 0):
             raise ValueError("quantization steps must be positive")
 
@@ -252,6 +260,7 @@ class BoundedBallCsit:
     delta: float
 
     def __post_init__(self):
+        check_fields(self, finite=("delta",))
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
 
@@ -262,22 +271,26 @@ class TabulatedCsit:
 
     Carries explicit corrupted-observation tables (the shipped error-case
     presets use this), sidestepping any rounding-convention ambiguity.
+    ``states`` and ``observed`` are (k, n_r, n_t) complex stacks, built from
+    any sequences of matrices.
     """
 
-    states: tuple[np.ndarray, ...]
-    observed: tuple[np.ndarray, ...]
+    states: np.ndarray
+    observed: np.ndarray
 
     def __post_init__(self):
-        states = tuple(as_matrix(s) for s in self.states)
-        observed = tuple(as_matrix(o) for o in self.observed)
+        states = [as_matrix(s) for s in self.states]
+        observed = [as_matrix(o) for o in self.observed]
         if len(states) == 0 or len(states) != len(observed):
             raise ValueError("tabulated model needs matching state/observation lists")
         shapes = sorted({m.shape for m in states + observed})
         if len(shapes) > 1:
             raise ValueError(f"tabulated states and observations differ in shape: {shapes}")
+        states, observed = np.stack(states), np.stack(observed)
+        if not (np.isfinite(states).all() and np.isfinite(observed).all()):
+            raise ValueError("tabulated states and observations have non-finite entries")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "observed", observed)
-        object.__setattr__(self, "_stack", np.stack(states))
 
 
 CsitErrorModel = Union[
@@ -343,7 +356,7 @@ def _observe(h: np.ndarray, err: CsitErrorModel, g=None, r=None) -> np.ndarray:
         e[zero] = 0.0
         return h + e
     if isinstance(err, TabulatedCsit):
-        return np.stack(err.observed)[nearest_index(h, err._stack)]
+        return err.observed[nearest_index(h, err.states)]
     raise TypeError(f"unknown CSIT error model {type(err).__name__}")
 
 
@@ -376,7 +389,7 @@ def draw_path(
     the ball's); the arithmetic on the filled stacks runs once."""
     words = _seed_words(seed, np.arange(horizon))
     ball = isinstance(err, BoundedBallCsit)
-    states = np.stack(model.states) if isinstance(model, DiscreteChannel) else None
+    states = model.states if isinstance(model, DiscreteChannel) else None
     if states is not None and not ball:
         idx = model.index(_first_uniforms(words))
         return states[idx], _observe(states, err)[idx]

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import channel as ch
 from .controllers import BoundReport, dpp_step, ogd_step, theoretical_bounds
-from .linalg import ConvergenceError, _compose, _lapack_guard, capacity, trace_real
+from .linalg import ConvergenceError, _compose, _lapack_guard, capacity, check_fields, trace_real
 from .matrixio import json_text, matrix_from_json, replace_file
 from .rate_adapt import RateLedger, decode_check
 from .solvers import (
@@ -63,6 +63,7 @@ class DppSpec:
             raise ConfigError("v must be positive")
         if not self.z0 >= 0:
             raise ConfigError("z0 must be nonnegative")
+        check_fields(self, finite=("v", "z0"), error=ConfigError)  # NaN keeps its sign message
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,7 @@ class OgdSpec:
     t_delay: int = 1  # observations arrive t_delay slots late
 
     def __post_init__(self):
+        check_fields(self, finite=("gamma",), counts=("t_delay",), error=ConfigError)
         # the regret bound divides by gamma, so reject it before the run
         if self.gamma is not None and not self.gamma > 0:
             raise ConfigError("gamma must be positive")
@@ -108,6 +110,10 @@ class ExperimentConfig:
     outputs: Optional[OutputPaths] = None
 
     def __post_init__(self):
+        check_fields(
+            self, finite=("p", "p_bar", "rate_adapt_n"), counts=("horizon", "seed"),
+            error=ConfigError,
+        )
         if not (self.p >= self.p_bar > 0):
             raise ConfigError("need p >= p_bar > 0")
         if self.horizon < 1:
@@ -127,9 +133,9 @@ class ExperimentConfig:
         # a table or policy made for other antenna counts would fail only mid-run
         channel_shape, cov_shape = (self.n_r, self.n_t), (self.n_t, self.n_t)
         table = self.csit_error
-        if isinstance(table, ch.TabulatedCsit) and table.states[0].shape != channel_shape:
+        if isinstance(table, ch.TabulatedCsit) and table.states.shape[1:] != channel_shape:
             raise ConfigError(
-                f"per-state CSIT table entries are {table.states[0].shape}, "
+                f"per-state CSIT table entries are {table.states.shape[1:]}, "
                 f"not the channel's {channel_shape}"
             )
         replayed = getattr(self.controller, "policy", None)
@@ -137,8 +143,9 @@ class ExperimentConfig:
             if isinstance(policy, ConstantCovariance):
                 fits = policy.q.shape == cov_shape
             elif isinstance(policy, CdiPolicy):
-                fits = all(s.shape == channel_shape for s in policy.states) and all(
-                    q.shape == cov_shape for q in policy.covariances
+                fits = (
+                    policy.states.shape[1:] == channel_shape
+                    and policy.covariances.shape[1:] == cov_shape
                 )
             else:
                 continue
@@ -210,6 +217,14 @@ def _finite_array(obj: dict, key: str) -> np.ndarray:
     return x
 
 
+def _matrices(obj: dict, key: str) -> list[np.ndarray]:
+    """obj[key], a list of matrices in the JSON schema, as complex arrays."""
+    x = obj[key]
+    if not isinstance(x, list):
+        raise ConfigError(f"field {key!r} must be a list of matrices, got {x!r}")
+    return [matrix_from_json(m) for m in x]
+
+
 def _keys(obj: dict, allowed: set, section: Optional[str] = None) -> None:
     """Reject any key of obj outside ``allowed``, naming the section (None
     for the top level) and the keys."""
@@ -231,8 +246,9 @@ def _parse_channel(obj: dict) -> ch.ChannelModel:
     kind = obj.get("kind")
     if kind == "discrete":
         _keys(obj, {"kind", "states", "probs"}, "channel")
-        states = tuple(matrix_from_json(s) for s in obj["states"])
-        return ch.DiscreteChannel(states=states, probs=np.asarray(obj["probs"], dtype=float))
+        return ch.DiscreteChannel(
+            states=_matrices(obj, "states"), probs=np.asarray(obj["probs"], dtype=float)
+        )
     if kind == "continuous-product":
         _keys(obj, {"kind", "n_r", "n_t", "v_max"}, "channel")
         return ch.ProductChannel(
@@ -266,8 +282,7 @@ def _parse_csit_error(obj: dict) -> ch.CsitErrorModel:
         _keys(obj, {"kind", "states", "observed"}, "csit_error")
         try:
             return ch.TabulatedCsit(
-                states=tuple(matrix_from_json(s) for s in obj["states"]),
-                observed=tuple(matrix_from_json(s) for s in obj["observed"]),
+                states=_matrices(obj, "states"), observed=_matrices(obj, "observed")
             )
         except ValueError as exc:
             raise ConfigError(f"per-state CSIT table: {exc}") from exc
@@ -297,6 +312,8 @@ def _parse_controller(obj: dict, base_dir: Optional[Path]) -> ControllerSpec:
 
 
 def _resolve(path: str, base_dir: Optional[Path]) -> Path:
+    if not isinstance(path, str):
+        raise ConfigError(f"field 'policy' must be a path string, got {path!r}")
     p = Path(path)
     if not p.is_absolute() and base_dir is not None:
         p = base_dir / p
@@ -318,6 +335,8 @@ def load_config(source: Union[str, Path, dict]) -> ExperimentConfig:
             obj = json.load(fh)
     else:
         obj = source
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config must be a JSON object, got {obj!r}")
     _keys(obj, _CONFIG_KEYS)
     for section in ("channel", "csit_error", "controller", "reference", "rate_adapt", "outputs"):
         if obj.get(section) is not None and not isinstance(obj[section], dict):
@@ -343,6 +362,9 @@ def load_config(source: Union[str, Path, dict]) -> ExperimentConfig:
         outputs = obj.get("outputs")
         if outputs is not None:
             _keys(outputs, {"csv", "summary", "svg_utility", "svg_power"}, "outputs")
+            for key, path in outputs.items():
+                if not isinstance(path, str):
+                    raise ConfigError(f"output {key!r} must be a path string, got {path!r}")
             outputs = OutputPaths(
                 csv=outputs.get("csv"),
                 summary=outputs.get("summary"),
@@ -379,8 +401,8 @@ def save_policy(policy: Union[CdiPolicy, ConstantCovariance], path) -> None:
             "lambda": policy.lam,
             "r_opt": policy.r_opt,
             "probs": [float(p) for p in policy.probs],
-            "states": np.stack(policy.states),
-            "covariances": np.stack(policy.covariances),
+            "states": policy.states,
+            "covariances": policy.covariances,
         }
     elif isinstance(policy, ConstantCovariance):
         obj = {
@@ -399,12 +421,14 @@ def save_policy(policy: Union[CdiPolicy, ConstantCovariance], path) -> None:
 def load_policy(path) -> Union[CdiPolicy, ConstantCovariance]:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ConfigError(f"policy file must be a JSON object, got {obj!r}")
     kind = obj.get("kind")
     try:
         if kind == "with-csit":
-            states = tuple(matrix_from_json(s) for s in obj["states"])
+            states = _matrices(obj, "states")
             probs = _finite_array(obj, "probs")
-            covariances = tuple(matrix_from_json(q) for q in obj["covariances"])
+            covariances = _matrices(obj, "covariances")
             if not states or not len(states) == len(probs) == len(covariances):
                 raise ConfigError(
                     f"with-csit policy needs one probability and one covariance per "

@@ -9,11 +9,14 @@ numpy's LAPACK gufuncs directly, under ``np.linalg``'s failure contract.
 
 ``capacity``, ``capacity_gradient`` and ``trace_real`` also take stacks
 (leading axes broadcast); each entry equals its single-matrix result exactly.
+``check_fields`` is the finiteness and integer check of the model and
+config constructors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -23,6 +26,21 @@ HERMITIAN_ATOL = 1e-12
 
 class ConvergenceError(RuntimeError):
     """An iterative routine ran out of iterations."""
+
+
+def check_fields(obj, finite=(), counts=(), error=ValueError) -> None:
+    """Reject, naming the field, an attribute of obj listed in ``finite`` that
+    is NaN or infinite, or one listed in ``counts`` that is not of an integer
+    type (a bool or a float such as 2.0 is rejected); None marks an absent
+    optional field."""
+    for name in finite:
+        x = getattr(obj, name)
+        if x is not None and not math.isfinite(x):
+            raise error(f"{name} must be finite, got {x!r}")
+    for name in counts:
+        x = getattr(obj, name)
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            raise error(f"{name} must be an integer, got {x!r}")
 
 
 def as_matrix(a) -> np.ndarray:
@@ -90,22 +108,6 @@ def require_hermitian(a, what: str = "matrix") -> np.ndarray:
     return symmetrize(m)
 
 
-@dataclass(frozen=True)
-class HermEigen:
-    """Eigendecomposition A = U^H diag(sigma) U of a Hermitian matrix.
-
-    Rows of ``u`` are the eigenvectors (so ``u @ a @ u.conj().T`` is
-    diagonal); ``sigma`` is real and in descending order.
-    """
-
-    u: np.ndarray
-    sigma: np.ndarray
-
-    def compose(self, loading) -> np.ndarray:
-        """Assemble U^H diag(loading) U, re-symmetrized against round-off."""
-        return _compose(_ct(self.u), loading)
-
-
 def _lapack_failed(err, flag):
     raise LinAlgError("LAPACK kernel failed: singular matrix or eigenvalues did not converge")
 
@@ -132,15 +134,16 @@ def _compose(v: np.ndarray, theta) -> np.ndarray:
     return 0.5 * (q + _ct(q))
 
 
-def herm_eig(a) -> HermEigen:
-    """Eigendecomposition of a Hermitian matrix by LAPACK (``np.linalg.eigh``'s gufunc).
+def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition A = V diag(sigma) V^H of a Hermitian matrix by LAPACK:
+    ``np.linalg.eigh``'s pair (sigma, v) in descending order, eigenvectors in
+    the columns of v.
 
     The input must be finite and Hermitian (see ``require_hermitian``); it
-    is symmetrized first.  Eigenvalues come back in descending order.
+    is symmetrized first.
     """
     with _lapack_guard():
-        sigma, v = _eigh_desc(require_hermitian(a, "eigensolver input"))
-    return HermEigen(u=_ct(v), sigma=sigma)
+        return _eigh_desc(require_hermitian(a, "eigensolver input"))
 
 
 def _capacity_arg(h, q) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .linalg import check_fields
+
 
 class LedgerError(RuntimeError):
     """Misuse of a ledger (e.g. stepping after completion)."""
@@ -31,6 +33,7 @@ class RateLedger:
     delivered: float = field(default=0.0, init=False)
 
     def __post_init__(self):
+        check_fields(self, finite=("n_total",))
         if not self.n_total > 0:
             raise ValueError("n_total must be positive")
 
@@ -74,23 +77,25 @@ def decode_check(ledger: RateLedger) -> list[dict]:
     The last slot is assigned the remainder n_total - sum of the earlier
     capacities; each earlier slot is assigned exactly its capacity.  Every
     assignment must fit within its slot's capacity; the assignments sum to
-    n_total.  The last slot fits when the earlier capacities plus its own,
-    summed in slot order as ``record`` sums them, reach n_total.  A
-    violation indicates a corrupted ledger and raises.
+    n_total.  The last slot must be the first to cover n_total: the earlier
+    capacities, summed in slot order as ``record`` sums them, stay below
+    n_total and reach it with the last one.  A violation indicates a
+    corrupted ledger and raises.
     """
     if not ledger.completed:
         raise LedgerError("decode check requires a completed ledger")
     caps = ledger.capacities
-    t_done = ledger.completed_at
+    last = ledger.completed_at - 1
     head = 0.0
-    for c in caps[: t_done - 1]:
+    for c in caps[:last]:
         head += c
-    table = []
-    for tau in range(t_done):
-        assigned = caps[tau] if tau < t_done - 1 else ledger.n_total - head
-        if tau == t_done - 1 and not head + caps[tau] >= ledger.n_total:
-            raise LedgerError(
-                f"slot {tau} assignment {assigned!r} exceeds capacity {caps[tau]!r}"
-            )
-        table.append({"slot": tau, "assigned": float(assigned), "capacity": caps[tau]})
-    return table
+    remainder = ledger.n_total - head
+    if not head < ledger.n_total:
+        raise LedgerError(
+            f"slot {last} assignment {remainder!r} is not positive: "
+            f"the earlier slots already cover n_total {ledger.n_total!r}"
+        )
+    if not head + caps[last] >= ledger.n_total:
+        raise LedgerError(f"slot {last} assignment {remainder!r} exceeds capacity {caps[last]!r}")
+    table = [{"slot": t, "assigned": float(c), "capacity": c} for t, c in enumerate(caps[:last])]
+    return table + [{"slot": last, "assigned": float(remainder), "capacity": caps[last]}]

@@ -136,10 +136,11 @@ def waterfill_penalized(h_tilde, z_over_v: float, cap: float) -> WaterfillResult
     h = as_matrix(h_tilde)
     if not np.isfinite(h).all():  # before the Gram product turns inf into NaN
         raise ValueError("channel has non-finite entries")
-    eig = herm_eig(h.conj().T @ h)  # also rejects a Gram product that overflowed
-    theta, mu = _waterfill_loading(_waterfill_thresholds(eig.sigma), h.shape[1], z_over_v, cap)
-    sigma = np.maximum(eig.sigma, 0.0)
-    return WaterfillResult(q=eig.compose(theta), mu=mu, theta=np.array(theta), sigma=sigma)
+    sigma, v = herm_eig(h.conj().T @ h)  # also rejects a Gram product that overflowed
+    theta, mu = _waterfill_loading(_waterfill_thresholds(sigma), h.shape[1], z_over_v, cap)
+    return WaterfillResult(
+        q=_compose(v, theta), mu=mu, theta=np.array(theta), sigma=np.maximum(sigma, 0.0)
+    )
 
 
 def _cap_project(x: np.ndarray, cap: float) -> np.ndarray:
@@ -164,30 +165,33 @@ def psd_cap_project(x, cap: float) -> np.ndarray:
 @dataclass(frozen=True)
 class CdiPolicy:
     """Per-state covariance table for a discrete channel, with the long-term
-    power multiplier it was solved at and the average utility it attains."""
+    power multiplier it was solved at and the average utility it attains.
 
-    states: tuple[np.ndarray, ...]
+    ``states`` (k, n_r, n_t) and ``covariances`` (k, n_t, n_t) are complex
+    stacks, built from any sequence of matrices."""
+
+    states: np.ndarray
     probs: np.ndarray
-    covariances: tuple[np.ndarray, ...]
+    covariances: np.ndarray
     lam: float
     r_opt: float
 
     def __post_init__(self):
-        object.__setattr__(self, "_stack", np.stack(self.states))
-        object.__setattr__(self, "_covs", np.stack(self.covariances))
+        object.__setattr__(self, "states", np.stack(self.states, dtype=np.complex128))
+        object.__setattr__(self, "covariances", np.stack(self.covariances, dtype=np.complex128))
 
     def lookup(self, h) -> np.ndarray:
         """Covariance of the stored state nearest to h in Frobenius distance;
         a stack of channels (k, n_r, n_t) gives the k covariances."""
-        return self._covs[nearest_index(h, self._stack)]
+        return self.covariances[nearest_index(h, self.states)]
 
     def average_power(self) -> float:
-        return float(sum(self.probs * trace_real(self._covs)))
+        return float(sum(self.probs * trace_real(self.covariances)))
 
 
-def _policy_at(model: DiscreteChannel, lam: float, p: float) -> tuple[tuple[np.ndarray, ...], float]:
-    covs = tuple(waterfill_penalized(s, lam, p).q for s in model.states)
-    return covs, float(sum(model.probs * trace_real(np.stack(covs))))
+def _policy_at(model: DiscreteChannel, lam: float, p: float) -> tuple[np.ndarray, float]:
+    covs = np.stack([waterfill_penalized(s, lam, p).q for s in model.states])
+    return covs, float(sum(model.probs * trace_real(covs)))
 
 
 def cdi_optimal_policy(
@@ -238,7 +242,7 @@ def cdi_optimal_policy(
             )
 
     # builtin sum: the same sequential order as summing state by state
-    r_opt = float(sum(model.probs * capacity(np.stack(model.states), np.stack(covs))))
+    r_opt = float(sum(model.probs * capacity(model.states, covs)))
     return CdiPolicy(
         states=model.states, probs=model.probs, covariances=covs, lam=lam, r_opt=r_opt
     )
@@ -276,7 +280,6 @@ def ergodic_constant_covariance(
     if not p_bar > 0:
         raise ValueError("p_bar must be positive")
 
-    states = np.stack(model.states)
     probs = model.probs[:, None, None]
     q = y = np.zeros((model.n_t, model.n_t), dtype=np.complex128)
     momentum = 1.0
@@ -285,7 +288,7 @@ def ergodic_constant_covariance(
     with _lapack_guard():
         for iterations in range(1, iter_cap + 1):
             # y stays exactly Hermitian: sums and real multiples of Hermitian matrices
-            grad = (probs * _capacity_gradient(states, y)).sum(axis=0)
+            grad = (probs * _capacity_gradient(model.states, y)).sum(axis=0)
             q_prev, q = q, _cap_project(y + step * grad, p_bar)
             if frobenius(q - y) <= tol:
                 converged = True
@@ -296,7 +299,7 @@ def ergodic_constant_covariance(
             y = q + ((momentum - 1.0) / momentum_next) * (q - q_prev)
             momentum = momentum_next
 
-    per_state = capacity(states, q)
+    per_state = capacity(model.states, q)
     r_opt = float((model.probs * per_state).sum())
     return ConstantCovariance(
         q=q, per_state_utility=per_state, r_opt=r_opt, converged=converged,
@@ -314,9 +317,7 @@ def empirical_policy(samples, p_bar: float, p: float, mode: str):
     samples = [as_matrix(s) for s in samples]
     if not samples:
         raise ValueError("empirical policy needs at least one sample")
-    model = DiscreteChannel(
-        states=tuple(samples), probs=np.full(len(samples), 1.0 / len(samples))
-    )
+    model = DiscreteChannel(states=samples, probs=np.full(len(samples), 1.0 / len(samples)))
     if mode == "with-csit":
         return cdi_optimal_policy(model, p_bar, p)
     if mode == "no-csit":

@@ -34,8 +34,8 @@ def strong_channel():
 def gram(h):
     """What dpp_step takes of the Gram matrix H^H H: the water-filling
     thresholds of its spectrum and its size."""
-    e = herm_eig(h.conj().T @ h)
-    return _waterfill_thresholds(e.sigma), len(e.sigma)
+    sigma, _ = herm_eig(h.conj().T @ h)
+    return _waterfill_thresholds(sigma), len(sigma)
 
 
 class TestDppStep:

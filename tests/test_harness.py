@@ -23,9 +23,12 @@ from dyncov import (
     DppSpec,
     ExactCsit,
     ExperimentConfig,
+    MagPhaseQuantizeCsit,
     OgdSpec,
     OutputPaths,
+    PhaseQuantizeCsit,
     ProductChannel,
+    RateLedger,
     ReplaySpec,
     TabulatedCsit,
     compute_baseline,
@@ -515,6 +518,34 @@ class TestOutputs:
         assert cols["t"] == list(range(30))
         assert cols["z"] == [None] * 30  # empty for non-queue controllers
         assert np.allclose(cols["r"], result.r)
+
+
+class TestTableLayout:
+    """Every matrix table is one (k, m, n) complex stack, whichever sequence
+    of matrices built it."""
+
+    @pytest.mark.parametrize("form", [tuple, list, np.stack], ids=["tuple", "list", "array"])
+    def test_tables_store_the_stack(self, form, cdi_reference, tmp_path):
+        states = list(cdi_reference.states)
+        observed = list(paper_error_case("case1").observed)
+        covs = list(cdi_reference.covariances)
+        channel = DiscreteChannel(states=form(states), probs=cdi_reference.probs)
+        table = TabulatedCsit(states=form(states), observed=form(observed))
+        policy = CdiPolicy(
+            states=form(states), probs=cdi_reference.probs, covariances=form(covs),
+            lam=cdi_reference.lam, r_opt=cdi_reference.r_opt,
+        )
+        for stored, mats in (
+            (channel.states, states), (table.states, states), (table.observed, observed),
+            (policy.states, states), (policy.covariances, covs),
+        ):
+            assert stored.dtype == np.complex128 and stored.shape == (2, 2, 2)
+            assert stored.tobytes() == np.stack(mats).tobytes()
+        save_policy(cdi_reference, tmp_path / "reference.json")
+        save_policy(policy, tmp_path / "rebuilt.json")
+        assert (tmp_path / "rebuilt.json").read_bytes() == (
+            tmp_path / "reference.json"
+        ).read_bytes()
 
 
 class TestPolicyFiles:
@@ -1073,6 +1104,69 @@ class TestConfigLoading:
             )
 
 
+def experiment(**fields):
+    """A valid two-state dpp ExperimentConfig with the given fields replaced."""
+    return ExperimentConfig(**{
+        "channel": paper_two_state(), "csit_error": ExactCsit(), "controller": DppSpec(v=1.0),
+        "p": 3.0, "p_bar": 2.0, "horizon": 10, "seed": 1, "rate_adapt_n": 5.0, **fields,
+    })
+
+
+# (constructor, valid fields, the field replaced, whether it is a count)
+CONSTRUCTOR_FIELDS = [
+    (DppSpec, {"v": 100.0, "z0": 1.0}, "v", False),
+    (DppSpec, {"v": 100.0, "z0": 1.0}, "z0", False),
+    (OgdSpec, {"gamma": 0.01, "t_delay": 2}, "gamma", False),
+    (OgdSpec, {"gamma": 0.01, "t_delay": 2}, "t_delay", True),
+    (experiment, {}, "p", False),
+    (experiment, {}, "p_bar", False),
+    (experiment, {}, "horizon", True),
+    (experiment, {}, "seed", True),
+    (experiment, {}, "rate_adapt_n", False),
+    (ProductChannel, {"n_r": 2, "n_t": 2, "v_max": 0.5}, "n_r", True),
+    (ProductChannel, {"n_r": 2, "n_t": 2, "v_max": 0.5}, "n_t", True),
+    (ProductChannel, {"n_r": 2, "n_t": 2, "v_max": 0.5}, "v_max", False),
+    (PhaseQuantizeCsit, {"step": 0.5}, "step", False),
+    (MagPhaseQuantizeCsit, {"mag_step": 0.1, "phase_step": 0.5}, "mag_step", False),
+    (MagPhaseQuantizeCsit, {"mag_step": 0.1, "phase_step": 0.5}, "phase_step", False),
+    (BoundedBallCsit, {"delta": 0.1}, "delta", False),
+    (RateLedger, {"n_total": 10.0}, "n_total", False),
+]
+
+
+class TestConstructorChecks:
+    """Objects built in code, not from JSON, reject what ``load_config``
+    rejects: a non-finite number or a non-integral count fails at once,
+    naming the field, not mid-run or in the summary file."""
+
+    @pytest.mark.parametrize(
+        "make, fields, field, bad",
+        [
+            pytest.param(make, fields, field, bad, id=f"{make.__name__}-{field}-{bad}")
+            for make, fields, field, count in CONSTRUCTOR_FIELDS
+            for bad in [float("nan"), float("inf")] + [1.5] * count
+        ],
+    )
+    def test_rejects_non_finite_and_non_integral(self, make, fields, field, bad):
+        make(**fields)
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            make(**{**fields, field: bad})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["channel", "states", "observed"])
+    def test_tables_reject_non_finite_entries(self, field, bad):
+        a, b = np.eye(2, dtype=complex), np.ones((2, 2), dtype=complex)
+        broken = b.copy()
+        broken[1, 0] = bad
+        if field == "channel":
+            with pytest.raises(ValueError, match="channel states have non-finite entries"):
+                DiscreteChannel(states=(a, broken), probs=np.array([0.5, 0.5]))
+        else:
+            tables = {"states": (a, b), "observed": (a, b), field: (a, broken)}
+            with pytest.raises(ValueError, match="observations have non-finite entries"):
+                TabulatedCsit(**tables)
+
+
 class TestMatrixJson:
     def test_round_trip(self):
         rng = np.random.default_rng(1)
@@ -1127,6 +1221,17 @@ BAD_CONFIGS = [
         "kind": "discrete", "probs": [1.0],
         "states": [{"rows": 1, "cols": 1, "entries": [1.0]}],
     }), "matrix entry 0 is not an [re, im] pair of numbers: 1.0"),
+    ("config-not-object", "5", "config must be a JSON object, got 5"),
+    ("states-not-list", config_text(channel={"kind": "discrete", "probs": [1.0], "states": 5}),
+     "field 'states' must be a list of matrices, got 5"),
+    ("table-not-list", config_text(csit_error={"kind": "per-state", "states": 3, "observed": 3}),
+     "field 'states' must be a list of matrices, got 3"),
+    ("reference-policy-not-path", config_text(reference={"policy": 7}),
+     "field 'policy' must be a path string, got 7"),
+    ("replay-policy-not-path", config_text(controller={"kind": "baseline-replay", "policy": 7}),
+     "field 'policy' must be a path string, got 7"),
+    ("output-not-path", config_text(outputs={"csv": 5}),
+     "output 'csv' must be a path string, got 5"),
 ]
 
 
@@ -1190,6 +1295,16 @@ class TestCli:
         assert out.returncode == 2
         assert out.stderr.startswith("dyncov: error: ") and message in out.stderr
         assert "Traceback" not in out.stderr and out.stdout == ""
+
+    @pytest.mark.parametrize("command", ["run", "baseline"])
+    def test_policy_file_not_object_exits_2(self, tmp_path, command):
+        (tmp_path / "ref.json").write_text("[1, 2]")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(reference={"policy": "ref.json"}))
+        extra = ["--kind", "with-csit", "--out", str(tmp_path / "out.json")]
+        out = self.run_cli(command, str(cfg_path), *(extra if command == "baseline" else []))
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == "dyncov: error: policy file must be a JSON object, got [1, 2]\n"
 
     @pytest.mark.parametrize(
         "args, mat, message",

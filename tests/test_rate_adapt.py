@@ -118,6 +118,23 @@ class TestDecodeCheck:
         with pytest.raises(LedgerError, match="slot 1 assignment 6.0 exceeds capacity 3.0"):
             decode_check(led)
 
+    def test_rejects_earlier_slot_edited_to_cover_n_total(self):
+        led = RateLedger(10.0)
+        for r in (5.0, 6.0):
+            led.record(r)
+        led.capacities[0] = 11.0  # slot 0 alone covers n_total
+        with pytest.raises(LedgerError, match="slot 1 assignment -1.0 is not positive"):
+            decode_check(led)
+
+    def test_rejects_completion_moved_past_covering_slot(self):
+        led = RateLedger(10.0)
+        for r in (4.0, 7.0):
+            led.record(r)
+        led.capacities.append(1.0)
+        led.completed_at = 3  # slots 0 and 1 already cover n_total
+        with pytest.raises(LedgerError, match="slot 2 assignment -1.0 is not positive"):
+            decode_check(led)
+
     def test_random_runs_overhead_and_feasibility(self):
         rng = np.random.default_rng(31)
         for _ in range(1000):
