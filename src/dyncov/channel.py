@@ -26,7 +26,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .linalg import as_matrix, check_fields, frobenius, nearest_index
+from .linalg import as_matrix, check_fields, frobenius, matrix_stack, nearest_index
 
 # stream domains: (domain, index) spawn keys under the run seed
 _STREAM_SLOT = 0
@@ -163,22 +163,14 @@ class DiscreteChannel:
     probs: np.ndarray
 
     def __post_init__(self):
-        states = [as_matrix(s) for s in self.states]
+        states = matrix_stack(self.states, "states")
         probs = np.asarray(self.probs, dtype=float)
-        if len(states) == 0:
-            raise ValueError("discrete channel needs at least one state")
         if probs.shape != (len(states),):
             raise ValueError("probs length must match number of states")
         if not np.all(probs >= 0):  # also rejects NaN
             raise ValueError("probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {float(probs.sum())!r}, expected 1")
-        shape = states[0].shape
-        if any(s.shape != shape for s in states):
-            raise ValueError("all channel states must share dimensions")
-        states = np.stack(states)
-        if not np.isfinite(states).all():
-            raise ValueError("channel states have non-finite entries")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "_cum", np.cumsum(probs))
@@ -279,16 +271,12 @@ class TabulatedCsit:
     observed: np.ndarray
 
     def __post_init__(self):
-        states = [as_matrix(s) for s in self.states]
-        observed = [as_matrix(o) for o in self.observed]
-        if len(states) == 0 or len(states) != len(observed):
-            raise ValueError("tabulated model needs matching state/observation lists")
-        shapes = sorted({m.shape for m in states + observed})
-        if len(shapes) > 1:
-            raise ValueError(f"tabulated states and observations differ in shape: {shapes}")
-        states, observed = np.stack(states), np.stack(observed)
-        if not (np.isfinite(states).all() and np.isfinite(observed).all()):
-            raise ValueError("tabulated states and observations have non-finite entries")
+        states = matrix_stack(self.states, "states")
+        observed = matrix_stack(self.observed, "observed")
+        if states.shape != observed.shape:
+            raise ValueError(
+                f"per-state CSIT table states are {states.shape}, observed {observed.shape}"
+            )
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "observed", observed)
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 
 from .harness import (
     ConfigError,
     OutputPaths,
+    _bad_input,
     compute_baseline,
     emit_outputs,
     load_config,
@@ -38,18 +38,6 @@ def _read_matrix(spec: str):
         return matrix_from_json(json.load(sys.stdin))
     with open(spec, encoding="utf-8") as fh:
         return matrix_from_json(json.load(fh))
-
-
-@contextmanager
-def _matrix_input():
-    """A ValueError from reading or solving one matrix is bad input (exit
-    2), such as a short entries list or a negative cap."""
-    try:
-        yield
-    except json.JSONDecodeError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _cmd_run(args) -> int:
@@ -100,7 +88,7 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_solve_waterfill(args) -> int:
-    with _matrix_input():
+    with _bad_input():
         res = waterfill_penalized(_read_matrix(args.matrix), args.z_over_v, args.cap)
     out = {
         "q": matrix_to_json(res.q),
@@ -114,7 +102,7 @@ def _cmd_solve_waterfill(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    with _matrix_input():
+    with _bad_input():
         q = psd_cap_project(_read_matrix(args.matrix), args.cap)
     json.dump(matrix_to_json(q), sys.stdout, indent=2)
     print()

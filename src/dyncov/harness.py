@@ -16,9 +16,9 @@ re-derives every verdict from quantities that also land in the CSV.
 from __future__ import annotations
 
 import json
-import math
 import numbers
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Union
 
@@ -26,7 +26,15 @@ import numpy as np
 
 from . import channel as ch
 from .controllers import BoundReport, dpp_step, ogd_step, theoretical_bounds
-from .linalg import ConvergenceError, _compose, _lapack_guard, capacity, check_fields, trace_real
+from .linalg import (
+    ConvergenceError,
+    _compose,
+    _lapack_guard,
+    capacity,
+    check_fields,
+    finite_number,
+    trace_real,
+)
 from .matrixio import json_text, matrix_from_json, replace_file
 from .rate_adapt import RateLedger, decode_check
 from .solvers import (
@@ -58,12 +66,12 @@ class DppSpec:
     z0: float = 0.0  # queue before slot 0
 
     def __post_init__(self):
+        check_fields(self, finite=("v", "z0"), error=ConfigError)
         # z / v is the water-filling penalty, and a queue is never negative
         if not self.v > 0:
             raise ConfigError("v must be positive")
         if not self.z0 >= 0:
             raise ConfigError("z0 must be nonnegative")
-        check_fields(self, finite=("v", "z0"), error=ConfigError)  # NaN keeps its sign message
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,11 @@ class OutputPaths:
     svg_utility: Optional[str] = None
     svg_power: Optional[str] = None
 
+    def __post_init__(self):
+        for key, path in vars(self).items():
+            if path is not None and not isinstance(path, str):
+                raise ConfigError(f"output {key!r} must be a path string, got {path!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -105,23 +118,23 @@ class ExperimentConfig:
     p_bar: float
     horizon: int
     seed: int
-    rate_adapt_n: Optional[float] = None
+    rate_adapt_n: Optional[float] = field(default=None, metadata={"key": "rate_adapt"})
     reference: Union[CdiPolicy, ConstantCovariance, float, None] = None
     outputs: Optional[OutputPaths] = None
 
     def __post_init__(self):
-        check_fields(
-            self, finite=("p", "p_bar", "rate_adapt_n"), counts=("horizon", "seed"),
-            error=ConfigError,
-        )
+        check_fields(self, finite=("p", "p_bar"), counts=("horizon", "seed"), error=ConfigError)
         if not (self.p >= self.p_bar > 0):
             raise ConfigError("need p >= p_bar > 0")
         if self.horizon < 1:
             raise ConfigError("horizon must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if self.rate_adapt_n is not None and not self.rate_adapt_n > 0:
-            raise ConfigError("rate_adapt n_total must be positive")
+        if self.rate_adapt_n is not None:  # the ledger owns the rule for its size
+            object.__setattr__(self, "rate_adapt_n", RateLedger(self.rate_adapt_n).n_total)
+        if not isinstance(self.reference, (CdiPolicy, ConstantCovariance, type(None))):
+            reference = finite_number(self.reference, "r_opt", ConfigError)
+            object.__setattr__(self, "reference", reference)
         if (
             isinstance(self.controller, OgdSpec)
             and self.reference is not None
@@ -183,132 +196,95 @@ class RunResult:
 # ---------------------------------------------------------------- config io
 
 
-def _number(obj: dict, key: str, default: Optional[float] = None) -> float:
-    """obj[key] (or the default when given and the key is absent) as a
-    finite float; bools, non-numbers, NaN and infinities are rejected with
-    the field's name."""
-    x = obj[key] if default is None else obj.get(key, default)
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise ConfigError(f"field {key!r} must be a number, got {x!r}")
-    x = float(x)
-    if not math.isfinite(x):
-        raise ConfigError(f"field {key!r} must be finite, got {x!r}")
-    return x
-
-
-def _integer(obj: dict, key: str, default: Optional[int] = None) -> int:
-    """obj[key] (or the default when given and the key is absent) as an int;
-    bools, fractions, non-finite and non-numeric values are rejected with
-    the field's name (an integral float such as 20.0 is accepted)."""
-    x = obj[key] if default is None else obj.get(key, default)
-    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
-        return int(x)
-    if isinstance(x, float) and math.isfinite(x) and x.is_integer():
-        return int(x)
-    raise ConfigError(f"field {key!r} must be an integer, got {x!r}")
-
-
-def _finite_array(obj: dict, key: str) -> np.ndarray:
-    """obj[key] as a float array; NaN and infinities are rejected with the
-    field's name."""
-    x = np.asarray(obj[key], dtype=float)
-    if not np.isfinite(x).all():
-        raise ConfigError(f"field {key!r} must be finite")
-    return x
-
-
-def _matrices(obj: dict, key: str) -> list[np.ndarray]:
-    """obj[key], a list of matrices in the JSON schema, as complex arrays."""
-    x = obj[key]
-    if not isinstance(x, list):
-        raise ConfigError(f"field {key!r} must be a list of matrices, got {x!r}")
-    return [matrix_from_json(m) for m in x]
-
-
-def _keys(obj: dict, allowed: set, section: Optional[str] = None) -> None:
+def _keys(obj: dict, allowed, section: Optional[str] = None, file: str = "config") -> None:
     """Reject any key of obj outside ``allowed``, naming the section (None
     for the top level) and the keys."""
-    unknown = sorted(repr(k) for k in set(obj) - allowed)
+    unknown = sorted(repr(k) for k in set(obj) - set(allowed))
     if unknown:
         where = f" in {section!r}" if section else ""
-        raise ConfigError(f"unknown config key(s){where}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown {file} key(s){where}: {', '.join(unknown)}")
 
 
-def _parse_channel(obj: dict) -> ch.ChannelModel:
-    if "preset" in obj:
-        _keys(obj, {"preset"}, "channel")
-        name = obj["preset"]
-        if name == "paper-two-state":
-            return ch.paper_two_state()
-        if name == "paper-continuous":
-            return ch.paper_continuous()
-        raise ConfigError(f"unknown channel preset {name!r}")
+def _decode(key: str, x):
+    """A JSON value as a constructor argument: a matrix object as a complex
+    array, a list of anything but numbers as a list of matrices."""
+    try:
+        if isinstance(x, dict):
+            return matrix_from_json(x)
+        if isinstance(x, list) and not all(isinstance(v, numbers.Real) for v in x):
+            return [matrix_from_json(m) for m in x]
+    except ValueError as exc:
+        raise ConfigError(f"{key!r}: {exc}") from exc
+    return x
+
+
+def _build(cls, obj: dict, section: Optional[str] = None, file: str = "config"):
+    """cls from the JSON object obj, whose keys are the init fields of cls (a
+    field's metadata ``key`` where its JSON name differs).  Unknown keys and
+    absent required fields are rejected here; every value is checked by cls."""
+    keys = {f.metadata.get("key", f.name): f for f in fields(cls) if f.init}
+    _keys(obj, keys, section, file)
+    for key, f in keys.items():
+        if key not in obj and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing {file} field: {key!r}")
+    return cls(**{keys[k].name: _decode(k, v) for k, v in obj.items()})
+
+
+def _by_kind(obj: dict, section, kinds: dict, what: str, presets=None, default=None,
+             file: str = "config"):
+    """The dataclass that obj's "kind" selects from ``kinds``, built from
+    obj's other keys, or the object ``presets`` makes of obj's "preset"."""
+    if presets is not None and "preset" in obj:
+        _keys(obj, {"preset"}, section)
+        return presets(obj["preset"])
+    kind = obj.get("kind", default)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    return _build(kinds[kind], {k: v for k, v in obj.items() if k != "kind"}, section, file)
+
+
+def _channel_preset(name) -> ch.ChannelModel:
+    if name == "paper-two-state":
+        return ch.paper_two_state()
+    if name == "paper-continuous":
+        return ch.paper_continuous()
+    raise ConfigError(f"unknown channel preset {name!r}")
+
+
+_CHANNELS = {"discrete": ch.DiscreteChannel, "continuous-product": ch.ProductChannel}
+_CSIT_ERRORS = {
+    "exact": ch.ExactCsit,
+    "phase-quantize": ch.PhaseQuantizeCsit,
+    "mag-phase-quantize": ch.MagPhaseQuantizeCsit,
+    "bounded-ball": ch.BoundedBallCsit,
+    "per-state": ch.TabulatedCsit,
+}
+_CONTROLLERS = {"dpp": DppSpec, "ogd": OgdSpec}
+_POLICIES = {"with-csit": CdiPolicy, "no-csit": ConstantCovariance}
+
+
+def _controller(obj: dict, base_dir: Optional[Path]) -> ControllerSpec:
     kind = obj.get("kind")
-    if kind == "discrete":
-        _keys(obj, {"kind", "states", "probs"}, "channel")
-        return ch.DiscreteChannel(
-            states=_matrices(obj, "states"), probs=np.asarray(obj["probs"], dtype=float)
-        )
-    if kind == "continuous-product":
-        _keys(obj, {"kind", "n_r", "n_t", "v_max"}, "channel")
-        return ch.ProductChannel(
-            n_r=_integer(obj, "n_r"), n_t=_integer(obj, "n_t"), v_max=_number(obj, "v_max")
-        )
-    raise ConfigError(f"unknown channel kind {kind!r}")
-
-
-def _parse_csit_error(obj: dict) -> ch.CsitErrorModel:
-    if obj is None:
-        return ch.ExactCsit()
-    if "preset" in obj:
-        _keys(obj, {"preset"}, "csit_error")
-        return ch.paper_error_case(obj["preset"])
-    kind = obj.get("kind", "exact")
-    if kind == "exact":
-        _keys(obj, {"kind"}, "csit_error")
-        return ch.ExactCsit()
-    if kind == "phase-quantize":
-        _keys(obj, {"kind", "step"}, "csit_error")
-        return ch.PhaseQuantizeCsit(step=_number(obj, "step"))
-    if kind == "mag-phase-quantize":
-        _keys(obj, {"kind", "mag_step", "phase_step"}, "csit_error")
-        return ch.MagPhaseQuantizeCsit(
-            mag_step=_number(obj, "mag_step"), phase_step=_number(obj, "phase_step")
-        )
-    if kind == "bounded-ball":
-        _keys(obj, {"kind", "delta"}, "csit_error")
-        return ch.BoundedBallCsit(delta=_number(obj, "delta"))
-    if kind == "per-state":
-        _keys(obj, {"kind", "states", "observed"}, "csit_error")
-        try:
-            return ch.TabulatedCsit(
-                states=_matrices(obj, "states"), observed=_matrices(obj, "observed")
-            )
-        except ValueError as exc:
-            raise ConfigError(f"per-state CSIT table: {exc}") from exc
-    raise ConfigError(f"unknown CSIT error kind {kind!r}")
-
-
-def _parse_controller(obj: dict, base_dir: Optional[Path]) -> ControllerSpec:
-    kind = obj.get("kind")
-    if kind == "dpp":
-        _keys(obj, {"kind", "v", "z0"}, "controller")
-        return DppSpec(v=_number(obj, "v"), z0=_number(obj, "z0", 0.0))
-    if kind == "ogd":
-        _keys(obj, {"kind", "gamma", "step", "t_delay"}, "controller")
-        if "step" not in obj:
-            gamma = _number(obj, "gamma", 0.01)
-        elif obj["step"] != "inverse-sqrt":
-            raise ConfigError(f"controller 'step' must be 'inverse-sqrt', got {obj['step']!r}")
-        elif "gamma" in obj:
-            raise ConfigError("controller takes 'gamma' or 'step': 'inverse-sqrt', not both")
-        else:
-            gamma = None
-        return OgdSpec(gamma=gamma, t_delay=_integer(obj, "t_delay", 1))
     if kind == "baseline-replay":
         _keys(obj, {"kind", "policy"}, "controller")
-        return ReplaySpec(policy=load_policy(_resolve(obj["policy"], base_dir)))
-    raise ConfigError(f"unknown controller kind {kind!r}")
+        return ReplaySpec(policy=load_policy(_resolve(obj.get("policy"), base_dir)))
+    if kind == "ogd" and "step" in obj:
+        if obj["step"] != "inverse-sqrt":
+            raise ConfigError(f"controller 'step' must be 'inverse-sqrt', got {obj['step']!r}")
+        if "gamma" in obj:
+            raise ConfigError("controller takes 'gamma' or 'step': 'inverse-sqrt', not both")
+        obj = {**{k: v for k, v in obj.items() if k != "step"}, "gamma": None}
+    return _by_kind(obj, "controller", _CONTROLLERS, "controller")
+
+
+def _reference(obj: dict, base_dir: Optional[Path]):
+    """A reference policy loaded from its path, or a reference value."""
+    _keys(obj, {"policy", "r_opt"}, "reference")
+    if len(obj) != 1:
+        raise ConfigError("'reference' needs one of 'policy' (a path) and 'r_opt' (a value)")
+    if "policy" in obj:
+        return load_policy(_resolve(obj["policy"], base_dir))
+    return obj["r_opt"]
 
 
 def _resolve(path: str, base_dir: Optional[Path]) -> Path:
@@ -320,75 +296,56 @@ def _resolve(path: str, base_dir: Optional[Path]) -> Path:
     return p
 
 
-_CONFIG_KEYS = frozenset({
-    "channel", "csit_error", "controller", "p", "p_bar", "horizon",
-    "seed", "rate_adapt", "reference", "outputs",
-})
+@contextmanager
+def _bad_input():
+    """Report a ValueError raised inside, such as a constructor's own check
+    of a loaded value, as a ConfigError; a JSON syntax error stays one."""
+    try:
+        yield
+    except (ConfigError, json.JSONDecodeError):
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def load_config(source: Union[str, Path, dict]) -> ExperimentConfig:
-    """Build an ExperimentConfig from a JSON file path or an equivalent dict."""
-    base_dir: Optional[Path] = None
+def _read(source: Union[str, Path, dict], what: str) -> tuple[Optional[Path], dict]:
+    """The JSON object at a file path (and the file's directory), or a dict."""
+    base_dir, obj = None, source
     if isinstance(source, (str, Path)):
         base_dir = Path(source).resolve().parent
         with open(source, encoding="utf-8") as fh:
             obj = json.load(fh)
-    else:
-        obj = source
     if not isinstance(obj, dict):
-        raise ConfigError(f"config must be a JSON object, got {obj!r}")
-    _keys(obj, _CONFIG_KEYS)
-    for section in ("channel", "csit_error", "controller", "reference", "rate_adapt", "outputs"):
-        if obj.get(section) is not None and not isinstance(obj[section], dict):
-            raise ConfigError(f"config section {section!r} must be a JSON object")
-    try:
-        controller = _parse_controller(obj["controller"], base_dir)
-        model = _parse_channel(obj["channel"])
-        err = _parse_csit_error(obj.get("csit_error"))
-        rate = obj.get("rate_adapt")
-        reference = obj.get("reference")
-        if reference is not None:
-            _keys(reference, {"policy", "r_opt"}, "reference")
-            if len(reference) != 1:
-                raise ConfigError(
-                    "'reference' needs one of 'policy' (a path) and 'r_opt' (a value)"
-                )
-            if "policy" in reference:
-                reference = load_policy(_resolve(reference["policy"], base_dir))
+        raise ConfigError(f"{what} must be a JSON object, got {obj!r}")
+    return base_dir, obj
+
+
+def load_config(source: Union[str, Path, dict]) -> ExperimentConfig:
+    """Build an ExperimentConfig from a JSON file path or an equivalent dict.
+    A section that is absent or null takes its field's default, and the
+    CSIT error model's is exact."""
+    base_dir, obj = _read(source, "config")
+    sections = {
+        "controller": lambda s: _controller(s, base_dir),
+        "channel": lambda s: _by_kind(s, "channel", _CHANNELS, "channel", _channel_preset),
+        "csit_error": lambda s: _by_kind(
+            s, "csit_error", _CSIT_ERRORS, "CSIT error", ch.paper_error_case, "exact"
+        ),
+        "reference": lambda s: _reference(s, base_dir),
+        "rate_adapt": lambda s: _build(RateLedger, s, "rate_adapt").n_total,
+        "outputs": lambda s: _build(OutputPaths, s, "outputs"),
+    }
+    top = dict(obj)
+    with _bad_input():
+        for section, build in sections.items():
+            if top.get(section) is None:
+                top.pop(section, None)
+            elif not isinstance(top[section], dict):
+                raise ConfigError(f"config section {section!r} must be a JSON object")
             else:
-                reference = _number(reference, "r_opt")
-        if rate is not None:
-            _keys(rate, {"n_total"}, "rate_adapt")
-        outputs = obj.get("outputs")
-        if outputs is not None:
-            _keys(outputs, {"csv", "summary", "svg_utility", "svg_power"}, "outputs")
-            for key, path in outputs.items():
-                if not isinstance(path, str):
-                    raise ConfigError(f"output {key!r} must be a path string, got {path!r}")
-            outputs = OutputPaths(
-                csv=outputs.get("csv"),
-                summary=outputs.get("summary"),
-                svg_utility=outputs.get("svg_utility"),
-                svg_power=outputs.get("svg_power"),
-            )
-        return ExperimentConfig(
-            channel=model,
-            csit_error=err,
-            controller=controller,
-            p=_number(obj, "p"),
-            p_bar=_number(obj, "p_bar"),
-            horizon=_integer(obj, "horizon"),
-            seed=_integer(obj, "seed"),
-            rate_adapt_n=_number(rate, "n_total") if rate is not None else None,
-            reference=reference,
-            outputs=outputs,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"missing config field: {exc}") from exc
-    except (ConfigError, json.JSONDecodeError):
-        raise
-    except ValueError as exc:  # a model's own check, such as a negative delta
-        raise ConfigError(str(exc)) from exc
+                top[section] = build(top[section])
+        top.setdefault("csit_error", ch.ExactCsit())
+        return _build(ExperimentConfig, top)
 
 
 # ------------------------------------------------------------- policy files
@@ -400,7 +357,7 @@ def save_policy(policy: Union[CdiPolicy, ConstantCovariance], path) -> None:
             "kind": "with-csit",
             "lambda": policy.lam,
             "r_opt": policy.r_opt,
-            "probs": [float(p) for p in policy.probs],
+            "probs": policy.probs.tolist(),
             "states": policy.states,
             "covariances": policy.covariances,
         }
@@ -409,9 +366,9 @@ def save_policy(policy: Union[CdiPolicy, ConstantCovariance], path) -> None:
             "kind": "no-csit",
             "q": policy.q,
             "r_opt": policy.r_opt,
-            "per_state_utility": [float(x) for x in policy.per_state_utility],
-            "converged": bool(policy.converged),
-            "iterations": int(policy.iterations),
+            "per_state_utility": policy.per_state_utility.tolist(),
+            "converged": policy.converged,
+            "iterations": policy.iterations,
         }
     else:
         raise TypeError(f"cannot save policy of type {type(policy).__name__}")
@@ -419,43 +376,9 @@ def save_policy(policy: Union[CdiPolicy, ConstantCovariance], path) -> None:
 
 
 def load_policy(path) -> Union[CdiPolicy, ConstantCovariance]:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ConfigError(f"policy file must be a JSON object, got {obj!r}")
-    kind = obj.get("kind")
-    try:
-        if kind == "with-csit":
-            states = _matrices(obj, "states")
-            probs = _finite_array(obj, "probs")
-            covariances = _matrices(obj, "covariances")
-            if not states or not len(states) == len(probs) == len(covariances):
-                raise ConfigError(
-                    f"with-csit policy needs one probability and one covariance per "
-                    f"state: {len(states)} states, {len(probs)} probs, "
-                    f"{len(covariances)} covariances"
-                )
-            return CdiPolicy(
-                states=states,
-                probs=probs,
-                covariances=covariances,
-                lam=_number(obj, "lambda"),
-                r_opt=_number(obj, "r_opt"),
-            )
-        if kind == "no-csit":
-            converged = obj["converged"]
-            if not isinstance(converged, bool):  # not bool(...): "false" is truthy
-                raise ConfigError(f"field 'converged' must be true or false, got {converged!r}")
-            return ConstantCovariance(
-                q=matrix_from_json(obj["q"]),
-                per_state_utility=_finite_array(obj, "per_state_utility"),
-                r_opt=_number(obj, "r_opt"),
-                converged=converged,
-                iterations=_integer(obj, "iterations", 0),
-            )
-    except KeyError as exc:
-        raise ConfigError(f"missing policy field: {exc}") from exc
-    raise ConfigError(f"unknown policy kind {kind!r}")
+    obj = _read(path, "policy file")[1]
+    with _bad_input():
+        return _by_kind(obj, None, _POLICIES, "policy", file="policy")
 
 
 def compute_baseline(
@@ -644,12 +567,8 @@ def certify_run(result: RunResult, bounds: Optional[BoundReport]) -> list[dict]:
 
 
 def _reference_utility(result: RunResult) -> Optional[float]:
-    ref = result.config.reference
-    if ref is None:
-        return None
-    if isinstance(ref, float):
-        return ref
-    return ref.r_opt
+    """The reference policy's utility, or the reference value (a float) itself."""
+    return getattr(result.config.reference, "r_opt", result.config.reference)
 
 
 def _build_summary(result: RunResult) -> dict:

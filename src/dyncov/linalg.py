@@ -9,8 +9,12 @@ numpy's LAPACK gufuncs directly, under ``np.linalg``'s failure contract.
 
 ``capacity``, ``capacity_gradient`` and ``trace_real`` also take stacks
 (leading axes broadcast); each entry equals its single-matrix result exactly.
-``check_fields`` is the finiteness and integer check of the model and
-config constructors.
+
+A value is checked in one place, the constructor of the dataclass that holds
+it, whether it was built in code or loaded from JSON (where a config
+section's keys are its dataclass's fields).  ``check_fields`` is the rule
+for numbers, counts and number lists, and ``matrix_stack`` the rule for
+tables of matrices.
 """
 
 from __future__ import annotations
@@ -28,19 +32,65 @@ class ConvergenceError(RuntimeError):
     """An iterative routine ran out of iterations."""
 
 
-def check_fields(obj, finite=(), counts=(), error=ValueError) -> None:
-    """Reject, naming the field, an attribute of obj listed in ``finite`` that
-    is NaN or infinite, or one listed in ``counts`` that is not of an integer
-    type (a bool or a float such as 2.0 is rejected); None marks an absent
-    optional field."""
-    for name in finite:
-        x = getattr(obj, name)
-        if x is not None and not math.isfinite(x):
-            raise error(f"{name} must be finite, got {x!r}")
-    for name in counts:
-        x = getattr(obj, name)
-        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-            raise error(f"{name} must be an integer, got {x!r}")
+def finite_number(x, key: str, error=ValueError) -> float:
+    """x as a float: a real number, not a bool, and finite; ``key`` names it."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise error(f"{key!r} must be a number, got {x!r}")
+    if not math.isfinite(x):
+        raise error(f"{key!r} must be finite, got {x!r}")
+    return float(x)
+
+
+def _count(x, key: str, error) -> int:
+    """x as an int: an integer or an integral float, not a bool."""
+    if isinstance(x, float) and math.isfinite(x) and x.is_integer():
+        return int(x)
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise error(f"{key!r} must be an integer, got {x!r}")
+    return int(x)
+
+
+def _numbers(x, key: str, error) -> np.ndarray:
+    """x as a 1-D float array with finite entries."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 1:
+        raise error(f"{key!r} must be a list of numbers, got {x!r}")
+    if not np.isfinite(a).all():
+        raise error(f"{key!r} must be finite")
+    return a
+
+
+def check_fields(obj, finite=(), counts=(), arrays=(), error=ValueError) -> None:
+    """Check and store the dataclass fields of obj named in ``finite`` (as a
+    float, see ``finite_number``), ``counts`` (as an int: an integer or an
+    integral float, not a bool) and ``arrays`` (as a 1-D finite float array);
+    None marks an absent optional field.  A message names a field by its
+    metadata ``key``, the JSON key where that differs from the field name."""
+    for names, rule in ((finite, finite_number), (counts, _count), (arrays, _numbers)):
+        for name in names:
+            x = getattr(obj, name)
+            if x is not None:
+                key = obj.__dataclass_fields__[name].metadata.get("key", name)
+                object.__setattr__(obj, name, rule(x, key, error))
+
+
+def matrix_stack(mats, key: str) -> np.ndarray:
+    """A sequence of matrices (or a (k, m, n) stack) as one new complex128
+    stack, checked to be non-empty, of one shape and finite; ``key`` names
+    the field in messages."""
+    try:
+        ms = [as_matrix(m) for m in mats]
+    except (TypeError, ValueError):
+        raise ValueError(f"{key!r} must be a list of matrices, got {mats!r}") from None
+    if not ms:
+        raise ValueError(f"{key!r} needs at least one matrix")
+    shapes = sorted({m.shape for m in ms})
+    if len(shapes) > 1:
+        raise ValueError(f"{key!r} matrices must share dimensions, got {shapes}")
+    stack = np.stack(ms)
+    if not np.isfinite(stack).all():
+        raise ValueError(f"{key!r} must be finite")
+    return stack
 
 
 def as_matrix(a) -> np.ndarray:

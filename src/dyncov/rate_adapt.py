@@ -38,10 +38,6 @@ class RateLedger:
             raise ValueError("n_total must be positive")
 
     @property
-    def residual(self) -> float:
-        return max(0.0, self.n_total - self.delivered)
-
-    @property
     def completed(self) -> bool:
         return self.completed_at is not None
 
@@ -85,6 +81,8 @@ def decode_check(ledger: RateLedger) -> list[dict]:
     if not ledger.completed:
         raise LedgerError("decode check requires a completed ledger")
     caps = ledger.capacities
+    if not 1 <= ledger.completed_at <= len(caps):
+        raise LedgerError(f"completed_at {ledger.completed_at} is not a slot count 1..{len(caps)}")
     last = ledger.completed_at - 1
     head = 0.0
     for c in caps[:last]:

@@ -12,7 +12,8 @@ serves both.  Each is closed-form up to one Hermitian eigendecomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sized
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 
@@ -28,8 +29,10 @@ from .linalg import (
     _lapack_guard,
     as_matrix,
     capacity,
+    check_fields,
     frobenius,
     herm_eig,
+    matrix_stack,
     nearest_index,
     require_hermitian,
     trace_real,
@@ -168,25 +171,32 @@ class CdiPolicy:
     power multiplier it was solved at and the average utility it attains.
 
     ``states`` (k, n_r, n_t) and ``covariances`` (k, n_t, n_t) are complex
-    stacks, built from any sequence of matrices."""
+    stacks, built from any sequence of matrices, with one probability and one
+    covariance per state."""
 
     states: np.ndarray
     probs: np.ndarray
     covariances: np.ndarray
-    lam: float
+    lam: float = field(metadata={"key": "lambda"})
     r_opt: float
 
     def __post_init__(self):
-        object.__setattr__(self, "states", np.stack(self.states, dtype=np.complex128))
-        object.__setattr__(self, "covariances", np.stack(self.covariances, dtype=np.complex128))
+        check_fields(self, finite=("lam", "r_opt"), arrays=("probs",))
+        # a table that is not a sequence is left to matrix_stack, which names it
+        if isinstance(self.states, Sized) and isinstance(self.covariances, Sized):
+            counts = len(self.states), len(self.probs), len(self.covariances)
+            if not counts[0] or len(set(counts)) > 1:
+                raise ValueError(
+                    "with-csit policy needs one probability and one covariance per state: "
+                    "{} states, {} probs, {} covariances".format(*counts)
+                )
+        object.__setattr__(self, "states", matrix_stack(self.states, "states"))
+        object.__setattr__(self, "covariances", matrix_stack(self.covariances, "covariances"))
 
     def lookup(self, h) -> np.ndarray:
         """Covariance of the stored state nearest to h in Frobenius distance;
         a stack of channels (k, n_r, n_t) gives the k covariances."""
         return self.covariances[nearest_index(h, self.states)]
-
-    def average_power(self) -> float:
-        return float(sum(self.probs * trace_real(self.covariances)))
 
 
 def _policy_at(model: DiscreteChannel, lam: float, p: float) -> tuple[np.ndarray, float]:
@@ -258,6 +268,15 @@ class ConstantCovariance:
     converged: bool
     iterations: int
 
+    def __post_init__(self):
+        check_fields(self, finite=("r_opt",), counts=("iterations",), arrays=("per_state_utility",))
+        q = as_matrix(self.q)
+        if not np.isfinite(q).all():
+            raise ValueError("'q' must be finite")
+        if not isinstance(self.converged, bool):  # not bool(...): "false" is truthy
+            raise ValueError(f"'converged' must be true or false, got {self.converged!r}")
+        object.__setattr__(self, "q", q)
+
 
 def ergodic_constant_covariance(
     model: DiscreteChannel,
@@ -314,10 +333,8 @@ def empirical_policy(samples, p_bar: float, p: float, mode: str):
     solves the per-state optimum (usable via ``lookup``), mode "no-csit"
     the best constant covariance.
     """
-    samples = [as_matrix(s) for s in samples]
-    if not samples:
-        raise ValueError("empirical policy needs at least one sample")
-    model = DiscreteChannel(states=samples, probs=np.full(len(samples), 1.0 / len(samples)))
+    k = len(samples)  # DiscreteChannel rejects an empty sample
+    model = DiscreteChannel(states=samples, probs=np.full(k, 1.0 / max(k, 1)))
     if mode == "with-csit":
         return cdi_optimal_policy(model, p_bar, p)
     if mode == "no-csit":

@@ -68,7 +68,7 @@ class TestDppStep:
         # the controller's parameters are checked once, at the spec
         with pytest.raises(ConfigError, match="v must be positive"):
             DppSpec(v=0.0)
-        with pytest.raises(ConfigError, match="v must be positive"):
+        with pytest.raises(ConfigError, match="'v' must be finite"):
             DppSpec(v=float("nan"))
         with pytest.raises(ConfigError, match="z0"):
             DppSpec(v=1.0, z0=-1.0)

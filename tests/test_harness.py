@@ -1149,7 +1149,8 @@ class TestConstructorChecks:
     )
     def test_rejects_non_finite_and_non_integral(self, make, fields, field, bad):
         make(**fields)
-        with pytest.raises(ValueError, match=f"^{field} must be "):
+        key = "n_total" if field == "rate_adapt_n" else field  # the ledger's own check
+        with pytest.raises(ValueError, match=f"^'{key}' must be "):
             make(**{**fields, field: bad})
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -1159,12 +1160,94 @@ class TestConstructorChecks:
         broken = b.copy()
         broken[1, 0] = bad
         if field == "channel":
-            with pytest.raises(ValueError, match="channel states have non-finite entries"):
+            with pytest.raises(ValueError, match="'states' must be finite"):
                 DiscreteChannel(states=(a, broken), probs=np.array([0.5, 0.5]))
         else:
             tables = {"states": (a, b), "observed": (a, b), field: (a, broken)}
-            with pytest.raises(ValueError, match="observations have non-finite entries"):
+            with pytest.raises(ValueError, match=f"'{field}' must be finite"):
                 TabulatedCsit(**tables)
+
+
+# the code route to each field of NUMERIC_FIELDS and INTEGER_FIELDS
+CODE_ROUTES = {
+    "p": lambda bad: experiment(p=bad),
+    "p_bar": lambda bad: experiment(p_bar=bad),
+    "horizon": lambda bad: experiment(horizon=bad),
+    "seed": lambda bad: experiment(seed=bad),
+    "v": lambda bad: DppSpec(v=bad),
+    "z0": lambda bad: DppSpec(v=100.0, z0=bad),
+    "gamma": lambda bad: OgdSpec(gamma=bad),
+    "t_delay": lambda bad: OgdSpec(t_delay=bad),
+    "delta": lambda bad: BoundedBallCsit(delta=bad),
+    "v_max": lambda bad: ProductChannel(n_r=2, n_t=2, v_max=bad),
+    "n_r": lambda bad: ProductChannel(n_r=bad, n_t=2, v_max=1.0),
+    "n_t": lambda bad: ProductChannel(n_r=2, n_t=bad, v_max=1.0),
+    "step": lambda bad: PhaseQuantizeCsit(step=bad),
+    "mag_step": lambda bad: MagPhaseQuantizeCsit(mag_step=bad, phase_step=0.1),
+    "phase_step": lambda bad: MagPhaseQuantizeCsit(mag_step=0.1, phase_step=bad),
+    "r_opt": lambda bad: experiment(reference=bad),
+    "n_total": lambda bad: experiment(rate_adapt_n=bad),
+}
+
+
+class TestOneRulePerValue:
+    """Each value is checked by the constructor of the object that holds it,
+    so a config file and an object built in code meet one rule and one
+    message."""
+
+    @pytest.mark.parametrize(
+        "base, section, field, bad",
+        [
+            pytest.param(base, section, field, bad, id=f"{field}-{bad!r}")
+            for fields, count in ((NUMERIC_FIELDS, False), (INTEGER_FIELDS, True))
+            for base, section, field in fields
+            for bad in [True, "1.5", float("nan"), float("inf")] + [1.5] * count
+        ],
+    )
+    def test_json_and_code_routes_give_one_message(self, base, section, field, bad):
+        obj = copy.deepcopy(base)
+        (obj if section is None else obj[section])[field] = bad
+        with pytest.raises(ConfigError) as json_route:
+            load_config(obj)
+        with pytest.raises(ValueError) as code_route:
+            CODE_ROUTES[field](bad)
+        assert str(json_route.value) == str(code_route.value)
+        assert f"'{field}' must be " in str(code_route.value)
+
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda: CdiPolicy(states=[np.eye(2), 2 * np.eye(2)], probs=[0.5, 0.5],
+                               covariances=[np.eye(2)], lam=0.0, r_opt=1.0),
+             "one probability and one covariance per state: 2 states, 2 probs, 1 covariances"),
+            (lambda: CdiPolicy(states=[np.eye(2)], probs=[1.0], covariances=[np.eye(2)],
+                               lam=float("nan"), r_opt=1.0),
+             "'lambda' must be finite"),
+            (lambda: experiment(reference=float("nan")), "'r_opt' must be finite"),
+            (lambda: experiment(reference=True), "'r_opt' must be a number, got True"),
+            (lambda: ConstantCovariance(q=np.full((2, 2), np.nan), per_state_utility=[1.0],
+                                        r_opt=1.0, converged=True, iterations=2),
+             "'q' must be finite"),
+            (lambda: ConstantCovariance(q=np.eye(2), per_state_utility=[1.0], r_opt=1.0,
+                                        converged="false", iterations=2),
+             "'converged' must be true or false, got 'false'"),
+            (lambda: ConstantCovariance(q=np.eye(2), per_state_utility=[1.0], r_opt=1.0,
+                                        converged=True, iterations=2.5),
+             "'iterations' must be an integer, got 2.5"),
+        ],
+        ids=["cdi-lengths", "cdi-nan-lam", "nan-reference", "bool-reference", "nan-q",
+             "string-converged", "fraction-iterations"],
+    )
+    def test_code_route_rejects_at_construction(self, make, match):
+        # each of these used to build, and failed later or not at all
+        with pytest.raises(ValueError, match=match):
+            make()
+
+    def test_values_are_stored_as_their_type(self):
+        # an integral float count is an int, and an int number a float, on both routes
+        model = ProductChannel(n_r=2.0, n_t=np.int64(3), v_max=1)
+        assert (type(model.n_r), type(model.n_t), type(model.v_max)) == (int, int, float)
+        assert type(experiment(reference=1).reference) is float
 
 
 class TestMatrixJson:
@@ -1223,9 +1306,9 @@ BAD_CONFIGS = [
     }), "matrix entry 0 is not an [re, im] pair of numbers: 1.0"),
     ("config-not-object", "5", "config must be a JSON object, got 5"),
     ("states-not-list", config_text(channel={"kind": "discrete", "probs": [1.0], "states": 5}),
-     "field 'states' must be a list of matrices, got 5"),
+     "'states' must be a list of matrices, got 5"),
     ("table-not-list", config_text(csit_error={"kind": "per-state", "states": 3, "observed": 3}),
-     "field 'states' must be a list of matrices, got 3"),
+     "'states' must be a list of matrices, got 3"),
     ("reference-policy-not-path", config_text(reference={"policy": 7}),
      "field 'policy' must be a path string, got 7"),
     ("replay-policy-not-path", config_text(controller={"kind": "baseline-replay", "policy": 7}),

@@ -19,17 +19,17 @@ class TestLedger:
     def test_zero_rate_slot_keeps_residual(self):
         led = RateLedger(10.0)
         led.record(4.0)
-        before = led.residual
+        before = led.n_total - led.delivered
         led.record(0.0)
-        assert led.residual == before
+        assert led.n_total - led.delivered == before
         assert not led.completed
 
     def test_residual_tracks_recorded_capacity(self):
         led = RateLedger(7.5)
         led.record(3.0)
-        assert led.residual == pytest.approx(4.5)
+        assert led.n_total - led.delivered == pytest.approx(4.5)
         led.record(2.0)
-        assert led.residual == pytest.approx(2.5)
+        assert led.n_total - led.delivered == pytest.approx(2.5)
 
     def test_completed_ledger_rejects_steps(self):
         led = RateLedger(1.0)
@@ -124,6 +124,16 @@ class TestDecodeCheck:
             led.record(r)
         led.capacities[0] = 11.0  # slot 0 alone covers n_total
         with pytest.raises(LedgerError, match="slot 1 assignment -1.0 is not positive"):
+            decode_check(led)
+
+    @pytest.mark.parametrize("completed_at", [0, 5])
+    def test_rejects_completion_outside_the_recorded_slots(self, completed_at):
+        # used to fail with a bare IndexError for a count past the last slot
+        led = RateLedger(10.0)
+        for r in (4.0, 3.0):
+            led.record(r)
+        led.completed_at = completed_at
+        with pytest.raises(LedgerError, match=f"completed_at {completed_at} is not a slot count"):
             decode_check(led)
 
     def test_rejects_completion_moved_past_covering_slot(self):
