@@ -21,7 +21,7 @@ one reused Generator that only fills buffers; the arithmetic, of which
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -159,7 +159,7 @@ class DiscreteChannel:
     ``states`` is one (k, n_r, n_t) complex stack, built from any sequence of
     matrices."""
 
-    states: np.ndarray
+    states: np.ndarray = field(metadata={"json": "matrices"})
     probs: np.ndarray
 
     def __post_init__(self):
@@ -267,8 +267,8 @@ class TabulatedCsit:
     any sequences of matrices.
     """
 
-    states: np.ndarray
-    observed: np.ndarray
+    states: np.ndarray = field(metadata={"json": "matrices"})
+    observed: np.ndarray = field(metadata={"json": "matrices"})
 
     def __post_init__(self):
         states = matrix_stack(self.states, "states")

@@ -16,9 +16,8 @@ re-derives every verdict from quantities that also land in the CSV.
 from __future__ import annotations
 
 import json
-import numbers
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -80,7 +79,8 @@ class OgdSpec:
     t_delay: int = 1  # observations arrive t_delay slots late
 
     def __post_init__(self):
-        check_fields(self, finite=("gamma",), counts=("t_delay",), error=ConfigError)
+        finite = () if self.gamma is None else ("gamma",)
+        check_fields(self, finite=finite, counts=("t_delay",), error=ConfigError)
         # the regret bound divides by gamma, so reject it before the run
         if self.gamma is not None and not self.gamma > 0:
             raise ConfigError("gamma must be positive")
@@ -196,42 +196,45 @@ class RunResult:
 # ---------------------------------------------------------------- config io
 
 
-def _keys(obj: dict, allowed, section: Optional[str] = None, file: str = "config") -> None:
-    """Reject any key of obj outside ``allowed``, naming the section (None
-    for the top level) and the keys."""
+def _keys(obj: dict, allowed, section: Optional[str] = None) -> None:
+    """Reject any key of obj outside ``allowed`` and any null value (JSON
+    leaves a key out for its default), naming the section and the key."""
+    where = f" in {section!r}" if section else ""
     unknown = sorted(repr(k) for k in set(obj) - set(allowed))
     if unknown:
-        where = f" in {section!r}" if section else ""
-        raise ConfigError(f"unknown {file} key(s){where}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown config key(s){where}: {', '.join(unknown)}")
+    for key, x in obj.items():
+        if x is None:
+            raise ConfigError(f"{key!r}{where} must not be null")
 
 
-def _decode(key: str, x):
-    """A JSON value as a constructor argument: a matrix object as a complex
-    array, a list of anything but numbers as a list of matrices."""
+def _decode(f, key: str, x):
+    """A JSON value as the argument for field f: matrix objects decoded where
+    f holds a matrix or a list of them, anything else left to the constructor."""
+    form = f.metadata.get("json")
     try:
-        if isinstance(x, dict):
+        if form == "matrix":
             return matrix_from_json(x)
-        if isinstance(x, list) and not all(isinstance(v, numbers.Real) for v in x):
+        if form == "matrices" and isinstance(x, list):
             return [matrix_from_json(m) for m in x]
     except ValueError as exc:
         raise ConfigError(f"{key!r}: {exc}") from exc
     return x
 
 
-def _build(cls, obj: dict, section: Optional[str] = None, file: str = "config"):
+def _build(cls, obj: dict, section: Optional[str] = None):
     """cls from the JSON object obj, whose keys are the init fields of cls (a
-    field's metadata ``key`` where its JSON name differs).  Unknown keys and
-    absent required fields are rejected here; every value is checked by cls."""
+    field's metadata ``key`` where its JSON name differs).  The keys, nulls
+    and absent required fields are checked here, and every value by cls."""
     keys = {f.metadata.get("key", f.name): f for f in fields(cls) if f.init}
-    _keys(obj, keys, section, file)
+    _keys(obj, keys, section)
     for key, f in keys.items():
         if key not in obj and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"missing {file} field: {key!r}")
-    return cls(**{keys[k].name: _decode(k, v) for k, v in obj.items()})
+            raise ConfigError(f"missing {section or 'config'} field: {key!r}")
+    return cls(**{keys[k].name: _decode(keys[k], k, v) for k, v in obj.items()})
 
 
-def _by_kind(obj: dict, section, kinds: dict, what: str, presets=None, default=None,
-             file: str = "config"):
+def _by_kind(obj: dict, section: str, kinds: dict, what: str, presets=None, default=None):
     """The dataclass that obj's "kind" selects from ``kinds``, built from
     obj's other keys, or the object ``presets`` makes of obj's "preset"."""
     if presets is not None and "preset" in obj:
@@ -240,7 +243,7 @@ def _by_kind(obj: dict, section, kinds: dict, what: str, presets=None, default=N
     kind = obj.get("kind", default)
     if not isinstance(kind, str) or kind not in kinds:
         raise ConfigError(f"unknown {what} kind {kind!r}")
-    return _build(kinds[kind], {k: v for k, v in obj.items() if k != "kind"}, section, file)
+    return _build(kinds[kind], {k: v for k, v in obj.items() if k != "kind"}, section)
 
 
 def _channel_preset(name) -> ch.ChannelModel:
@@ -273,7 +276,8 @@ def _controller(obj: dict, base_dir: Optional[Path]) -> ControllerSpec:
             raise ConfigError(f"controller 'step' must be 'inverse-sqrt', got {obj['step']!r}")
         if "gamma" in obj:
             raise ConfigError("controller takes 'gamma' or 'step': 'inverse-sqrt', not both")
-        obj = {**{k: v for k, v in obj.items() if k != "step"}, "gamma": None}
+        obj = {k: v for k, v in obj.items() if k != "step"}
+        return replace(_by_kind(obj, "controller", _CONTROLLERS, "controller"), gamma=None)
     return _by_kind(obj, "controller", _CONTROLLERS, "controller")
 
 
@@ -378,7 +382,7 @@ def save_policy(policy: Union[CdiPolicy, ConstantCovariance], path) -> None:
 def load_policy(path) -> Union[CdiPolicy, ConstantCovariance]:
     obj = _read(path, "policy file")[1]
     with _bad_input():
-        return _by_kind(obj, None, _POLICIES, "policy", file="policy")
+        return _by_kind(obj, "policy", _POLICIES, "policy")
 
 
 def compute_baseline(

@@ -63,15 +63,13 @@ def _numbers(x, key: str, error) -> np.ndarray:
 def check_fields(obj, finite=(), counts=(), arrays=(), error=ValueError) -> None:
     """Check and store the dataclass fields of obj named in ``finite`` (as a
     float, see ``finite_number``), ``counts`` (as an int: an integer or an
-    integral float, not a bool) and ``arrays`` (as a 1-D finite float array);
-    None marks an absent optional field.  A message names a field by its
-    metadata ``key``, the JSON key where that differs from the field name."""
+    integral float, not a bool) and ``arrays`` (as a 1-D finite float array).
+    A message names a field by its metadata ``key``, the JSON key where that
+    differs from the field name."""
     for names, rule in ((finite, finite_number), (counts, _count), (arrays, _numbers)):
         for name in names:
-            x = getattr(obj, name)
-            if x is not None:
-                key = obj.__dataclass_fields__[name].metadata.get("key", name)
-                object.__setattr__(obj, name, rule(x, key, error))
+            key = obj.__dataclass_fields__[name].metadata.get("key", name)
+            object.__setattr__(obj, name, rule(getattr(obj, name), key, error))
 
 
 def matrix_stack(mats, key: str) -> np.ndarray:

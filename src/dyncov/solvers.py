@@ -174,9 +174,9 @@ class CdiPolicy:
     stacks, built from any sequence of matrices, with one probability and one
     covariance per state."""
 
-    states: np.ndarray
+    states: np.ndarray = field(metadata={"json": "matrices"})
     probs: np.ndarray
-    covariances: np.ndarray
+    covariances: np.ndarray = field(metadata={"json": "matrices"})
     lam: float = field(metadata={"key": "lambda"})
     r_opt: float
 
@@ -262,20 +262,17 @@ def cdi_optimal_policy(
 class ConstantCovariance:
     """Best fixed covariance for a discrete channel (no per-state adaptation)."""
 
-    q: np.ndarray
+    q: np.ndarray = field(metadata={"json": "matrix"})
     per_state_utility: np.ndarray
     r_opt: float
     converged: bool
-    iterations: int
+    iterations: int = 0
 
     def __post_init__(self):
         check_fields(self, finite=("r_opt",), counts=("iterations",), arrays=("per_state_utility",))
-        q = as_matrix(self.q)
-        if not np.isfinite(q).all():
-            raise ValueError("'q' must be finite")
         if not isinstance(self.converged, bool):  # not bool(...): "false" is truthy
             raise ValueError(f"'converged' must be true or false, got {self.converged!r}")
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", matrix_stack([self.q], "q")[0])
 
 
 def ergodic_constant_covariance(

@@ -632,6 +632,49 @@ class TestPolicyFiles:
             ("no-csit", "per_state_utility"),
             ("no-csit", "r_opt"),
             ("no-csit", "converged"),
+            ("no-csit", "iterations"),
+        ],
+    )
+    def test_null_field_raises(self, cdi_reference, constant_reference, tmp_path, kind, field):
+        # null is no value in a policy file, not even for a field with a default
+        policy = cdi_reference if kind == "with-csit" else constant_reference
+        path = tmp_path / "policy.json"
+        save_policy(policy, path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj[field] = None
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^'{field}' in 'policy' must not be null$"):
+            load_policy(path)
+
+    def test_no_csit_iterations_default_to_zero(self, constant_reference, tmp_path):
+        path = tmp_path / "policy.json"
+        save_policy(constant_reference, path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        del obj["iterations"]
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert load_policy(path).iterations == 0
+
+    def test_number_list_fields_take_numeric_strings(self, cdi_reference, tmp_path):
+        # a number list is whatever numpy reads as floats, as for any number list
+        path = tmp_path / "policy.json"
+        save_policy(cdi_reference, path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj["probs"] = [str(x) for x in obj["probs"]]
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert np.array_equal(load_policy(path).probs, cdi_reference.probs)
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            ("with-csit", "states"),
+            ("with-csit", "probs"),
+            ("with-csit", "covariances"),
+            ("with-csit", "lambda"),
+            ("with-csit", "r_opt"),
+            ("no-csit", "q"),
+            ("no-csit", "per_state_utility"),
+            ("no-csit", "r_opt"),
+            ("no-csit", "converged"),
         ],
     )
     def test_missing_field_raises(
@@ -1243,6 +1286,30 @@ class TestOneRulePerValue:
         with pytest.raises(ValueError, match=match):
             make()
 
+    @pytest.mark.parametrize(
+        "base, section, field",
+        NUMERIC_FIELDS + INTEGER_FIELDS,
+        ids=[f for *_, f in NUMERIC_FIELDS + INTEGER_FIELDS],
+    )
+    def test_json_null_is_rejected_by_key(self, base, section, field):
+        # JSON leaves a key out to take its default; null is not a value
+        obj = copy.deepcopy(base)
+        (obj if section is None else obj[section])[field] = None
+        where = "" if section is None else f" in '{section}'"
+        with pytest.raises(ConfigError, match=f"^'{field}'{where} must not be null$"):
+            load_config(obj)
+
+    @pytest.mark.parametrize(
+        "field",
+        # in code None is a value for these three: the 1/sqrt(t) schedule, no
+        # reference and no rate-adaptation ledger
+        [f for *_, f in NUMERIC_FIELDS + INTEGER_FIELDS
+         if f not in ("gamma", "r_opt", "n_total")],
+    )
+    def test_code_none_is_rejected_by_key(self, field):
+        with pytest.raises(ValueError, match=f"^'{field}' must be an? (number|integer), got None$"):
+            CODE_ROUTES[field](None)
+
     def test_values_are_stored_as_their_type(self):
         # an integral float count is an int, and an int number a float, on both routes
         model = ProductChannel(n_r=2.0, n_t=np.int64(3), v_max=1)
@@ -1315,6 +1382,16 @@ BAD_CONFIGS = [
      "field 'policy' must be a path string, got 7"),
     ("output-not-path", config_text(outputs={"csv": 5}),
      "output 'csv' must be a path string, got 5"),
+    ("output-matrix", config_text(outputs={"csv": {"rows": 1}}),
+     "output 'csv' must be a path string, got {'rows': 1}"),
+    # JSON leaves a key out to take its default; null is no value
+    ("null-number", config_text(p=None), "'p' must not be null"),
+    ("null-reference-value", config_text(reference={"r_opt": None}),
+     "'r_opt' in 'reference' must not be null"),
+    ("null-output", config_text(outputs={"csv": None}), "'csv' in 'outputs' must not be null"),
+    ("null-preset", config_text(channel={"preset": None}), "'preset' in 'channel' must not be null"),
+    ("null-replay-policy", config_text(controller={"kind": "baseline-replay", "policy": None}),
+     "'policy' in 'controller' must not be null"),
 ]
 
 
