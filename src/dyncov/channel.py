@@ -164,16 +164,15 @@ class DiscreteChannel:
 
     def __post_init__(self):
         states = matrix_stack(self.states, "states")
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.shape != (len(states),):
+        check_fields(self, arrays=("probs",))
+        if len(self.probs) != len(states):
             raise ValueError("probs length must match number of states")
-        if not np.all(probs >= 0):  # also rejects NaN
+        if not np.all(self.probs >= 0):
             raise ValueError("probabilities must be nonnegative")
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {float(probs.sum())!r}, expected 1")
+        if abs(self.probs.sum() - 1.0) > 1e-12:
+            raise ValueError(f"probabilities sum to {float(self.probs.sum())!r}, expected 1")
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "_cum", np.cumsum(probs))
+        object.__setattr__(self, "_cum", np.cumsum(self.probs))
 
     def index(self, x):
         """State indices with the configured probabilities, from unit uniforms

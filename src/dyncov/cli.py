@@ -28,7 +28,7 @@ from .harness import (
     run_experiment,
     save_policy,
 )
-from .matrixio import matrix_from_json, matrix_to_json
+from .matrixio import json_text, matrix_from_json
 from .solvers import psd_cap_project, waterfill_penalized
 from .validate import run_all
 
@@ -43,13 +43,10 @@ def _read_matrix(spec: str):
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     result = run_experiment(cfg)
-    overrides = OutputPaths(
-        csv=args.csv or (cfg.outputs.csv if cfg.outputs else None),
-        summary=args.summary or (cfg.outputs.summary if cfg.outputs else None),
-        svg_utility=args.svg_utility or (cfg.outputs.svg_utility if cfg.outputs else None),
-        svg_power=args.svg_power or (cfg.outputs.svg_power if cfg.outputs else None),
-    )
-    written = emit_outputs(result, overrides)
+    # each flag overrides the configured output path of the same name
+    paths = vars(cfg.outputs or OutputPaths())
+    outputs = OutputPaths(**{k: getattr(args, k) or path for k, path in paths.items()})
+    written = emit_outputs(result, outputs)
     summary = result.summary
     print(f"slots: {summary['horizon']}  seed: {summary['seed']}")
     print(
@@ -90,22 +87,14 @@ def _cmd_baseline(args) -> int:
 def _cmd_solve_waterfill(args) -> int:
     with _bad_input():
         res = waterfill_penalized(_read_matrix(args.matrix), args.z_over_v, args.cap)
-    out = {
-        "q": matrix_to_json(res.q),
-        "mu": res.mu,
-        "theta": [float(x) for x in res.theta],
-        "sigma": [float(x) for x in res.sigma],
-    }
-    json.dump(out, sys.stdout, indent=2)
-    print()
+    print(json_text(vars(res)))
     return 0
 
 
 def _cmd_project(args) -> int:
     with _bad_input():
         q = psd_cap_project(_read_matrix(args.matrix), args.cap)
-    json.dump(matrix_to_json(q), sys.stdout, indent=2)
-    print()
+    print(json_text(q))
     return 0
 
 

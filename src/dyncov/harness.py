@@ -234,6 +234,12 @@ def _build(cls, obj: dict, section: Optional[str] = None):
     return cls(**{keys[k].name: _decode(keys[k], k, v) for k, v in obj.items()})
 
 
+def _fields_json(obj) -> dict:
+    """The JSON object that ``_build`` reads obj back from: each init field,
+    in field order, under its metadata ``key`` where its JSON name differs."""
+    return {f.metadata.get("key", f.name): getattr(obj, f.name) for f in fields(obj) if f.init}
+
+
 def _by_kind(obj: dict, section: str, kinds: dict, what: str, presets=None, default=None):
     """The dataclass that obj's "kind" selects from ``kinds``, built from
     obj's other keys, or the object ``presets`` makes of obj's "preset"."""
@@ -356,27 +362,11 @@ def load_config(source: Union[str, Path, dict]) -> ExperimentConfig:
 
 
 def save_policy(policy: Union[CdiPolicy, ConstantCovariance], path) -> None:
-    if isinstance(policy, CdiPolicy):
-        obj = {
-            "kind": "with-csit",
-            "lambda": policy.lam,
-            "r_opt": policy.r_opt,
-            "probs": policy.probs.tolist(),
-            "states": policy.states,
-            "covariances": policy.covariances,
-        }
-    elif isinstance(policy, ConstantCovariance):
-        obj = {
-            "kind": "no-csit",
-            "q": policy.q,
-            "r_opt": policy.r_opt,
-            "per_state_utility": policy.per_state_utility.tolist(),
-            "converged": policy.converged,
-            "iterations": policy.iterations,
-        }
-    else:
+    """Write policy to path as its kind and its fields, which ``load_policy`` reads."""
+    kind = next((k for k, cls in _POLICIES.items() if isinstance(policy, cls)), None)
+    if kind is None:
         raise TypeError(f"cannot save policy of type {type(policy).__name__}")
-    replace_file(path, json_text(obj) + "\n")
+    replace_file(path, json_text({"kind": kind, **_fields_json(policy)}) + "\n")
 
 
 def load_policy(path) -> Union[CdiPolicy, ConstantCovariance]:
@@ -395,14 +385,14 @@ def compute_baseline(
     drawn from a dedicated stream of the run seed and the policy is solved
     on the uniform empirical distribution.
     """
+    if kind not in _POLICIES:
+        raise ConfigError(f"unknown baseline kind {kind!r}")
     if n_samples < 1:
         raise ConfigError(f"n_samples must be at least 1, got {n_samples}")
     if isinstance(cfg.channel, ch.DiscreteChannel):
         if kind == "with-csit":
             return cdi_optimal_policy(cfg.channel, cfg.p_bar, cfg.p)
-        if kind == "no-csit":
-            return ergodic_constant_covariance(cfg.channel, cfg.p_bar)
-        raise ConfigError(f"unknown baseline kind {kind!r}")
+        return ergodic_constant_covariance(cfg.channel, cfg.p_bar)
     rng = ch.sampling_rng(cfg.seed)
     samples = [ch.sample_channel(cfg.channel, rng) for _ in range(n_samples)]
     return empirical_policy(samples, cfg.p_bar, cfg.p, mode=kind)

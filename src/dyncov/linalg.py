@@ -51,19 +51,22 @@ def _count(x, key: str, error) -> int:
 
 
 def _numbers(x, key: str, error) -> np.ndarray:
-    """x as a 1-D float array with finite entries."""
-    a = np.asarray(x, dtype=float)
-    if a.ndim != 1:
+    """x as a 1-D float array: a list or tuple whose every entry passes
+    ``finite_number``, or a finite 1-D array of a real numeric dtype."""
+    if isinstance(x, (list, tuple)):
+        return np.array([finite_number(v, key, error) for v in x], dtype=float)
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "iuf" and x.ndim == 1):
         raise error(f"{key!r} must be a list of numbers, got {x!r}")
-    if not np.isfinite(a).all():
+    if not np.isfinite(x).all():
         raise error(f"{key!r} must be finite")
-    return a
+    return np.asarray(x, dtype=float)
 
 
 def check_fields(obj, finite=(), counts=(), arrays=(), error=ValueError) -> None:
     """Check and store the dataclass fields of obj named in ``finite`` (as a
     float, see ``finite_number``), ``counts`` (as an int: an integer or an
-    integral float, not a bool) and ``arrays`` (as a 1-D finite float array).
+    integral float, not a bool) and ``arrays`` (as a 1-D float array: a list
+    of such numbers, or a finite 1-D array of a real numeric dtype).
     A message names a field by its metadata ``key``, the JSON key where that
     differs from the field name."""
     for names, rule in ((finite, finite_number), (counts, _count), (arrays, _numbers)):

@@ -28,12 +28,15 @@ def matrix_to_json(a) -> dict:
 
 
 def json_text(x, pad: str = "") -> str:
-    """``json.dumps(x, indent=2)`` byte for byte, where a finite complex
-    matrix stands for its ``matrix_to_json`` dict and a stack (k, m, n) for
-    a list of k of them.  The encoder that ``indent`` selects works item by
-    item in Python; here a matrix, a stack or a list of finite floats is one
-    %-format, since these are nearly all of a policy file."""
+    """``json.dumps(x, indent=2)`` byte for byte, where a 1-D array stands
+    for the list of its floats, a finite complex matrix for its
+    ``matrix_to_json`` dict and a stack (k, m, n) for a list of k of them.
+    The encoder that ``indent`` selects works item by item in Python; here a
+    matrix, a stack or a list of finite floats is one %-format, since these
+    are nearly all of a policy file."""
     inner = pad + "  "
+    if isinstance(x, np.ndarray) and x.ndim == 1:
+        return json_text(np.asarray(x, dtype=float).tolist(), pad)
     if isinstance(x, np.ndarray):
         m = np.asarray(x, dtype=np.complex128)
         p = inner if m.ndim == 3 else pad  # indentation of each matrix dict

@@ -174,11 +174,11 @@ class CdiPolicy:
     stacks, built from any sequence of matrices, with one probability and one
     covariance per state."""
 
-    states: np.ndarray = field(metadata={"json": "matrices"})
-    probs: np.ndarray
-    covariances: np.ndarray = field(metadata={"json": "matrices"})
     lam: float = field(metadata={"key": "lambda"})
     r_opt: float
+    probs: np.ndarray
+    states: np.ndarray = field(metadata={"json": "matrices"})
+    covariances: np.ndarray = field(metadata={"json": "matrices"})
 
     def __post_init__(self):
         check_fields(self, finite=("lam", "r_opt"), arrays=("probs",))
@@ -254,7 +254,7 @@ def cdi_optimal_policy(
     # builtin sum: the same sequential order as summing state by state
     r_opt = float(sum(model.probs * capacity(model.states, covs)))
     return CdiPolicy(
-        states=model.states, probs=model.probs, covariances=covs, lam=lam, r_opt=r_opt
+        lam=lam, r_opt=r_opt, probs=model.probs, states=model.states, covariances=covs
     )
 
 
@@ -263,8 +263,8 @@ class ConstantCovariance:
     """Best fixed covariance for a discrete channel (no per-state adaptation)."""
 
     q: np.ndarray = field(metadata={"json": "matrix"})
-    per_state_utility: np.ndarray
     r_opt: float
+    per_state_utility: np.ndarray
     converged: bool
     iterations: int = 0
 
@@ -318,7 +318,7 @@ def ergodic_constant_covariance(
     per_state = capacity(model.states, q)
     r_opt = float((model.probs * per_state).sum())
     return ConstantCovariance(
-        q=q, per_state_utility=per_state, r_opt=r_opt, converged=converged,
+        q=q, r_opt=r_opt, per_state_utility=per_state, converged=converged,
         iterations=iterations,
     )
 

@@ -21,12 +21,13 @@ from numpy.linalg import LinAlgError
 
 from . import channel as ch
 from .controllers import ogd_step, theoretical_bounds
+from .harness import DppSpec, ExperimentConfig, OgdSpec, _decide, run_experiment, trace_to_csv
 from .linalg import (
     _capacity_gradient, _ct, _eigh_desc, _identity_plus, _lapack_guard,
     capacity, capacity_gradient, frobenius, trace_real,
 )
 from .rate_adapt import RateLedger, decode_check
-from .solvers import _sum, psd_cap_project, waterfill_penalized
+from .solvers import _sum, ergodic_constant_covariance, psd_cap_project, waterfill_penalized
 
 DEFAULT_SEED = 20240821
 
@@ -98,8 +99,6 @@ def decide_reference(cfg, h_obs: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
     controller by ``waterfill_penalized``, booking its loading's sum, the gradient
     controller by ``psd_cap_project(q + step * capacity_gradient(h, q), p_bar)``.
     Returns the covariances and, for the queue controller, Z(0..horizon)."""
-    from .harness import DppSpec
-
     spec = cfg.controller
     q = np.zeros((cfg.horizon, cfg.n_t, cfg.n_t), dtype=np.complex128)
     if isinstance(spec, DppSpec):
@@ -512,8 +511,6 @@ def check_decide_recursion(horizon: int = 300, seed: int = DEFAULT_SEED) -> Chec
     does not depend on the recursion state, equals ``decide_reference`` byte
     for byte (q and z) for both controllers and both step rules on a 2x2
     discrete, a 2x2 continuous and a 4x4 continuous channel."""
-    from .harness import DppSpec, ExperimentConfig, OgdSpec, _decide
-
     cases = (
         (ch.paper_two_state(), ch.paper_error_case("case1")),
         (ch.paper_continuous(), ch.BoundedBallCsit(delta=0.1)),
@@ -540,9 +537,6 @@ def check_decide_recursion(horizon: int = 300, seed: int = DEFAULT_SEED) -> Chec
 def check_controller_certifications(seed: int = DEFAULT_SEED) -> CheckResult:
     """Short seeded runs of both controllers (corrupted observations) must
     pass every in-run bound certification."""
-    from .harness import DppSpec, ExperimentConfig, OgdSpec, run_experiment
-    from .solvers import ergodic_constant_covariance
-
     model = ch.paper_two_state()
     ref = ergodic_constant_covariance(model, 2.0)
     dpp = run_experiment(
@@ -575,8 +569,6 @@ def check_controller_certifications(seed: int = DEFAULT_SEED) -> CheckResult:
 
 def check_trace_determinism(seed: int = DEFAULT_SEED) -> CheckResult:
     """Identical configs must emit byte-identical traces."""
-    from .harness import DppSpec, ExperimentConfig, run_experiment, trace_to_csv
-
     cfg = ExperimentConfig(
         channel=ch.paper_two_state(), csit_error=ch.BoundedBallCsit(delta=0.2),
         controller=DppSpec(v=100.0),

@@ -20,16 +20,21 @@ from dyncov import (
 )
 from dyncov.harness import trace_to_csv
 from dyncov.validate import (
+    check_capacity_concavity,
+    check_controller_certifications,
+    check_draw_stream,
     check_gradient_error_bounds,
     check_gram_perturbation,
     check_ledger_properties,
     check_norm_identities,
+    check_observation_radius,
     check_projection_grid,
     check_projection_nonexpansive,
     check_projection_variational,
     check_psd_norm_vs_trace,
     check_resolvent_lipschitz,
     check_resolvent_norm_cap,
+    check_trace_determinism,
     check_waterfill_beats_random,
     check_waterfill_grid,
 )
@@ -307,3 +312,20 @@ def test_criterion_12_determinism():
         ok,
         f"{len(configs)} configs x 2 runs each",
     )
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        check_capacity_concavity,
+        check_observation_radius,
+        check_draw_stream,
+        check_controller_certifications,
+        check_trace_determinism,
+    ],
+    ids=lambda check: check.__name__,
+)
+def test_validate_checks_outside_the_criteria(check):
+    # the dyncov validate checks that no criterion above calls
+    result = check()
+    assert result.passed, f"{result.name}: {result.detail}"

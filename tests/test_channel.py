@@ -77,8 +77,10 @@ class TestSampling:
     def test_discrete_validation(self):
         with pytest.raises(ValueError, match="sum"):
             DiscreteChannel(states=(PAPER_H1, PAPER_H2), probs=np.array([0.5, 0.4]))
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="'probs' must be finite"):
             DiscreteChannel(states=(PAPER_H1, PAPER_H2), probs=np.array([np.nan, 1.0]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            DiscreteChannel(states=(PAPER_H1, PAPER_H2), probs=np.array([-0.5, 1.5]))
         with pytest.raises(ValueError, match="dimensions"):
             DiscreteChannel(
                 states=(PAPER_H1, np.zeros((3, 2))), probs=np.array([0.5, 0.5])

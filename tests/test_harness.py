@@ -31,10 +31,12 @@ from dyncov import (
     RateLedger,
     ReplaySpec,
     TabulatedCsit,
+    cdi_optimal_policy,
     compute_baseline,
     dpp_step,
     draw_path,
     emit_outputs,
+    ergodic_constant_covariance,
     load_config,
     load_policy,
     observe_csit,
@@ -48,6 +50,7 @@ from dyncov import (
     slot_rng,
     waterfill_penalized,
 )
+from dyncov.cli import main as cli_main
 from dyncov.harness import ConfigError, _decide, csv_to_columns, trace_to_csv
 from dyncov.linalg import _compose, capacity, capacity_gradient, trace_real
 from dyncov.matrixio import json_text, matrix_from_json, matrix_to_json
@@ -412,6 +415,14 @@ class TestRunExperiment:
             cdi_reference.r_opt, abs=0.1
         )
 
+    def test_no_csit_replay_holds_the_constant_covariance(self, constant_reference):
+        cfg = experiment(controller=ReplaySpec(policy=constant_reference), horizon=50)
+        h, h_obs = draw_path(cfg.channel, cfg.csit_error, cfg.seed, cfg.horizon)
+        q, z = _decide(cfg, h, h_obs)
+        assert z is None
+        assert all(np.array_equal(q_t, constant_reference.q) for q_t in q)
+        assert np.array_equal(run_experiment(cfg).r, capacity(h, constant_reference.q))
+
     def test_power_order_validation(self):
         with pytest.raises(ConfigError, match="p_bar"):
             dpp_config(p=1.0, p_bar=2.0)
@@ -654,14 +665,30 @@ class TestPolicyFiles:
         path.write_text(json.dumps(obj), encoding="utf-8")
         assert load_policy(path).iterations == 0
 
-    def test_number_list_fields_take_numeric_strings(self, cdi_reference, tmp_path):
-        # a number list is whatever numpy reads as floats, as for any number list
+    def test_number_list_fields_reject_numeric_strings(self, cdi_reference, tmp_path):
+        # each entry of a number list meets the rule of a number field
         path = tmp_path / "policy.json"
         save_policy(cdi_reference, path)
         obj = json.loads(path.read_text(encoding="utf-8"))
         obj["probs"] = [str(x) for x in obj["probs"]]
         path.write_text(json.dumps(obj), encoding="utf-8")
-        assert np.array_equal(load_policy(path).probs, cdi_reference.probs)
+        with pytest.raises(ConfigError, match="^'probs' must be a number, got '0.5'$"):
+            load_policy(path)
+
+    def test_save_rejects_other_types_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "policy.json"
+        with pytest.raises(TypeError, match="cannot save policy of type DppSpec"):
+            save_policy(DppSpec(v=1.0), path)
+        assert not path.exists()
+
+    def test_save_takes_subclasses(self, constant_reference, tmp_path):
+        class Tagged(ConstantCovariance):
+            pass
+
+        path, plain = tmp_path / "policy.json", tmp_path / "plain.json"
+        save_policy(Tagged(**vars(constant_reference)), path)
+        save_policy(constant_reference, plain)
+        assert path.read_bytes() == plain.read_bytes()
 
     @pytest.mark.parametrize(
         "kind, field",
@@ -752,6 +779,11 @@ class TestPolicyFiles:
         # ints, bools, NaN, infinities and numpy scalars must not
         assert json_text(x) == json.dumps(x, indent=2)
 
+    @given(xs=st.lists(st.floats(), max_size=6))
+    def test_json_text_writes_a_vector_as_its_floats(self, xs):
+        assert json_text(np.array(xs, dtype=float)) == json.dumps(xs, indent=2)
+        assert json_text({"v": np.array(xs, dtype=float)}) == json.dumps({"v": xs}, indent=2)
+
     def test_compute_baseline_continuous_uses_samples(self):
         cfg = ExperimentConfig(
             channel=paper_continuous(),
@@ -764,6 +796,28 @@ class TestPolicyFiles:
         )
         pol = compute_baseline(cfg, kind="with-csit", n_samples=20)
         assert len(pol.covariances) == 20
+
+    @pytest.mark.parametrize("channel", [paper_two_state, paper_continuous])
+    def test_compute_baseline_rejects_unknown_kind_first(self, channel, monkeypatch):
+        # no channel draw and no solve before the kind is known
+        def no_work(*args, **kwargs):
+            raise AssertionError("compute_baseline worked on an unknown kind")
+
+        for name in ("sampling_rng", "sample_channel"):
+            monkeypatch.setattr(f"dyncov.channel.{name}", no_work)
+        for name in ("cdi_optimal_policy", "ergodic_constant_covariance", "empirical_policy"):
+            monkeypatch.setattr(f"dyncov.harness.{name}", no_work)
+        with pytest.raises(ConfigError, match="^unknown baseline kind 'bogus'$"):
+            compute_baseline(experiment(channel=channel()), kind="bogus")
+
+    def test_compute_baseline_solves_the_discrete_channel_exactly(self):
+        cfg = experiment()
+        solved = {
+            "with-csit": cdi_optimal_policy(cfg.channel, cfg.p_bar, cfg.p),
+            "no-csit": ergodic_constant_covariance(cfg.channel, cfg.p_bar),
+        }
+        for kind, policy in solved.items():
+            assert canon(compute_baseline(cfg, kind=kind)) == canon(policy)
 
 
 _DPP_OBJ = {
@@ -813,6 +867,13 @@ INTEGER_FIELDS = [
     (_DPP_OBJ, "channel", "n_t"),
     (_OGD_OBJ_DELAYED, "controller", "t_delay"),
 ]
+_EYE = matrix_to_json(np.eye(2))
+NUMBER_LIST_FIELDS = [
+    ({**_OGD_OBJ, "channel": {"kind": "discrete", "states": [_EYE], "probs": [1.0]}},
+     "channel", "probs"),
+]
+# a number list's entries meet the number rule
+NUMBER_LIST_BADS = [[True], ["1.0"], [0.5, "0.5"], [float("nan")], [[1.0]], 1.0, "1.0"]
 
 
 @st.composite
@@ -1230,6 +1291,24 @@ CODE_ROUTES = {
     "phase_step": lambda bad: MagPhaseQuantizeCsit(mag_step=0.1, phase_step=bad),
     "r_opt": lambda bad: experiment(reference=bad),
     "n_total": lambda bad: experiment(rate_adapt_n=bad),
+    "probs": lambda bad: DiscreteChannel(states=[np.eye(2)], probs=bad),
+}
+# each policy's number list: (a valid policy file holding it, its code route)
+POLICY_LISTS = {
+    "probs": (
+        {"kind": "with-csit", "lambda": 0.0, "r_opt": 1.0, "probs": [1.0],
+         "states": [_EYE], "covariances": [_EYE]},
+        lambda bad: CdiPolicy(
+            lam=0.0, r_opt=1.0, probs=bad, states=[np.eye(2)], covariances=[np.eye(2)]
+        ),
+    ),
+    "per_state_utility": (
+        {"kind": "no-csit", "q": _EYE, "r_opt": 1.0, "per_state_utility": [1.0],
+         "converged": True},
+        lambda bad: ConstantCovariance(
+            q=np.eye(2), r_opt=1.0, per_state_utility=bad, converged=True
+        ),
+    ),
 }
 
 
@@ -1242,9 +1321,13 @@ class TestOneRulePerValue:
         "base, section, field, bad",
         [
             pytest.param(base, section, field, bad, id=f"{field}-{bad!r}")
-            for fields, count in ((NUMERIC_FIELDS, False), (INTEGER_FIELDS, True))
+            for fields, bads in (
+                (NUMERIC_FIELDS, [True, "1.5", float("nan"), float("inf")]),
+                (INTEGER_FIELDS, [True, "1.5", float("nan"), float("inf"), 1.5]),
+                (NUMBER_LIST_FIELDS, NUMBER_LIST_BADS),
+            )
             for base, section, field in fields
-            for bad in [True, "1.5", float("nan"), float("inf")] + [1.5] * count
+            for bad in bads
         ],
     )
     def test_json_and_code_routes_give_one_message(self, base, section, field, bad):
@@ -1256,6 +1339,32 @@ class TestOneRulePerValue:
             CODE_ROUTES[field](bad)
         assert str(json_route.value) == str(code_route.value)
         assert f"'{field}' must be " in str(code_route.value)
+
+    @pytest.mark.parametrize("bad", NUMBER_LIST_BADS, ids=repr)
+    @pytest.mark.parametrize("field", list(POLICY_LISTS))
+    def test_policy_number_lists_give_one_message(self, field, bad):
+        policy, make = POLICY_LISTS[field]
+        with pytest.raises(ConfigError) as json_route:
+            load_policy({**policy, field: bad})
+        with pytest.raises(ValueError) as code_route:
+            make(bad)
+        assert str(json_route.value) == str(code_route.value)
+        assert f"'{field}' must be " in str(code_route.value)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.array([True]), np.array(["1.0"]), np.array([1.0 + 0j]), np.array([[1.0]])],
+        ids=["bool", "string", "complex", "2-d"],
+    )
+    @pytest.mark.parametrize(
+        "field, make",
+        [("probs", CODE_ROUTES["probs"])]
+        + [(field, make) for field, (_, make) in POLICY_LISTS.items()],
+        ids=["channel-probs", "policy-probs", "per_state_utility"],
+    )
+    def test_number_arrays_need_a_real_numeric_dtype(self, field, make, bad):
+        with pytest.raises(ValueError, match=f"^'{field}' must be a list of numbers, got array"):
+            make(bad)
 
     @pytest.mark.parametrize(
         "make, match",
@@ -1502,6 +1611,36 @@ class TestCli:
         res = json.loads(out.stdout)
         assert res["mu"] == pytest.approx(4.0 / 13.0)
         assert res["theta"][0] == pytest.approx(3.0)
+
+    def test_matrix_commands_print_indented_json(self):
+        # the json.dumps(indent=2) text of the matrix_to_json dicts
+        h = paper_two_state().states[0]
+        x = h @ h.conj().T - np.eye(2)  # Hermitian, to project
+        wf, q = waterfill_penalized(h, 0.5, 2.0), psd_cap_project(x, 1.5)
+        cases = [
+            (["solve-waterfill", "--z-over-v", "0.5", "--cap", "2.0"], h, {
+                "q": matrix_to_json(wf.q), "mu": wf.mu,
+                "theta": wf.theta.tolist(), "sigma": wf.sigma.tolist(),
+            }),
+            (["project", "--cap", "1.5"], x, matrix_to_json(q)),
+        ]
+        for args, mat, obj in cases:
+            out = self.run_cli(*args, "--matrix", "-", stdin=json.dumps(matrix_to_json(mat)))
+            assert out.returncode == 0, out.stderr
+            assert out.stdout == json.dumps(obj, indent=2) + "\n"
+
+    def test_run_flags_override_configured_outputs_by_name(self, tmp_path, capsys):
+        configured = {name: str(tmp_path / f"config-{name}") for name in ("csv", "summary")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(outputs=configured))
+        flagged = {"csv": str(tmp_path / "flag-csv"), "svg_power": str(tmp_path / "flag-svg")}
+        assert cli_main([
+            "run", str(cfg_path), "--csv", flagged["csv"], "--svg-power", flagged["svg_power"],
+        ]) == 0
+        written = [line[len("wrote "):] for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("wrote ")]
+        assert written == [flagged["csv"], configured["summary"], flagged["svg_power"]]
+        assert not Path(configured["csv"]).exists()
 
     def test_project_cli(self, tmp_path):
         mat_path = tmp_path / "m.json"

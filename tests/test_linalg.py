@@ -420,15 +420,19 @@ class TestStacks:
         )
         q = scale * (g @ np.conj(np.swapaxes(g, 1, 2)))
         r, d, tr = capacity(h, q), capacity_gradient(h, q), trace_real(q)
-        # one covariance broadcast over the channel stack
+        # one covariance broadcast over the channel stack, and one channel
+        # over the covariance stack (the gradient's solve broadcasts it)
         r0, d0 = capacity(h, q[0]), capacity_gradient(h, q[0])
-        assert r.shape == r0.shape == tr.shape == (count,)
+        r1, d1 = capacity(h[0], q), capacity_gradient(h[0], q)
+        assert r.shape == r0.shape == r1.shape == tr.shape == (count,)
         for k in range(count):
             assert r[k] == capacity(h[k], q[k])
             assert np.array_equal(d[k], capacity_gradient(h[k], q[k]))
             assert tr[k] == trace_real(q[k])
             assert r0[k] == capacity(h[k], q[0])
             assert np.array_equal(d0[k], capacity_gradient(h[k], q[0]))
+            assert r1[k] == capacity(h[0], q[k])
+            assert np.array_equal(d1[k], capacity_gradient(h[0], q[k]))
 
     def test_single_pair_types(self):
         assert isinstance(capacity(PAPER_H1, np.eye(2)), float)
