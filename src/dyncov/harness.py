@@ -28,6 +28,7 @@ from .controllers import BoundReport, dpp_step, ogd_step, theoretical_bounds
 from .linalg import (
     ConvergenceError,
     _compose,
+    _count,
     _lapack_guard,
     capacity,
     check_fields,
@@ -387,6 +388,7 @@ def compute_baseline(
     """
     if kind not in _POLICIES:
         raise ConfigError(f"unknown baseline kind {kind!r}")
+    n_samples = _count(n_samples, "n_samples", ConfigError)
     if n_samples < 1:
         raise ConfigError(f"n_samples must be at least 1, got {n_samples}")
     if isinstance(cfg.channel, ch.DiscreteChannel):

@@ -142,20 +142,21 @@ def symmetrize(a) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def require_hermitian(a, what: str = "matrix") -> np.ndarray:
-    """Validate finiteness and Hermitian-ness and return the symmetrized copy.
+def require_hermitian(a) -> np.ndarray:
+    """Validate an eigensolver input's finiteness and Hermitian-ness and
+    return the symmetrized copy.
 
     The entrywise deviation from A^H may be at most 1e-12 * max(1, max|a_ij|),
     so round-off on large-magnitude input is not mistaken for asymmetry.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {m.shape}")
+        raise ValueError(f"eigensolver input must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
-        raise ValueError(f"{what} has non-finite entries")
+        raise ValueError("eigensolver input has non-finite entries")
     dev = float(np.max(np.abs(m - m.conj().T), initial=0.0))
     if dev > HERMITIAN_ATOL * max(1.0, float(np.max(np.abs(m), initial=0.0))):
-        raise ValueError(f"{what} is not Hermitian (max deviation {dev:.3e})")
+        raise ValueError(f"eigensolver input is not Hermitian (max deviation {dev:.3e})")
     return symmetrize(m)
 
 
@@ -194,7 +195,7 @@ def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     is symmetrized first.
     """
     with _lapack_guard():
-        return _eigh_desc(require_hermitian(a, "eigensolver input"))
+        return _eigh_desc(require_hermitian(a))
 
 
 def _capacity_arg(h, q) -> tuple[np.ndarray, np.ndarray]:

@@ -39,6 +39,10 @@ from .linalg import (
 )
 
 _SIGMA_FLOOR = 1e-14  # eigen-modes at or below this carry no power
+_BISECTION_TOL = 1e-6  # width of cdi_optimal_policy's average-power target
+_FISTA_STEP = 0.05  # ergodic_constant_covariance's gradient step,
+_FISTA_TOL = 1e-9  # its stop tolerance on ||Q+ - Y||_F
+_FISTA_ITER_CAP = 100_000  # and its iteration cap
 
 
 @dataclass(frozen=True)
@@ -134,8 +138,8 @@ def waterfill_penalized(h_tilde, z_over_v: float, cap: float) -> WaterfillResult
     """
     if not z_over_v >= 0:
         raise ValueError("z_over_v must be nonnegative")
-    if not cap > 0:
-        raise ValueError("cap must be positive")
+    if not 0.0 < cap < np.inf:  # one comparison, NaN included
+        raise ValueError("cap must be positive" if cap <= 0 else "cap must be finite")
     h = as_matrix(h_tilde)
     if not np.isfinite(h).all():  # before the Gram product turns inf into NaN
         raise ValueError("channel has non-finite entries")
@@ -159,10 +163,10 @@ def psd_cap_project(x, cap: float) -> np.ndarray:
     with floor 0, i.e. drop the negative ones if that already meets the
     cap, otherwise shift all down by the exact multiplier.
     """
-    if not cap > 0:
-        raise ValueError("cap must be positive")
+    if not 0.0 < cap < np.inf:  # one comparison, NaN included
+        raise ValueError("cap must be positive" if cap <= 0 else "cap must be finite")
     with _lapack_guard():
-        return _cap_project(require_hermitian(x, "eigensolver input"), cap)
+        return _cap_project(require_hermitian(x), cap)
 
 
 @dataclass(frozen=True)
@@ -204,15 +208,13 @@ def _policy_at(model: DiscreteChannel, lam: float, p: float) -> tuple[np.ndarray
     return covs, float(sum(model.probs * trace_real(covs)))
 
 
-def cdi_optimal_policy(
-    model: DiscreteChannel, p_bar: float, p: float, tol: float = 1e-6
-) -> CdiPolicy:
+def cdi_optimal_policy(model: DiscreteChannel, p_bar: float, p: float) -> CdiPolicy:
     """Distribution-aware optimum for a discrete channel with per-state
     adaptation: average power <= p_bar, per-slot power <= p.
 
     Lagrangian decomposition: at multiplier lam each state solves a
     penalized water-filling with cap p; lam is bisected until the average
-    power lands in [p_bar - tol, p_bar] (or lam = 0 is already feasible).
+    power lands in [p_bar - 1e-6, p_bar] (or lam = 0 is already feasible).
     Average power is monotone non-increasing in lam.
     """
     if not isinstance(model, DiscreteChannel):
@@ -238,7 +240,7 @@ def cdi_optimal_policy(
         lo = 0.0
         lam, covs, power = hi, covs_hi, power_hi
         for _ in range(200):
-            if p_bar - tol <= power <= p_bar:
+            if p_bar - _BISECTION_TOL <= power <= p_bar:
                 break
             mid = 0.5 * (lo + hi)
             covs_mid, power_mid = _policy_at(model, mid, p)
@@ -248,7 +250,7 @@ def cdi_optimal_policy(
                 hi, lam, covs, power = mid, mid, covs_mid, power_mid
         else:
             raise ConvergenceError(
-                f"long-term power bisection did not reach tolerance {tol}"
+                f"long-term power bisection did not reach tolerance {_BISECTION_TOL}"
             )
 
     # builtin sum: the same sequential order as summing state by state
@@ -275,21 +277,15 @@ class ConstantCovariance:
         object.__setattr__(self, "q", matrix_stack([self.q], "q")[0])
 
 
-def ergodic_constant_covariance(
-    model: DiscreteChannel,
-    p_bar: float,
-    step: float = 0.05,
-    tol: float = 1e-9,
-    iter_cap: int = 100_000,
-) -> ConstantCovariance:
+def ergodic_constant_covariance(model: DiscreteChannel, p_bar: float) -> ConstantCovariance:
     """Maximize the probability-weighted capacity over {Q PSD, tr(Q) <= p_bar}
     by accelerated projected gradient ascent from Q = 0.
 
     FISTA (Beck & Teboulle 2009), restarted when the step Q+ - Y opposes the
-    move Q+ - Q (O'Donoghue & Candes 2015), with Q+ = P(Y + step grad f(Y)).
-    Stops when ||Q+ - Y||_F <= tol and returns Q+, which passes the same test
-    since the projected-gradient map is nonexpansive; if the iteration cap
-    is hit first the last iterate is returned flagged non-converged.
+    move Q+ - Q (O'Donoghue & Candes 2015), with Q+ = P(Y + 0.05 grad f(Y)).
+    Stops when ||Q+ - Y||_F <= 1e-9 and returns Q+, which passes the same
+    test since the projected-gradient map is nonexpansive; if 100 000
+    iterations pass first the last iterate is returned flagged non-converged.
     """
     if not isinstance(model, DiscreteChannel):
         raise TypeError("ergodic_constant_covariance needs a discrete channel model")
@@ -302,11 +298,11 @@ def ergodic_constant_covariance(
     converged = False
     iterations = 0
     with _lapack_guard():
-        for iterations in range(1, iter_cap + 1):
+        for iterations in range(1, _FISTA_ITER_CAP + 1):
             # y stays exactly Hermitian: sums and real multiples of Hermitian matrices
             grad = (probs * _capacity_gradient(model.states, y)).sum(axis=0)
-            q_prev, q = q, _cap_project(y + step * grad, p_bar)
-            if frobenius(q - y) <= tol:
+            q_prev, q = q, _cap_project(y + _FISTA_STEP * grad, p_bar)
+            if frobenius(q - y) <= _FISTA_TOL:
                 converged = True
                 break
             if np.vdot(q - y, q - q_prev).real < 0.0:  # restart: momentum opposes the step

@@ -63,8 +63,8 @@ def _bounds_for(case: str, v_or_gamma: float):
 
 def test_criterion_01_waterfill_oracle_equivalence():
     t0 = time.perf_counter()
-    rand = check_waterfill_beats_random(n_instances=1000, n_feasible=1000)
-    grid = check_waterfill_grid(n_instances=40)
+    rand = check_waterfill_beats_random()
+    grid = check_waterfill_grid()
     elapsed = time.perf_counter() - t0
     ok = rand.passed and grid.passed and elapsed < 30.0
     _report(
@@ -78,9 +78,9 @@ def test_criterion_01_waterfill_oracle_equivalence():
 
 def test_criterion_02_projection_oracle_equivalence():
     t0 = time.perf_counter()
-    nonexp = check_projection_nonexpansive(n_draws=1000)
-    vari = check_projection_variational(n_instances=1000, n_feasible=100)
-    grid = check_projection_grid(n_instances=40)
+    nonexp = check_projection_nonexpansive()
+    vari = check_projection_variational()
+    grid = check_projection_grid()
     elapsed = time.perf_counter() - t0
     ok = nonexp.passed and vari.passed and grid.passed and elapsed < 10.0
     _report(
@@ -218,7 +218,7 @@ def test_criterion_08_sqrt_step_schedule(ogd_sqrt_runs):
 
 def test_criterion_09_gradient_error_bound_suite():
     t0 = time.perf_counter()
-    res = check_gradient_error_bounds(n_draws=10_000)
+    res = check_gradient_error_bounds()
     elapsed = time.perf_counter() - t0
     ok = res.passed and elapsed < 10.0
     _report(
@@ -231,11 +231,11 @@ def test_criterion_09_gradient_error_bound_suite():
 
 def test_criterion_10_matrix_property_suite():
     checks = [
-        check_norm_identities(n_draws=1000),
-        check_psd_norm_vs_trace(n_draws=1000),
-        check_resolvent_norm_cap(n_draws=1000),
-        check_gram_perturbation(n_draws=1000),
-        check_resolvent_lipschitz(n_draws=1000),
+        check_norm_identities(),
+        check_psd_norm_vs_trace(),
+        check_resolvent_norm_cap(),
+        check_gram_perturbation(),
+        check_resolvent_lipschitz(),
     ]
     ok = all(c.passed for c in checks)
     _report(
@@ -254,7 +254,7 @@ def test_criterion_11_rate_ledger():
     worked = worked and [row["assigned"] for row in decode_check(led)] == pytest.approx(
         [4.0, 3.0, 3.0]
     )
-    rand = check_ledger_properties(n_runs=1000)
+    rand = check_ledger_properties()
     ok = worked and rand.passed
     _report(
         11,

@@ -48,6 +48,7 @@ from dyncov import (
     sample_channel,
     save_policy,
     slot_rng,
+    validate,
     waterfill_penalized,
 )
 from dyncov.cli import main as cli_main
@@ -55,7 +56,7 @@ from dyncov.harness import ConfigError, _decide, csv_to_columns, trace_to_csv
 from dyncov.linalg import _compose, capacity, capacity_gradient, trace_real
 from dyncov.matrixio import json_text, matrix_from_json, matrix_to_json
 from dyncov.solvers import _gram_eig, _sum, _waterfill_thresholds
-from dyncov.validate import check_decide_recursion, decide_reference
+from dyncov.validate import CheckResult, check_decide_recursion, decide_reference
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -231,7 +232,7 @@ class TestRunExperiment:
             assert np.append(result.z, result.z_final).tobytes() == z_ref.tobytes()
 
     def test_decide_recursion_check_passes(self):
-        check = check_decide_recursion(horizon=60)
+        check = check_decide_recursion()
         assert check.passed, check.detail
 
     @pytest.mark.parametrize("gamma", [0.1, None], ids=["constant", "inverse-sqrt"])
@@ -809,6 +810,18 @@ class TestPolicyFiles:
             monkeypatch.setattr(f"dyncov.harness.{name}", no_work)
         with pytest.raises(ConfigError, match="^unknown baseline kind 'bogus'$"):
             compute_baseline(experiment(channel=channel()), kind="bogus")
+
+    @pytest.mark.parametrize("n_samples", [2.5, True])
+    def test_compute_baseline_takes_an_integer_sample_count(self, n_samples, monkeypatch):
+        # checked before any draw: 2.5 used to end in a TypeError from range,
+        # and True to solve on one sample
+        def no_draw(*args, **kwargs):
+            raise AssertionError("compute_baseline drew samples for a bad count")
+
+        monkeypatch.setattr("dyncov.channel.sampling_rng", no_draw)
+        cfg = experiment(channel=paper_continuous())
+        with pytest.raises(ConfigError, match=f"^'n_samples' must be an integer, got {n_samples}$"):
+            compute_baseline(cfg, kind="no-csit", n_samples=n_samples)
 
     def test_compute_baseline_solves_the_discrete_channel_exactly(self):
         cfg = experiment()
@@ -1583,6 +1596,9 @@ class TestCli:
              "expected 4 entries for a 2x2 matrix, got 1"),
             (["project", "--cap", "-1"], square(4), "cap must be positive"),
             (["solve-waterfill", "--cap", "-1"], square(4), "cap must be positive"),
+            (["project", "--cap", "inf"], square(4), "cap must be finite"),
+            (["solve-waterfill", "--cap", "inf"], square(4), "cap must be finite"),
+            (["solve-waterfill", "--cap", "nan"], square(4), "cap must be finite"),
             (["solve-waterfill", "--cap", "1", "--z-over-v", "-1"], square(4),
              "z_over_v must be nonnegative"),
             (["project", "--cap", "1"], {"rows": 1, "cols": 1, "entries": [1.0]},
@@ -1593,7 +1609,8 @@ class TestCli:
              "matrix 'entries' must be a list of [re, im] pairs, got 5"),
         ],
         ids=[
-            "project-short", "waterfill-short", "project-cap", "waterfill-cap", "z-over-v",
+            "project-short", "waterfill-short", "project-cap", "waterfill-cap",
+            "project-inf-cap", "waterfill-inf-cap", "waterfill-nan-cap", "z-over-v",
             "project-malformed-entry", "waterfill-malformed-entry", "entries-not-a-list",
         ],
     )
@@ -1601,6 +1618,18 @@ class TestCli:
         out = self.run_cli(*args, "--matrix", "-", stdin=json.dumps(mat))
         assert out.returncode == 2
         assert out.stderr == f"dyncov: error: {message}\n" and out.stdout == ""
+
+    @pytest.mark.parametrize(
+        "passed, status, tally", [((True, False), 1, "1/2"), ((True, True), 0, "2/2")],
+        ids=["one-fails", "all-pass"],
+    )
+    def test_validate_exits_1_on_a_failed_check(self, monkeypatch, capsys, passed, status, tally):
+        checks = tuple(
+            partial(CheckResult, f"stub-{i}", ok, "stub detail") for i, ok in enumerate(passed)
+        )
+        monkeypatch.setattr(validate, "ALL_CHECKS", checks)
+        assert cli_main(["validate"]) == status
+        assert capsys.readouterr().out.splitlines()[-1] == f"{tally} checks passed"
 
     def test_solve_waterfill_stdin(self):
         mat = {"rows": 1, "cols": 1, "entries": [[2.0, 0.0]]}

@@ -193,7 +193,7 @@ class TestLapackKernels:
         assert outcome(_decide, cfg, h, h_obs) is LinAlgError
 
     def test_validate_check_passes(self):
-        check = check_lapack_kernels(count=10)
+        check = check_lapack_kernels()
         assert check.passed, check.detail
 
 

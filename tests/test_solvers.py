@@ -15,6 +15,7 @@ from dyncov import (
     ergodic_constant_covariance,
     frobenius,
     psd_cap_project,
+    solvers,
     waterfill_penalized,
 )
 from dyncov.linalg import ConvergenceError, trace_real
@@ -179,8 +180,11 @@ class TestWaterfill:
         assert np.allclose(wf2.theta, wf2.theta[::-1], atol=1e-12)
 
     def test_input_validation(self):
-        with pytest.raises(ValueError, match="cap"):
-            waterfill_penalized(scalar_channel(1.0), 0.0, 0.0)
+        for cap in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="cap"):
+                waterfill_penalized(scalar_channel(1.0), 0.0, cap)
+            with pytest.raises(ValueError, match="cap"):
+                psd_cap_project(np.eye(2), cap)
         with pytest.raises(ValueError, match="z_over_v"):
             waterfill_penalized(scalar_channel(1.0), -0.1, 1.0)
         with pytest.raises(ValueError, match="z_over_v"):
@@ -295,12 +299,13 @@ class TestProjection:
 
 
 class TestCdiPolicy:
-    def test_single_state_budget_binds(self):
+    def test_single_state_budget_binds(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_BISECTION_TOL", 1e-8)
         rng = np.random.default_rng(19)
         h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         h *= 3.0 / frobenius(h)  # strong channel: full-power level above p_bar
         model = DiscreteChannel(states=(h,), probs=np.array([1.0]))
-        pol = cdi_optimal_policy(model, p_bar=1.0, p=4.0, tol=1e-8)
+        pol = cdi_optimal_policy(model, p_bar=1.0, p=4.0)
         assert trace_real(pol.covariances[0]) == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_channel_state(self):
@@ -394,8 +399,9 @@ class TestConstantCovariance:
         )
         assert objs.max() <= out.r_opt + 1e-6
 
-    def test_iter_cap_flags_non_convergence(self, preset_model):
-        out = ergodic_constant_covariance(preset_model, 2.0, iter_cap=3)
+    def test_iter_cap_flags_non_convergence(self, preset_model, monkeypatch):
+        monkeypatch.setattr(solvers, "_FISTA_ITER_CAP", 3)
+        out = ergodic_constant_covariance(preset_model, 2.0)
         assert not out.converged
         assert out.iterations == 3
 
