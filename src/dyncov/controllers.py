@@ -34,14 +34,15 @@ def dpp_step(
     return theta, max(0.0, z + _sum(theta) - p_bar)
 
 
-def ogd_step(q_lag: np.ndarray, h_lag: np.ndarray, step: float, p_bar: float) -> np.ndarray:
+def ogd_step(q_lag: np.ndarray, g_lag: np.ndarray, step: float, p_bar: float) -> np.ndarray:
     """One slot: Q(t) = P[Q(t-T) + step * D~(t-T)], the projection onto
     {tr Q <= p_bar} of one inexact gradient step from the covariance committed
-    T slots ago, with the gradient taken on the observation from that slot.
-    q_lag and h_lag are complex arrays of fitting shapes and both terms are
-    exactly Hermitian, so neither the gradient nor the projection validates.
+    T slots ago, with the gradient taken on the observation from that slot,
+    given as its Gram matrix g_lag = H~^H H~ (``linalg._gram``).
+    q_lag and g_lag are complex n_t x n_t arrays and both terms are exactly
+    Hermitian, so neither the gradient nor the projection validates.
     Run it under ``linalg._lapack_guard``, as the decide loop does."""
-    return _cap_project(q_lag + step * _capacity_gradient(h_lag, q_lag), p_bar)
+    return _cap_project(q_lag + step * _capacity_gradient(g_lag, q_lag), p_bar)
 
 
 @dataclass(frozen=True)

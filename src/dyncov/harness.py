@@ -29,6 +29,7 @@ from .linalg import (
     ConvergenceError,
     _compose,
     _count,
+    _gram,
     _lapack_guard,
     capacity,
     check_fields,
@@ -429,12 +430,13 @@ def _decide(
             elif isinstance(spec, OgdSpec):
                 # before slot T no observation has arrived: q[t] stays zero
                 lag, ts = spec.t_delay, range(spec.t_delay, cfg.horizon)
+                g_obs = _gram(h_obs)  # every observed Gram matrix in one stacked product
                 if spec.gamma is None:
                     steps = (1.0 / np.sqrt(ts)).tolist()
                 else:
                     steps = [spec.gamma] * len(ts)
                 for t, step in zip(ts, steps):
-                    q[t] = ogd_step(q[t - lag], h_obs[t - lag], step, cfg.p_bar)
+                    q[t] = ogd_step(q[t - lag], g_obs[t - lag], step, cfg.p_bar)
             elif isinstance(spec.policy, CdiPolicy):
                 q[:] = spec.policy.lookup(h)
             else:

@@ -144,7 +144,8 @@ def symmetrize(a) -> np.ndarray:
 
 def require_hermitian(a) -> np.ndarray:
     """Validate an eigensolver input's finiteness and Hermitian-ness and
-    return the symmetrized copy.
+    return the symmetrized copy, or the input itself when it is exactly
+    Hermitian already (a ``_gram`` matrix).
 
     The entrywise deviation from A^H may be at most 1e-12 * max(1, max|a_ij|),
     so round-off on large-magnitude input is not mistaken for asymmetry.
@@ -157,7 +158,7 @@ def require_hermitian(a) -> np.ndarray:
     dev = float(np.max(np.abs(m - m.conj().T), initial=0.0))
     if dev > HERMITIAN_ATOL * max(1.0, float(np.max(np.abs(m), initial=0.0))):
         raise ValueError(f"eigensolver input is not Hermitian (max deviation {dev:.3e})")
-    return symmetrize(m)
+    return m if dev == 0.0 else symmetrize(m)
 
 
 def _lapack_failed(err, flag):
@@ -219,12 +220,6 @@ def _capacity_arg(h, q) -> tuple[np.ndarray, np.ndarray]:
     return hm, qm
 
 
-def _identity_plus(hm: np.ndarray, qm: np.ndarray) -> np.ndarray:
-    """I + H Q H^H, symmetrized, for a pair that ``_capacity_arg`` accepts."""
-    m = hm @ qm @ _ct(hm)
-    return np.eye(hm.shape[-2], dtype=np.complex128) + 0.5 * (m + _ct(m))
-
-
 def capacity(h, q):
     """log det(I + H Q H^H) in nats, via Cholesky of the positive definite argument.
 
@@ -232,7 +227,9 @@ def capacity(h, q):
     numerically indefinite, which valid inputs cannot produce.  Stacks give
     an array over their broadcast leading axes.
     """
-    m = _identity_plus(*_capacity_arg(h, q))
+    hm, qm = _capacity_arg(h, q)
+    m = hm @ qm @ _ct(hm)
+    m = np.eye(hm.shape[-2], dtype=np.complex128) + 0.5 * (m + _ct(m))
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
@@ -244,21 +241,45 @@ def capacity(h, q):
     return _scalar_or_stack(2.0 * np.log(diag).sum(axis=-1))
 
 
-def _capacity_gradient(hm: np.ndarray, qm: np.ndarray) -> np.ndarray:
-    """``capacity_gradient`` of a pair that ``_capacity_arg`` accepts."""
-    m = _identity_plus(hm, qm)
-    if hm.shape[:-2] != m.shape[:-2]:  # solve needs the channel stack in full
-        hm = np.broadcast_to(hm, m.shape[:-2] + hm.shape[-2:])
-    d = _ct(hm) @ _umath_linalg.solve(m, hm, signature="DD->D")
+def _gram(h: np.ndarray) -> np.ndarray:
+    """G = H^H H, symmetrized, of a channel (n_r, n_t) or a stack of them
+    (unvalidated); each stacked entry equals its single-matrix result exactly."""
+    g = _ct(h) @ h
+    return 0.5 * (g + _ct(g))
+
+
+def _capacity_gradient(g: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Capacity gradient from the channel's Gram G = H^H H (``_gram``) and Q,
+    stacks broadcasting, unvalidated.
+
+    Push-through: H^H (I + H Q H^H) = (I + H^H H Q) H^H, so
+    H^H (I + H Q H^H)^{-1} = (I + G Q)^{-1} H^H, and the gradient
+    H^H (I + H Q H^H)^{-1} H is (I + G Q)^{-1} G.  The system is n_t x n_t
+    whatever n_r, and G, which does not depend on Q, is formed once by the
+    caller.  One Q against a Gram stack is one flat (k n_t, n_t) @ (n_t, n_t)
+    product, equal entry by entry to the stacked one.  The result is
+    symmetrized against round-off.
+    """
+    n = q.shape[-1]
+    if q.ndim == 2 and g.ndim > 2:
+        gq = (g.reshape(-1, n) @ q).reshape(g.shape)
+    else:
+        gq = g @ q
+    m = np.eye(n, dtype=np.complex128) + gq
+    if g.shape[:-2] != m.shape[:-2]:  # solve needs the Gram stack in full
+        g = np.broadcast_to(g, m.shape)
+    d = _umath_linalg.solve(m, g, signature="DD->D")
     return 0.5 * (d + _ct(d))
 
 
 def capacity_gradient(h, q) -> np.ndarray:
-    """Gradient of Q -> log det(I + H Q H^H): H^H (I + H Q H^H)^{-1} H.
+    """Gradient of Q -> log det(I + H Q H^H): H^H (I + H Q H^H)^{-1} H,
+    computed as (I + G Q)^{-1} G with G = H^H H (see ``_capacity_gradient``).
 
     The result is Hermitian PSD (symmetrized against round-off); stacks
-    give a stack of gradients.  A singular I + H Q H^H (Q not PSD) raises
+    give a stack of gradients.  A singular I + G Q (Q not PSD) raises
     LinAlgError.
     """
+    hm, qm = _capacity_arg(h, q)
     with _lapack_guard():
-        return _capacity_gradient(*_capacity_arg(h, q))
+        return _capacity_gradient(_gram(hm), qm)

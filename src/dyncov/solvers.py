@@ -24,8 +24,8 @@ from .linalg import (
     ConvergenceError,
     _capacity_gradient,
     _compose,
-    _ct,
     _eigh_desc,
+    _gram,
     _lapack_guard,
     as_matrix,
     capacity,
@@ -72,8 +72,13 @@ def _cap_threshold(a: list[float], tau0: float, cap: float) -> tuple[list[float]
     ``a`` must be in descending order, so the active set is a prefix.  tau0
     is tried first; otherwise the sweep accepts the prefix of length r whose
     threshold (sum(a[:r]) - cap) / r lies at or above tau0, below a[r-1]
-    and at or above a[r].  Returns theta and tau.  Works on Python floats:
-    each operation is the IEEE one numpy would do on the array.
+    and at or above a[r].  A cap within the rounding error of the sums of a
+    (1e-17 on a = [1, 1]) can round every threshold out of its interval;
+    the active set is then the r entries tied with a[0], each loaded cap / r
+    (or the whole cap on the first, if cap / r rounds their sum above the
+    cap), which is within cap of the exact loading.  Returns theta and tau.
+    Works on Python floats: each operation is the IEEE one numpy would do
+    on the array.
     """
     theta = [max(x - tau0, 0.0) for x in a]
     if _sum(theta) <= cap:
@@ -87,22 +92,25 @@ def _cap_threshold(a: list[float], tau0: float, cap: float) -> tuple[list[float]
             continue
         if r < n and a[r] - tau > 0.0:
             continue
-        # loading on the accepted prefix; algebraically a_j - tau but free of
-        # the large-intermediate cancellation, so it sums to the cap at
-        # machine precision
-        act = a[:r]
-        theta = [max((cap + _sum([x - y for y in act])) / r, 0.0) for x in act]
-        return theta if r == n else theta + [0.0] * (n - r), tau
-    raise ConvergenceError(
-        "capped-threshold sweep exhausted without acceptance; "
-        "this contradicts the KKT structure of the problem"
-    )
+        return _prefix_loading(a, r, cap), tau
+    theta = _prefix_loading(a, a.count(a[0]), cap)
+    if _sum(theta) > cap:  # cap / r rounded up, as a subnormal cap can
+        theta = _prefix_loading(a, 1, cap)
+    return theta, a[0] - theta[0]
+
+
+def _prefix_loading(a: list[float], r: int, cap: float) -> list[float]:
+    """The loading on the active prefix a[:r] at its threshold, algebraically
+    a_j - tau but free of the large-intermediate cancellation, so it sums to
+    the cap at machine precision; zero past the prefix."""
+    act = a[:r]
+    theta = [max((cap + _sum([x - y for y in act])) / r, 0.0) for x in act]
+    return theta + [0.0] * (len(a) - r)
 
 
 def _gram_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_eigh_desc`` of H^H H for a finite channel or a stack of them (unvalidated)."""
-    g = _ct(h) @ h
-    return _eigh_desc(0.5 * (g + _ct(g)))
+    return _eigh_desc(_gram(h))
 
 
 def _waterfill_thresholds(sigma: np.ndarray) -> list:
@@ -143,7 +151,7 @@ def waterfill_penalized(h_tilde, z_over_v: float, cap: float) -> WaterfillResult
     h = as_matrix(h_tilde)
     if not np.isfinite(h).all():  # before the Gram product turns inf into NaN
         raise ValueError("channel has non-finite entries")
-    sigma, v = herm_eig(h.conj().T @ h)  # also rejects a Gram product that overflowed
+    sigma, v = herm_eig(_gram(h))  # also rejects a Gram product that overflowed
     theta, mu = _waterfill_loading(_waterfill_thresholds(sigma), h.shape[1], z_over_v, cap)
     return WaterfillResult(
         q=_compose(v, theta), mu=mu, theta=np.array(theta), sigma=np.maximum(sigma, 0.0)
@@ -293,6 +301,7 @@ def ergodic_constant_covariance(model: DiscreteChannel, p_bar: float) -> Constan
         raise ValueError("p_bar must be positive")
 
     probs = model.probs[:, None, None]
+    grams = _gram(model.states)  # the gradient's channel part, formed once
     q = y = np.zeros((model.n_t, model.n_t), dtype=np.complex128)
     momentum = 1.0
     converged = False
@@ -300,7 +309,7 @@ def ergodic_constant_covariance(model: DiscreteChannel, p_bar: float) -> Constan
     with _lapack_guard():
         for iterations in range(1, _FISTA_ITER_CAP + 1):
             # y stays exactly Hermitian: sums and real multiples of Hermitian matrices
-            grad = (probs * _capacity_gradient(model.states, y)).sum(axis=0)
+            grad = (probs * _capacity_gradient(grams, y)).sum(axis=0)
             q_prev, q = q, _cap_project(y + _FISTA_STEP * grad, p_bar)
             if frobenius(q - y) <= _FISTA_TOL:
                 converged = True

@@ -23,7 +23,7 @@ from . import channel as ch
 from .controllers import ogd_step, theoretical_bounds
 from .harness import DppSpec, ExperimentConfig, OgdSpec, _decide, run_experiment, trace_to_csv
 from .linalg import (
-    _capacity_gradient, _ct, _eigh_desc, _identity_plus, _lapack_guard,
+    _capacity_gradient, _ct, _eigh_desc, _gram, _lapack_guard,
     capacity, capacity_gradient, frobenius, trace_real,
 )
 from .rate_adapt import RateLedger, decode_check
@@ -476,10 +476,11 @@ def check_lapack_kernels() -> CheckResult:
         u, w = np.linalg.qr(g[2])[0], rng.choice([-1.0, 0.0, 2.0], size=(count, n))
         a = np.concatenate([g[0], g[1] @ _ct(g[1]), u @ (w[..., None] * _ct(u))])
         a, h = 0.5 * (a + _ct(a)), random_complex(rng, a.shape)
+        gh, q = _gram(h), a @ a
         with _lapack_guard():
-            got = (*_eigh_desc(a), _capacity_gradient(h, a @ a))
+            got = (*_eigh_desc(a), _capacity_gradient(gh, q))
         w, v = np.linalg.eigh(a)
-        d_ref = _ct(h) @ np.linalg.solve(_identity_plus(h, a @ a), h)
+        d_ref = np.linalg.solve(np.eye(n) + gh @ q, gh)
         ref = (w[..., ::-1], v[..., ::-1], 0.5 * (d_ref + _ct(d_ref)))
         if any(x.tobytes() != y.tobytes() for x, y in zip(got, ref)):
             failed.append(f"n={n}")

@@ -20,7 +20,7 @@ from dyncov import (
     waterfill_penalized,
 )
 from dyncov.harness import ConfigError
-from dyncov.linalg import trace_real
+from dyncov.linalg import _gram, trace_real
 from dyncov.solvers import _sum, _waterfill_thresholds
 
 ZERO = np.zeros((2, 2), dtype=complex)
@@ -110,7 +110,7 @@ class TestOgdStep:
             qs = []
             for t in range(9):
                 q = ZERO if t < lag else ogd_step(
-                    qs[t - lag], observations[t - lag], gamma, p_bar
+                    qs[t - lag], _gram(observations[t - lag]), gamma, p_bar
                 )
                 qs.append(q)
             return qs
@@ -133,13 +133,13 @@ class TestOgdStep:
     def test_zero_step_keeps_feasible_iterate(self):
         # nonzero feasible previous covariance survives a zero-size step
         q0 = np.diag([1.2, 0.5]).astype(complex)
-        q = ogd_step(q0, strong_channel(), 0.0, 2.0)
+        q = ogd_step(q0, _gram(strong_channel()), 0.0, 2.0)
         assert frobenius(q - q0) <= 1e-10
 
     def test_gradient_at_zero(self):
         gamma = 0.05
         h = strong_channel()
-        q = ogd_step(ZERO, h, gamma, 2.0)
+        q = ogd_step(ZERO, _gram(h), gamma, 2.0)
         expect = psd_cap_project(gamma * h.conj().T @ h, 2.0)
         assert frobenius(q - expect) <= 1e-12
 
@@ -149,14 +149,14 @@ class TestOgdStep:
         for t, step in ((1, 1.0), (4, 0.5)):
             assert 1.0 / np.sqrt(t) == step
             expect = psd_cap_project(step * h.conj().T @ h, 2.0)
-            assert frobenius(ogd_step(ZERO, h, step, 2.0) - expect) <= 1e-12
+            assert frobenius(ogd_step(ZERO, _gram(h), step, 2.0) - expect) <= 1e-12
 
     def test_trace_cap_always(self):
         rng = np.random.default_rng(5)
         q = ZERO
         for _ in range(49):
             h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            q = ogd_step(q, h, 0.5, 2.0)
+            q = ogd_step(q, _gram(h), 0.5, 2.0)
             assert trace_real(q) <= 2.0 + 1e-9
 
     def test_per_step_descent_inequality(self):
@@ -170,7 +170,7 @@ class TestOgdStep:
         q_prev = ZERO
         for _ in range(100):
             h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            q = ogd_step(q_prev, h, gamma, p_bar)
+            q = ogd_step(q_prev, _gram(h), gamma, p_bar)
             pre_projection = q_prev + gamma * capacity_gradient(h, q_prev)
             assert (
                 frobenius(q - q_star)

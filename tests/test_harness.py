@@ -231,6 +231,24 @@ class TestRunExperiment:
             assert z.tobytes() == z_ref.tobytes()
             assert np.append(result.z, result.z_final).tobytes() == z_ref.tobytes()
 
+    @pytest.mark.parametrize("n_r, n_t", [(1, 4), (4, 1), (3, 8), (2, 3)])
+    @pytest.mark.parametrize("gamma", [0.1, None], ids=["constant", "inverse-sqrt"])
+    def test_ogd_decide_equals_public_recursion_non_square(self, n_r, n_t, gamma):
+        # the decide forms the observed Gram matrices H~^H H~ (n_t x n_t) in
+        # one stacked product; each must be the per-slot one of the public
+        # capacity_gradient, byte for byte, whatever n_r
+        cfg = ExperimentConfig(
+            channel=ProductChannel(n_r=n_r, n_t=n_t, v_max=1.0),
+            csit_error=BoundedBallCsit(delta=0.1), controller=OgdSpec(gamma=gamma, t_delay=2),
+            p=3.0, p_bar=2.0, horizon=200, seed=5,
+        )
+        h, h_obs = draw_path(cfg.channel, cfg.csit_error, cfg.seed, cfg.horizon)
+        q_ref, _ = decide_reference(cfg, h_obs)
+        q, z = _decide(cfg, h, h_obs)
+        assert z is None
+        assert q.tobytes() == q_ref.tobytes()
+        assert np.count_nonzero(trace_real(q)) == cfg.horizon - 2
+
     def test_decide_recursion_check_passes(self):
         check = check_decide_recursion()
         assert check.passed, check.detail

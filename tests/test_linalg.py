@@ -31,7 +31,7 @@ from dyncov.linalg import (
     _compose,
     _ct,
     _eigh_desc,
-    _identity_plus,
+    _gram,
     _lapack_guard,
     nearest_index,
     require_hermitian,
@@ -88,14 +88,19 @@ def eigh_oracle(a):
 
 
 def gradient_oracle(h, q):
-    """``_capacity_gradient`` through ``np.linalg.solve``."""
-    d = _ct(h) @ np.linalg.solve(_identity_plus(h, q), h)
+    """``_capacity_gradient`` of h's Gram through ``np.linalg.solve``."""
+    g = _gram(h)
+    d = np.linalg.solve(np.eye(q.shape[-1]) + g @ q, g)
     return 0.5 * (d + _ct(d))
 
 
 def guarded(f, *args):
     with _lapack_guard():  # what the hot loops hold around their steps
         return f(*args)
+
+
+def gradient_kernel(h, q):
+    return guarded(_capacity_gradient, _gram(h), q)
 
 
 def eigh_kernel(a):
@@ -137,7 +142,7 @@ class TestLapackKernels:
         h = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
         q = a @ a  # PSD, so I + H Q H^H is nonsingular
         assert outcome(eigh_kernel, a) == outcome(eigh_oracle, a)
-        assert outcome(guarded, _capacity_gradient, h, q) == outcome(gradient_oracle, h, q)
+        assert outcome(gradient_kernel, h, q) == outcome(gradient_oracle, h, q)
         for k in range(count):
             # the lean projection against the public eigensolve and compose
             sigma, v = herm_eig(a[k])
@@ -154,8 +159,8 @@ class TestLapackKernels:
         assert outcome(eigh_kernel, a) == outcome(eigh_oracle, a)
         h, q = np.ones((n, n), dtype=complex), np.eye(n, dtype=complex)
         h[0, 0] = np.nan
-        assert outcome(guarded, _capacity_gradient, h, q) == outcome(gradient_oracle, h, q)
-        assert outcome(guarded, _capacity_gradient, a, q) == outcome(gradient_oracle, a, q)
+        assert outcome(gradient_kernel, h, q) == outcome(gradient_oracle, h, q)
+        assert outcome(gradient_kernel, a, q) == outcome(gradient_oracle, a, q)
         with pytest.raises(ValueError, match="channel has non-finite entries"):
             capacity_gradient(a, q)
 
@@ -174,7 +179,7 @@ class TestLapackKernels:
         # I + H Q H^H = 0 for H = I, Q = -I
         eye = np.eye(2, dtype=complex)
         assert outcome(gradient_oracle, eye, -eye) is LinAlgError
-        assert outcome(guarded, _capacity_gradient, eye, -eye) is LinAlgError
+        assert outcome(gradient_kernel, eye, -eye) is LinAlgError
         assert outcome(guarded, ogd_step, -eye, eye, 1.0, 1.0) is LinAlgError
         assert outcome(capacity_gradient, eye, -eye) is LinAlgError
 
@@ -391,6 +396,33 @@ class TestCapacityGradient:
             fd = (capacity(h, q + eps * step) - capacity(h, q - eps * step)) / (2 * eps)
             directional = np.trace(d.conj().T @ step).real
             assert fd == pytest.approx(directional, abs=1e-5)
+
+    @given(
+        shape=st.sampled_from([(1, 4), (4, 1), (3, 8), (2, 2)]),
+        h_rank=st.integers(0, 8),
+        q_rank=st.integers(0, 8),
+        h_scale=st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+        q_scale=st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_resolvent_form(self, shape, h_rank, q_rank, h_scale, q_scale, seed):
+        # independent of the push-through identity the kernel rests on: the
+        # n_r x n_r resolvent form H^H (I + H Q H^H)^{-1} H by np.linalg, for
+        # H of full or deficient rank and Q PSD with zero eigenvalues
+        n_r, n_t = shape
+        rng = np.random.default_rng(seed)
+
+        def product(m, k, n):
+            a = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+            b = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+            return a @ b
+
+        h = h_scale * product(n_r, min(h_rank, n_r, n_t), n_t)
+        u = product(n_t, min(q_rank, n_t), n_t)
+        q = q_scale * (u @ u.conj().T)
+        expect = h.conj().T @ np.linalg.solve(np.eye(n_r) + h @ q @ h.conj().T, h)
+        g = h.conj().T @ h
+        assert frobenius(capacity_gradient(h, q) - expect) <= 1e-12 * (1.0 + frobenius(g) ** 2)
 
     def test_result_hermitian_psd(self):
         rng = np.random.default_rng(13)

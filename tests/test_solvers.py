@@ -14,6 +14,7 @@ from dyncov import (
     empirical_policy,
     ergodic_constant_covariance,
     frobenius,
+    paper_two_state,
     psd_cap_project,
     solvers,
     waterfill_penalized,
@@ -111,6 +112,32 @@ class TestCapThreshold:
         assert np.array(theta).tobytes() == expect[0].tobytes()
         assert np.float64(tau).tobytes() == np.float64(expect[1]).tobytes()
         assert (tau != tau0) == binding
+
+    @pytest.mark.parametrize("cap", [1e-17, 1e-300, 5e-324])
+    @pytest.mark.parametrize(
+        "spectrum",
+        [[1.0, 1.0], [1.0, 1.0 - 2.0**-53], [3.0, 3.0, 3.0], [2.0, 2.0, 2.0 - 2.0**-51]],
+        ids=["equal", "nearly-equal", "equal-3", "nearly-equal-3"],
+    )
+    def test_cap_below_rounding_resolution(self, spectrum, cap):
+        # every prefix threshold (sum(a[:r]) - cap) / r rounds out of its
+        # interval here, so the sweep accepts no prefix
+        theta, _ = _cap_threshold(spectrum, 0.0, cap)
+        assert min(theta) >= 0.0 and sum(theta) <= cap
+        ties = spectrum.count(spectrum[0])
+        assert theta[ties:] == [0.0] * (len(spectrum) - ties)
+        x = np.diag(spectrum).astype(complex)
+        for q in (psd_cap_project(x, cap), waterfill_penalized(np.sqrt(x), 0.0, cap).q):
+            assert np.linalg.eigvalsh(q).min() >= 0.0
+            assert trace_real(q) <= cap
+
+    def test_cap_below_rounding_resolution_equal_split(self):
+        theta, tau = _cap_threshold([1.0, 1.0], 0.0, 1e-17)
+        assert theta == [5e-18, 5e-18] and tau == 1.0
+        # 1.5 * 2**-1074 rounds up to 2**-1073, so the halves would sum above the cap
+        cap = 3 * 5e-324
+        theta, _ = _cap_threshold([1.0, 1.0], 0.0, cap)
+        assert theta == [cap, 0.0]
 
 
 class TestWaterfill:
@@ -388,6 +415,22 @@ class TestConstantCovariance:
         # accelerated: plain projected gradient takes 1178 iterations here
         assert constant_reference.converged
         assert constant_reference.iterations <= 300
+
+    @pytest.mark.parametrize(
+        "model, iterations, r_opt",
+        [
+            (paper_two_state, 126, 2.9819465629546764),
+            (lambda: continuous_model(9), 433, 0.48830102626949545),
+        ],
+        ids=["two-state", "continuous-seed-9"],
+    )
+    def test_iterations_and_value_pinned(self, model, iterations, r_opt):
+        # pinned from the resolvent form H^H (I + H Q H^H)^{-1} H of the
+        # gradient; its Gram form (I + G Q)^{-1} G takes the same path
+        out = ergodic_constant_covariance(model(), 2.0)
+        assert out.converged
+        assert out.iterations == iterations
+        assert out.r_opt == pytest.approx(r_opt, rel=1e-12, abs=0.0)
 
     def test_beats_random_feasible(self, preset_model, constant_reference):
         rng = np.random.default_rng(29)
