@@ -8,8 +8,9 @@ Subcommands:
   validate        run the invariant/property suite and print a table
 
 Matrices on stdin/stdout use {"rows": m, "cols": n, "entries": [[re, im], ...]}
-in row-major order.  Exit status is 1 on a failed certification or check, and
-2 on bad input, such as a missing file or an invalid config (``dyncov: error: ...``).
+in row-major order.  Exit status is 1 on a failed certification or check, or
+on a no-csit baseline solve that did not converge, and 2 on bad input, such
+as a missing file or an invalid config (``dyncov: error: ...``).
 """
 
 from __future__ import annotations
@@ -77,11 +78,14 @@ def _cmd_baseline(args) -> int:
     cfg = load_config(args.config)
     policy = compute_baseline(cfg, kind=args.kind, n_samples=args.samples)
     save_policy(policy, args.out)
-    r_opt = policy.r_opt
     print(f"baseline kind: {args.kind}")
-    print(f"reference average utility: {r_opt:.6f} nats")
+    print(f"reference average utility: {policy.r_opt:.6f} nats")
+    if args.kind == "no-csit":
+        converged = str(policy.converged).lower()
+        print(f"solver: {policy.iterations} iterations, converged: {converged}")
     print(f"wrote {args.out}")
-    return 0
+    # the with-csit bisection raises ConvergenceError where FISTA flags its result
+    return 0 if args.kind == "with-csit" or policy.converged else 1
 
 
 def _cmd_solve_waterfill(args) -> int:

@@ -40,8 +40,7 @@ from .linalg import (
 
 _SIGMA_FLOOR = 1e-14  # eigen-modes at or below this carry no power
 _BISECTION_TOL = 1e-6  # width of cdi_optimal_policy's average-power target
-_FISTA_STEP = 0.05  # ergodic_constant_covariance's gradient step,
-_FISTA_TOL = 1e-9  # its stop tolerance on ||Q+ - Y||_F
+_FISTA_TOL = 1e-9  # ergodic_constant_covariance's stop tolerance on ||Q+ - Y||_F
 _FISTA_ITER_CAP = 100_000  # and its iteration cap
 
 
@@ -290,10 +289,18 @@ def ergodic_constant_covariance(model: DiscreteChannel, p_bar: float) -> Constan
     by accelerated projected gradient ascent from Q = 0.
 
     FISTA (Beck & Teboulle 2009), restarted when the step Q+ - Y opposes the
-    move Q+ - Q (O'Donoghue & Candes 2015), with Q+ = P(Y + 0.05 grad f(Y)).
-    Stops when ||Q+ - Y||_F <= 1e-9 and returns Q+, which passes the same
-    test since the projected-gradient map is nonexpansive; if 100 000
-    iterations pass first the last iterate is returned flagged non-converged.
+    move Q+ - Q (O'Donoghue & Candes 2015), with Q+ = P(Y + grad f(Y) / L).
+    The step 1/L is read from the curvature at Y.  The gradient of
+    f(Y) = sum_k p_k log det(I + G_k Y) is sum_k p_k D_k with
+    D_k = (I + G_k Y)^{-1} G_k, and D_k changes along a direction Delta by
+    -D_k Delta D_k, so the Hessian's quadratic form is
+    -sum_k p_k tr(D_k Delta D_k Delta).  For Y PSD each D_k is Hermitian PSD,
+    so tr(D_k Delta D_k Delta) = ||D_k^{1/2} Delta D_k^{1/2}||_F^2, which is
+    at most ||D_k||_2^2 ||Delta||_F^2 <= ||D_k||_F^2 ||Delta||_F^2: the form
+    is bounded by L ||Delta||_F^2 with L = sum_k p_k ||D_k||_F^2.  L = 0 only
+    when every weighted D_k is zero, and then so is the gradient, so Q+ = P(Y).
+    Stops when ||Q+ - Y||_F <= 1e-9 and returns Q+; if 100 000 iterations
+    pass first the last iterate is returned flagged non-converged.
     """
     if not isinstance(model, DiscreteChannel):
         raise TypeError("ergodic_constant_covariance needs a discrete channel model")
@@ -309,15 +316,19 @@ def ergodic_constant_covariance(model: DiscreteChannel, p_bar: float) -> Constan
     with _lapack_guard():
         for iterations in range(1, _FISTA_ITER_CAP + 1):
             # y stays exactly Hermitian: sums and real multiples of Hermitian matrices
-            grad = (probs * _capacity_gradient(grams, y)).sum(axis=0)
-            q_prev, q = q, _cap_project(y + _FISTA_STEP * grad, p_bar)
-            if frobenius(q - y) <= _FISTA_TOL:
+            d = _capacity_gradient(grams, y)
+            grad = (probs * d).sum(axis=0)
+            lip = float(model.probs @ (d.real**2 + d.imag**2).sum(axis=(1, 2)))
+            q_prev, q = q, _cap_project(y + grad / lip if lip > 0.0 else y, p_bar)
+            delta = q - y
+            if frobenius(delta) <= _FISTA_TOL:
                 converged = True
                 break
-            if np.vdot(q - y, q - q_prev).real < 0.0:  # restart: momentum opposes the step
+            move = q - q_prev
+            if np.vdot(delta, move).real < 0.0:  # restart: momentum opposes the step
                 momentum = 1.0
             momentum_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
-            y = q + ((momentum - 1.0) / momentum_next) * (q - q_prev)
+            y = q + ((momentum - 1.0) / momentum_next) * move
             momentum = momentum_next
 
     per_state = capacity(model.states, q)

@@ -48,6 +48,7 @@ from dyncov import (
     sample_channel,
     save_policy,
     slot_rng,
+    solvers,
     validate,
     waterfill_penalized,
 )
@@ -1570,6 +1571,24 @@ class TestCli:
         assert out.returncode == 0, out.stderr + out.stdout
         assert "PASS" in out.stdout
         assert (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "cap, status, line",
+        [(100_000, 0, "solver: 25 iterations, converged: true"),
+         (3, 1, "solver: 3 iterations, converged: false")],
+        ids=["converged", "iteration-cap"],
+    )
+    def test_no_csit_baseline_reports_its_solve(
+        self, tmp_path, monkeypatch, capsys, cap, status, line
+    ):
+        # a solve stopped by the iteration cap writes its flagged policy and exits 1
+        monkeypatch.setattr(solvers, "_FISTA_ITER_CAP", cap)
+        cfg_path, pol_path = tmp_path / "cfg.json", tmp_path / "ref.json"
+        cfg_path.write_text(config_text())
+        args = ["baseline", str(cfg_path), "--kind", "no-csit", "--out", str(pol_path)]
+        assert cli_main(args) == status
+        assert line in capsys.readouterr().out.splitlines()
+        assert load_policy(pol_path).converged is (status == 0)
 
     @pytest.mark.parametrize(
         "command, text, samples, message",
