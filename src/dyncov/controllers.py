@@ -49,46 +49,42 @@ def ogd_step(q_lag: np.ndarray, g_lag: np.ndarray, step: float, p_bar: float) ->
 class BoundReport:
     """Closed-form performance constants for a run configuration.
 
-    All delta-dependent terms vanish at delta = 0.  ``v_or_gamma`` is the
-    queue controller's tradeoff parameter or the gradient controller's
-    constant step, whichever applies; without one (a replay or a 1/sqrt(t)
-    run) it is None, and so are ``epsilon`` and ``queue_bound``.
+    All delta-dependent terms vanish at delta = 0.  ``epsilon`` and
+    ``queue_bound`` are the queue controller's, functions of its v; for any
+    other run they are None.  The gradient controller's regret bounds take
+    its step and its delay T.  Under delay T the run is T interleaved
+    projected-gradient chains (slot s steps from slot s - T), each starting
+    at Q = 0 in a set of diameter 2 p_bar, so each bound's distance term is
+    T times one chain's; its gradient term sums the steps of all slots.
     """
 
     p_bar: float
-    v_or_gamma: float | None
     epsilon: float | None
     phi_delta: float
     psi_delta: float
     queue_bound: float | None
     grad_norm_bound: float
 
-    def utility_gap(self) -> float:
-        """Floor offset for the queue controller: average utility is within
-        epsilon + phi of the distribution-aware optimum."""
-        return self.epsilon + self.phi_delta
-
-    def power_residual_bound(self, t: int) -> float:
-        """Bound on average power minus p_bar after t slots."""
-        return self.queue_bound / t
-
-    def regret_bound(self, t: int | np.ndarray) -> float | np.ndarray:
-        """Average-utility deficit bound for the constant-step gradient
-        controller after t slots (elementwise for an array of t)."""
-        gamma = self.v_or_gamma
+    def regret_bound(self, t: int | np.ndarray, gamma: float, t_delay: int) -> float | np.ndarray:
+        """Average-utility deficit bound after t slots at constant step gamma
+        and delay t_delay (elementwise for an array of t): the T chains'
+        distance terms 2 p_bar^2 / gamma, over t slots, give T 2 p_bar^2 / (gamma t)."""
         worst_grad = self.psi_delta + self.grad_norm_bound
         return (
-            2.0 * self.p_bar**2 / (gamma * t)
+            t_delay * 2.0 * self.p_bar**2 / (gamma * t)
             + gamma * worst_grad**2 / 2.0
             + 2.0 * self.psi_delta * self.p_bar
         )
 
-    def regret_bound_sqrt(self, t: int | np.ndarray) -> float | np.ndarray:
-        """Deficit bound under the 1/sqrt(t) step schedule."""
+    def regret_bound_sqrt(self, t: int | np.ndarray, t_delay: int) -> float | np.ndarray:
+        """Deficit bound under the 1/sqrt(t) step schedule and delay t_delay.  Each
+        chain's last step is at least 1/sqrt(t - 1 + T), so the T chains' distance
+        terms over t slots give T 2 p_bar^2 sqrt(t - 1 + T) / t, which is at most
+        T^(3/2) 2 p_bar^2 / sqrt(t) as t - 1 + T <= t T."""
         worst_grad = self.psi_delta + self.grad_norm_bound
         root = np.sqrt(t)
         return (
-            2.0 * self.p_bar**2 / root
+            t_delay**1.5 * 2.0 * self.p_bar**2 / root
             + worst_grad**2 / root
             + 2.0 * self.psi_delta * self.p_bar
         )
@@ -101,17 +97,17 @@ def theoretical_bounds(
     p_bar: float,
     n_t: int,
     n_r: int,
-    v_or_gamma: float | None,
+    v: float | None = None,
 ) -> BoundReport:
     """Instantiate every certified constant for the given configuration.
 
     epsilon inverts the tradeoff choice v = max(p_bar^2, (p - p_bar)^2) / (2 eps);
     phi is the instantaneous-observation degradation 2 p sqrt(n_t) (2b + delta) delta;
     psi bounds the gradient error under delayed observations; the queue
-    bound is v (b + delta)^2 + (p - p_bar).  Nothing divides by b, so an
-    all-zero channel (b = 0) is certified like any other.
+    bound is v (b + delta)^2 + (p - p_bar); without v, it and epsilon are None.  Nothing
+    divides by b, so an all-zero channel (b = 0) is certified like any other.
     """
-    if min(p, p_bar, 1.0 if v_or_gamma is None else v_or_gamma) <= 0 or min(b, delta) < 0:
+    if min(p, p_bar, 1.0 if v is None else v) <= 0 or min(b, delta) < 0:
         raise ValueError("bound parameters must be positive (b and delta nonnegative)")
     phi = 2.0 * p * np.sqrt(n_t) * (2.0 * b + delta) * delta
     psi = (
@@ -121,12 +117,11 @@ def theoretical_bounds(
     ) * delta
     grad_norm = np.sqrt(n_r) * b**2
     epsilon = queue_bound = None
-    if v_or_gamma is not None:
-        epsilon = float(max(p_bar**2, (p - p_bar) ** 2) / (2.0 * v_or_gamma))
-        queue_bound = float(v_or_gamma * (b + delta) ** 2 + (p - p_bar))
+    if v is not None:
+        epsilon = float(max(p_bar**2, (p - p_bar) ** 2) / (2.0 * v))
+        queue_bound = float(v * (b + delta) ** 2 + (p - p_bar))
     return BoundReport(
         p_bar=p_bar,
-        v_or_gamma=v_or_gamma,
         epsilon=epsilon,
         phi_delta=float(phi),
         psi_delta=float(psi),

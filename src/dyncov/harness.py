@@ -536,14 +536,14 @@ def certify_run(result: RunResult, bounds: Optional[BoundReport]) -> list[dict]:
         else:
             worst_z = max(np.max(result.z), result.z_final) - bounds.queue_bound
             certs.append(_upper("queue-bound", "max Z(t) - queue bound", float(worst_z)))
-            budget = cfg.p_bar + bounds.power_residual_bound(cfg.horizon)
+            budget = cfg.p_bar + bounds.queue_bound / cfg.horizon
             certs.append(_upper(
                 "average-power-budget", "final avg power - budgeted bound",
                 float(result.runavg_tr_q[-1] - budget),
             ))
             r_opt = _reference_utility(result)
             if r_opt is not None:
-                floor = r_opt - bounds.utility_gap()
+                floor = r_opt - (bounds.epsilon + bounds.phi_delta)
                 certs.append(_floor(
                     "utility-floor", "final avg utility - (reference - eps - phi)",
                     float(result.runavg_r[-1] - floor),
@@ -554,11 +554,14 @@ def certify_run(result: RunResult, bounds: Optional[BoundReport]) -> list[dict]:
             certs.append(_skipped("per-slot-regret-floor"))
         elif result.r_ref is not None:
             avg_ref = np.cumsum(result.r_ref) / t_axis
-            regret = bounds.regret_bound_sqrt if spec.gamma is None else bounds.regret_bound
+            if spec.gamma is None:
+                regret = bounds.regret_bound_sqrt(t_axis, spec.t_delay)
+            else:
+                regret = bounds.regret_bound(t_axis, spec.gamma, spec.t_delay)
             certs.append(_floor(
                 "per-slot-regret-floor",
                 "min over t of avg utility - (reference avg - bound)",
-                float(np.min(result.runavg_r - (avg_ref - regret(t_axis)))),
+                float(np.min(result.runavg_r - (avg_ref - regret))),
             ))
 
     return certs
@@ -581,7 +584,7 @@ def _build_summary(result: RunResult) -> dict:
             p_bar=cfg.p_bar,
             n_t=cfg.n_t,
             n_r=cfg.n_r,
-            v_or_gamma=getattr(cfg.controller, "v", None) or getattr(cfg.controller, "gamma", None),
+            v=cfg.controller.v if isinstance(cfg.controller, DppSpec) else None,
         )
 
     certs = certify_run(result, bounds)

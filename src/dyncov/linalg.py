@@ -13,8 +13,8 @@ numpy's LAPACK gufuncs directly, under ``np.linalg``'s failure contract.
 A value is checked in one place, the constructor of the dataclass that holds
 it, whether it was built in code or loaded from JSON (where a config
 section's keys are its dataclass's fields).  ``check_fields`` is the rule
-for numbers, counts and number lists, and ``matrix_stack`` the rule for
-tables of matrices.
+for numbers, counts and number lists, ``matrix_stack`` the rule for
+tables of matrices, and ``require_psd`` the further rule for covariances.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ def finite_number(x, key: str, error=ValueError) -> float:
 
 def _count(x, key: str, error) -> int:
     """x as an int: an integer or an integral float, not a bool."""
+    if type(x) is int:  # the common case, ahead of the abstract-class tests
+        return x
     if isinstance(x, float) and math.isfinite(x) and x.is_integer():
         return int(x)
     if isinstance(x, bool) or not isinstance(x, numbers.Integral):
@@ -159,6 +161,25 @@ def require_hermitian(a) -> np.ndarray:
     if dev > HERMITIAN_ATOL * max(1.0, float(np.max(np.abs(m), initial=0.0))):
         raise ValueError(f"eigensolver input is not Hermitian (max deviation {dev:.3e})")
     return m if dev == 0.0 else symmetrize(m)
+
+
+def require_psd(stack: np.ndarray, key: str) -> None:
+    """Check each matrix of a finite stack (k, n, n) to be Hermitian within
+    ``require_hermitian``'s tolerance and positive semidefinite: its least
+    eigenvalue at least -1e-12 * max(1, max|a_ij|).  ``key`` names the field."""
+    if stack.shape[-1] != stack.shape[-2]:
+        raise ValueError(f"{key!r} must hold square matrices, got shape {stack.shape[-2:]}")
+    # each matrix over max(1, max|a_ij|): both tolerances become HERMITIAN_ATOL
+    unit = stack / np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))[:, None, None]
+    adjoint = unit.conj().swapaxes(-2, -1)
+    dev = float(np.abs(unit - adjoint).max())
+    if dev > HERMITIAN_ATOL:
+        raise ValueError(f"{key!r} must be Hermitian (relative deviation {dev:.3e})")
+    least = float(np.linalg.eigvalsh(0.5 * (unit + adjoint))[:, 0].min())
+    if least < -HERMITIAN_ATOL:
+        raise ValueError(
+            f"{key!r} must be positive semidefinite (relative least eigenvalue {least:.3e})"
+        )
 
 
 def _lapack_failed(err, flag):

@@ -13,7 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import _count, as_matrix
+
+# the types a JSON number decodes to; a bool is an int, but not a number here
+_PARTS = frozenset((float, int))
 
 
 def matrix_to_json(a) -> dict:
@@ -72,14 +75,19 @@ def replace_file(path, text: str) -> None:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
+    """The matrix of a schema object: ``rows`` and ``cols`` are counts (see
+    ``linalg._count``), each entry part a JSON number (a float or an int, not
+    a bool or a string), and no other key is allowed."""
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        entries = obj["entries"]
+        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(
             "matrix JSON must have 'rows', 'cols' and 'entries' fields"
         ) from exc
+    if len(obj) > 3:
+        unknown = sorted(repr(k) for k in obj if k not in ("rows", "cols", "entries"))
+        raise ValueError(f"unknown matrix key(s): {', '.join(unknown)}")
+    rows, cols = _count(rows, "rows", ValueError), _count(cols, "cols", ValueError)
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
     if not isinstance(entries, list):
@@ -89,15 +97,18 @@ def matrix_from_json(obj: dict) -> np.ndarray:
             f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
             f"got {len(entries)}"
         )
-    flat = np.empty(len(entries), dtype=np.complex128)
+    values = []
     for i, e in enumerate(entries):
         try:
             re, im = e
-            flat[i] = complex(float(re), float(im))
-        except (TypeError, ValueError):
+            if re.__class__ not in _PARTS or im.__class__ not in _PARTS:
+                raise TypeError
+            values.append(complex(re, im))
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(
                 f"matrix entry {i} is not an [re, im] pair of numbers: {e!r}"
             ) from None
+    flat = np.array(values, dtype=np.complex128)
     if not np.isfinite(flat).all():
         raise ValueError("matrix JSON has non-finite entries")
     return flat.reshape(rows, cols)

@@ -35,6 +35,7 @@ from .linalg import (
     matrix_stack,
     nearest_index,
     require_hermitian,
+    require_psd,
     trace_real,
 )
 
@@ -203,6 +204,7 @@ class CdiPolicy:
                 )
         object.__setattr__(self, "states", matrix_stack(self.states, "states"))
         object.__setattr__(self, "covariances", matrix_stack(self.covariances, "covariances"))
+        require_psd(self.covariances, "covariances")
 
     def lookup(self, h) -> np.ndarray:
         """Covariance of the stored state nearest to h in Frobenius distance;
@@ -282,6 +284,7 @@ class ConstantCovariance:
         if not isinstance(self.converged, bool):  # not bool(...): "false" is truthy
             raise ValueError(f"'converged' must be true or false, got {self.converged!r}")
         object.__setattr__(self, "q", matrix_stack([self.q], "q")[0])
+        require_psd(self.q[None], "q")
 
 
 def ergodic_constant_covariance(model: DiscreteChannel, p_bar: float) -> ConstantCovariance:

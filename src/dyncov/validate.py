@@ -335,10 +335,7 @@ def check_gradient_error_bounds() -> CheckResult:
     b, delta, p_bar = 3.0, 0.4, 2.0
     worst = -np.inf
     for n_r, n_t, count in ((2, 2, 5000), (3, 2, 5000)):
-        bounds = theoretical_bounds(
-            b=b, delta=delta, p=p_bar, p_bar=p_bar, n_t=n_t, n_r=n_r,
-            v_or_gamma=1.0,
-        )
+        bounds = theoretical_bounds(b=b, delta=delta, p=p_bar, p_bar=p_bar, n_t=n_t, n_r=n_r)
         h = random_complex(rng, (count, n_r, n_t))
         h *= (b * rng.uniform(0.0, 1.0, count) / np.sqrt((np.abs(h) ** 2).sum(axis=(1, 2))))[
             :, None, None

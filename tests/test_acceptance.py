@@ -52,12 +52,12 @@ def _report(num: int, name: str, ok: bool, detail: str = ""):
     assert ok, line
 
 
-def _bounds_for(case: str, v_or_gamma: float):
+def _bounds_for(case: str, v: float | None = None):
     model = paper_two_state()
     cb = channel_bounds(model, paper_error_case(case))
     return cb, theoretical_bounds(
         b=cb.b, delta=cb.delta, p=P, p_bar=P_BAR, n_t=model.n_t, n_r=model.n_r,
-        v_or_gamma=v_or_gamma,
+        v=v,
     )
 
 
@@ -177,10 +177,10 @@ def test_criterion_07_gradient_controller_regret(ogd_runs):
     details = []
     for case in ERROR_CASES:
         result = ogd_runs[case]
-        _, rep = _bounds_for(case, GAMMA)
+        _, rep = _bounds_for(case)
         avg_r = np.cumsum(result.r) / t_axis
         avg_ref = np.cumsum(result.r_ref) / t_axis
-        slack_seq = np.array([rep.regret_bound(int(t)) for t in t_axis])
+        slack_seq = np.array([rep.regret_bound(int(t), GAMMA, 1) for t in t_axis])
         worst = float(np.min(avg_r - (avg_ref - slack_seq)))
         trace_excess = float(np.max(result.tr_q) - P_BAR)
         ok = ok and worst >= -SLACK and trace_excess <= SLACK
@@ -201,10 +201,10 @@ def test_criterion_08_sqrt_step_schedule(ogd_sqrt_runs):
     details = []
     for case in ERROR_CASES:
         result = ogd_sqrt_runs[case]
-        _, rep = _bounds_for(case, 1.0)
+        _, rep = _bounds_for(case)
         avg_r = np.cumsum(result.r) / t_axis
         avg_ref = np.cumsum(result.r_ref) / t_axis
-        slack_seq = np.array([rep.regret_bound_sqrt(int(t)) for t in t_axis])
+        slack_seq = np.array([rep.regret_bound_sqrt(int(t), 1) for t in t_axis])
         worst = float(np.min(avg_r - (avg_ref - slack_seq)))
         ok = ok and worst >= -SLACK
         details.append(f"{case}: worst floor margin {worst:.3e}")

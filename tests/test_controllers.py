@@ -183,33 +183,31 @@ class TestTheoreticalBounds:
     def test_epsilon_inverts_tradeoff_choice(self):
         rep = theoretical_bounds(
             b=4.0, delta=0.0, p=3.0, p_bar=2.0, n_t=2, n_r=2,
-            v_or_gamma=100.0,
+            v=100.0,
         )
         assert rep.epsilon == pytest.approx(0.02, abs=1e-15)
 
     def test_queue_bound_instantiation(self):
         rep = theoretical_bounds(
             b=5.0, delta=0.0, p=3.0, p_bar=2.0, n_t=2, n_r=2,
-            v_or_gamma=100.0,
+            v=100.0,
         )
         assert rep.queue_bound == pytest.approx(2501.0, abs=1e-12)
 
     def test_zero_delta_collapse(self):
         rep = theoretical_bounds(
             b=4.0, delta=0.0, p=3.0, p_bar=2.0, n_t=2, n_r=2,
-            v_or_gamma=0.01,
         )
         assert rep.phi_delta == 0.0
         assert rep.psi_delta == 0.0
         t = 1000
         expect = 2 * 2.0**2 / (0.01 * t) + 0.01 * 2 * 4.0**4 / 2
-        assert rep.regret_bound(t) == pytest.approx(expect, rel=1e-12)
+        assert rep.regret_bound(t, 0.01, 1) == pytest.approx(expect, rel=1e-12)
 
     def test_formulas_with_error(self):
         b, delta, p, p_bar, n_t, n_r = 4.0, 0.5, 3.0, 2.0, 2, 3
         rep = theoretical_bounds(
             b=b, delta=delta, p=p, p_bar=p_bar, n_t=n_t, n_r=n_r,
-            v_or_gamma=0.02,
         )
         assert rep.phi_delta == pytest.approx(
             2 * p * np.sqrt(n_t) * (2 * b + delta) * delta, rel=1e-12
@@ -222,45 +220,79 @@ class TestTheoreticalBounds:
         assert rep.psi_delta == pytest.approx(psi, rel=1e-12)
         worst = psi + np.sqrt(n_r) * b**2
         t = 50
-        assert rep.regret_bound_sqrt(t) == pytest.approx(
+        assert rep.regret_bound_sqrt(t, 1) == pytest.approx(
             2 * p_bar**2 / np.sqrt(t) + worst**2 / np.sqrt(t) + 2 * psi * p_bar,
             rel=1e-12,
         )
 
-    def test_power_residual_matches_queue_bound(self):
-        rep = theoretical_bounds(
-            b=4.0, delta=0.1, p=3.0, p_bar=2.0, n_t=2, n_r=2,
-            v_or_gamma=100.0,
-        )
-        assert rep.power_residual_bound(100) == pytest.approx(
-            rep.queue_bound / 100, rel=1e-15
-        )
+    @pytest.mark.parametrize("b, delta", [(4.0, 0.0), (2.0, 0.3), (0.7, 1.5)])
+    @pytest.mark.parametrize("gamma", [0.0005, 0.01, 0.3])
+    def test_unit_delay_keeps_the_undelayed_closed_forms(self, b, delta, gamma):
+        # at T = 1 both bounds are the closed forms without a delay, bit for bit
+        rep = theoretical_bounds(b=b, delta=delta, p=3.0, p_bar=2.0, n_t=2, n_r=3)
+        worst = rep.psi_delta + rep.grad_norm_bound
+        for t in (1, 2, 7, 1000, np.arange(1, 300, dtype=float)):
+            const = (
+                2.0 * rep.p_bar**2 / (gamma * t)
+                + gamma * worst**2 / 2.0
+                + 2.0 * rep.psi_delta * rep.p_bar
+            )
+            root = np.sqrt(t)
+            sqrt = 2.0 * rep.p_bar**2 / root + worst**2 / root + 2.0 * rep.psi_delta * rep.p_bar
+            assert np.array_equal(rep.regret_bound(t, gamma, 1), const)
+            assert np.array_equal(rep.regret_bound_sqrt(t, 1), sqrt)
+
+    @pytest.mark.parametrize("t_delay", [1, 2, 5, 500, 2000])
+    def test_array_of_t_gives_the_per_slot_values(self, t_delay):
+        # certify_run passes the whole t axis, the acceptance criteria one int at a time
+        rep = theoretical_bounds(b=3.0, delta=0.2, p=3.0, p_bar=2.0, n_t=2, n_r=2)
+        t_axis = np.arange(1, 4001, dtype=float)
+        for gamma in (0.002, 0.1):
+            per_int = [rep.regret_bound(int(t), gamma, t_delay) for t in t_axis]
+            assert rep.regret_bound(t_axis, gamma, t_delay).tolist() == per_int
+        per_int = [rep.regret_bound_sqrt(int(t), t_delay) for t in t_axis]
+        assert rep.regret_bound_sqrt(t_axis, t_delay).tolist() == per_int
+
+    @pytest.mark.parametrize("t_delay", [2, 5, 500, 2000])
+    def test_delay_scales_the_distance_term(self, t_delay):
+        # T chains, each with one chain's distance term: T 2 p_bar^2 / (gamma t) for a
+        # constant step, and T^(3/2) 2 p_bar^2 / sqrt(t), which covers the chains'
+        # T 2 p_bar^2 sqrt(t - 1 + T) / t, for the 1/sqrt(t) schedule
+        rep = theoretical_bounds(b=3.0, delta=0.2, p=3.0, p_bar=2.0, n_t=2, n_r=2)
+        t = np.arange(1, 5001, dtype=float)
+        one_chain, root_term = 2.0 * 2.0**2 / (0.01 * t), 2.0 * 2.0**2 / np.sqrt(t)
+        distance = rep.regret_bound(t, 0.01, t_delay) - rep.regret_bound(t, 0.01, 1)
+        assert distance == pytest.approx((t_delay - 1) * one_chain, rel=1e-9)
+        distance = rep.regret_bound_sqrt(t, t_delay) - rep.regret_bound_sqrt(t, 1)
+        assert distance == pytest.approx((t_delay**1.5 - 1) * root_term, rel=1e-9)
+        chains = t_delay * 2.0 * 2.0**2 * np.sqrt(t - 1 + t_delay) / t
+        assert np.all(chains <= t_delay**1.5 * root_term * (1 + 1e-15))
 
     def test_rejects_bad_parameters(self):
-        good = dict(b=1.0, delta=0.0, p=3.0, p_bar=2.0, n_t=2, n_r=2, v_or_gamma=1.0)
+        good = dict(b=1.0, delta=0.0, p=3.0, p_bar=2.0, n_t=2, n_r=2, v=1.0)
         for field, bad in (
-            ("b", -1.0), ("delta", -0.1), ("p", 0.0), ("p_bar", 0.0), ("v_or_gamma", 0.0),
+            ("b", -1.0), ("delta", -0.1), ("p", 0.0), ("p_bar", 0.0), ("v", 0.0),
         ):
             with pytest.raises(ValueError, match="bound parameters"):
                 theoretical_bounds(**{**good, field: bad})
 
     def test_no_tradeoff_parameter_gives_no_tradeoff_constants(self):
-        # a replay or a 1/sqrt(t) run has neither v nor a constant step: the
-        # two constants that need one are None, the others as with one
+        # only the queue controller has v: without it the two constants that
+        # need one are None, the others as with one
         good = dict(b=1.0, delta=0.1, p=3.0, p_bar=2.0, n_t=2, n_r=2)
-        rep = theoretical_bounds(**good, v_or_gamma=None)
-        ref = theoretical_bounds(**good, v_or_gamma=1.0)
-        assert (rep.v_or_gamma, rep.epsilon, rep.queue_bound) == (None, None, None)
+        rep = theoretical_bounds(**good)
+        ref = theoretical_bounds(**good, v=1.0)
+        assert (rep.epsilon, rep.queue_bound) == (None, None)
         for name in ("phi_delta", "psi_delta", "grad_norm_bound"):
             assert getattr(rep, name) == getattr(ref, name)
-        assert np.array_equal(rep.regret_bound_sqrt(np.arange(1, 50)),
-                              ref.regret_bound_sqrt(np.arange(1, 50)))
+        assert np.array_equal(rep.regret_bound_sqrt(np.arange(1, 50), 1),
+                              ref.regret_bound_sqrt(np.arange(1, 50), 1))
 
     def test_zero_norm_cap_is_accepted(self):
         # an all-zero channel has b = 0; no bound divides by it
         rep = theoretical_bounds(
             b=0.0, delta=0.0, p=3.0, p_bar=2.0, n_t=2, n_r=2,
-            v_or_gamma=10.0,
+            v=10.0,
         )
         assert (rep.phi_delta, rep.psi_delta, rep.grad_norm_bound) == (0.0, 0.0, 0.0)
         assert rep.queue_bound == 1.0

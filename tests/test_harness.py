@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dyncov import (
@@ -87,22 +87,32 @@ def complex_matrices(draw, n_r, n_t, floats=FLOATS):
     ).reshape(n_r, n_t)
 
 
+@st.composite
+def psd_matrices(draw, n, floats=FLOATS):
+    """G G^H for a random n x n G: a covariance, Hermitian PSD."""
+    g = draw(complex_matrices(n, n, floats))
+    with np.errstate(all="ignore"):  # huge entries overflow: drawn again
+        q = g @ g.conj().T
+    assume(np.isfinite(q).all())
+    return q
+
+
 def draw_policy(data, kind, floats=FLOATS):
     """A random with-csit or no-csit policy of up to 4 states, 4x4."""
     n_r = data.draw(st.integers(1, 4))
     n_t = data.draw(st.integers(1, 4))
     k = data.draw(st.integers(1, 4))
-    matrices = partial(complex_matrices, floats=floats)
+    covariances = partial(psd_matrices, floats=floats)
     if kind == "with-csit":
         return CdiPolicy(
-            states=tuple(data.draw(matrices(n_r, n_t)) for _ in range(k)),
+            states=tuple(data.draw(complex_matrices(n_r, n_t, floats)) for _ in range(k)),
             probs=np.array(data.draw(st.lists(floats, min_size=k, max_size=k))),
-            covariances=tuple(data.draw(matrices(n_t, n_t)) for _ in range(k)),
+            covariances=tuple(data.draw(covariances(n_t)) for _ in range(k)),
             lam=data.draw(floats),
             r_opt=data.draw(floats),
         )
     return ConstantCovariance(
-        q=data.draw(matrices(n_t, n_t)),
+        q=data.draw(covariances(n_t)),
         per_state_utility=np.array(data.draw(st.lists(floats, min_size=k, max_size=k))),
         r_opt=data.draw(floats),
         converged=data.draw(st.booleans()),
@@ -188,6 +198,33 @@ class TestRunExperiment:
         assert result.summary["all_passed"]
         names = {c["name"] for c in result.summary["certifications"]}
         assert {"trace-cap", "per-slot-regret-floor"} <= names
+
+    @pytest.mark.parametrize("gamma", [0.002, None], ids=["constant", "inverse-sqrt"])
+    @pytest.mark.parametrize("t_delay", [1, 500, 2000])
+    def test_delayed_runs_hold_the_regret_floor(self, constant_reference, gamma, t_delay):
+        # the run is t_delay interleaved gradient chains, each starting at Q = 0
+        result = run_experiment(ExperimentConfig(
+            channel=paper_two_state(), csit_error=ExactCsit(),
+            controller=OgdSpec(gamma=gamma, t_delay=t_delay),
+            p=3.0, p_bar=2.0, horizon=4000, seed=1, reference=constant_reference,
+        ))
+        (floor,) = [c for c in result.summary["certifications"]
+                    if c["name"] == "per-slot-regret-floor"]
+        assert floor["passed"], floor["detail"]
+
+    def test_delay_reproducer_exits_zero(self, tmp_path, capsys):
+        # no observation arrives before slot 2000, so Q = 0 there; a regret
+        # bound without the delay reported this run as a FAIL at -8.916e-01
+        cfg_path, ref_path = tmp_path / "cfg.json", tmp_path / "ref.json"
+        cfg_path.write_text(config_text())
+        assert cli_main(["baseline", str(cfg_path), "--kind", "no-csit", "--out", str(ref_path)]) == 0
+        cfg_path.write_text(config_text(
+            controller={"kind": "ogd", "gamma": 0.002, "t_delay": 2000},
+            reference={"policy": "ref.json"}, horizon=4000,
+        ))
+        capsys.readouterr()
+        assert cli_main(["run", str(cfg_path)]) == 0
+        assert "  [PASS] per-slot-regret-floor" in capsys.readouterr().out
 
     @given(data=st.data())
     def test_decide_equals_public_recursion(self, data):
@@ -347,12 +384,12 @@ class TestRunExperiment:
         assert np.count_nonzero(z) > cfg.horizon // 2  # the penalty is active
 
     def test_tradeoff_constants_null_without_tradeoff_parameter(self, cdi_reference):
-        # epsilon and the queue bound are functions of v or the constant step;
-        # a replay or a 1/sqrt(t) run has neither, and reports null for both
+        # epsilon and the queue bound are functions of the queue controller's
+        # v; every other run, a constant-step one included, reports null for both
         for spec, has_tradeoff in (
             (ReplaySpec(policy=cdi_reference), False),
             (OgdSpec(gamma=None), False),
-            (OgdSpec(gamma=0.01), True),
+            (OgdSpec(gamma=0.01), False),
             (DppSpec(v=100.0), True),
         ):
             constants = run_experiment(ExperimentConfig(
@@ -588,6 +625,46 @@ class TestPolicyFiles:
         assert loaded.r_opt == cdi_reference.r_opt
         for a, b in zip(loaded.covariances, cdi_reference.covariances):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "kind, bad, message",
+        [
+            ("no-csit", -5 * np.eye(2), "'q' must be positive semidefinite"),
+            ("no-csit", np.array([[1.0, 3.0], [0.0, 1.0]]), "'q' must be Hermitian"),
+            ("with-csit", -np.eye(2), "'covariances' must be positive semidefinite"),
+            ("with-csit", np.diag([1.0, -2e-12]), "'covariances' must be positive semidefinite"),
+            ("with-csit", 1j * np.eye(2), "'covariances' must be Hermitian"),
+            ("no-csit", np.ones((2, 3)), "'q' must hold square matrices,"),
+        ],
+        ids=["negative-q", "non-hermitian-q", "negative-covariance", "below-tolerance",
+             "imaginary-diagonal", "non-square-q"],
+    )
+    def test_covariances_must_be_hermitian_psd(
+        self, cdi_reference, constant_reference, tmp_path, kind, bad, message
+    ):
+        # such a policy used to load, then crash the run in the capacity's Cholesky
+        if kind == "no-csit":
+            policy, field, value = constant_reference, "q", bad
+        else:
+            policy, field = cdi_reference, "covariances"
+            value = np.stack([bad, cdi_reference.covariances[1]])
+        with pytest.raises(ValueError, match=f"^{message} "):
+            dataclasses.replace(policy, **{field: value})
+        path = tmp_path / "policy.json"
+        save_policy(policy, path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj[field] = matrix_to_json(value) if field == "q" else [matrix_to_json(q) for q in value]
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{message} "):
+            load_policy(path)
+
+    def test_covariance_tolerances_scale_with_the_entries(self, constant_reference):
+        # round-off on a large matrix is neither asymmetry nor negativity
+        for scale in (1.0, 1e6):
+            q = scale * np.array([[1.0, 0.5e-12], [0.0, -0.5e-12]])
+            assert np.array_equal(dataclasses.replace(constant_reference, q=q).q, q)
+            with pytest.raises(ValueError, match="'q' must be Hermitian"):
+                dataclasses.replace(constant_reference, q=q + scale * np.diag([0, 2e-12j]))
 
     def test_save_replaces_existing_file(self, cdi_reference, constant_reference, tmp_path):
         # a shorter policy over a longer file leaves no trailing bytes behind
@@ -1468,7 +1545,8 @@ class TestMatrixJson:
         with pytest.raises(ValueError, match="entries"):
             matrix_from_json({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]})
 
-    @pytest.mark.parametrize("entry", [1.0, [1.0], [1.0, 0.0, 0.0], [None, 0.0], "ab", ["x", 0]])
+    @pytest.mark.parametrize("entry", [1.0, [1.0], [1.0, 0.0, 0.0], [None, 0.0], "ab", ["x", 0],
+                                       ["1", "0"], [1.0, "0"], [True, False], [0.0, False]])
     def test_malformed_entry_rejected(self, entry):
         with pytest.raises(ValueError, match=r"matrix entry 1 is not an \[re, im\] pair"):
             matrix_from_json({"rows": 1, "cols": 2, "entries": [[1.0, 0.0], entry]})
@@ -1477,6 +1555,22 @@ class TestMatrixJson:
     def test_non_finite_entries_rejected(self, entry):
         with pytest.raises(ValueError, match="non-finite"):
             matrix_from_json({"rows": 1, "cols": 2, "entries": [[1.0, 0.0], entry]})
+
+    @pytest.mark.parametrize("key, bad", [("rows", 2.9), ("rows", True), ("rows", "2"),
+                                          ("cols", 1.5), ("cols", False), ("cols", [2])])
+    def test_dimensions_are_counts(self, key, bad):
+        obj = {"rows": 2, "cols": 2, "entries": [[1.0, 0.0]] * 4, key: bad}
+        with pytest.raises(ValueError, match=f"^'{key}' must be an integer, got "):
+            matrix_from_json(obj)
+
+    def test_integral_float_dimensions_and_int_entries_are_read(self):
+        m = matrix_from_json({"rows": 1.0, "cols": 2.0, "entries": [[1, 0], [0.5, -2]]})
+        assert m.dtype == np.complex128 and m.tolist() == [[1 + 0j, 0.5 - 2j]]
+
+    def test_unknown_key_rejected_by_name(self):
+        obj = {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]], "junk": 1, "Rows": 1}
+        with pytest.raises(ValueError, match=r"^unknown matrix key\(s\): 'Rows', 'junk'$"):
+            matrix_from_json(obj)
 
 
 def square(k):
@@ -1512,6 +1606,14 @@ BAD_CONFIGS = [
         "kind": "discrete", "probs": [1.0],
         "states": [{"rows": 1, "cols": 1, "entries": [1.0]}],
     }), "matrix entry 0 is not an [re, im] pair of numbers: 1.0"),
+    ("fractional-rows", config_text(channel={
+        "kind": "discrete", "probs": [1.0],
+        "states": [{"rows": 1.5, "cols": 1, "entries": [[1.0, 0.0]]}],
+    }), "'states': 'rows' must be an integer, got 1.5"),
+    ("unknown-matrix-key", config_text(channel={
+        "kind": "discrete", "probs": [1.0],
+        "states": [{"rows": 1, "cols": 1, "entries": [[1.0, 0.0]], "junk": 0}],
+    }), "'states': unknown matrix key(s): 'junk'"),
     ("config-not-object", "5", "config must be a JSON object, got 5"),
     ("states-not-list", config_text(channel={"kind": "discrete", "probs": [1.0], "states": 5}),
      "'states' must be a list of matrices, got 5"),
@@ -1614,6 +1716,25 @@ class TestCli:
         assert out.returncode == 2
         assert out.stderr.startswith("dyncov: error: ") and message in out.stderr
         assert "Traceback" not in out.stderr and out.stdout == ""
+
+    @pytest.mark.parametrize(
+        "controller",
+        [{"kind": "ogd", "gamma": 0.01}, {"kind": "baseline-replay", "policy": "ref.json"}],
+        ids=["ogd-reference", "replay"],
+    )
+    def test_non_psd_policy_exits_2(self, constant_reference, tmp_path, capsys, controller):
+        save_policy(constant_reference, tmp_path / "ref.json")
+        obj = json.loads((tmp_path / "ref.json").read_text(encoding="utf-8"))
+        obj["q"] = matrix_to_json(-5 * np.eye(2))
+        (tmp_path / "ref.json").write_text(json.dumps(obj), encoding="utf-8")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(controller=controller, reference={"policy": "ref.json"}))
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["run", str(cfg_path)])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.startswith(
+            "dyncov: error: 'q' must be positive semidefinite (relative least eigenvalue "
+        )
 
     @pytest.mark.parametrize("command", ["run", "baseline"])
     def test_policy_file_not_object_exits_2(self, tmp_path, command):
