@@ -19,6 +19,7 @@ tables of matrices, and ``require_psd`` the further rule for covariances.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 
@@ -203,9 +204,12 @@ def _eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _compose(v: np.ndarray, theta) -> np.ndarray:
     """V diag(theta) V^H for eigenvector columns v (..., n, n) and loadings theta
-    (..., n), re-symmetrized; each stacked entry equals its single-matrix result exactly."""
+    (..., n), re-symmetrized in place; each stacked entry equals its single-matrix
+    result exactly."""
     q = v @ (np.asarray(theta)[..., None] * _ct(v))
-    return 0.5 * (q + _ct(q))
+    q += _ct(q)
+    q *= 0.5
+    return q
 
 
 def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
@@ -218,6 +222,12 @@ def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """
     with _lapack_guard():
         return _eigh_desc(require_hermitian(a))
+
+
+@functools.cache
+def _eye(n: int) -> np.ndarray:
+    """The n x n complex identity, built once per size; read-only (a broadcast view)."""
+    return np.broadcast_to(np.eye(n, dtype=np.complex128), (n, n))
 
 
 def _capacity_arg(h, q) -> tuple[np.ndarray, np.ndarray]:
@@ -250,7 +260,7 @@ def capacity(h, q):
     """
     hm, qm = _capacity_arg(h, q)
     m = hm @ qm @ _ct(hm)
-    m = np.eye(hm.shape[-2], dtype=np.complex128) + 0.5 * (m + _ct(m))
+    m = _eye(hm.shape[-2]) + 0.5 * (m + _ct(m))
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
@@ -286,7 +296,7 @@ def _capacity_gradient(g: np.ndarray, q: np.ndarray) -> np.ndarray:
         gq = (g.reshape(-1, n) @ q).reshape(g.shape)
     else:
         gq = g @ q
-    m = np.eye(n, dtype=np.complex128) + gq
+    m = _eye(n) + gq
     if g.shape[:-2] != m.shape[:-2]:  # solve needs the Gram stack in full
         g = np.broadcast_to(g, m.shape)
     d = _umath_linalg.solve(m, g, signature="DD->D")

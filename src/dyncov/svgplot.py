@@ -5,32 +5,37 @@ Good enough for eyeballing running averages against slot index.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .matrixio import replace_file
 
 _WIDTH, _HEIGHT = 720, 420
 _MARGIN = 56
 
 
-def _scale(values, lo, hi, out_lo, out_hi):
+def _scale(values: np.ndarray, lo, hi, out_lo, out_hi) -> np.ndarray:
     span = hi - lo if hi > lo else 1.0
-    return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in values]
+    return out_lo + (values - lo) / span * (out_hi - out_lo)
 
 
 def line_chart(xs, ys, title: str, y_label: str, path) -> None:
-    """Write a single-series line chart to ``path``."""
-    xs = [float(x) for x in xs]
-    ys = [float(y) for y in ys]
+    """Write a single-series line chart to ``path``; both series must be finite."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    for name, a in (("x", xs), ("y", ys)):
+        if a.ndim != 1 or not np.isfinite(a).all():
+            raise ValueError(f"{name} series must be a finite 1-D sequence")
     if len(xs) != len(ys):
         raise ValueError("x and y series must have equal length")
 
-    x0, x1 = (min(xs), max(xs)) if xs else (0.0, 1.0)
-    y0, y1 = (min(ys), max(ys)) if ys else (0.0, 1.0)
+    # min and max as Python's pick them: the first of equal values (-0.0 or 0.0)
+    x0, x1 = (float(xs[xs.argmin()]), float(xs[xs.argmax()])) if len(xs) else (0.0, 1.0)
+    y0, y1 = (float(ys[ys.argmin()]), float(ys[ys.argmax()])) if len(ys) else (0.0, 1.0)
     if y0 == y1:
         y0, y1 = y0 - 0.5, y1 + 0.5
 
     px = _scale(xs, x0, x1, _MARGIN, _WIDTH - _MARGIN)
     py = _scale(ys, y0, y1, _HEIGHT - _MARGIN, _MARGIN)
-    points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
+    points = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(np.stack((px, py), 1).ravel().tolist())
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '

@@ -31,6 +31,7 @@ from dyncov.linalg import (
     _compose,
     _ct,
     _eigh_desc,
+    _eye,
     _gram,
     _lapack_guard,
     nearest_index,
@@ -248,6 +249,47 @@ class TestSpectralLayout:
             sigma, vecs = herm_eig(a[k])
             assert vecs.tobytes() == v[:, ::-1].tobytes()
             assert sigma.tobytes() == w[::-1].tobytes()
+
+
+def compose_out_of_place(v, theta):
+    """``_compose`` as it re-symmetrized before it worked in place: two new arrays."""
+    q = v @ (np.asarray(theta)[..., None] * _ct(v))
+    return 0.5 * (q + _ct(q))
+
+
+class TestSetupFreeKernels:
+    """The hot kernels' per-call setup is gone without a changed bit: one cached,
+    read-only identity per size, and a compose that re-symmetrizes in place."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_identity_built_once_per_size_and_read_only(self, n):
+        eye = _eye(n)
+        assert _eye(n) is eye
+        assert eye.dtype == np.complex128 and eye.tobytes() == np.eye(n, dtype=complex).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            eye[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            eye += 1.0
+        assert _eye(n).tobytes() == np.eye(n, dtype=complex).tobytes()
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 2), (4, 4), (1, 2, 2), (1, 4, 4), (5000, 2, 2), (300, 4, 4)]
+    )
+    @pytest.mark.parametrize("kind", ["generic", "rank-deficient", "repeated"])
+    def test_in_place_compose_equals_out_of_place(self, shape, kind):
+        n, count = shape[-1], int(np.prod(shape[:-2]))
+        rng = np.random.default_rng(80 + n + count)
+        sigma, v = guarded(_eigh_desc, hermitian_stack(rng, n, count, kind, 1.0).reshape(shape))
+        for theta in (sigma, np.maximum(sigma, 0.0), rng.uniform(0.0, 2.0, sigma.shape).tolist()):
+            assert _compose(v, theta).tobytes() == compose_out_of_place(v, theta).tobytes()
+
+    @given(**HERMITIAN_STACKS)
+    def test_in_place_compose_equals_out_of_place_property(self, n, count, kind, scale, seed):
+        rng = np.random.default_rng(seed)
+        sigma, v = guarded(_eigh_desc, hermitian_stack(rng, n, count, kind, scale))
+        theta = rng.uniform(0.0, scale, sigma.shape)
+        for vv, tt in ((v, theta), (v[0], theta[0])):
+            assert _compose(vv, tt).tobytes() == compose_out_of_place(vv, tt).tobytes()
 
 
 class TestHermEig:
