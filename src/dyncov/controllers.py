@@ -106,9 +106,13 @@ def theoretical_bounds(
     psi bounds the gradient error under delayed observations; the queue
     bound is v (b + delta)^2 + (p - p_bar); without v, it and epsilon are None.  Nothing
     divides by b, so an all-zero channel (b = 0) is certified like any other.
+    The arithmetic is on numpy scalars, whose squares are the same libm ``pow``
+    as a Python float's: a constant past the float range is inf (which
+    ``ExperimentConfig`` rejects), not an OverflowError.
     """
     if min(p, p_bar, 1.0 if v is None else v) <= 0 or min(b, delta) < 0:
         raise ValueError("bound parameters must be positive (b and delta nonnegative)")
+    b, delta, p, p_bar = np.float64(b), np.float64(delta), np.float64(p), np.float64(p_bar)
     phi = 2.0 * p * np.sqrt(n_t) * (2.0 * b + delta) * delta
     psi = (
         np.sqrt(n_r) * b
@@ -121,7 +125,7 @@ def theoretical_bounds(
         epsilon = float(max(p_bar**2, (p - p_bar) ** 2) / (2.0 * v))
         queue_bound = float(v * (b + delta) ** 2 + (p - p_bar))
     return BoundReport(
-        p_bar=p_bar,
+        p_bar=float(p_bar),
         epsilon=epsilon,
         phi_delta=float(phi),
         psi_delta=float(psi),

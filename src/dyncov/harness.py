@@ -16,6 +16,7 @@ re-derives every verdict from quantities that also land in the CSV.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -167,6 +168,23 @@ class ExperimentConfig:
             if not fits:
                 raise ConfigError(
                     f"{role} policy dimensions do not fit the {self.n_r}x{self.n_t} channel"
+                )
+        # the bounds are certified after the last slot: one past the float range fails here
+        with np.errstate(over="ignore", invalid="ignore"):
+            cb, bounds = _run_bounds(self)
+            values = {"b": cb.b, "delta": cb.delta}
+            if bounds is not None:
+                values.update((name, getattr(bounds, name)) for name in _BOUND_CONSTANTS)
+                if isinstance(self.controller, OgdSpec):  # largest at t = 1
+                    try:
+                        values["regret_bound"] = _regret_bound(bounds, self.controller, 1)
+                    except OverflowError:  # a Python float's power or a huge t_delay
+                        values["regret_bound"] = math.inf
+        for name, value in values.items():
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(
+                    f"bound constant {name!r} is not finite ({value}): "
+                    "the run's parameters or channel are too large to certify"
                 )
 
     @property
@@ -554,10 +572,7 @@ def certify_run(result: RunResult, bounds: Optional[BoundReport]) -> list[dict]:
             certs.append(_skipped("per-slot-regret-floor"))
         elif result.r_ref is not None:
             avg_ref = np.cumsum(result.r_ref) / t_axis
-            if spec.gamma is None:
-                regret = bounds.regret_bound_sqrt(t_axis, spec.t_delay)
-            else:
-                regret = bounds.regret_bound(t_axis, spec.gamma, spec.t_delay)
+            regret = _regret_bound(bounds, spec, t_axis)
             certs.append(_floor(
                 "per-slot-regret-floor",
                 "min over t of avg utility - (reference avg - bound)",
@@ -572,21 +587,33 @@ def _reference_utility(result: RunResult) -> Optional[float]:
     return getattr(result.config.reference, "r_opt", result.config.reference)
 
 
+def _regret_bound(bounds: BoundReport, spec: OgdSpec, t):
+    """The gradient controller's regret bound after t slots, under its step rule."""
+    if spec.gamma is None:
+        return bounds.regret_bound_sqrt(t, spec.t_delay)
+    return bounds.regret_bound(t, spec.gamma, spec.t_delay)
+
+
+def _run_bounds(cfg: ExperimentConfig) -> tuple[ch.ChannelBounds, Optional[BoundReport]]:
+    """The channel's norm cap and error radius and, where the cap exists, the
+    run's bound constants."""
+    cb = ch.channel_bounds(cfg.channel, cfg.csit_error)
+    if cb.unbounded_support:
+        return cb, None
+    return cb, theoretical_bounds(
+        b=cb.b,
+        delta=cb.delta,
+        p=cfg.p,
+        p_bar=cfg.p_bar,
+        n_t=cfg.n_t,
+        n_r=cfg.n_r,
+        v=cfg.controller.v if isinstance(cfg.controller, DppSpec) else None,
+    )
+
+
 def _build_summary(result: RunResult) -> dict:
     cfg = result.config
-    cb = ch.channel_bounds(cfg.channel, cfg.csit_error)
-    bounds: Optional[BoundReport] = None
-    if not cb.unbounded_support:
-        bounds = theoretical_bounds(
-            b=cb.b,
-            delta=cb.delta,
-            p=cfg.p,
-            p_bar=cfg.p_bar,
-            n_t=cfg.n_t,
-            n_r=cfg.n_r,
-            v=cfg.controller.v if isinstance(cfg.controller, DppSpec) else None,
-        )
-
+    cb, bounds = _run_bounds(cfg)
     certs = certify_run(result, bounds)
     summary = {
         "horizon": cfg.horizon,
@@ -642,7 +669,10 @@ def trace_to_csv(result: RunResult) -> str:
 
 
 def csv_to_columns(text: str) -> dict[str, list]:
-    """Parse CSV text produced by trace_to_csv back into columns."""
+    """Parse CSV text produced by trace_to_csv back into columns: the reader
+    of the trace that ``certify_run`` calls re-derivable.  Nothing in ``src/``
+    calls it; ``perfbench/worker.py`` reads every run's CSV through it, and
+    tests use it as their CSV reader."""
     lines = [ln for ln in text.strip().split("\n") if ln]
     if lines[0] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header {lines[0]!r}")

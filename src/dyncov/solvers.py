@@ -25,6 +25,7 @@ from .linalg import (
     _capacity_gradient,
     _compose,
     _eigh_desc,
+    _eye,
     _gram,
     _lapack_guard,
     as_matrix,
@@ -161,7 +162,10 @@ def waterfill_penalized(h_tilde, z_over_v: float, cap: float) -> WaterfillResult
 def _cap_project(x: np.ndarray, cap: float) -> np.ndarray:
     """``psd_cap_project`` of an exactly Hermitian complex matrix (unvalidated)."""
     sigma, v = _eigh_desc(x)
-    return _compose(v, _cap_threshold(sigma.tolist(), 0.0, cap)[0])
+    theta, tau = _cap_threshold(sigma.tolist(), 0.0, cap)
+    if theta[-1] > 0.0 and tau <= cap:  # every mode kept: V diag(sigma - tau) V^H
+        return x - tau * _eye(len(theta))
+    return _compose(v, theta)
 
 
 def psd_cap_project(x, cap: float) -> np.ndarray:
@@ -169,7 +173,17 @@ def psd_cap_project(x, cap: float) -> np.ndarray:
 
     Eigenvalue soft-thresholding: the capped threshold of the eigenvalues
     with floor 0, i.e. drop the negative ones if that already meets the
-    cap, otherwise shift all down by the exact multiplier.
+    cap, otherwise shift all down by the exact multiplier tau.
+
+    When every mode stays active (theta_n > 0), V diag(sigma - tau) V^H is
+    exactly X - tau I, so the projection is that shift and skips composing
+    the eigenvectors.  The shift is taken only when also tau <= cap: every
+    eigenvalue then lies in [0, 2 cap] (sigma_n > tau >= 0, and
+    sigma_1 - tau <= cap), so the shift's rounding error stays relative to
+    the cap, as the compose's does.  A larger tau would subtract two close
+    numbers far above the cap (X = 3 I + 1e-11 (A + A^H) at cap 1e-9), and
+    the shifted trace could exceed the cap by up to 8e-6 of it; those inputs
+    compose.
     """
     if not 0.0 < cap < np.inf:  # one comparison, NaN included
         raise ValueError("cap must be positive" if cap <= 0 else "cap must be finite")

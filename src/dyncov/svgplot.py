@@ -19,7 +19,8 @@ def _scale(values: np.ndarray, lo, hi, out_lo, out_hi) -> np.ndarray:
 
 
 def line_chart(xs, ys, title: str, y_label: str, path) -> None:
-    """Write a single-series line chart to ``path``; both series must be finite."""
+    """Write a single-series line chart to ``path``; both series must be finite,
+    and each one's max - min too."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     for name, a in (("x", xs), ("y", ys)):
         if a.ndim != 1 or not np.isfinite(a).all():
@@ -32,6 +33,9 @@ def line_chart(xs, ys, title: str, y_label: str, path) -> None:
     y0, y1 = (float(ys[ys.argmin()]), float(ys[ys.argmax()])) if len(ys) else (0.0, 1.0)
     if y0 == y1:
         y0, y1 = y0 - 0.5, y1 + 0.5
+    for name, lo, hi in (("x", x0, x1), ("y", y0, y1)):
+        if hi - lo == np.inf:  # Python floats: an overflowing span is inf, with no warning
+            raise ValueError(f"{name} series spans more than the float range")
 
     px = _scale(xs, x0, x1, _MARGIN, _WIDTH - _MARGIN)
     py = _scale(ys, y0, y1, _HEIGHT - _MARGIN, _MARGIN)

@@ -1087,6 +1087,28 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="t_delay"):
             load_config({**_OGD_OBJ, "controller": {"kind": "ogd", "t_delay": 0}})
 
+    @pytest.mark.parametrize(
+        "controller, p, p_bar, name",
+        [
+            ({"kind": "dpp", "v": 100.0}, 1e308, 1e307, "epsilon"),
+            ({"kind": "ogd", "gamma": 0.01}, 1e160, 1e155, "regret_bound"),
+            ({"kind": "ogd", "step": "inverse-sqrt"}, 1e160, 1e155, "regret_bound"),
+            ({"kind": "ogd", "gamma": 0.01, "t_delay": 10**400}, 3.0, 2.0, "regret_bound"),
+        ],
+        ids=["dpp", "ogd", "ogd-sqrt", "ogd-delay"],
+    )
+    def test_overflowing_bound_constant_raises(self, controller, p, p_bar, name):
+        # the constants are certified after the last slot; past the float range
+        # they fail when the config is built, naming the constant, with no warning
+        obj = {**_OGD_OBJ, "controller": controller, "p": p, "p_bar": p_bar}
+        with pytest.raises(ConfigError, match=f"bound constant '{name}' is not finite"):
+            load_config(obj)
+
+    def test_overflowing_channel_norm_raises(self):
+        huge = DiscreteChannel(states=[1e200 * np.eye(2)], probs=np.array([1.0]))
+        with pytest.raises(ConfigError, match="bound constant 'b' is not finite"):
+            experiment(channel=huge)
+
     def test_delay_key_raises(self):
         obj = {**_OGD_OBJ, "delay": {"kind": "delayed", "t_slots": 1}}
         with pytest.raises(ConfigError, match="unknown config key.*'delay'"):

@@ -145,9 +145,12 @@ class TestLapackKernels:
         assert outcome(eigh_kernel, a) == outcome(eigh_oracle, a)
         assert outcome(gradient_kernel, h, q) == outcome(gradient_oracle, h, q)
         for k in range(count):
-            # the lean projection against the public eigensolve and compose
+            # the lean projection against the public eigensolve and compose, or
+            # the shift X - tau I where every mode stays active and tau <= cap
             sigma, v = herm_eig(a[k])
-            expect = _compose(v, _cap_threshold(sigma.tolist(), 0.0, scale)[0])
+            expect = shift_projection(a[k], scale)
+            if expect is None:
+                expect = _compose(v, _cap_threshold(sigma.tolist(), 0.0, scale)[0])
             assert guarded(_cap_project, a[k], scale).tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("pattern", NAN_PATTERNS)
@@ -213,6 +216,14 @@ def lean_cap_project(x, cap):
     return 0.5 * (q + q.conj().T)
 
 
+def shift_projection(x, cap):
+    """X - tau I when the capped threshold of X's eigenvalues keeps every mode
+    and tau <= cap, theta and tau from the same sweep; None where the
+    projection composes."""
+    theta, tau = _cap_threshold(np.linalg.eigh(x)[0][::-1].tolist(), 0.0, cap)
+    return x - tau * np.eye(len(x)) if theta[-1] > 0.0 and tau <= cap else None
+
+
 class TestSpectralLayout:
     """One layout: ``_eigh_desc`` and the public ``herm_eig`` return
     (sigma, v) with eigenvector columns, and ``_compose`` turns a stack of
@@ -236,9 +247,29 @@ class TestSpectralLayout:
         a = hermitian_stack(np.random.default_rng(seed), n, count, kind, scale)
         for k in range(count):
             for cap in (0.5 * scale, 2.0 * scale):
-                assert outcome(guarded, _cap_project, a[k], cap) == outcome(
-                    guarded, lean_cap_project, a[k], cap
-                )
+                got = outcome(guarded, _cap_project, a[k], cap)
+                shift = shift_projection(a[k], cap)
+                if shift is None:
+                    assert got == outcome(guarded, lean_cap_project, a[k], cap)
+                else:
+                    # the shift is the compose up to rounding relative to the cap
+                    assert got == (shift.tobytes(),)
+                    lean = guarded(lean_cap_project, a[k], cap)
+                    assert frobenius(shift - lean) <= 1e-14 * n * cap
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_nearly_scalar_input_at_tiny_cap_composes(self, n):
+        # X = 3 I + 1e-11 (A + A^H) at cap 1e-9 keeps every mode, but at
+        # tau ~ 3 the shift X - tau I would cancel 3 - tau at the rounding of
+        # 3 (4e-16 per diagonal entry, 4e-7 of the cap): tau > cap composes
+        rng = np.random.default_rng(90 + n)
+        cap = 1e-9
+        for _ in range(300):
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            x = 3.0 * np.eye(n) + 1e-11 * (g + _ct(g))
+            q = guarded(_cap_project, x, cap)
+            assert trace_real(q) <= cap * (1.0 + 1e-12)
+            assert q.tobytes() == guarded(lean_cap_project, x, cap).tobytes()
 
     @given(**HERMITIAN_STACKS)
     def test_herm_eig_equals_np_linalg(self, n, count, kind, scale, seed):

@@ -3,6 +3,7 @@ the array version writes the same bytes, and rejects a non-finite series."""
 
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,17 @@ class TestLineChart:
         (xs if axis == "x" else ys)[1] = bad
         with pytest.raises(ValueError, match=f"{axis} series must be a finite"):
             line_chart(xs, ys, "t", "y", tmp_path / "c.svg")
+        assert not (tmp_path / "c.svg").exists()
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_overflowing_span_rejected(self, tmp_path, axis):
+        # max - min = 2e308 is not a float: the scale would write nan coordinates
+        wide, narrow = [-1e308, 1e308], [0.0, 1.0]
+        xs, ys = (wide, narrow) if axis == "x" else (narrow, wide)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{axis} series spans more than the float range"):
+                line_chart(xs, ys, "t", "y", tmp_path / "c.svg")
         assert not (tmp_path / "c.svg").exists()
 
     def test_unequal_lengths_rejected(self, tmp_path):
