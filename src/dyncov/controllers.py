@@ -47,14 +47,15 @@ def ogd_step(q_lag: np.ndarray, g_lag: np.ndarray, step: float, p_bar: float) ->
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Closed-form performance constants for a run configuration.
+    """Closed-form performance constants for a run configuration, built once
+    per run by ``ExperimentConfig`` when it is constructed.
 
-    All delta-dependent terms vanish at delta = 0.  ``epsilon`` and
+    All delta-dependent terms are exactly 0 at delta = 0.  ``epsilon`` and
     ``queue_bound`` are the queue controller's, functions of its v; for any
-    other run they are None.  The gradient controller's regret bounds take
-    its step and its delay T.  Under delay T the run is T interleaved
+    other run they are None.  The gradient controller's regret bound takes
+    its step rule and its delay T.  Under delay T the run is T interleaved
     projected-gradient chains (slot s steps from slot s - T), each starting
-    at Q = 0 in a set of diameter 2 p_bar, so each bound's distance term is
+    at Q = 0 in a set of diameter 2 p_bar, so each rule's distance term is
     T times one chain's; its gradient term sums the steps of all slots.
     """
 
@@ -65,27 +66,27 @@ class BoundReport:
     queue_bound: float | None
     grad_norm_bound: float
 
-    def regret_bound(self, t: int | np.ndarray, gamma: float, t_delay: int) -> float | np.ndarray:
-        """Average-utility deficit bound after t slots at constant step gamma
-        and delay t_delay (elementwise for an array of t): the T chains'
-        distance terms 2 p_bar^2 / gamma, over t slots, give T 2 p_bar^2 / (gamma t)."""
+    def regret_bound(
+        self, t: int | np.ndarray, gamma: float | None, t_delay: int
+    ) -> float | np.ndarray:
+        """Average-utility deficit bound after t slots (elementwise for an
+        array of t) under delay t_delay, at constant step gamma or, for gamma
+        None, under the 1/sqrt(t) schedule.  At step gamma the T chains'
+        distance terms 2 p_bar^2 / gamma, over t slots, give T 2 p_bar^2 / (gamma t).
+        Under 1/sqrt(t) each chain's last step is at least 1/sqrt(t - 1 + T), so
+        they give T 2 p_bar^2 sqrt(t - 1 + T) / t, which is at most
+        T^(3/2) 2 p_bar^2 / sqrt(t) as t - 1 + T <= t T."""
         worst_grad = self.psi_delta + self.grad_norm_bound
+        if gamma is None:
+            root = np.sqrt(t)
+            return (
+                t_delay**1.5 * 2.0 * self.p_bar**2 / root
+                + worst_grad**2 / root
+                + 2.0 * self.psi_delta * self.p_bar
+            )
         return (
             t_delay * 2.0 * self.p_bar**2 / (gamma * t)
             + gamma * worst_grad**2 / 2.0
-            + 2.0 * self.psi_delta * self.p_bar
-        )
-
-    def regret_bound_sqrt(self, t: int | np.ndarray, t_delay: int) -> float | np.ndarray:
-        """Deficit bound under the 1/sqrt(t) step schedule and delay t_delay.  Each
-        chain's last step is at least 1/sqrt(t - 1 + T), so the T chains' distance
-        terms over t slots give T 2 p_bar^2 sqrt(t - 1 + T) / t, which is at most
-        T^(3/2) 2 p_bar^2 / sqrt(t) as t - 1 + T <= t T."""
-        worst_grad = self.psi_delta + self.grad_norm_bound
-        root = np.sqrt(t)
-        return (
-            t_delay**1.5 * 2.0 * self.p_bar**2 / root
-            + worst_grad**2 / root
             + 2.0 * self.psi_delta * self.p_bar
         )
 
@@ -113,12 +114,14 @@ def theoretical_bounds(
     if min(p, p_bar, 1.0 if v is None else v) <= 0 or min(b, delta) < 0:
         raise ValueError("bound parameters must be positive (b and delta nonnegative)")
     b, delta, p, p_bar = np.float64(b), np.float64(delta), np.float64(p), np.float64(p_bar)
-    phi = 2.0 * p * np.sqrt(n_t) * (2.0 * b + delta) * delta
-    psi = (
-        np.sqrt(n_r) * b
-        + np.sqrt(n_r) * (b + delta)
-        + (b + delta) ** 2 * n_r * p_bar * (2.0 * b + delta)
-    ) * delta
+    phi = psi = np.float64(0.0)
+    if delta > 0:  # inf * 0 is NaN, so exact observations skip the products
+        phi = 2.0 * p * np.sqrt(n_t) * (2.0 * b + delta) * delta
+        psi = (
+            np.sqrt(n_r) * b
+            + np.sqrt(n_r) * (b + delta)
+            + (b + delta) ** 2 * n_r * p_bar * (2.0 * b + delta)
+        ) * delta
     grad_norm = np.sqrt(n_r) * b**2
     epsilon = queue_bound = None
     if v is not None:

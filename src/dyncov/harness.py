@@ -64,16 +64,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class DppSpec:
-    v: float
-    z0: float = 0.0  # queue before slot 0
+    v: float  # the queue starts empty, Z(0) = 0, as the certified bounds assume
 
     def __post_init__(self):
-        check_fields(self, finite=("v", "z0"), error=ConfigError)
-        # z / v is the water-filling penalty, and a queue is never negative
+        check_fields(self, finite=("v",), error=ConfigError)
+        # z / v is the water-filling penalty
         if not self.v > 0:
             raise ConfigError("v must be positive")
-        if not self.z0 >= 0:
-            raise ConfigError("z0 must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -114,6 +111,10 @@ class OutputPaths:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's parameters.  Construction checks them and builds the run's
+    ``(ChannelBounds, BoundReport or None)`` pair once, as ``_bounds``, which
+    the run's summary and verdicts read."""
+
     channel: ch.ChannelModel
     csit_error: ch.CsitErrorModel
     controller: ControllerSpec
@@ -129,8 +130,8 @@ class ExperimentConfig:
         check_fields(self, finite=("p", "p_bar"), counts=("horizon", "seed"), error=ConfigError)
         if not (self.p >= self.p_bar > 0):
             raise ConfigError("need p >= p_bar > 0")
-        if self.horizon < 1:
-            raise ConfigError("horizon must be at least 1")
+        if not 1 <= self.horizon <= 2**32:  # the per-slot streams key on a 32-bit slot index
+            raise ConfigError(f"horizon must be between 1 and 2**32 slots, got {self.horizon}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if self.rate_adapt_n is not None:  # the ledger owns the rule for its size
@@ -170,14 +171,19 @@ class ExperimentConfig:
                     f"{role} policy dimensions do not fit the {self.n_r}x{self.n_t} channel"
                 )
         # the bounds are certified after the last slot: one past the float range fails here
+        spec, bounds = self.controller, None
         with np.errstate(over="ignore", invalid="ignore"):
-            cb, bounds = _run_bounds(self)
+            cb = ch.channel_bounds(self.channel, self.csit_error)
             values = {"b": cb.b, "delta": cb.delta}
-            if bounds is not None:
+            if not cb.unbounded_support:
+                bounds = theoretical_bounds(
+                    cb.b, cb.delta, self.p, self.p_bar, self.n_t, self.n_r,
+                    v=spec.v if isinstance(spec, DppSpec) else None,
+                )
                 values.update((name, getattr(bounds, name)) for name in _BOUND_CONSTANTS)
-                if isinstance(self.controller, OgdSpec):  # largest at t = 1
+                if isinstance(spec, OgdSpec):  # largest at t = 1
                     try:
-                        values["regret_bound"] = _regret_bound(bounds, self.controller, 1)
+                        values["regret_bound"] = bounds.regret_bound(1, spec.gamma, spec.t_delay)
                     except OverflowError:  # a Python float's power or a huge t_delay
                         values["regret_bound"] = math.inf
         for name, value in values.items():
@@ -186,6 +192,7 @@ class ExperimentConfig:
                     f"bound constant {name!r} is not finite ({value}): "
                     "the run's parameters or channel are too large to certify"
                 )
+        object.__setattr__(self, "_bounds", (cb, bounds))
 
     @property
     def n_t(self) -> int:
@@ -438,7 +445,7 @@ def _decide(
             if isinstance(spec, DppSpec):
                 sigma, v = _gram_eig(h_obs)  # every observed Gram spectrum in one stacked solve
                 a = _waterfill_thresholds(sigma)
-                z, theta = [spec.z0], []
+                z, theta = [0.0], []
                 for t in range(cfg.horizon):
                     theta_t, z_next = dpp_step(z[t], a[t], cfg.n_t, spec.v, cfg.p, cfg.p_bar)
                     theta.append(theta_t)
@@ -572,7 +579,7 @@ def certify_run(result: RunResult, bounds: Optional[BoundReport]) -> list[dict]:
             certs.append(_skipped("per-slot-regret-floor"))
         elif result.r_ref is not None:
             avg_ref = np.cumsum(result.r_ref) / t_axis
-            regret = _regret_bound(bounds, spec, t_axis)
+            regret = bounds.regret_bound(t_axis, spec.gamma, spec.t_delay)
             certs.append(_floor(
                 "per-slot-regret-floor",
                 "min over t of avg utility - (reference avg - bound)",
@@ -587,33 +594,9 @@ def _reference_utility(result: RunResult) -> Optional[float]:
     return getattr(result.config.reference, "r_opt", result.config.reference)
 
 
-def _regret_bound(bounds: BoundReport, spec: OgdSpec, t):
-    """The gradient controller's regret bound after t slots, under its step rule."""
-    if spec.gamma is None:
-        return bounds.regret_bound_sqrt(t, spec.t_delay)
-    return bounds.regret_bound(t, spec.gamma, spec.t_delay)
-
-
-def _run_bounds(cfg: ExperimentConfig) -> tuple[ch.ChannelBounds, Optional[BoundReport]]:
-    """The channel's norm cap and error radius and, where the cap exists, the
-    run's bound constants."""
-    cb = ch.channel_bounds(cfg.channel, cfg.csit_error)
-    if cb.unbounded_support:
-        return cb, None
-    return cb, theoretical_bounds(
-        b=cb.b,
-        delta=cb.delta,
-        p=cfg.p,
-        p_bar=cfg.p_bar,
-        n_t=cfg.n_t,
-        n_r=cfg.n_r,
-        v=cfg.controller.v if isinstance(cfg.controller, DppSpec) else None,
-    )
-
-
 def _build_summary(result: RunResult) -> dict:
     cfg = result.config
-    cb, bounds = _run_bounds(cfg)
+    cb, bounds = cfg._bounds
     certs = certify_run(result, bounds)
     summary = {
         "horizon": cfg.horizon,

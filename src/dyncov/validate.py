@@ -102,7 +102,7 @@ def decide_reference(cfg, h_obs: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
     spec = cfg.controller
     q = np.zeros((cfg.horizon, cfg.n_t, cfg.n_t), dtype=np.complex128)
     if isinstance(spec, DppSpec):
-        z = [spec.z0]
+        z = [0.0]
         for t in range(cfg.horizon):
             wf = waterfill_penalized(h_obs[t], z[t] / spec.v, cfg.p)
             q[t] = wf.q
@@ -513,7 +513,7 @@ def check_decide_recursion() -> CheckResult:
         (ch.paper_continuous(), ch.BoundedBallCsit(delta=0.1)),
         (ch.ProductChannel(n_r=4, n_t=4, v_max=0.5), ch.BoundedBallCsit(delta=0.1)),
     )
-    specs = (DppSpec(v=100.0, z0=5.0), OgdSpec(gamma=0.01, t_delay=2), OgdSpec(gamma=None))
+    specs = (DppSpec(v=100.0), OgdSpec(gamma=0.01, t_delay=2), OgdSpec(gamma=None))
     failed = []
     for model, err in cases:
         h, h_obs = ch.draw_path(model, err, SEED, horizon)

@@ -204,7 +204,7 @@ def test_criterion_08_sqrt_step_schedule(ogd_sqrt_runs):
         _, rep = _bounds_for(case)
         avg_r = np.cumsum(result.r) / t_axis
         avg_ref = np.cumsum(result.r_ref) / t_axis
-        slack_seq = np.array([rep.regret_bound_sqrt(int(t), 1) for t in t_axis])
+        slack_seq = np.array([rep.regret_bound(int(t), None, 1) for t in t_axis])
         worst = float(np.min(avg_r - (avg_ref - slack_seq)))
         ok = ok and worst >= -SLACK
         details.append(f"{case}: worst floor margin {worst:.3e}")

@@ -70,10 +70,6 @@ class TestDppStep:
             DppSpec(v=0.0)
         with pytest.raises(ConfigError, match="'v' must be finite"):
             DppSpec(v=float("nan"))
-        with pytest.raises(ConfigError, match="z0"):
-            DppSpec(v=1.0, z0=-1.0)
-        with pytest.raises(ConfigError, match="z0"):
-            DppSpec(v=1.0, z0=float("nan"))
         with pytest.raises(ConfigError, match="p_bar"):
             ExperimentConfig(
                 channel=paper_two_state(), csit_error=ExactCsit(),
@@ -204,6 +200,13 @@ class TestTheoreticalBounds:
         expect = 2 * 2.0**2 / (0.01 * t) + 0.01 * 2 * 4.0**4 / 2
         assert rep.regret_bound(t, 0.01, 1) == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.parametrize("b, p", [(4.0, 1e308), (1e103, 3.0)], ids=["phi", "psi"])
+    def test_zero_delta_terms_are_zero_at_any_scale(self, b, p):
+        # 2 p overflows at p = 1e308, and (b + delta)^3 at b = 1e103: inf * 0
+        # would make phi or psi NaN, and the config check would reject the run
+        rep = theoretical_bounds(b=b, delta=0.0, p=p, p_bar=2.0, n_t=2, n_r=2)
+        assert (rep.phi_delta, rep.psi_delta) == (0.0, 0.0)
+
     def test_formulas_with_error(self):
         b, delta, p, p_bar, n_t, n_r = 4.0, 0.5, 3.0, 2.0, 2, 3
         rep = theoretical_bounds(
@@ -220,7 +223,7 @@ class TestTheoreticalBounds:
         assert rep.psi_delta == pytest.approx(psi, rel=1e-12)
         worst = psi + np.sqrt(n_r) * b**2
         t = 50
-        assert rep.regret_bound_sqrt(t, 1) == pytest.approx(
+        assert rep.regret_bound(t, None, 1) == pytest.approx(
             2 * p_bar**2 / np.sqrt(t) + worst**2 / np.sqrt(t) + 2 * psi * p_bar,
             rel=1e-12,
         )
@@ -240,7 +243,7 @@ class TestTheoreticalBounds:
             root = np.sqrt(t)
             sqrt = 2.0 * rep.p_bar**2 / root + worst**2 / root + 2.0 * rep.psi_delta * rep.p_bar
             assert np.array_equal(rep.regret_bound(t, gamma, 1), const)
-            assert np.array_equal(rep.regret_bound_sqrt(t, 1), sqrt)
+            assert np.array_equal(rep.regret_bound(t, None, 1), sqrt)
 
     @pytest.mark.parametrize("t_delay", [1, 2, 5, 500, 2000])
     def test_array_of_t_gives_the_per_slot_values(self, t_delay):
@@ -250,8 +253,8 @@ class TestTheoreticalBounds:
         for gamma in (0.002, 0.1):
             per_int = [rep.regret_bound(int(t), gamma, t_delay) for t in t_axis]
             assert rep.regret_bound(t_axis, gamma, t_delay).tolist() == per_int
-        per_int = [rep.regret_bound_sqrt(int(t), t_delay) for t in t_axis]
-        assert rep.regret_bound_sqrt(t_axis, t_delay).tolist() == per_int
+        per_int = [rep.regret_bound(int(t), None, t_delay) for t in t_axis]
+        assert rep.regret_bound(t_axis, None, t_delay).tolist() == per_int
 
     @pytest.mark.parametrize("t_delay", [2, 5, 500, 2000])
     def test_delay_scales_the_distance_term(self, t_delay):
@@ -263,7 +266,7 @@ class TestTheoreticalBounds:
         one_chain, root_term = 2.0 * 2.0**2 / (0.01 * t), 2.0 * 2.0**2 / np.sqrt(t)
         distance = rep.regret_bound(t, 0.01, t_delay) - rep.regret_bound(t, 0.01, 1)
         assert distance == pytest.approx((t_delay - 1) * one_chain, rel=1e-9)
-        distance = rep.regret_bound_sqrt(t, t_delay) - rep.regret_bound_sqrt(t, 1)
+        distance = rep.regret_bound(t, None, t_delay) - rep.regret_bound(t, None, 1)
         assert distance == pytest.approx((t_delay**1.5 - 1) * root_term, rel=1e-9)
         chains = t_delay * 2.0 * 2.0**2 * np.sqrt(t - 1 + t_delay) / t
         assert np.all(chains <= t_delay**1.5 * root_term * (1 + 1e-15))
@@ -285,8 +288,8 @@ class TestTheoreticalBounds:
         assert (rep.epsilon, rep.queue_bound) == (None, None)
         for name in ("phi_delta", "psi_delta", "grad_norm_bound"):
             assert getattr(rep, name) == getattr(ref, name)
-        assert np.array_equal(rep.regret_bound_sqrt(np.arange(1, 50), 1),
-                              ref.regret_bound_sqrt(np.arange(1, 50), 1))
+        assert np.array_equal(rep.regret_bound(np.arange(1, 50), None, 1),
+                              ref.regret_bound(np.arange(1, 50), None, 1))
 
     def test_zero_norm_cap_is_accepted(self):
         # an all-zero channel has b = 0; no bound divides by it

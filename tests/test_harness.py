@@ -226,48 +226,58 @@ class TestRunExperiment:
         assert cli_main(["run", str(cfg_path)]) == 0
         assert "  [PASS] per-slot-regret-floor" in capsys.readouterr().out
 
-    @given(data=st.data())
-    def test_decide_equals_public_recursion(self, data):
+    def test_decide_equals_public_recursion(self):
         # the lean per-slot steps on precomputed stacks must give the bytes
-        # of the slot-by-slot recursion through the validated public functions
-        n_r, n_t = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
-        entries = partial(complex_matrices, floats=st.floats(-10, 10, allow_subnormal=False))
-        if data.draw(st.booleans()):
-            k = data.draw(st.integers(1, 3))
-            weights = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k)))
-            states = tuple(data.draw(entries(n_r, n_t)) for _ in range(k))
-            channel = DiscreteChannel(states=states, probs=weights / weights.sum())
-            table = TabulatedCsit(
-                states=states, observed=[data.draw(entries(n_r, n_t)) for _ in states]
+        # of the slot-by-slot recursion through the validated public functions;
+        # the queue starts at Z(0) = 0, and some drawn runs must reach a positive one
+        penalized = []
+
+        @given(data=st.data())
+        def check(data):
+            n_r, n_t = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+            entries = partial(complex_matrices, floats=st.floats(-10, 10, allow_subnormal=False))
+            if data.draw(st.booleans()):
+                k = data.draw(st.integers(1, 3))
+                weights = st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k)
+                weights = np.array(data.draw(weights))
+                states = tuple(data.draw(entries(n_r, n_t)) for _ in range(k))
+                channel = DiscreteChannel(states=states, probs=weights / weights.sum())
+                table = TabulatedCsit(
+                    states=states, observed=[data.draw(entries(n_r, n_t)) for _ in states]
+                )
+            else:
+                v_max = data.draw(st.floats(0.1, 2.0))
+                channel = ProductChannel(n_r=n_r, n_t=n_t, v_max=v_max)
+                table = ExactCsit()
+            err = data.draw(st.sampled_from(
+                [ExactCsit(), table, BoundedBallCsit(delta=data.draw(st.floats(0.01, 1.0)))]
+            ))
+            spec = data.draw(st.sampled_from([
+                DppSpec(v=data.draw(st.floats(0.5, 200.0))),
+                OgdSpec(
+                    gamma=data.draw(st.none() | st.floats(1e-3, 1.0)),
+                    t_delay=data.draw(st.integers(1, 3)),
+                ),
+            ]))
+            p_bar = data.draw(st.floats(0.1, 5.0))
+            cfg = ExperimentConfig(
+                channel=channel, csit_error=err, controller=spec,
+                p=p_bar * data.draw(st.floats(1.0, 3.0)), p_bar=p_bar,
+                horizon=data.draw(st.integers(1, 30)), seed=data.draw(st.integers(0, 2**70)),
             )
-        else:
-            channel = ProductChannel(n_r=n_r, n_t=n_t, v_max=data.draw(st.floats(0.1, 2.0)))
-            table = ExactCsit()
-        err = data.draw(st.sampled_from(
-            [ExactCsit(), table, BoundedBallCsit(delta=data.draw(st.floats(0.01, 1.0)))]
-        ))
-        spec = data.draw(st.sampled_from([
-            DppSpec(v=data.draw(st.floats(0.5, 200.0)), z0=data.draw(st.floats(0.0, 50.0))),
-            OgdSpec(
-                gamma=data.draw(st.none() | st.floats(1e-3, 1.0)),
-                t_delay=data.draw(st.integers(1, 3)),
-            ),
-        ]))
-        p_bar = data.draw(st.floats(0.1, 5.0))
-        cfg = ExperimentConfig(
-            channel=channel, csit_error=err, controller=spec,
-            p=p_bar * data.draw(st.floats(1.0, 3.0)), p_bar=p_bar,
-            horizon=data.draw(st.integers(1, 30)), seed=data.draw(st.integers(0, 2**70)),
-        )
-        h, h_obs = draw_path(channel, err, cfg.seed, cfg.horizon)
-        q_ref, z_ref = decide_reference(cfg, h_obs)
-        q, z = _decide(cfg, h, h_obs)
-        result = run_experiment(cfg)
-        assert q.tobytes() == q_ref.tobytes()
-        assert result.tr_q.tobytes() == trace_real(q_ref).tobytes()
-        if z_ref is not None:
-            assert z.tobytes() == z_ref.tobytes()
-            assert np.append(result.z, result.z_final).tobytes() == z_ref.tobytes()
+            h, h_obs = draw_path(channel, err, cfg.seed, cfg.horizon)
+            q_ref, z_ref = decide_reference(cfg, h_obs)
+            q, z = _decide(cfg, h, h_obs)
+            result = run_experiment(cfg)
+            assert q.tobytes() == q_ref.tobytes()
+            assert result.tr_q.tobytes() == trace_real(q_ref).tobytes()
+            if z_ref is not None:
+                assert z.tobytes() == z_ref.tobytes()
+                assert np.append(result.z, result.z_final).tobytes() == z_ref.tobytes()
+                penalized.append(bool(np.any(z_ref[:-1] > 0)))
+
+        check()
+        assert any(penalized)  # the penalty is active
 
     @pytest.mark.parametrize("n_r, n_t", [(1, 4), (4, 1), (3, 8), (2, 3)])
     @pytest.mark.parametrize("gamma", [0.1, None], ids=["constant", "inverse-sqrt"])
@@ -337,20 +347,20 @@ class TestRunExperiment:
     )
     def test_queue_controller_recursion(self, model, err):
         # Q(t) = W(H~(t), Z(t)/v, p) and Z(t+1) = max(Z(t) + sum(theta(t)) - p_bar, 0)
-        # recomputed slot by slot through the public water-filling, from z0 > 0
-        v, z0, p, p_bar, horizon, seed = 10.0, 5.0, 3.0, 2.0, 200, 4
+        # recomputed slot by slot through the public water-filling, from Z(0) = 0
+        v, p, p_bar, horizon, seed = 10.0, 3.0, 2.0, 200, 4
         result = run_experiment(
             ExperimentConfig(
                 channel=model,
                 csit_error=err,
-                controller=DppSpec(v=v, z0=z0),
+                controller=DppSpec(v=v),
                 p=p,
                 p_bar=p_bar,
                 horizon=horizon,
                 seed=seed,
             )
         )
-        z = z0
+        z = 0.0
         for t in range(horizon):
             rng = slot_rng(seed, t)
             h = sample_channel(model, rng)
@@ -369,7 +379,7 @@ class TestRunExperiment:
         # loop, in one stacked product; each equals the single-matrix compose
         cfg = ExperimentConfig(
             channel=ProductChannel(n_r=n_r, n_t=n_t, v_max=1.0),
-            csit_error=BoundedBallCsit(delta=0.1), controller=DppSpec(v=10.0, z0=5.0),
+            csit_error=BoundedBallCsit(delta=0.1), controller=DppSpec(v=10.0),
             p=3.0, p_bar=2.0, horizon=200, seed=3,
         )
         h, h_obs = draw_path(cfg.channel, cfg.csit_error, cfg.seed, cfg.horizon)
@@ -932,7 +942,7 @@ class TestPolicyFiles:
 _DPP_OBJ = {
     "channel": {"kind": "continuous-product", "n_r": 2, "n_t": 2, "v_max": 1.0},
     "csit_error": {"kind": "bounded-ball", "delta": 0.1},
-    "controller": {"kind": "dpp", "v": 100.0, "z0": 0.0},
+    "controller": {"kind": "dpp", "v": 100.0},
     "p": 3.0,
     "p_bar": 2.0,
     "horizon": 5,
@@ -959,7 +969,6 @@ NUMERIC_FIELDS = [
     (_DPP_OBJ, None, "p"),
     (_DPP_OBJ, None, "p_bar"),
     (_DPP_OBJ, "controller", "v"),
-    (_DPP_OBJ, "controller", "z0"),
     (_DPP_OBJ, "csit_error", "delta"),
     (_DPP_OBJ, "channel", "v_max"),
     (_DPP_OBJ, "reference", "r_opt"),
@@ -1029,7 +1038,7 @@ def config_dicts(draw, policies):
     # the policy files are the two-state preset's, so only a 2x2 channel fits them
     fits_policies = (n_r, n_t) == (2, 2)
     controllers = [
-        {"kind": "dpp", "v": draw(POSITIVE), "z0": draw(st.floats(0.0, 1e3))},
+        {"kind": "dpp", "v": draw(POSITIVE)},
         {"kind": "ogd", "gamma": draw(POSITIVE), "t_delay": draw(st.integers(1, 5))},
         {"kind": "ogd", "step": "inverse-sqrt"},
     ]
@@ -1109,10 +1118,72 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="bound constant 'b' is not finite"):
             experiment(channel=huge)
 
+    def test_exact_csit_at_the_largest_power_certifies_phi_zero(self, tmp_path):
+        # phi is 2 p sqrt(n_t) (2b + delta) delta: at delta = 0 it is 0 for any p,
+        # where the product used to be inf * 0 = NaN and the config failed to load
+        summary = tmp_path / "summary.json"
+        cfg = load_config({
+            **_OGD_OBJ, "csit_error": {"kind": "exact"}, "p": 1e308, "p_bar": 1.0,
+            "outputs": {"summary": str(summary)},
+        })
+        result = run_experiment(cfg)
+        assert result.summary["all_passed"]
+        emit_outputs(result)
+        assert '"phi_delta": 0.0' in summary.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "obj, reports",
+        [
+            ({**_DPP_OBJ, "channel": {"preset": "paper-two-state"}}, 1),
+            (_OGD_OBJ_DELAYED, 1),
+            (_DPP_OBJ, 0),  # a continuous channel has no norm cap to certify
+        ],
+        ids=["dpp", "ogd", "uncapped"],
+    )
+    def test_one_run_builds_its_bounds_once(self, obj, reports, monkeypatch):
+        # the config builds the constants it checks, and the summary reads them
+        calls = []
+
+        def counted(original):
+            def call(*args, **kwargs):
+                calls.append(original.__name__)
+                return original(*args, **kwargs)
+            return call
+
+        for target in ("dyncov.channel.channel_bounds", "dyncov.harness.theoretical_bounds"):
+            module, name = target.rsplit(".", 1)
+            monkeypatch.setattr(target, counted(getattr(sys.modules[module], name)))
+        result = run_experiment(load_config(obj))
+        assert calls == ["channel_bounds"] + ["theoretical_bounds"] * reports
+        assert result.summary["all_passed"]
+
     def test_delay_key_raises(self):
         obj = {**_OGD_OBJ, "delay": {"kind": "delayed", "t_slots": 1}}
         with pytest.raises(ConfigError, match="unknown config key.*'delay'"):
             load_config(obj)
+
+    @pytest.mark.parametrize(
+        "value",
+        [5.0, 0.0, -1.0, float("inf"), float("nan"), True, False, "1.5", None],
+        ids=["positive", "zero", "negative", "inf", "nan", "true", "false", "string", "null"],
+    )
+    def test_start_queue_is_not_a_parameter(self, value):
+        # the certified bounds hold from an empty queue, Z(0) = 0, alone: any
+        # start value, valid or not, fails as an unknown key before a value rule
+        obj = {**_DPP_OBJ, "controller": {"kind": "dpp", "v": 100.0, "z0": value}}
+        with pytest.raises(ConfigError, match="^unknown config key\\(s\\) in 'controller': 'z0'$"):
+            load_config(obj)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'z0'"):
+            DppSpec(v=100.0, z0=value)
+
+    def test_horizon_past_the_slot_index_range_raises(self):
+        # the per-slot streams key on slot indices below 2**32; a longer run used
+        # to load and then fail in the draw.  Only configs are built here
+        assert experiment(horizon=2**32).horizon == 2**32
+        with pytest.raises(ConfigError, match="horizon"):
+            experiment(horizon=2**32 + 1)
+        with pytest.raises(ConfigError, match="horizon"):
+            load_config({**_DPP_OBJ, "horizon": 2**32 + 1})
 
     def test_nan_reference_policy_raises(self, constant_reference, tmp_path):
         path = tmp_path / "ref.json"
@@ -1349,8 +1420,7 @@ def experiment(**fields):
 
 # (constructor, valid fields, the field replaced, whether it is a count)
 CONSTRUCTOR_FIELDS = [
-    (DppSpec, {"v": 100.0, "z0": 1.0}, "v", False),
-    (DppSpec, {"v": 100.0, "z0": 1.0}, "z0", False),
+    (DppSpec, {"v": 100.0}, "v", False),
     (OgdSpec, {"gamma": 0.01, "t_delay": 2}, "gamma", False),
     (OgdSpec, {"gamma": 0.01, "t_delay": 2}, "t_delay", True),
     (experiment, {}, "p", False),
@@ -1410,7 +1480,6 @@ CODE_ROUTES = {
     "horizon": lambda bad: experiment(horizon=bad),
     "seed": lambda bad: experiment(seed=bad),
     "v": lambda bad: DppSpec(v=bad),
-    "z0": lambda bad: DppSpec(v=100.0, z0=bad),
     "gamma": lambda bad: OgdSpec(gamma=bad),
     "t_delay": lambda bad: OgdSpec(t_delay=bad),
     "delta": lambda bad: BoundedBallCsit(delta=bad),
