@@ -12,6 +12,7 @@ bounds on every run.
 from .channel import (
     BoundedBallCsit,
     ChannelBounds,
+    ChannelPath,
     DiscreteChannel,
     ExactCsit,
     MagPhaseQuantizeCsit,
@@ -66,6 +67,7 @@ __all__ = [
     "BoundedBallCsit",
     "CdiPolicy",
     "ChannelBounds",
+    "ChannelPath",
     "ConstantCovariance",
     "ConvergenceError",
     "DiscreteChannel",

@@ -8,14 +8,15 @@ Randomness is PCG64 via numpy Generators.  Streams are derived from a
 run seed with SeedSequence spawn keys, one stream per slot index, so a
 full (H(t), observation(t)) trace is a pure function of (model, error
 model, seed) and reproduces bit-for-bit across platforms.  ``slot_rng``
-is the reference definition of slot t's stream.  ``draw_path`` draws a
-whole horizon without building a Generator per slot: it restates numpy's
-SeedSequence hash and PCG64 seeding as vectorised integer arithmetic over
-t (a counter-based derivation of the same stream layout), then either
-reads each slot's single uniform straight from its first PCG64 output or,
-where numpy's samplers are needed, loads each slot's seeded state into
-one reused Generator that only fills buffers; the arithmetic, of which
-``sample_channel`` and ``observe_csit`` are the one-slot case, runs once.
+is the reference definition of slot t's stream.  ``ChannelPath`` draws
+any range of slots without building a Generator per slot: it restates
+numpy's SeedSequence hash and PCG64 seeding as vectorised integer
+arithmetic over t (a counter-based derivation of the same stream layout),
+then either reads each slot's single uniform straight from its first PCG64
+output or, where numpy's samplers are needed, loads each slot's seeded
+state into one reused Generator that only fills buffers; the arithmetic,
+of which ``sample_channel`` and ``observe_csit`` are the one-slot case,
+runs once per range.
 """
 
 from __future__ import annotations
@@ -48,29 +49,46 @@ _POOL_SIZE = 4
 _PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
 
 
-def _hasher(init: int, mult: int):
-    """SeedSequence's word hash (``hashmix``) on uint32 arrays, with its
-    running multiplier: xor, advance the multiplier, multiply, xorshift."""
-    const = init
+def _hash_consts(const: int, mult: int):
+    """SeedSequence's word hash (``hashmix``) xors, advances its running
+    multiplier ``const``, multiplies and xorshifts.  The returned function
+    takes the xor and the multiply constants of the next k calls, as a
+    (2, k, 1) uint32 array, so that ``_hash_rows`` makes k calls at once."""
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
+    def take(count: int) -> np.ndarray:
         nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _M32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
+        c = [const]
+        for _ in range(count):
+            c.append(c[-1] * mult & _M32)
+        const = c[-1]
+        return np.array([c[:-1], c[1:]], dtype=np.uint32)[..., None]
 
-    return hashmix
+    return take
 
 
-def _seed_words(seed: int, slots: np.ndarray) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=(0, t)).generate_state(4, np.uint64)``
-    for every t in ``slots`` (each below 2**32), as a (len(slots), 4) uint64
-    array.  The words before the spawn key's last one do not depend on t, so
-    they hash as one-element arrays and only the final mixing broadcasts."""
-    slots = np.asarray(slots)
-    if slots.size and int(slots.max()) > _M32:
-        raise ValueError("slot indices must be below 2**32")
+def _hash_rows(values, consts: np.ndarray) -> np.ndarray:
+    """``hashmix`` of row k of the uint32 values (k, m), or of one row
+    broadcast to all, under call k's constants (``_hash_consts``)."""
+    values = (values ^ consts[0]) * consts[1]
+    return values ^ (values >> np.uint32(16))
+
+
+def _mix(x, y):
+    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return r ^ (r >> np.uint32(16))
+
+
+# generate_state(4, np.uint64) hashes eight uint32 words cycled from the
+# pool, under fixed constants
+_OUT_CONSTS = _hash_consts(_INIT_B, _MULT_B)(2 * _POOL_SIZE)
+_OUT_ROWS = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
+
+
+def _seed_pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The SeedSequence pool of ``SeedSequence(seed, spawn_key=(0, t))``, a
+    (4, 1) uint32 array, after every entropy word but t, the only one that
+    depends on the slot, and the constants that hash t into it.  Built once
+    per run; ``_seed_words`` finishes it per slot."""
     seed = operator.index(seed)  # numpy integers too, as SeedSequence takes them
     if seed < 0:
         raise ValueError("seed must be nonnegative")
@@ -78,30 +96,28 @@ def _seed_words(seed: int, slots: np.ndarray) -> np.ndarray:
     # because a spawn key follows
     n_words = max(_POOL_SIZE, -(-seed.bit_length() // 32))
     run = [(seed >> 32 * i) & _M32 for i in range(n_words)]
-    entropy = [np.array([w], dtype=np.uint32) for w in run + [_STREAM_SLOT]]
-    entropy.append(slots.astype(np.uint32))
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-
-    def mix(x, y):
-        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        return r ^ (r >> np.uint32(16))
-
-    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = _hash_rows(np.array(run[:_POOL_SIZE], dtype=np.uint32)[:, None], consts(_POOL_SIZE))
     for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in entropy[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+        dst = [i for i in range(_POOL_SIZE) if i != i_src]
+        pool[dst] = _mix(pool[dst], _hash_rows(pool[i_src], consts(_POOL_SIZE - 1)))
+    for word in run[_POOL_SIZE:] + [_STREAM_SLOT]:
+        pool = _mix(pool, _hash_rows(np.uint32(word), consts(_POOL_SIZE)))
+    return pool, consts(_POOL_SIZE)
 
-    # generate_state(4, np.uint64): eight uint32 words cycled from the pool,
-    # paired little-endian
-    out = _hasher(_INIT_B, _MULT_B)
-    state = [out(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
-    words = [state[2 * k] | (state[2 * k + 1] << np.uint64(32)) for k in range(_POOL_SIZE)]
-    return np.stack(words, axis=-1)
+
+def _seed_words(seed_pool: tuple[np.ndarray, np.ndarray], slots: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(0, t)).generate_state(4, np.uint64)``
+    for every t in ``slots`` (each below 2**32), as a (len(slots), 4) uint64
+    array, from the seed's ``_seed_pool``."""
+    slots = np.asarray(slots)
+    if slots.size and int(slots.max()) > _M32:
+        raise ValueError("slot indices must be below 2**32")
+    pool, consts = seed_pool
+    pool = _mix(pool, _hash_rows(slots.astype(np.uint32), consts))
+    # eight uint32 words, paired little-endian
+    state = _hash_rows(pool[_OUT_ROWS], _OUT_CONSTS).astype(np.uint64)
+    return (state[0::2] | (state[1::2] << np.uint64(32))).T
 
 
 def _mul64(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -361,47 +377,68 @@ def observe_csit(h, err: CsitErrorModel, rng: np.random.Generator | None = None)
     return _observe(hm, err, rng.standard_normal((2,) + hm.shape), rng.random())
 
 
-def draw_path(
-    model: ChannelModel, err: CsitErrorModel, seed: int, horizon: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The channel path H(t) and its observations H~(t) for t < horizon, as
-    two (horizon, n_r, n_t) stacks equal bit for bit to drawing slot t with
-    ``sample_channel`` then ``observe_csit`` from ``slot_rng(seed, t)``.
+class ChannelPath:
+    """One run's channel path H(t) and its observations H~(t), drawn by slot
+    range: ``draw(start, stop)`` returns two (stop - start, n_r, n_t) stacks
+    equal bit for bit to drawing each slot t with ``sample_channel`` then
+    ``observe_csit`` from ``slot_rng(seed, t)``, so consecutive ranges
+    concatenate to the draw of their union.
 
-    A discrete channel under a deterministic error model draws one uniform
-    per slot, so its state indices come from the streams' first outputs and
-    each state's observation is computed once.  Every other pair loads each
-    slot's seeded PCG64 state into one reused Generator, which only fills
+    What does not depend on the slot is built once, here: the seed's
+    SeedSequence pool (``_seed_pool``), a discrete channel's state
+    observations and the reused Generator.  A discrete channel under a
+    deterministic error model draws one uniform per slot, so its state
+    indices come from the streams' first outputs.  Every other pair loads
+    each slot's seeded PCG64 state into the one Generator, which only fills
     buffers in numpy's call order (the channel's normals and uniforms, then
-    the ball's); the arithmetic on the filled stacks runs once."""
-    words = _seed_words(seed, np.arange(horizon))
-    ball = isinstance(err, BoundedBallCsit)
-    states = model.states if isinstance(model, DiscreteChannel) else None
-    if states is not None and not ball:
-        idx = model.index(_first_uniforms(words))
-        return states[idx], _observe(states, err)[idx]
+    the ball's); the arithmetic on the filled stacks runs once per range."""
 
-    state, inc = _pcg64_seeded(words)
-    n = (model.n_r, model.n_t)
-    g, g_err = np.empty((2, horizon, 2) + n)  # the channel's and the ball's normals
-    u = np.empty((horizon,) + n if states is None else horizon)  # the channel's uniforms
-    r = np.empty(horizon)  # the ball's radii
-    rng = np.random.Generator(np.random.PCG64(0))
-    bits, normal, uniform = rng.bit_generator, rng.standard_normal, rng.random
-    fixed = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    limbs = zip(state[0].tolist(), state[1].tolist(), inc[0].tolist(), inc[1].tolist())
-    for t, (s_hi, s_lo, i_hi, i_lo) in enumerate(limbs):
-        bits.state = {**fixed, "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}}
-        if states is None:
-            normal(out=g[t])
-            uniform(out=u[t])
+    def __init__(self, model: ChannelModel, err: CsitErrorModel, seed: int):
+        self.model, self.err = model, err
+        self._pool = _seed_pool(seed)
+        self._ball = isinstance(err, BoundedBallCsit)
+        self._states = model.states if isinstance(model, DiscreteChannel) else None
+        if self._states is not None and not self._ball:
+            self._observed = _observe(self._states, err)
         else:
-            u[t] = uniform()
-        if ball:
-            normal(out=g_err[t])
-            r[t] = uniform()
-    h = _product(model, g, u) if states is None else states[model.index(u)]
-    return h, _observe(h, err, g_err, r)
+            self._rng = np.random.Generator(np.random.PCG64(0))
+
+    def draw(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        model, err, states, ball = self.model, self.err, self._states, self._ball
+        words = _seed_words(self._pool, np.arange(start, stop))
+        if states is not None and not ball:
+            idx = model.index(_first_uniforms(words))
+            return states[idx], self._observed[idx]
+
+        state, inc = _pcg64_seeded(words)
+        n, m = (model.n_r, model.n_t), stop - start
+        g, g_err = np.empty((2, m, 2) + n)  # the channel's and the ball's normals
+        u = np.empty((m,) + n if states is None else m)  # the channel's uniforms
+        r = np.empty(m)  # the ball's radii
+        rng = self._rng
+        bits, normal, uniform = rng.bit_generator, rng.standard_normal, rng.random
+        fixed = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+        limbs = zip(state[0].tolist(), state[1].tolist(), inc[0].tolist(), inc[1].tolist())
+        for k, (s_hi, s_lo, i_hi, i_lo) in enumerate(limbs):
+            bits.state = {**fixed, "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}}
+            if states is None:
+                normal(out=g[k])
+                uniform(out=u[k])
+            else:
+                u[k] = uniform()
+            if ball:
+                normal(out=g_err[k])
+                r[k] = uniform()
+        h = _product(model, g, u) if states is None else states[model.index(u)]
+        return h, _observe(h, err, g_err, r)
+
+
+def draw_path(
+    model: ChannelModel, err: CsitErrorModel, seed: int, stop: int, start: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """H(t) and H~(t) for start <= t < stop: ``ChannelPath(model, err,
+    seed).draw(start, stop)``, for a caller that draws one range."""
+    return ChannelPath(model, err, seed).draw(start, stop)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,10 @@ def ogd_step(q_lag: np.ndarray, g_lag: np.ndarray, step: float, p_bar: float) ->
     q_lag and g_lag are complex n_t x n_t arrays and both terms are exactly
     Hermitian, so neither the gradient nor the projection validates.
     Run it under ``linalg._lapack_guard``, as the decide loop does."""
-    return _cap_project(q_lag + step * _capacity_gradient(g_lag, q_lag), p_bar)
+    x = _capacity_gradient(g_lag, q_lag)  # a new array: the step is taken in its buffer
+    x *= step
+    x += q_lag
+    return _cap_project(x, p_bar)
 
 
 @dataclass(frozen=True)

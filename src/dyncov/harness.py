@@ -1,12 +1,13 @@
 """Experiment orchestration: slotted simulation, per-run certification of
 the performance bounds, and trace/summary/plot emission.
 
-A run is draw -> decide -> evaluate.  The channel path never depends on a
-decision, so the whole horizon of (H(t), H~(t)) is drawn first; then only
-the controller's recursion runs slot by slot; then capacities and powers
-are evaluated on the stacked trace in one call each.  The observation lag
-is the controller's: none for the queue controller, ``t_delay`` slots for
-the gradient controller.
+A run is draw -> decide -> evaluate, folded over blocks of slots.  The
+channel path never depends on a decision, so each block's (H(t), H~(t))
+is drawn first; then only the controller's recursion runs slot by slot,
+from the state the block before left; then capacities and powers are
+evaluated on the block's stack in one call each.  The observation lag is
+the controller's: none for the queue controller, ``t_delay`` slots for the
+gradient controller.
 
 A run is fully determined by its config (seeded per-slot random streams),
 so repeating a config yields byte-identical CSV output.  Certification
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -27,7 +29,6 @@ import numpy as np
 from . import channel as ch
 from .controllers import BoundReport, dpp_step, ogd_step, theoretical_bounds
 from .linalg import (
-    ConvergenceError,
     _compose,
     _count,
     _gram,
@@ -53,6 +54,10 @@ from .svgplot import line_chart
 CSV_HEADER = "t,r,runavg_r,tr_q,runavg_tr_q,z"
 
 SLACK = 1e-9
+
+# slots per block of a run: one block of channels, observations and
+# covariances is in memory at a time, and the CSV is written a block at a time
+BLOCK_SLOTS = 512
 
 # the BoundReport constants a summary reports, None without a certified cap
 _BOUND_CONSTANTS = ("epsilon", "phi_delta", "psi_delta", "queue_bound", "grad_norm_bound")
@@ -430,80 +435,109 @@ def compute_baseline(
 
 
 def _decide(
-    cfg: ExperimentConfig, h: np.ndarray, h_obs: np.ndarray
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The controller's recursion over a drawn path: the committed
-    covariances q and, for the queue controller, Z(t) for t = 0..horizon.
-    Its state is these arrays: the queue z (Z(t) before slot t) or the
-    lagged q[t - T]; everything that does not depend on that state is
-    computed up front."""
-    q = np.zeros((cfg.horizon, cfg.n_t, cfg.n_t), dtype=np.complex128)
-    spec = cfg.controller
-    t = 0
-    try:
-        with _lapack_guard():  # one failure guard for every LAPACK call of the run
-            if isinstance(spec, DppSpec):
-                sigma, v = _gram_eig(h_obs)  # every observed Gram spectrum in one stacked solve
-                a = _waterfill_thresholds(sigma)
-                z, theta = [0.0], []
-                for t in range(cfg.horizon):
-                    theta_t, z_next = dpp_step(z[t], a[t], cfg.n_t, spec.v, cfg.p, cfg.p_bar)
-                    theta.append(theta_t)
-                    z.append(z_next)
-                # the queue never reads Q(t) = V diag(theta) V^H: compose them all at once
-                return _compose(v, theta), np.array(z)
-            elif isinstance(spec, OgdSpec):
-                # before slot T no observation has arrived: q[t] stays zero
-                lag, ts = spec.t_delay, range(spec.t_delay, cfg.horizon)
-                g_obs = _gram(h_obs)  # every observed Gram matrix in one stacked product
-                if spec.gamma is None:
-                    steps = (1.0 / np.sqrt(ts)).tolist()
-                else:
-                    steps = [spec.gamma] * len(ts)
-                for t, step in zip(ts, steps):
-                    q[t] = ogd_step(q[t - lag], g_obs[t - lag], step, cfg.p_bar)
-            elif isinstance(spec.policy, CdiPolicy):
-                q[:] = spec.policy.lookup(h)
+    cfg: ExperimentConfig, start: int, h: np.ndarray, h_obs: np.ndarray, carry=None
+) -> tuple[np.ndarray, Optional[np.ndarray], object]:
+    """The controller's recursion over one drawn block of slots start,
+    start + 1, ...: returns the committed covariances q, Z(t) for
+    t = start..stop for the queue controller (else None), and the recursion
+    state after the block.  That carry is Z(start) for the queue controller;
+    for the gradient controller it is a (2, min(T, horizon), n_t, n_t)
+    array, advanced in place, of the covariances committed and the Grams
+    observed in the slots just before start, oldest first.  None is the
+    run's start: an empty queue, or zeros.  Everything that does not depend
+    on the carry is computed up front."""
+    b, spec = len(h), cfg.controller
+    with _lapack_guard():  # one failure guard for every LAPACK call of the block
+        if isinstance(spec, DppSpec):
+            sigma, v = _gram_eig(h_obs)  # every observed Gram spectrum in one stacked solve
+            a = _waterfill_thresholds(sigma)
+            z, theta = [0.0 if carry is None else carry], []
+            for k in range(b):
+                theta_t, z_next = dpp_step(z[k], a[k], cfg.n_t, spec.v, cfg.p, cfg.p_bar)
+                theta.append(theta_t)
+                z.append(z_next)
+            # the queue never reads Q(t) = V diag(theta) V^H: compose them all at once
+            return _compose(v, theta), np.array(z), z[-1]
+        q = np.zeros((b, cfg.n_t, cfg.n_t), dtype=np.complex128)
+        if isinstance(spec, OgdSpec):
+            lag = spec.t_delay
+            if carry is None:  # a delay past the horizon never reads it
+                rows = min(lag, cfg.horizon)
+                carry = np.zeros((2, rows, cfg.n_t, cfg.n_t), dtype=np.complex128)
+            g = _gram(h_obs)  # every observed Gram matrix in one stacked product
+            # before slot T no observation has arrived: q[t] stays zero
+            ts = range(max(start, lag), start + b)
+            if spec.gamma is None:
+                steps = (1.0 / np.sqrt(ts)).tolist()
             else:
-                q[:] = spec.policy.q
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"solver failure at slot {t}: {exc}") from exc
-    return q, None
+                steps = [spec.gamma] * len(ts)
+            for t, step in zip(ts, steps):
+                k = t - start
+                # slot t - T is the block's row j, or the carry's, counted from its end
+                j = k - lag
+                q_lag, g_lag = (q, g) if j >= 0 else carry
+                q[k] = ogd_step(q_lag[j], g_lag[j], step, cfg.p_bar)
+            # the carry moves on to the last slots of itself and the block
+            rows = len(carry[0])
+            m = min(b, rows)
+            carry[:, : rows - m] = carry[:, m:]
+            carry[0, rows - m :], carry[1, rows - m :] = q[b - m :], g[b - m :]
+        elif isinstance(spec.policy, CdiPolicy):
+            q[:] = spec.policy.lookup(h)
+        else:
+            q[:] = spec.policy.q
+    return q, None, carry
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Simulate the configured horizon and certify every applicable bound."""
-    horizon = cfg.horizon
+    """Simulate the configured horizon and certify every applicable bound.
 
-    # draw: the channel path is exogenous, one seeded stream per slot
-    h, h_obs = ch.draw_path(cfg.channel, cfg.csit_error, cfg.seed, horizon)
-
-    # decide: only the controller's recursion is sequential
-    q, z = _decide(cfg, h, h_obs)
-
-    # evaluate: true-channel capacities and powers over the whole stack
-    r = capacity(h, q)
-    tr_q = trace_real(q)
+    The run is a fold over blocks of ``BLOCK_SLOTS`` slots: each block is
+    drawn, decided from the carry the block before left and evaluated into
+    the run's float columns, which are all that outlive it."""
+    horizon, spec = cfg.horizon, cfg.controller
+    path = ch.ChannelPath(cfg.channel, cfg.csit_error, cfg.seed)
+    r, tr_q = np.empty(horizon), np.empty(horizon)
+    z = np.empty(horizon) if isinstance(spec, DppSpec) else None
     r_ref = None
-    if isinstance(cfg.controller, OgdSpec) and isinstance(cfg.reference, ConstantCovariance):
-        r_ref = capacity(h, cfg.reference.q)
-    ledger = None
-    if cfg.rate_adapt_n is not None:
-        ledger = RateLedger(cfg.rate_adapt_n)
-        for r_t in r.tolist():
-            if ledger.completed:
-                break
-            ledger.record(r_t)
+    if isinstance(spec, OgdSpec) and isinstance(cfg.reference, ConstantCovariance):
+        r_ref = np.empty(horizon)
+    ledger = None if cfg.rate_adapt_n is None else RateLedger(cfg.rate_adapt_n)
+    carry = None
+    for start in range(0, horizon, BLOCK_SLOTS):
+        block = slice(start, min(start + BLOCK_SLOTS, horizon))
+
+        # draw: the channel path is exogenous, one seeded stream per slot
+        h, h_obs = path.draw(block.start, block.stop)
+
+        # decide: only the controller's recursion is sequential
+        q, z_block, carry = _decide(cfg, start, h, h_obs, carry)
+
+        # evaluate: true-channel capacities and powers over the block's stack
+        r[block] = capacity(h, q)
+        tr_q[block] = trace_real(q)
+        if z is not None:
+            z[block] = z_block[:-1]
+        if r_ref is not None:
+            r_ref[block] = capacity(h, cfg.reference.q)
+        if ledger is not None and not ledger.completed:
+            for r_t in r[block].tolist():
+                if ledger.completed:
+                    break
+                ledger.record(r_t)
 
     t_axis = np.arange(1, horizon + 1, dtype=float)
+    runavg_r, runavg_tr_q = np.cumsum(r), np.cumsum(tr_q)
+    runavg_r /= t_axis
+    runavg_tr_q /= t_axis
     result = RunResult(
         config=cfg,
         r=r,
-        runavg_r=np.cumsum(r) / t_axis,
+        runavg_r=runavg_r,
         tr_q=tr_q,
-        runavg_tr_q=np.cumsum(tr_q) / t_axis,
-        z=z[:-1] if z is not None else None,
-        z_final=float(z[-1]) if z is not None else None,
+        runavg_tr_q=runavg_tr_q,
+        z=z,
+        z_final=carry if z is not None else None,
         r_ref=r_ref,
         ledger=ledger,
         summary={},
@@ -633,35 +667,46 @@ def _build_summary(result: RunResult) -> dict:
 # -------------------------------------------------------------- file output
 
 
+def _csv_chunks(result: RunResult):
+    """The trace's CSV text in chunks, the header and then ``BLOCK_SLOTS`` rows
+    at a time (repr of Python floats: shortest exact round-trip)."""
+    yield CSV_HEADER + "\n"
+    for start in range(0, len(result.r), BLOCK_SLOTS):
+        block = slice(start, start + BLOCK_SLOTS)
+        r = result.r[block].tolist()
+        z = [""] * len(r) if result.z is None else map(repr, result.z[block].tolist())
+        rows = zip(
+            range(start, start + len(r)),
+            r,
+            result.runavg_r[block].tolist(),
+            result.tr_q[block].tolist(),
+            result.runavg_tr_q[block].tolist(),
+            z,
+        )
+        yield "".join([
+            f"{t},{r_t!r},{avg_r!r},{tr!r},{avg_tr!r},{z_txt}\n"
+            for t, r_t, avg_r, tr, avg_tr, z_txt in rows
+        ])
+
+
 def trace_to_csv(result: RunResult) -> str:
-    """Render the per-slot trace as CSV text (repr of Python floats: shortest
-    exact round-trip)."""
-    z = result.z.tolist() if result.z is not None else [None] * len(result.r)
-    rows = zip(
-        result.r.tolist(),
-        result.runavg_r.tolist(),
-        result.tr_q.tolist(),
-        result.runavg_tr_q.tolist(),
-        z,
-    )
-    lines = [CSV_HEADER]
-    for t, (r, avg_r, tr, avg_tr, z_t) in enumerate(rows):
-        z_txt = repr(z_t) if z_t is not None else ""
-        lines.append(f"{t},{r!r},{avg_r!r},{tr!r},{avg_tr!r},{z_txt}")
-    return "\n".join(lines) + "\n"
+    """Render the per-slot trace as CSV text, as ``emit_outputs`` writes it."""
+    return "".join(_csv_chunks(result))
 
 
 def csv_to_columns(text: str) -> dict[str, list]:
     """Parse CSV text produced by trace_to_csv back into columns: the reader
     of the trace that ``certify_run`` calls re-derivable.  Nothing in ``src/``
     calls it; ``perfbench/worker.py`` reads every run's CSV through it, and
-    tests use it as their CSV reader."""
-    lines = [ln for ln in text.strip().split("\n") if ln]
-    if lines[0] != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header {lines[0]!r}")
+    tests use it as their CSV reader.  It reads one line at a time, from its
+    first non-space character, and skips blank ones."""
+    lines = (m.group() for m in re.finditer(r"\S[^\n]*", text))
+    header = next(lines, "")
+    if header != CSV_HEADER:
+        raise ValueError(f"unexpected CSV header {header!r}")
     names = CSV_HEADER.split(",")
     cols: dict[str, list] = {n: [] for n in names}
-    for ln in lines[1:]:
+    for ln in lines:
         parts = ln.split(",")
         cols["t"].append(int(parts[0]))
         for name, raw in zip(names[1:], parts[1:]):
@@ -676,7 +721,7 @@ def emit_outputs(result: RunResult, outputs: Optional[OutputPaths] = None) -> li
     if outputs is None:
         return written
     if outputs.csv:
-        replace_file(outputs.csv, trace_to_csv(result))
+        replace_file(outputs.csv, _csv_chunks(result))
         written.append(outputs.csv)
     if outputs.summary:
         replace_file(outputs.summary, json.dumps(result.summary, indent=2, sort_keys=True) + "\n")

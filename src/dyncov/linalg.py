@@ -296,10 +296,10 @@ def _capacity_gradient(g: np.ndarray, q: np.ndarray) -> np.ndarray:
         gq = (g.reshape(-1, n) @ q).reshape(g.shape)
     else:
         gq = g @ q
-    m = _eye(n) + gq
-    if g.shape[:-2] != m.shape[:-2]:  # solve needs the Gram stack in full
-        g = np.broadcast_to(g, m.shape)
-    d = _umath_linalg.solve(m, g, signature="DD->D")
+    gq += _eye(n)
+    if g.shape[:-2] != gq.shape[:-2]:  # solve needs the Gram stack in full
+        g = np.broadcast_to(g, gq.shape)
+    d = _umath_linalg.solve(gq, g, signature="DD->D")
     return 0.5 * (d + _ct(d))
 
 

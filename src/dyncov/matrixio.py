@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -66,12 +67,14 @@ def json_text(x, pad: str = "") -> str:
     return json.dumps(x)
 
 
-def replace_file(path, text: str) -> None:
-    """Write text to path as a new file, making its directory: ext4 flushes a
-    file truncated and rewritten when it is closed, several times the write's cost."""
+def replace_file(path, text: str | Iterable[str]) -> None:
+    """Write text, a string or an iterable of string chunks, to path as a
+    new file, making its directory: ext4 flushes a file truncated and
+    rewritten when it is closed, several times the write's cost."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).unlink(missing_ok=True)
-    Path(path).write_text(text, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines((text,) if isinstance(text, str) else text)
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

@@ -68,6 +68,13 @@ def _sum(xs: list[float]) -> float:
 
 
 def _cap_threshold(a: list[float], tau0: float, cap: float) -> tuple[list[float], float]:
+    """theta = max(0, a - tau) for the least tau >= tau0 with sum(theta) <= cap,
+    and tau (``_cap_sweep``, with the loading built)."""
+    theta, r, tau = _cap_sweep(a, tau0, cap)
+    return (_prefix_loading(a, r, cap) if theta is None else theta), tau
+
+
+def _cap_sweep(a: list[float], tau0: float, cap: float) -> tuple[list[float] | None, int, float]:
     """theta = max(0, a - tau) for the least tau >= tau0 with sum(theta) <= cap.
 
     ``a`` must be in descending order, so the active set is a prefix.  tau0
@@ -77,13 +84,15 @@ def _cap_threshold(a: list[float], tau0: float, cap: float) -> tuple[list[float]
     (1e-17 on a = [1, 1]) can round every threshold out of its interval;
     the active set is then the r entries tied with a[0], each loaded cap / r
     (or the whole cap on the first, if cap / r rounds their sum above the
-    cap), which is within cap of the exact loading.  Returns theta and tau.
+    cap), which is within cap of the exact loading.  Returns theta, r and
+    tau, with theta None where the sweep accepted a prefix: its loading is
+    ``_prefix_loading(a, r, cap)``, which a caller builds only if it reads it.
     Works on Python floats: each operation is the IEEE one numpy would do
     on the array.
     """
     theta = [max(x - tau0, 0.0) for x in a]
     if _sum(theta) <= cap:
-        return theta, tau0
+        return theta, 0, tau0
     n = len(a)
     s = 0.0
     for r in range(1, n + 1):
@@ -93,11 +102,11 @@ def _cap_threshold(a: list[float], tau0: float, cap: float) -> tuple[list[float]
             continue
         if r < n and a[r] - tau > 0.0:
             continue
-        return _prefix_loading(a, r, cap), tau
+        return None, r, tau
     theta = _prefix_loading(a, a.count(a[0]), cap)
     if _sum(theta) > cap:  # cap / r rounded up, as a subnormal cap can
         theta = _prefix_loading(a, 1, cap)
-    return theta, a[0] - theta[0]
+    return theta, 0, a[0] - theta[0]
 
 
 def _prefix_loading(a: list[float], r: int, cap: float) -> list[float]:
@@ -160,12 +169,20 @@ def waterfill_penalized(h_tilde, z_over_v: float, cap: float) -> WaterfillResult
 
 
 def _cap_project(x: np.ndarray, cap: float) -> np.ndarray:
-    """``psd_cap_project`` of an exactly Hermitian complex matrix (unvalidated)."""
+    """``psd_cap_project`` of an exactly Hermitian complex matrix (unvalidated).
+    The shift needs only tau and whether the last mode keeps a positive
+    loading, so the loading is built only to compose."""
     sigma, v = _eigh_desc(x)
-    theta, tau = _cap_threshold(sigma.tolist(), 0.0, cap)
-    if theta[-1] > 0.0 and tau <= cap:  # every mode kept: V diag(sigma - tau) V^H
-        return x - tau * _eye(len(theta))
-    return _compose(v, theta)
+    a = sigma.tolist()
+    theta, r, tau = _cap_sweep(a, 0.0, cap)
+    n = len(a)
+    if theta is None:  # the last mode is loaded as in _prefix_loading, on a prefix of all n
+        kept = r == n and (cap + _sum([a[-1] - y for y in a])) / n > 0.0
+    else:
+        kept = theta[-1] > 0.0
+    if kept and tau <= cap:  # every mode kept: V diag(sigma - tau) V^H
+        return x - tau * _eye(n)
+    return _compose(v, _prefix_loading(a, r, cap) if theta is None else theta)
 
 
 def psd_cap_project(x, cap: float) -> np.ndarray:

@@ -11,6 +11,7 @@ from .matrixio import replace_file
 
 _WIDTH, _HEIGHT = 720, 420
 _MARGIN = 56
+_CHUNK = 512  # points scaled and formatted at a time
 
 
 def _scale(values: np.ndarray, lo, hi, out_lo, out_hi) -> np.ndarray:
@@ -20,7 +21,8 @@ def _scale(values: np.ndarray, lo, hi, out_lo, out_hi) -> np.ndarray:
 
 def line_chart(xs, ys, title: str, y_label: str, path) -> None:
     """Write a single-series line chart to ``path``; both series must be finite,
-    and each one's max - min too."""
+    and each one's max - min too.  The points are scaled, formatted and
+    written ``_CHUNK`` at a time."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     for name, a in (("x", xs), ("y", ys)):
         if a.ndim != 1 or not np.isfinite(a).all():
@@ -36,10 +38,6 @@ def line_chart(xs, ys, title: str, y_label: str, path) -> None:
     for name, lo, hi in (("x", x0, x1), ("y", y0, y1)):
         if hi - lo == np.inf:  # Python floats: an overflowing span is inf, with no warning
             raise ValueError(f"{name} series spans more than the float range")
-
-    px = _scale(xs, x0, x1, _MARGIN, _WIDTH - _MARGIN)
-    py = _scale(ys, y0, y1, _HEIGHT - _MARGIN, _MARGIN)
-    points = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(np.stack((px, py), 1).ravel().tolist())
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -67,9 +65,17 @@ def line_chart(xs, ys, title: str, y_label: str, path) -> None:
         f'<text x="{_WIDTH / 2:.0f}" y="{_HEIGHT - 12}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12">slot</text>',
     ]
-    if points:
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>'
-        )
-    parts.append("</svg>")
-    replace_file(path, "\n".join(parts) + "\n")
+
+    def chunks():
+        yield "\n".join(parts) + "\n"
+        if len(xs):
+            yield '<polyline points="'
+            for start in range(0, len(xs), _CHUNK):
+                px = _scale(xs[start : start + _CHUNK], x0, x1, _MARGIN, _WIDTH - _MARGIN)
+                py = _scale(ys[start : start + _CHUNK], y0, y1, _HEIGHT - _MARGIN, _MARGIN)
+                points = np.stack((px, py), 1).ravel().tolist()
+                yield (" " if start else "") + " ".join(["%.2f,%.2f"] * len(px)) % tuple(points)
+            yield '" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>\n'
+        yield "</svg>\n"
+
+    replace_file(path, chunks())

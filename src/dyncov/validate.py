@@ -116,6 +116,19 @@ def decide_reference(cfg, h_obs: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
     return q, None
 
 
+def decide_blocks(cfg, h: np.ndarray, h_obs: np.ndarray, size: int):
+    """The run's decide (``harness._decide``) on a drawn path, folded over
+    blocks of ``size`` slots with the carry passed from block to block:
+    returns what ``decide_reference`` does."""
+    qs, zs, carry = [], [], None
+    for start in range(0, cfg.horizon, size):
+        block = slice(start, start + size)
+        q, z, carry = _decide(cfg, start, h[block], h_obs[block], carry)
+        qs.append(q)
+        zs.append(z[:-1] if z is not None else None)
+    return np.concatenate(qs), None if zs[0] is None else np.append(np.concatenate(zs), carry)
+
+
 # ----------------------------------------------------------- matrix algebra
 
 
@@ -505,7 +518,8 @@ def check_lapack_kernels() -> CheckResult:
 def check_decide_recursion() -> CheckResult:
     """The run's decide step, which skips validation and precomputes what
     does not depend on the recursion state, equals ``decide_reference`` byte
-    for byte (q and z) over 300 slots, for both controllers and both step
+    for byte (q and z) over 300 slots, folded over blocks of 7 slots so that
+    the state crosses 42 block boundaries, for both controllers and both step
     rules on a 2x2 discrete, a 2x2 continuous and a 4x4 continuous channel."""
     horizon = 300
     cases = (
@@ -522,7 +536,7 @@ def check_decide_recursion() -> CheckResult:
                 channel=model, csit_error=err, controller=spec,
                 p=3.0, p_bar=2.0, horizon=horizon, seed=SEED,
             )
-            (q, z), (q_ref, z_ref) = _decide(cfg, h, h_obs), decide_reference(cfg, h_obs)
+            (q, z), (q_ref, z_ref) = decide_blocks(cfg, h, h_obs, 7), decide_reference(cfg, h_obs)
             if q.tobytes() != q_ref.tobytes() or (z is not None and z.tobytes() != z_ref.tobytes()):
                 failed.append(f"{type(model).__name__}({model.n_r}x{model.n_t})/{spec}")
     detail = f"failed: {', '.join(failed)}" if failed else (

@@ -57,7 +57,9 @@ from dyncov.harness import ConfigError, _decide, csv_to_columns, trace_to_csv
 from dyncov.linalg import _compose, capacity, capacity_gradient, trace_real
 from dyncov.matrixio import json_text, matrix_from_json, matrix_to_json
 from dyncov.solvers import _gram_eig, _sum, _waterfill_thresholds
-from dyncov.validate import CheckResult, check_decide_recursion, decide_reference
+from dyncov.validate import (
+    CheckResult, check_decide_recursion, decide_blocks, decide_reference,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -267,7 +269,8 @@ class TestRunExperiment:
             )
             h, h_obs = draw_path(channel, err, cfg.seed, cfg.horizon)
             q_ref, z_ref = decide_reference(cfg, h_obs)
-            q, z = _decide(cfg, h, h_obs)
+            # the run's decide folded over blocks, the state carried across them
+            q, z = decide_blocks(cfg, h, h_obs, data.draw(st.integers(1, 31)))
             result = run_experiment(cfg)
             assert q.tobytes() == q_ref.tobytes()
             assert result.tr_q.tobytes() == trace_real(q_ref).tobytes()
@@ -292,7 +295,7 @@ class TestRunExperiment:
         )
         h, h_obs = draw_path(cfg.channel, cfg.csit_error, cfg.seed, cfg.horizon)
         q_ref, _ = decide_reference(cfg, h_obs)
-        q, z = _decide(cfg, h, h_obs)
+        q, z = decide_blocks(cfg, h, h_obs, 7)
         assert z is None
         assert q.tobytes() == q_ref.tobytes()
         assert np.count_nonzero(trace_real(q)) == cfg.horizon - 2
@@ -383,7 +386,7 @@ class TestRunExperiment:
             p=3.0, p_bar=2.0, horizon=200, seed=3,
         )
         h, h_obs = draw_path(cfg.channel, cfg.csit_error, cfg.seed, cfg.horizon)
-        q, z = _decide(cfg, h, h_obs)
+        q, z, _ = _decide(cfg, 0, h, h_obs)  # the whole path as one block
         sigma, v = _gram_eig(h_obs)
         a = _waterfill_thresholds(sigma)
         for t in range(cfg.horizon):
@@ -485,7 +488,7 @@ class TestRunExperiment:
     def test_no_csit_replay_holds_the_constant_covariance(self, constant_reference):
         cfg = experiment(controller=ReplaySpec(policy=constant_reference), horizon=50)
         h, h_obs = draw_path(cfg.channel, cfg.csit_error, cfg.seed, cfg.horizon)
-        q, z = _decide(cfg, h, h_obs)
+        q, z, _ = _decide(cfg, 0, h, h_obs)
         assert z is None
         assert all(np.array_equal(q_t, constant_reference.q) for q_t in q)
         assert np.array_equal(run_experiment(cfg).r, capacity(h, constant_reference.q))

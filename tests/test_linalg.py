@@ -199,7 +199,7 @@ class TestLapackKernels:
         )
         h, h_obs = draw_path(cfg.channel, cfg.csit_error, cfg.seed, cfg.horizon)
         h_obs[0] = np.nan
-        assert outcome(_decide, cfg, h, h_obs) is LinAlgError
+        assert outcome(_decide, cfg, 0, h, h_obs) is LinAlgError
 
     def test_validate_check_passes(self):
         check = check_lapack_kernels()
