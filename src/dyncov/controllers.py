@@ -7,10 +7,10 @@ queue.  The projected-gradient controller handles observations delayed by
 T slots: it takes one inexact gradient step from the covariance committed
 T slots ago and projects back onto the trace-capped PSD set.
 
-Both steps are pure one-slot functions: the recursion's state (the scalar
-queue Z, or the covariance Q(t - T)) is the run's arrays, which
-``dyncov.harness`` owns.  Controllers never see the true channel; the
-harness computes realized utility separately.
+Both steps are one-slot functions of the recursion's state (the scalar queue
+Z, or the covariance Q(t - T)), which ``dyncov.harness`` keeps in the run's
+arrays; the gradient step writes Q(t) into the row it is given.  Controllers
+never see the true channel; the harness computes realized utility separately.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _capacity_gradient
-from .solvers import _cap_project, _sum, _waterfill_loading
+from .solvers import _cap_project, _cap_threshold, _sum
 
 
 def dpp_step(
@@ -30,19 +30,25 @@ def dpp_step(
     the n eigenmodes of the observed Gram matrix H~^H H~, given the thresholds
     a = -1/sigma of its positive modes, and Z(t+1) = max(Z(t) + sum(theta) - p_bar, 0),
     where sum(theta) = tr Q(t) in exact arithmetic; the queue never reads Q(t)."""
-    theta = _waterfill_loading(a, n, z / v, p)[0]
+    z_over_v = z / v
+    theta = _cap_threshold(a, -1.0 / z_over_v if z_over_v > 0.0 else -np.inf, p)[0]
+    theta += [0.0] * (n - len(a))  # from eight terms on, _sum's order depends on the count
     return theta, max(0.0, z + _sum(theta) - p_bar)
 
 
-def ogd_step(q_lag: np.ndarray, g_lag: np.ndarray, step: float, p_bar: float) -> np.ndarray:
+def ogd_step(
+    q_lag: np.ndarray, g_lag: np.ndarray, step: float, p_bar: float, out=None, work=(None, None)
+) -> np.ndarray:
     """One slot: Q(t) = P[Q(t-T) + step * D~(t-T)], the projection onto
     {tr Q <= p_bar} of one inexact gradient step from the covariance committed
     T slots ago, with the gradient taken on the observation from that slot,
     given as its Gram matrix g_lag = H~^H H~ (``linalg._gram``).
     q_lag and g_lag are complex n_t x n_t arrays and both terms are exactly
-    Hermitian, so neither the gradient nor the projection validates.
-    Run it under ``linalg._lapack_guard``, as the decide loop does."""
-    x = _capacity_gradient(g_lag, q_lag)  # a new array: the step is taken in its buffer
+    Hermitian, so neither the gradient nor the projection validates.  Q(t)
+    is computed into ``out`` (C-contiguous, aliasing neither input; new if
+    None), with G Q + I and its solve in the arrays ``work``; step is a float
+    or a complex 0-d array.  Run it under ``linalg._lapack_guard``."""
+    x = _capacity_gradient(g_lag, q_lag, out, work)  # the step is taken in its buffer
     x *= step
     x += q_lag
     return _cap_project(x, p_bar)

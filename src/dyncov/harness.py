@@ -452,8 +452,9 @@ def _decide(
             sigma, v = _gram_eig(h_obs)  # every observed Gram spectrum in one stacked solve
             a = _waterfill_thresholds(sigma)
             z, theta = [0.0 if carry is None else carry], []
+            args = cfg.n_t, spec.v, cfg.p, cfg.p_bar  # looked up once, not per slot
             for k in range(b):
-                theta_t, z_next = dpp_step(z[k], a[k], cfg.n_t, spec.v, cfg.p, cfg.p_bar)
+                theta_t, z_next = dpp_step(z[k], a[k], *args)
                 theta.append(theta_t)
                 z.append(z_next)
             # the queue never reads Q(t) = V diag(theta) V^H: compose them all at once
@@ -465,18 +466,19 @@ def _decide(
                 rows = min(lag, cfg.horizon)
                 carry = np.zeros((2, rows, cfg.n_t, cfg.n_t), dtype=np.complex128)
             g = _gram(h_obs)  # every observed Gram matrix in one stacked product
+            work = tuple(np.empty((2, cfg.n_t, cfg.n_t), dtype=np.complex128))
             # before slot T no observation has arrived: q[t] stays zero
             ts = range(max(start, lag), start + b)
             if spec.gamma is None:
                 steps = (1.0 / np.sqrt(ts)).tolist()
-            else:
-                steps = [spec.gamma] * len(ts)
+            else:  # a complex 0-d array, which numpy multiplies by faster than a float
+                steps = [np.array(spec.gamma, dtype=complex)] * len(ts)
             for t, step in zip(ts, steps):
                 k = t - start
                 # slot t - T is the block's row j, or the carry's, counted from its end
                 j = k - lag
                 q_lag, g_lag = (q, g) if j >= 0 else carry
-                q[k] = ogd_step(q_lag[j], g_lag[j], step, cfg.p_bar)
+                ogd_step(q_lag[j], g_lag[j], step, cfg.p_bar, q[k], work)
             # the carry moves on to the last slots of itself and the block
             rows = len(carry[0])
             m = min(b, rows)

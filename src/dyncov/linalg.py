@@ -28,6 +28,9 @@ from numpy.linalg import LinAlgError, _umath_linalg
 
 HERMITIAN_ATOL = 1e-12
 
+# 1/2 as a read-only complex 0-d array: numpy multiplies by it faster than by a float
+_HALF = np.broadcast_to(0.5 + 0j, ())
+
 
 class ConvergenceError(RuntimeError):
     """An iterative routine ran out of iterations."""
@@ -202,13 +205,15 @@ def _eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[..., ::-1], v[..., ::-1]
 
 
-def _compose(v: np.ndarray, theta) -> np.ndarray:
+def _compose(v: np.ndarray, theta, out=None) -> np.ndarray:
     """V diag(theta) V^H for eigenvector columns v (..., n, n) and loadings theta
-    (..., n), re-symmetrized in place; each stacked entry equals its single-matrix
-    result exactly."""
-    q = v @ (np.asarray(theta)[..., None] * _ct(v))
-    q += _ct(q)
-    q *= 0.5
+    (..., n), re-symmetrized in place, into ``out`` if given; each stacked entry
+    equals its single-matrix result exactly."""
+    w = np.conjugate(v.swapaxes(-1, -2))  # V^H, then diag(theta) V^H, then Q^H
+    np.multiply(np.asarray(theta)[..., None], w, out=w)
+    q = np.matmul(v, w, out=out)
+    q += np.conjugate(q.swapaxes(-1, -2), out=w)
+    q *= _HALF
     return q
 
 
@@ -279,9 +284,10 @@ def _gram(h: np.ndarray) -> np.ndarray:
     return 0.5 * (g + _ct(g))
 
 
-def _capacity_gradient(g: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _capacity_gradient(g: np.ndarray, q: np.ndarray, out=None, work=(None, None)) -> np.ndarray:
     """Capacity gradient from the channel's Gram G = H^H H (``_gram``) and Q,
-    stacks broadcasting, unvalidated.
+    stacks broadcasting, unvalidated; of one matrix, computed into ``out``
+    with G Q + I and the solve in the two arrays ``work``, if given.
 
     Push-through: H^H (I + H Q H^H) = (I + H^H H Q) H^H, so
     H^H (I + H Q H^H)^{-1} = (I + G Q)^{-1} H^H, and the gradient
@@ -295,12 +301,13 @@ def _capacity_gradient(g: np.ndarray, q: np.ndarray) -> np.ndarray:
     if q.ndim == 2 and g.ndim > 2:
         gq = (g.reshape(-1, n) @ q).reshape(g.shape)
     else:
-        gq = g @ q
+        gq = np.matmul(g, q, out=work[0])
     gq += _eye(n)
     if g.shape[:-2] != gq.shape[:-2]:  # solve needs the Gram stack in full
         g = np.broadcast_to(g, gq.shape)
-    d = _umath_linalg.solve(gq, g, signature="DD->D")
-    return 0.5 * (d + _ct(d))
+    d = _umath_linalg.solve(gq, g, signature="DD->D", out=work[1])
+    out = np.add(d, _ct(d), out=out)
+    return np.multiply(_HALF, out, out=out)
 
 
 def capacity_gradient(h, q) -> np.ndarray:

@@ -25,7 +25,6 @@ from .linalg import (
     _capacity_gradient,
     _compose,
     _eigh_desc,
-    _eye,
     _gram,
     _lapack_guard,
     as_matrix,
@@ -129,7 +128,9 @@ def _waterfill_thresholds(sigma: np.ndarray) -> list:
     floor; for a stack (m, n), the list of each spectrum's."""
     if sigma.ndim == 1:
         return [-1.0 / x for x in sigma.tolist() if x > _SIGMA_FLOOR]
-    return [[-1.0 / x for x in row if x > _SIGMA_FLOOR] for row in sigma.tolist()]
+    positive = sigma > _SIGMA_FLOOR
+    a = np.divide(-1.0, sigma, out=np.zeros_like(sigma), where=positive).tolist()
+    return [row[:r] for row, r in zip(a, positive.sum(axis=1).tolist())]
 
 
 def _waterfill_loading(
@@ -169,9 +170,10 @@ def waterfill_penalized(h_tilde, z_over_v: float, cap: float) -> WaterfillResult
 
 
 def _cap_project(x: np.ndarray, cap: float) -> np.ndarray:
-    """``psd_cap_project`` of an exactly Hermitian complex matrix (unvalidated).
-    The shift needs only tau and whether the last mode keeps a positive
-    loading, so the loading is built only to compose."""
+    """``psd_cap_project`` of an exactly Hermitian C-contiguous complex matrix
+    (unvalidated), computed into x itself and returned.  The shift needs only
+    tau and whether the last mode keeps a positive loading, so the loading is
+    built only to compose."""
     sigma, v = _eigh_desc(x)
     a = sigma.tolist()
     theta, r, tau = _cap_sweep(a, 0.0, cap)
@@ -181,8 +183,10 @@ def _cap_project(x: np.ndarray, cap: float) -> np.ndarray:
     else:
         kept = theta[-1] > 0.0
     if kept and tau <= cap:  # every mode kept: V diag(sigma - tau) V^H
-        return x - tau * _eye(n)
-    return _compose(v, _prefix_loading(a, r, cap) if theta is None else theta)
+        diag = x.reshape(-1)[:: n + 1]  # a view, as x is contiguous
+        diag -= tau
+        return x
+    return _compose(v, _prefix_loading(a, r, cap) if theta is None else theta, x)
 
 
 def psd_cap_project(x, cap: float) -> np.ndarray:
@@ -205,7 +209,7 @@ def psd_cap_project(x, cap: float) -> np.ndarray:
     if not 0.0 < cap < np.inf:  # one comparison, NaN included
         raise ValueError("cap must be positive" if cap <= 0 else "cap must be finite")
     with _lapack_guard():
-        return _cap_project(require_hermitian(x), cap)
+        return _cap_project(np.array(require_hermitian(x), order="C"), cap)  # a copy to overwrite
 
 
 @dataclass(frozen=True)
@@ -353,7 +357,7 @@ def ergodic_constant_covariance(model: DiscreteChannel, p_bar: float) -> Constan
             d = _capacity_gradient(grams, y)
             grad = (probs * d).sum(axis=0)
             lip = float(model.probs @ (d.real**2 + d.imag**2).sum(axis=(1, 2)))
-            q_prev, q = q, _cap_project(y + grad / lip if lip > 0.0 else y, p_bar)
+            q_prev, q = q, _cap_project(y + grad / lip if lip > 0.0 else y.copy(), p_bar)
             delta = q - y
             if frobenius(delta) <= _FISTA_TOL:
                 converged = True

@@ -247,7 +247,7 @@ class TestSpectralLayout:
         a = hermitian_stack(np.random.default_rng(seed), n, count, kind, scale)
         for k in range(count):
             for cap in (0.5 * scale, 2.0 * scale):
-                got = outcome(guarded, _cap_project, a[k], cap)
+                got = outcome(guarded, _cap_project, a[k].copy(), cap)  # it overwrites its input
                 shift = shift_projection(a[k], cap)
                 if shift is None:
                     assert got == outcome(guarded, lean_cap_project, a[k], cap)
@@ -267,7 +267,7 @@ class TestSpectralLayout:
         for _ in range(300):
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             x = 3.0 * np.eye(n) + 1e-11 * (g + _ct(g))
-            q = guarded(_cap_project, x, cap)
+            q = guarded(_cap_project, x.copy(), cap)
             assert trace_real(q) <= cap * (1.0 + 1e-12)
             assert q.tobytes() == guarded(lean_cap_project, x, cap).tobytes()
 
