@@ -37,7 +37,7 @@ def dpp_step(
 
 
 def ogd_step(
-    q_lag: np.ndarray, g_lag: np.ndarray, step: float, p_bar: float, out=None, work=(None, None)
+    q_lag: np.ndarray, g_lag: np.ndarray, step: float, p_bar: float, out=None, work=None, diag=None
 ) -> np.ndarray:
     """One slot: Q(t) = P[Q(t-T) + step * D~(t-T)], the projection onto
     {tr Q <= p_bar} of one inexact gradient step from the covariance committed
@@ -46,12 +46,14 @@ def ogd_step(
     q_lag and g_lag are complex n_t x n_t arrays and both terms are exactly
     Hermitian, so neither the gradient nor the projection validates.  Q(t)
     is computed into ``out`` (C-contiguous, aliasing neither input; new if
-    None), with G Q + I and its solve in the arrays ``work``; step is a float
-    or a complex 0-d array.  Run it under ``linalg._lapack_guard``."""
+    None), with every temporary and LAPACK's eigen-pair in the
+    ``linalg.Workspace`` ``work``, if given, and a shift through ``diag``,
+    out's ``linalg._real_diagonal``, if given; step is a float or, faster, a
+    complex 0-d array.  Run it under ``linalg._lapack_guard``."""
     x = _capacity_gradient(g_lag, q_lag, out, work)  # the step is taken in its buffer
     x *= step
     x += q_lag
-    return _cap_project(x, p_bar)
+    return _cap_project(x, p_bar, work, diag)
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,12 @@ import numpy as np
 from . import channel as ch
 from .controllers import BoundReport, dpp_step, ogd_step, theoretical_bounds
 from .linalg import (
+    Workspace,
     _compose,
     _count,
     _gram,
     _lapack_guard,
+    _real_diagonal,
     capacity,
     check_fields,
     finite_number,
@@ -466,19 +468,18 @@ def _decide(
                 rows = min(lag, cfg.horizon)
                 carry = np.zeros((2, rows, cfg.n_t, cfg.n_t), dtype=np.complex128)
             g = _gram(h_obs)  # every observed Gram matrix in one stacked product
-            work = tuple(np.empty((2, cfg.n_t, cfg.n_t), dtype=np.complex128))
+            work, diags = Workspace(cfg.n_t), list(_real_diagonal(q))
+            # the carry's rows, then the block's: slot t - T is row k, slot t row k + T
+            qs, gs = list(carry[0]) + list(q), list(carry[1]) + list(g)
             # before slot T no observation has arrived: q[t] stays zero
             ts = range(max(start, lag), start + b)
+            # complex 0-d arrays, which numpy multiplies by faster than floats
             if spec.gamma is None:
-                steps = (1.0 / np.sqrt(ts)).tolist()
-            else:  # a complex 0-d array, which numpy multiplies by faster than a float
+                steps = list(map(np.array, (1.0 / np.sqrt(ts) + 0j).tolist()))
+            else:
                 steps = [np.array(spec.gamma, dtype=complex)] * len(ts)
-            for t, step in zip(ts, steps):
-                k = t - start
-                # slot t - T is the block's row j, or the carry's, counted from its end
-                j = k - lag
-                q_lag, g_lag = (q, g) if j >= 0 else carry
-                ogd_step(q_lag[j], g_lag[j], step, cfg.p_bar, q[k], work)
+            for k, step in zip(range(ts.start - start, b), steps):
+                ogd_step(qs[k], gs[k], step, cfg.p_bar, qs[k + lag], work, diags[k])
             # the carry moves on to the last slots of itself and the block
             rows = len(carry[0])
             m = min(b, rows)

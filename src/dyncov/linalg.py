@@ -2,10 +2,14 @@
 
 Everything here operates on plain complex numpy arrays of modest size
 (channel matrices and transmit covariances, n <= 8 in practice).  Every
-eigensolve is the stack-aware LAPACK ``eigh`` call of ``_eigh_desc``, and
-every covariance built from a spectrum is ``_compose``'s; log-determinants go
-through a Cholesky factor.  The eigensolve and the gradient's solve call
-numpy's LAPACK gufuncs directly, under ``np.linalg``'s failure contract.
+eigensolve is the stack-aware LAPACK ``eigh`` call of ``_eigh``, whose
+ascending pair ``_eigh_desc`` reverses, and every covariance built from a
+spectrum is ``_compose``'s; log-determinants go through a Cholesky factor.
+The eigensolve and the gradient's solve call numpy's LAPACK gufuncs
+directly, under ``np.linalg``'s failure contract.  A loop that steps one
+n x n matrix many times passes one ``Workspace`` to the gradient, the
+projection and the compose, which then put the eigen-pair and every
+temporary in its arrays; without one they allocate.
 
 ``capacity``, ``capacity_gradient`` and ``trace_real`` also take stacks
 (leading axes broadcast); each entry equals its single-matrix result exactly.
@@ -198,21 +202,57 @@ def _lapack_guard() -> np.errstate:
                        under="ignore")
 
 
+class Workspace:
+    """Scratch for kernels that step one n x n matrix many times (a run's
+    decide, a FISTA solve): ``_capacity_gradient`` forms G Q + I, then D^H, in
+    ``sq`` and solves into ``sol``; ``_eigh`` fills the pair ``eig``; and
+    ``_compose`` forms conj(V), then Q's conjugate, in ``sq`` and puts the
+    loading in ``theta``, the flat view of ``row``."""
+
+    __slots__ = ("sq", "sol", "eig", "row", "theta")
+
+    def __init__(self, n: int):
+        self.sq, self.sol, v = np.empty((3, n, n), dtype=np.complex128)
+        self.eig = np.empty(n), v
+        self.row = np.empty((1, n))
+        self.theta = self.row[0]
+
+
+def _eigh(a: np.ndarray, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK's ascending pair (w, v), A = V diag(w) V^H, of a finite, exactly
+    Hermitian matrix or stack, unvalidated, each entry as if alone; into the
+    two arrays ``out``, if given."""
+    return _umath_linalg.eigh_lo(a, signature="D->dD", out=out)
+
+
 def _eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descending (sigma, v), A = V diag(sigma) V^H, of a finite, exactly Hermitian matrix
-    or stack, unvalidated: LAPACK's pair reversed, uncopied, each entry as if alone."""
-    w, v = _umath_linalg.eigh_lo(a, signature="D->dD")
+    """Descending (sigma, v): ``_eigh``'s pair reversed, uncopied."""
+    w, v = _eigh(a)
     return w[..., ::-1], v[..., ::-1]
 
 
-def _compose(v: np.ndarray, theta, out=None) -> np.ndarray:
+def _real_diagonal(a: np.ndarray) -> np.ndarray:
+    """A writable view of the real parts of the diagonal of a C-contiguous
+    complex matrix (n,), or of each matrix of such a stack (..., n)."""
+    return a.view(np.float64).reshape(*a.shape[:-2], -1)[..., :: 2 * a.shape[-1] + 2]
+
+
+def _compose(v: np.ndarray, theta, out=None, work=None) -> np.ndarray:
     """V diag(theta) V^H for eigenvector columns v (..., n, n) and loadings theta
     (..., n), re-symmetrized in place, into ``out`` if given; each stacked entry
-    equals its single-matrix result exactly."""
-    w = np.conjugate(v.swapaxes(-1, -2))  # V^H, then diag(theta) V^H, then Q^H
-    np.multiply(np.asarray(theta)[..., None], w, out=w)
-    q = np.matmul(v, w, out=out)
-    q += np.conjugate(q.swapaxes(-1, -2), out=w)
+    equals its single-matrix result exactly.  Of one matrix, the temporaries
+    go into the ``Workspace`` ``work``, if given.  V^H is the transpose of
+    conj(V), which for LAPACK's columns, reversed or not, is the layout a new
+    V^H would have, and conj(V) is formed and scaled contiguously."""
+    c = np.conjugate(v, out=None if work is None else work.sq)
+    if work is None:
+        row = np.asarray(theta)[..., None, :]
+    else:
+        work.theta[:] = theta
+        row = work.row
+    np.multiply(row, c, out=c)  # the transpose of diag(theta) V^H
+    q = np.matmul(v, c.swapaxes(-1, -2), out=out)
+    q += np.conjugate(q, out=c).swapaxes(-1, -2)  # Q^H
     q *= _HALF
     return q
 
@@ -264,7 +304,12 @@ def capacity(h, q):
     an array over their broadcast leading axes.
     """
     hm, qm = _capacity_arg(h, q)
-    m = hm @ qm @ _ct(hm)
+    # one Q: H Q as one flat product, equal entry by entry to the stacked one
+    # (as in _capacity_gradient) unless numpy multiplies one-row channels as vectors
+    if qm.ndim == 2 and hm.ndim > 2 and hm.shape[-2] > 1:
+        m = (hm.reshape(-1, qm.shape[0]) @ qm).reshape(hm.shape) @ _ct(hm)
+    else:
+        m = hm @ qm @ _ct(hm)
     m = _eye(hm.shape[-2]) + 0.5 * (m + _ct(m))
     try:
         chol = np.linalg.cholesky(m)
@@ -284,10 +329,10 @@ def _gram(h: np.ndarray) -> np.ndarray:
     return 0.5 * (g + _ct(g))
 
 
-def _capacity_gradient(g: np.ndarray, q: np.ndarray, out=None, work=(None, None)) -> np.ndarray:
+def _capacity_gradient(g: np.ndarray, q: np.ndarray, out=None, work=None) -> np.ndarray:
     """Capacity gradient from the channel's Gram G = H^H H (``_gram``) and Q,
     stacks broadcasting, unvalidated; of one matrix, computed into ``out``
-    with G Q + I and the solve in the two arrays ``work``, if given.
+    with G Q + I, the solve D and D^H in the ``Workspace`` ``work``, if given.
 
     Push-through: H^H (I + H Q H^H) = (I + H^H H Q) H^H, so
     H^H (I + H Q H^H)^{-1} = (I + G Q)^{-1} H^H, and the gradient
@@ -295,18 +340,19 @@ def _capacity_gradient(g: np.ndarray, q: np.ndarray, out=None, work=(None, None)
     whatever n_r, and G, which does not depend on Q, is formed once by the
     caller.  One Q against a Gram stack is one flat (k n_t, n_t) @ (n_t, n_t)
     product, equal entry by entry to the stacked one.  The result is
-    symmetrized against round-off.
+    symmetrized against round-off, with D^H in the buffer of G Q + I, which
+    the solve has freed.
     """
     n = q.shape[-1]
     if q.ndim == 2 and g.ndim > 2:
         gq = (g.reshape(-1, n) @ q).reshape(g.shape)
     else:
-        gq = np.matmul(g, q, out=work[0])
+        gq = np.matmul(g, q, out=None if work is None else work.sq)
     gq += _eye(n)
     if g.shape[:-2] != gq.shape[:-2]:  # solve needs the Gram stack in full
         g = np.broadcast_to(g, gq.shape)
-    d = _umath_linalg.solve(gq, g, signature="DD->D", out=work[1])
-    out = np.add(d, _ct(d), out=out)
+    d = _umath_linalg.solve(gq, g, signature="DD->D", out=None if work is None else work.sol)
+    out = np.add(d, np.conjugate(d.swapaxes(-1, -2), out=gq), out=out)
     return np.multiply(_HALF, out, out=out)
 
 

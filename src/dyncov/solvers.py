@@ -22,11 +22,14 @@ import numpy as np
 from .channel import DiscreteChannel
 from .linalg import (
     ConvergenceError,
+    Workspace,
     _capacity_gradient,
     _compose,
+    _eigh,
     _eigh_desc,
     _gram,
     _lapack_guard,
+    _real_diagonal,
     as_matrix,
     capacity,
     check_fields,
@@ -169,24 +172,30 @@ def waterfill_penalized(h_tilde, z_over_v: float, cap: float) -> WaterfillResult
     )
 
 
-def _cap_project(x: np.ndarray, cap: float) -> np.ndarray:
+def _cap_project(x: np.ndarray, cap: float, work=None, diag=None) -> np.ndarray:
     """``psd_cap_project`` of an exactly Hermitian C-contiguous complex matrix
     (unvalidated), computed into x itself and returned.  The shift needs only
     tau and whether the last mode keeps a positive loading, so the loading is
-    built only to compose."""
-    sigma, v = _eigh_desc(x)
-    a = sigma.tolist()
+    built only to compose, and the eigenvectors are reversed only then.
+    Given a ``Workspace`` ``work``, LAPACK's pair and the compose's
+    temporaries go into it; ``diag`` is x's ``_real_diagonal``, if a caller
+    that projects many rows made it once."""
+    w, v = _eigh(x, (None, None) if work is None else work.eig)
+    a = w.tolist()
+    a.reverse()  # descending
     theta, r, tau = _cap_sweep(a, 0.0, cap)
     n = len(a)
     if theta is None:  # the last mode is loaded as in _prefix_loading, on a prefix of all n
         kept = r == n and (cap + _sum([a[-1] - y for y in a])) / n > 0.0
     else:
         kept = theta[-1] > 0.0
-    if kept and tau <= cap:  # every mode kept: V diag(sigma - tau) V^H
-        diag = x.reshape(-1)[:: n + 1]  # a view, as x is contiguous
-        diag -= tau
+    if kept and tau <= cap:  # every mode kept: V diag(sigma - tau) V^H = X - tau I
+        if diag is None:
+            diag = _real_diagonal(x)
+        diag -= tau  # the imaginary parts minus 0.0 would keep their bits
         return x
-    return _compose(v, _prefix_loading(a, r, cap) if theta is None else theta, x)
+    theta = _prefix_loading(a, r, cap) if theta is None else theta
+    return _compose(v[:, ::-1], theta, x, work)
 
 
 def psd_cap_project(x, cap: float) -> np.ndarray:
@@ -348,6 +357,7 @@ def ergodic_constant_covariance(model: DiscreteChannel, p_bar: float) -> Constan
     probs = model.probs[:, None, None]
     grams = _gram(model.states)  # the gradient's channel part, formed once
     q = y = np.zeros((model.n_t, model.n_t), dtype=np.complex128)
+    work = Workspace(model.n_t)
     momentum = 1.0
     converged = False
     iterations = 0
@@ -357,7 +367,9 @@ def ergodic_constant_covariance(model: DiscreteChannel, p_bar: float) -> Constan
             d = _capacity_gradient(grams, y)
             grad = (probs * d).sum(axis=0)
             lip = float(model.probs @ (d.real**2 + d.imag**2).sum(axis=(1, 2)))
-            q_prev, q = q, _cap_project(y + grad / lip if lip > 0.0 else y.copy(), p_bar)
+            # Y + grad / L in the gradient's buffer, or a copy of Y (on the first pass also Q)
+            x = np.add(y, np.divide(grad, lip, out=grad), out=grad) if lip > 0.0 else y.copy()
+            q_prev, q = q, _cap_project(x, p_bar, work)
             delta = q - y
             if frobenius(delta) <= _FISTA_TOL:
                 converged = True

@@ -1,8 +1,11 @@
 """The decide recursions compute in place: the ogd step writes Q(t) into
-the row it commits and the one projection kernel overwrites its argument,
-so no public caller may lose its input and no output row may alias what a
-step reads.  The stacked water-filling thresholds are the 1-D ones row by
-row, and the lean queue step is ``waterfill_penalized``'s loading."""
+the row it commits, with its temporaries and LAPACK's eigen-pair in one
+``Workspace`` per block, and the one projection kernel overwrites its
+argument, so no public caller may lose its input, no output row may alias
+what a step reads and no workspace array a committed row.  What a
+workspace held never reaches a result.  The stacked water-filling
+thresholds are the 1-D ones row by row, and the lean queue step is
+``waterfill_penalized``'s loading."""
 
 import warnings
 
@@ -13,21 +16,23 @@ from hypothesis import strategies as st
 
 from dyncov import (
     DiscreteChannel,
+    ExactCsit,
     ExperimentConfig,
     OgdSpec,
+    ProductChannel,
     capacity_gradient,
     dpp_step,
     draw_path,
     ergodic_constant_covariance,
     ogd_step,
-    paper_error_case,
     paper_two_state,
     psd_cap_project,
 )
 from dyncov import harness
-from dyncov.linalg import _ct, _gram, _lapack_guard
+from dyncov.linalg import Workspace, _capacity_gradient, _ct, _gram, _lapack_guard, _real_diagonal
 from dyncov.solvers import (
     _SIGMA_FLOOR,
+    _cap_project,
     _cap_threshold,
     _waterfill_loading,
     _waterfill_thresholds,
@@ -67,6 +72,17 @@ def step_case(seed, n, n_r, rank, kind, p_bar):
     return q, g, h, step
 
 
+def fill_nan(work):
+    """Fill every array of a workspace with NaN, which no result may read."""
+    for a in (work.sq, work.sol, *work.eig, work.row):
+        a.fill(np.nan)
+    return work
+
+
+def workspace_arrays(work):
+    return [work.sq, work.sol, *work.eig, work.row, work.theta]
+
+
 class TestOgdStepInPlace:
     @given(
         n=st.integers(1, 8),
@@ -87,39 +103,119 @@ class TestOgdStepInPlace:
         expect = psd_cap_project(x, p_bar)
         before = q_lag.tobytes(), g_lag.tobytes()
         out = np.full((n, n), np.nan, dtype=complex)  # every entry must be written
-        work = tuple(np.full((2, n, n), np.nan, dtype=complex))
+        out_work = np.full((n, n), np.nan, dtype=complex)
+        work = fill_nan(Workspace(n))
         with _lapack_guard():
-            got = ogd_step(q_lag, g_lag, step, p_bar, out, work)
+            got = ogd_step(q_lag, g_lag, step, p_bar, out, work, _real_diagonal(out))
+            # a complex 0-d step, and the diagonal left to the projection
+            complex_step = np.array(step, dtype=complex)
+            ogd_step(q_lag, g_lag, complex_step, p_bar, out_work, fill_nan(work))
             fresh = ogd_step(q_lag, g_lag, step, p_bar)
         assert got is out
-        assert out.tobytes() == expect.tobytes() == fresh.tobytes()
+        assert out.tobytes() == expect.tobytes() == fresh.tobytes() == out_work.tobytes()
         assert (q_lag.tobytes(), g_lag.tobytes()) == before
 
+
+# (n, step, the branches its 33-37 projections take): a one-row channel's
+# rank-one Gram lets modes drop out.  A scalar composes only above twice the
+# cap, which these steps never reach.
+DECIDE_CASES = [
+    (1, 0.05, {"shift"}),
+    (1, None, {"shift"}),
+    (2, 0.05, {"shift", "compose"}),
+    (2, None, {"shift", "compose"}),
+    (3, 0.05, {"shift", "compose"}),
+    (3, None, {"shift", "compose"}),
+    (8, 0.05, {"shift", "compose"}),
+    (8, None, {"compose"}),
+]
+
+
+class TestDecideWorkspace:
+    @pytest.mark.parametrize("nan_work", [False, True], ids=["workspace", "nan-workspace"])
     @pytest.mark.parametrize("t_delay", [1, 3])
-    def test_out_never_aliases_what_the_step_reads(self, monkeypatch, t_delay):
+    @pytest.mark.parametrize("n, gamma, branches", DECIDE_CASES)
+    def test_folded_decide_equals_reference(
+        self, monkeypatch, n, gamma, branches, t_delay, nan_work
+    ):
         cfg = ExperimentConfig(
-            channel=paper_two_state(), csit_error=paper_error_case("case1"),
-            controller=OgdSpec(gamma=0.05, t_delay=t_delay), p=3.0, p_bar=2.0,
+            channel=ProductChannel(n_r=1, n_t=n, v_max=1.0), csit_error=ExactCsit(),
+            controller=OgdSpec(gamma=gamma, t_delay=t_delay), p=3.0, p_bar=2.0,
             horizon=40, seed=3,
         )
         h, h_obs = draw_path(cfg.channel, cfg.csit_error, cfg.seed, cfg.horizon)
-        carry, qs, calls = None, [], []
+        carry, qs, taken, works = None, [], [], set()
         real_step = harness.ogd_step
 
-        def checked_step(q_lag, g_lag, step, p_bar, out, work):
-            reads = [q_lag, g_lag, *work] + ([] if carry is None else [carry])
+        def checked_step(q_lag, g_lag, step, p_bar, out, work, diag):
+            reads = [q_lag, g_lag, *workspace_arrays(work)] + ([] if carry is None else [carry])
             assert not any(np.shares_memory(out, r) for r in reads)
-            assert not np.shares_memory(*work)
-            calls.append(out)
-            return real_step(q_lag, g_lag, step, p_bar, out, work)
+            assert np.shares_memory(diag, out) and not np.shares_memory(diag, q_lag)
+            x = q_lag + step * _capacity_gradient(g_lag, q_lag)
+            taken.append(branch(x, p_bar))
+            works.add(work)
+            if nan_work:  # what the slot before left must not matter either
+                fill_nan(work)
+            return real_step(q_lag, g_lag, step, p_bar, out, work, diag)
 
         monkeypatch.setattr(harness, "ogd_step", checked_step)
         for start in range(0, cfg.horizon, 7):  # 6 blocks: slots read the carry rows
             block = slice(start, start + 7)
+            before = len(works)
             q, _, carry = harness._decide(cfg, start, h[block], h_obs[block], carry)
             qs.append(q)
-        assert len(calls) == cfg.horizon - t_delay
+            assert len(works) <= before + 1  # one workspace per block
+            for work in works:  # nor does any workspace alias a committed row
+                arrays = workspace_arrays(work)
+                assert not any(np.shares_memory(a, m) for a in arrays for m in (q, carry))
+        assert len(taken) == cfg.horizon - t_delay
+        assert set(taken) == branches
         assert np.concatenate(qs).tobytes() == decide_reference(cfg, h_obs)[0].tobytes()
+
+    def test_workspace_arrays_are_apart(self):
+        work = Workspace(3)
+        assert np.shares_memory(work.theta, work.row)
+        apart = workspace_arrays(work)[:-1]
+        for i, a in enumerate(apart):
+            assert not any(np.shares_memory(a, b) for b in apart[i + 1:])
+
+
+class TestCapProjectWorkspace:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_same_bytes_with_and_without_a_workspace(self, n):
+        rng = np.random.default_rng(40 + n)
+        work = fill_nan(Workspace(n))  # reused across calls, as a block reuses it
+        seen = set()
+        for trial in range(60):
+            lam = rng.uniform(-1.0, 2.0, n) * 10.0 ** rng.uniform(-2, 2)
+            if trial % 3 == 0:
+                lam[1:] = 0.0  # a rank-one input: modes drop
+            x = psd_with_spectrum(rng, lam)
+            for cap in (0.1, 1.0, 5.0):
+                seen.add(branch(x, cap))
+                expect = _cap_project(x.copy(), cap)
+                for diag in (False, True):
+                    got = x.copy()
+                    with _lapack_guard():
+                        result = _cap_project(got, cap, work, _real_diagonal(got) if diag else None)
+                    assert result is got
+                    assert got.tobytes() == expect.tobytes()
+                    assert not any(np.shares_memory(got, a) for a in workspace_arrays(work))
+        assert seen == {"shift", "compose"}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_real_diagonal_is_a_view_of_the_diagonal(self, n):
+        rng = np.random.default_rng(50 + n)
+        stack = random_complex(rng, (5, n, n))
+        diag = _real_diagonal(stack)
+        assert diag.shape == (5, n) and np.shares_memory(diag, stack)
+        assert np.array_equal(diag, np.diagonal(stack, axis1=1, axis2=2).real)
+        assert _real_diagonal(stack[2]).tobytes() == diag[2].tobytes()
+        before = stack.copy()
+        diag -= 1.0
+        changed = stack != before
+        assert np.array_equal(changed, np.broadcast_to(np.eye(n, dtype=bool), stack.shape))
+        assert np.array_equal(stack.imag, before.imag)
 
 
 class TestPublicCallersKeepTheirInput:
