@@ -7,20 +7,23 @@ queue.  The projected-gradient controller handles observations delayed by
 T slots: it takes one inexact gradient step from the covariance committed
 T slots ago and projects back onto the trace-capped PSD set.
 
-Both steps are one-slot functions of the recursion's state (the scalar queue
-Z, or the covariance Q(t - T)), which ``dyncov.harness`` keeps in the run's
-arrays; the gradient step writes Q(t) into the row it is given.  Controllers
-never see the true channel; the harness computes realized utility separately.
+The queue step is a one-slot function of the scalar queue Z; the gradient
+step runs a block of slots, each from the covariance Q(t - T), writing Q(t)
+into the rows it is given.  ``dyncov.harness`` keeps both states in the run's
+arrays.  Controllers never see the true channel; the harness computes
+realized utility separately.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .linalg import _capacity_gradient
-from .solvers import _cap_project, _cap_threshold, _sum
+from .linalg import Workspace, _compose, _eye, _lapack_guard, _real_diagonal
+from .solvers import _cap_plan, _cap_threshold, _sum
 
 
 def dpp_step(
@@ -36,24 +39,46 @@ def dpp_step(
     return theta, max(0.0, z + _sum(theta) - p_bar)
 
 
-def ogd_step(
-    q_lag: np.ndarray, g_lag: np.ndarray, step: float, p_bar: float, out=None, work=None, diag=None
-) -> np.ndarray:
-    """One slot: Q(t) = P[Q(t-T) + step * D~(t-T)], the projection onto
-    {tr Q <= p_bar} of one inexact gradient step from the covariance committed
-    T slots ago, with the gradient taken on the observation from that slot,
-    given as its Gram matrix g_lag = H~^H H~ (``linalg._gram``).
-    q_lag and g_lag are complex n_t x n_t arrays and both terms are exactly
-    Hermitian, so neither the gradient nor the projection validates.  Q(t)
-    is computed into ``out`` (C-contiguous, aliasing neither input; new if
-    None), with every temporary and LAPACK's eigen-pair in the
-    ``linalg.Workspace`` ``work``, if given, and a shift through ``diag``,
-    out's ``linalg._real_diagonal``, if given; step is a float or, faster, a
-    complex 0-d array.  Run it under ``linalg._lapack_guard``."""
-    x = _capacity_gradient(g_lag, q_lag, out, work)  # the step is taken in its buffer
-    x *= step
-    x += q_lag
-    return _cap_project(x, p_bar, work, diag)
+def ogd_step(q_lag, g_lag, step, p_bar: float, out=None) -> np.ndarray:
+    """The projected-gradient recursion over one block of slots: out[k] =
+    P[q_lag[k] + step D~], the projection onto {tr Q <= p_bar} of one inexact
+    gradient step from the covariance committed T slots before, with the
+    gradient taken on that slot's observation, given as its Gram matrix
+    g_lag[k] = H~^H H~ (``linalg._gram``).  Both are exactly Hermitian complex
+    n_t x n_t arrays, so nothing validates; step is one float or one per slot.
+    ``out``, a C-contiguous (m, n_t, n_t) stack (new if None), is written row
+    by row, so q_lag[k + T] may be out[k]; out[k] aliases neither q_lag[k] nor
+    g_lag[k].  Each slot runs ``_capacity_gradient`` and ``solvers._cap_project``
+    on the gufuncs in one ``linalg.Workspace``, with the step halved once:
+    (D~ / 2) step and D~ (step / 2) are the same bits unless one is subnormal.
+    Holds ``linalg._lapack_guard``, so a failed LAPACK call raises LinAlgError."""
+    if out is None:
+        out = np.empty(np.shape(q_lag), dtype=np.complex128)
+    n = out.shape[-1]
+    work = Workspace(n)
+    sq, sol, eig = work.sq, work.sol, work.eig
+    sol_t, w, v_desc, eye = sol.T, eig[0], eig[1][:, ::-1], _eye(n)
+    if np.ndim(step) == 0:
+        halves = repeat(np.array(0.5 * step + 0j))
+    else:  # complex 0-d arrays, which numpy multiplies by faster than floats
+        halves = map(np.array, (np.multiply(step, 0.5) + 0j).tolist())
+    matmul, add, conj = np.matmul, np.add, np.conjugate
+    solve, eigh = _umath_linalg.solve, _umath_linalg.eigh_lo
+    with _lapack_guard():
+        for q, g, x, diag, half in zip(q_lag, g_lag, out, _real_diagonal(out), halves):
+            matmul(g, q, out=sq)
+            sq += eye
+            solve(sq, g, signature="DD->D", out=sol)  # D = (I + G Q)^{-1} G
+            add(sol, conj(sol_t, out=sq), out=x)
+            x *= half
+            x += q
+            eigh(x, signature="D->dD", out=eig)
+            tau, theta = _cap_plan(w, p_bar)
+            if theta is None:
+                diag -= tau
+            else:
+                _compose(v_desc, theta, x, work)
+    return out
 
 
 @dataclass(frozen=True)

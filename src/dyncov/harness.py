@@ -29,12 +29,10 @@ import numpy as np
 from . import channel as ch
 from .controllers import BoundReport, dpp_step, ogd_step, theoretical_bounds
 from .linalg import (
-    Workspace,
     _compose,
     _count,
     _gram,
     _lapack_guard,
-    _real_diagonal,
     capacity,
     check_fields,
     finite_number,
@@ -468,18 +466,13 @@ def _decide(
                 rows = min(lag, cfg.horizon)
                 carry = np.zeros((2, rows, cfg.n_t, cfg.n_t), dtype=np.complex128)
             g = _gram(h_obs)  # every observed Gram matrix in one stacked product
-            work, diags = Workspace(cfg.n_t), list(_real_diagonal(q))
             # the carry's rows, then the block's: slot t - T is row k, slot t row k + T
             qs, gs = list(carry[0]) + list(q), list(carry[1]) + list(g)
             # before slot T no observation has arrived: q[t] stays zero
-            ts = range(max(start, lag), start + b)
-            # complex 0-d arrays, which numpy multiplies by faster than floats
-            if spec.gamma is None:
-                steps = list(map(np.array, (1.0 / np.sqrt(ts) + 0j).tolist()))
-            else:
-                steps = [np.array(spec.gamma, dtype=complex)] * len(ts)
-            for k, step in zip(range(ts.start - start, b), steps):
-                ogd_step(qs[k], gs[k], step, cfg.p_bar, qs[k + lag], work, diags[k])
+            k0 = min(max(lag - start, 0), b)
+            ts = np.arange(start + k0, start + b)
+            step = 1.0 / np.sqrt(ts) if spec.gamma is None else spec.gamma
+            ogd_step(qs[k0:b], gs[k0:b], step, cfg.p_bar, q[k0:])
             # the carry moves on to the last slots of itself and the block
             rows = len(carry[0])
             m = min(b, rows)

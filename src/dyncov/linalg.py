@@ -3,13 +3,13 @@
 Everything here operates on plain complex numpy arrays of modest size
 (channel matrices and transmit covariances, n <= 8 in practice).  Every
 eigensolve is the stack-aware LAPACK ``eigh`` call of ``_eigh``, whose
-ascending pair ``_eigh_desc`` reverses, and every covariance built from a
-spectrum is ``_compose``'s; log-determinants go through a Cholesky factor.
-The eigensolve and the gradient's solve call numpy's LAPACK gufuncs
-directly, under ``np.linalg``'s failure contract.  A loop that steps one
-n x n matrix many times passes one ``Workspace`` to the gradient, the
-projection and the compose, which then put the eigen-pair and every
-temporary in its arrays; without one they allocate.
+ascending pair ``_eigh_desc`` reverses, but the ogd recursion's
+(``controllers.ogd_step``), which calls the gufuncs itself, slot by slot;
+every covariance built from a spectrum is ``_compose``'s; log-determinants
+go through a Cholesky factor.  The eigensolve and the gradient's solve call
+numpy's LAPACK gufuncs directly, under ``np.linalg``'s failure contract.  A
+loop that steps one n x n matrix many times keeps the eigen-pair and every
+temporary in one ``Workspace``; without one the kernels allocate.
 
 ``capacity``, ``capacity_gradient`` and ``trace_real`` also take stacks
 (leading axes broadcast); each entry equals its single-matrix result exactly.
@@ -203,11 +203,11 @@ def _lapack_guard() -> np.errstate:
 
 
 class Workspace:
-    """Scratch for kernels that step one n x n matrix many times (a run's
-    decide, a FISTA solve): ``_capacity_gradient`` forms G Q + I, then D^H, in
-    ``sq`` and solves into ``sol``; ``_eigh`` fills the pair ``eig``; and
-    ``_compose`` forms conj(V), then Q's conjugate, in ``sq`` and puts the
-    loading in ``theta``, the flat view of ``row``."""
+    """Scratch for loops that step one n x n matrix many times (the ogd
+    recursion of a block, a FISTA solve): ``controllers.ogd_step`` forms
+    G Q + I, then D^H, in ``sq`` and solves into ``sol``; ``_eigh`` fills the
+    pair ``eig``; and ``_compose`` forms conj(V), then Q's conjugate, in
+    ``sq`` and puts the loading in ``theta``, the flat view of ``row``."""
 
     __slots__ = ("sq", "sol", "eig", "row", "theta")
 
@@ -234,7 +234,8 @@ def _eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _real_diagonal(a: np.ndarray) -> np.ndarray:
     """A writable view of the real parts of the diagonal of a C-contiguous
     complex matrix (n,), or of each matrix of such a stack (..., n)."""
-    return a.view(np.float64).reshape(*a.shape[:-2], -1)[..., :: 2 * a.shape[-1] + 2]
+    n = a.shape[-1]
+    return a.view(np.float64).reshape(*a.shape[:-2], 2 * n * n)[..., :: 2 * n + 2]
 
 
 def _compose(v: np.ndarray, theta, out=None, work=None) -> np.ndarray:
@@ -329,10 +330,9 @@ def _gram(h: np.ndarray) -> np.ndarray:
     return 0.5 * (g + _ct(g))
 
 
-def _capacity_gradient(g: np.ndarray, q: np.ndarray, out=None, work=None) -> np.ndarray:
+def _capacity_gradient(g: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Capacity gradient from the channel's Gram G = H^H H (``_gram``) and Q,
-    stacks broadcasting, unvalidated; of one matrix, computed into ``out``
-    with G Q + I, the solve D and D^H in the ``Workspace`` ``work``, if given.
+    stacks broadcasting, unvalidated.
 
     Push-through: H^H (I + H Q H^H) = (I + H^H H Q) H^H, so
     H^H (I + H Q H^H)^{-1} = (I + G Q)^{-1} H^H, and the gradient
@@ -341,18 +341,18 @@ def _capacity_gradient(g: np.ndarray, q: np.ndarray, out=None, work=None) -> np.
     caller.  One Q against a Gram stack is one flat (k n_t, n_t) @ (n_t, n_t)
     product, equal entry by entry to the stacked one.  The result is
     symmetrized against round-off, with D^H in the buffer of G Q + I, which
-    the solve has freed.
+    the solve has freed.  ``controllers.ogd_step`` inlines it per slot.
     """
     n = q.shape[-1]
     if q.ndim == 2 and g.ndim > 2:
         gq = (g.reshape(-1, n) @ q).reshape(g.shape)
     else:
-        gq = np.matmul(g, q, out=None if work is None else work.sq)
+        gq = g @ q
     gq += _eye(n)
     if g.shape[:-2] != gq.shape[:-2]:  # solve needs the Gram stack in full
         g = np.broadcast_to(g, gq.shape)
-    d = _umath_linalg.solve(gq, g, signature="DD->D", out=None if work is None else work.sol)
-    out = np.add(d, np.conjugate(d.swapaxes(-1, -2), out=gq), out=out)
+    d = _umath_linalg.solve(gq, g, signature="DD->D")
+    out = np.add(d, np.conjugate(d.swapaxes(-1, -2), out=gq))
     return np.multiply(_HALF, out, out=out)
 
 

@@ -172,15 +172,10 @@ def waterfill_penalized(h_tilde, z_over_v: float, cap: float) -> WaterfillResult
     )
 
 
-def _cap_project(x: np.ndarray, cap: float, work=None, diag=None) -> np.ndarray:
-    """``psd_cap_project`` of an exactly Hermitian C-contiguous complex matrix
-    (unvalidated), computed into x itself and returned.  The shift needs only
-    tau and whether the last mode keeps a positive loading, so the loading is
-    built only to compose, and the eigenvectors are reversed only then.
-    Given a ``Workspace`` ``work``, LAPACK's pair and the compose's
-    temporaries go into it; ``diag`` is x's ``_real_diagonal``, if a caller
-    that projects many rows made it once."""
-    w, v = _eigh(x, (None, None) if work is None else work.eig)
+def _cap_plan(w: np.ndarray, cap: float) -> tuple[float, list[float] | None]:
+    """The projection of a Hermitian X with ascending eigenvalues w (n,):
+    (tau, None) where every mode keeps a positive loading and tau <= cap, so
+    that it is X - tau I, else (tau, theta), the descending loading to compose."""
     a = w.tolist()
     a.reverse()  # descending
     theta, r, tau = _cap_sweep(a, 0.0, cap)
@@ -190,11 +185,21 @@ def _cap_project(x: np.ndarray, cap: float, work=None, diag=None) -> np.ndarray:
     else:
         kept = theta[-1] > 0.0
     if kept and tau <= cap:  # every mode kept: V diag(sigma - tau) V^H = X - tau I
-        if diag is None:
-            diag = _real_diagonal(x)
+        return tau, None
+    return tau, _prefix_loading(a, r, cap) if theta is None else theta
+
+
+def _cap_project(x: np.ndarray, cap: float, work=None) -> np.ndarray:
+    """``psd_cap_project`` of an exactly Hermitian C-contiguous complex matrix
+    (unvalidated) into x itself: ``_cap_plan``'s shift, or its loading composed
+    on the reversed eigenvectors.  Given a ``Workspace`` ``work``, LAPACK's
+    pair and the compose's temporaries go into it."""
+    w, v = _eigh(x, (None, None) if work is None else work.eig)
+    tau, theta = _cap_plan(w, cap)
+    if theta is None:
+        diag = _real_diagonal(x)
         diag -= tau  # the imaginary parts minus 0.0 would keep their bits
         return x
-    theta = _prefix_loading(a, r, cap) if theta is None else theta
     return _compose(v[:, ::-1], theta, x, work)
 
 

@@ -106,8 +106,8 @@ class TestOgdStep:
             qs = []
             for t in range(9):
                 q = ZERO if t < lag else ogd_step(
-                    qs[t - lag], _gram(observations[t - lag]), gamma, p_bar
-                )
+                    [qs[t - lag]], [_gram(observations[t - lag])], gamma, p_bar
+                )[0]
                 qs.append(q)
             return qs
 
@@ -129,13 +129,13 @@ class TestOgdStep:
     def test_zero_step_keeps_feasible_iterate(self):
         # nonzero feasible previous covariance survives a zero-size step
         q0 = np.diag([1.2, 0.5]).astype(complex)
-        q = ogd_step(q0, _gram(strong_channel()), 0.0, 2.0)
+        q = ogd_step([q0], [_gram(strong_channel())], 0.0, 2.0)[0]
         assert frobenius(q - q0) <= 1e-10
 
     def test_gradient_at_zero(self):
         gamma = 0.05
         h = strong_channel()
-        q = ogd_step(ZERO, _gram(h), gamma, 2.0)
+        q = ogd_step([ZERO], [_gram(h)], gamma, 2.0)[0]
         expect = psd_cap_project(gamma * h.conj().T @ h, 2.0)
         assert frobenius(q - expect) <= 1e-12
 
@@ -145,14 +145,14 @@ class TestOgdStep:
         for t, step in ((1, 1.0), (4, 0.5)):
             assert 1.0 / np.sqrt(t) == step
             expect = psd_cap_project(step * h.conj().T @ h, 2.0)
-            assert frobenius(ogd_step(ZERO, _gram(h), step, 2.0) - expect) <= 1e-12
+            assert frobenius(ogd_step([ZERO], [_gram(h)], step, 2.0)[0] - expect) <= 1e-12
 
     def test_trace_cap_always(self):
         rng = np.random.default_rng(5)
         q = ZERO
         for _ in range(49):
             h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            q = ogd_step(q, _gram(h), 0.5, 2.0)
+            q = ogd_step([q], [_gram(h)], 0.5, 2.0)[0]
             assert trace_real(q) <= 2.0 + 1e-9
 
     def test_per_step_descent_inequality(self):
@@ -166,7 +166,7 @@ class TestOgdStep:
         q_prev = ZERO
         for _ in range(100):
             h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            q = ogd_step(q_prev, _gram(h), gamma, p_bar)
+            q = ogd_step([q_prev], [_gram(h)], gamma, p_bar)[0]
             pre_projection = q_prev + gamma * capacity_gradient(h, q_prev)
             assert (
                 frobenius(q - q_star)

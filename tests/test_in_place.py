@@ -1,9 +1,9 @@
-"""The decide recursions compute in place: the ogd step writes Q(t) into
-the row it commits, with its temporaries and LAPACK's eigen-pair in one
-``Workspace`` per block, and the one projection kernel overwrites its
-argument, so no public caller may lose its input, no output row may alias
-what a step reads and no workspace array a committed row.  What a
-workspace held never reaches a result.  The stacked water-filling
+"""The decide recursions compute in place: the ogd step, one call per
+block, writes each Q(t) into the row it commits, with its temporaries and
+LAPACK's eigen-pair in one ``Workspace`` per call, and the one projection
+kernel overwrites its argument, so no public caller may lose its input, no
+output row may alias what its slot reads and no workspace array a committed
+row.  What a workspace held never reaches a result.  The stacked water-filling
 thresholds are the 1-D ones row by row, and the lean queue step is
 ``waterfill_penalized``'s loading."""
 
@@ -28,7 +28,7 @@ from dyncov import (
     paper_two_state,
     psd_cap_project,
 )
-from dyncov import harness
+from dyncov import controllers, harness
 from dyncov.linalg import Workspace, _capacity_gradient, _ct, _gram, _lapack_guard, _real_diagonal
 from dyncov.solvers import (
     _SIGMA_FLOOR,
@@ -37,7 +37,9 @@ from dyncov.solvers import (
     _waterfill_loading,
     _waterfill_thresholds,
 )
-from dyncov.validate import decide_reference, psd_cap_project_stack, random_complex
+from dyncov.validate import decide_blocks, decide_reference, psd_cap_project_stack, random_complex
+
+import decide_oracle as oracle
 
 
 def psd_with_spectrum(rng, lam):
@@ -83,6 +85,16 @@ def workspace_arrays(work):
     return [work.sq, work.sol, *work.eig, work.row, work.theta]
 
 
+def record_workspaces(mp, made, nan=False):
+    """Append every workspace ``ogd_step`` builds to ``made``, NaN-filled if ``nan``."""
+
+    def build(n):
+        made.append(fill_nan(Workspace(n)) if nan else Workspace(n))
+        return made[-1]
+
+    mp.setattr(controllers, "Workspace", build)
+
+
 class TestOgdStepInPlace:
     @given(
         n=st.integers(1, 8),
@@ -102,18 +114,20 @@ class TestOgdStepInPlace:
             assert branch(x, p_bar) == kind
         expect = psd_cap_project(x, p_bar)
         before = q_lag.tobytes(), g_lag.tobytes()
-        out = np.full((n, n), np.nan, dtype=complex)  # every entry must be written
-        out_work = np.full((n, n), np.nan, dtype=complex)
-        work = fill_nan(Workspace(n))
-        with _lapack_guard():
-            got = ogd_step(q_lag, g_lag, step, p_bar, out, work, _real_diagonal(out))
-            # a complex 0-d step, and the diagonal left to the projection
-            complex_step = np.array(step, dtype=complex)
-            ogd_step(q_lag, g_lag, complex_step, p_bar, out_work, fill_nan(work))
-            fresh = ogd_step(q_lag, g_lag, step, p_bar)
-        assert got is out
-        assert out.tobytes() == expect.tobytes() == fresh.tobytes() == out_work.tobytes()
+        out = np.full((1, n, n), np.nan, dtype=complex)  # every entry must be written
+        out_steps = np.full((1, n, n), np.nan, dtype=complex)
+        made = []
+        with pytest.MonkeyPatch.context() as mp:
+            record_workspaces(mp, made, nan=True)
+            got = ogd_step([q_lag], [g_lag], step, p_bar, out)
+            # a sequence of one step per slot, and a new output
+            ogd_step([q_lag], [g_lag], [step], p_bar, out_steps)
+            fresh = ogd_step([q_lag], [g_lag], step, p_bar)
+        assert got is out and len(made) == 3
+        assert out[0].tobytes() == expect.tobytes() == fresh[0].tobytes() == out_steps[0].tobytes()
         assert (q_lag.tobytes(), g_lag.tobytes()) == before
+        # and, within rounding, the step through no dyncov kernel
+        assert np.abs(out[0] - oracle.ogd_step(q_lag, h, step, p_bar)).max() <= oracle.q_atol(p_bar)
 
 
 # (n, step, the branches its 33-37 projections take): a one-row channel's
@@ -144,33 +158,62 @@ class TestDecideWorkspace:
             horizon=40, seed=3,
         )
         h, h_obs = draw_path(cfg.channel, cfg.csit_error, cfg.seed, cfg.horizon)
-        carry, qs, taken, works = None, [], [], set()
+        carry, qs, taken, works = None, [], [], []
         real_step = harness.ogd_step
 
-        def checked_step(q_lag, g_lag, step, p_bar, out, work, diag):
-            reads = [q_lag, g_lag, *workspace_arrays(work)] + ([] if carry is None else [carry])
-            assert not any(np.shares_memory(out, r) for r in reads)
-            assert np.shares_memory(diag, out) and not np.shares_memory(diag, q_lag)
-            x = q_lag + step * _capacity_gradient(g_lag, q_lag)
-            taken.append(branch(x, p_bar))
-            works.add(work)
-            if nan_work:  # what the slot before left must not matter either
-                fill_nan(work)
-            return real_step(q_lag, g_lag, step, p_bar, out, work, diag)
+        def checked_block(q_lag, g_lag, step, p_bar, out):
+            m = len(out)
+            assert len(q_lag) == len(g_lag) == m
+            for k in range(m):  # a committed row aliases nothing its slot reads
+                reads = [q_lag[k], g_lag[k]] + ([] if carry is None else [carry])
+                assert not any(np.shares_memory(out[k], r) for r in reads)
+            steps = [step] * m if np.ndim(step) == 0 else list(step)
+            rows = None
+            if nan_work:
+                # one-row blocks, each from a NaN-filled workspace: what the
+                # slot before left must not matter, nor what a new workspace holds
+                first = out.copy()
+                with pytest.MonkeyPatch.context() as mp:
+                    record_workspaces(mp, made := [], nan=True)
+                    for k in range(m):
+                        real_step(q_lag[k:k + 1], g_lag[k:k + 1], steps[k], p_bar, out[k:k + 1])
+                assert len(made) == m
+                rows, out[:] = out.copy(), first
+            before = len(works)
+            result = real_step(q_lag, g_lag, step, p_bar, out)
+            assert result is out and len(works) == before + 1  # one workspace per block
+            if rows is not None:
+                assert out.tobytes() == rows.tobytes()
+            for q, g, s in zip(q_lag, g_lag, steps):  # every row read is final once the block is
+                taken.append(branch(q + s * _capacity_gradient(g, q), p_bar))
+            return result
 
-        monkeypatch.setattr(harness, "ogd_step", checked_step)
+        monkeypatch.setattr(harness, "ogd_step", checked_block)
+        record_workspaces(monkeypatch, works)
         for start in range(0, cfg.horizon, 7):  # 6 blocks: slots read the carry rows
             block = slice(start, start + 7)
-            before = len(works)
             q, _, carry = harness._decide(cfg, start, h[block], h_obs[block], carry)
             qs.append(q)
-            assert len(works) <= before + 1  # one workspace per block
             for work in works:  # nor does any workspace alias a committed row
                 arrays = workspace_arrays(work)
                 assert not any(np.shares_memory(a, m) for a in arrays for m in (q, carry))
+        assert len(works) == len(qs)
         assert len(taken) == cfg.horizon - t_delay
         assert set(taken) == branches
         assert np.concatenate(qs).tobytes() == decide_reference(cfg, h_obs)[0].tobytes()
+
+    @pytest.mark.parametrize("gamma", [0.05, None])
+    def test_blocks_before_the_first_observation(self, gamma):
+        # a delay past a whole block: that block's call has no slot, q stays zero
+        cfg = ExperimentConfig(
+            channel=ProductChannel(n_r=2, n_t=3, v_max=1.0), csit_error=ExactCsit(),
+            controller=OgdSpec(gamma=gamma, t_delay=9), p=3.0, p_bar=2.0, horizon=30, seed=5,
+        )
+        h, h_obs = draw_path(cfg.channel, cfg.csit_error, cfg.seed, cfg.horizon)
+        q, _ = decide_blocks(cfg, h, h_obs, 4)
+        assert not q[:9].any() and q[9:].any(axis=(1, 2)).all()
+        assert q.tobytes() == decide_reference(cfg, h_obs)[0].tobytes()
+        assert ogd_step([], [], 0.1, 1.0, np.empty((0, 3, 3), dtype=complex)).shape == (0, 3, 3)
 
     def test_workspace_arrays_are_apart(self):
         work = Workspace(3)
@@ -194,13 +237,12 @@ class TestCapProjectWorkspace:
             for cap in (0.1, 1.0, 5.0):
                 seen.add(branch(x, cap))
                 expect = _cap_project(x.copy(), cap)
-                for diag in (False, True):
-                    got = x.copy()
-                    with _lapack_guard():
-                        result = _cap_project(got, cap, work, _real_diagonal(got) if diag else None)
-                    assert result is got
-                    assert got.tobytes() == expect.tobytes()
-                    assert not any(np.shares_memory(got, a) for a in workspace_arrays(work))
+                got = x.copy()
+                with _lapack_guard():
+                    result = _cap_project(got, cap, work)
+                assert result is got
+                assert got.tobytes() == expect.tobytes()
+                assert not any(np.shares_memory(got, a) for a in workspace_arrays(work))
         assert seen == {"shift", "compose"}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])

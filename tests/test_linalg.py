@@ -173,7 +173,9 @@ class TestLapackKernels:
         assert outcome(eigh_oracle, nan) is LinAlgError
         assert outcome(eigh_kernel, nan) is LinAlgError
         assert outcome(guarded, _cap_project, nan, 1.0) is LinAlgError
-        assert outcome(guarded, ogd_step, nan, np.eye(3), 1.0, 1.0) is LinAlgError
+        # the step holds the guard itself: a block of one row raises with or without it
+        assert outcome(guarded, ogd_step, [nan], [np.eye(3)], 1.0, 1.0) is LinAlgError
+        assert outcome(ogd_step, [nan], [np.eye(3)], 1.0, 1.0) is LinAlgError
         # the public functions reject a NaN input before LAPACK sees it
         for f, args in ((herm_eig, ()), (psd_cap_project, (1.0,))):
             with pytest.raises(ValueError, match="non-finite"):
@@ -184,7 +186,8 @@ class TestLapackKernels:
         eye = np.eye(2, dtype=complex)
         assert outcome(gradient_oracle, eye, -eye) is LinAlgError
         assert outcome(gradient_kernel, eye, -eye) is LinAlgError
-        assert outcome(guarded, ogd_step, -eye, eye, 1.0, 1.0) is LinAlgError
+        assert outcome(guarded, ogd_step, [-eye], [eye], 1.0, 1.0) is LinAlgError
+        assert outcome(ogd_step, [-eye], [eye], 1.0, 1.0) is LinAlgError
         assert outcome(capacity_gradient, eye, -eye) is LinAlgError
 
     @pytest.mark.parametrize(
