@@ -51,9 +51,11 @@ def ogd_step(q_lag, g_lag, step, p_bar: float, out=None) -> np.ndarray:
     g_lag[k].  Each slot runs ``_capacity_gradient`` and ``solvers._cap_project``
     on the gufuncs in one ``linalg.Workspace``, with the step halved once:
     (D~ / 2) step and D~ (step / 2) are the same bits unless one is subnormal.
+    G Q is ``np.dot``: the matmul gufunc's zgemm, for half its dispatch cost.
     Holds ``linalg._lapack_guard``, so a failed LAPACK call raises LinAlgError."""
     if out is None:
         out = np.empty(np.shape(q_lag), dtype=np.complex128)
+    g_lag = np.asarray(g_lag, dtype=np.complex128)  # np.dot puts no real product into sq
     n = out.shape[-1]
     work = Workspace(n)
     sq, sol, eig = work.sq, work.sol, work.eig
@@ -62,11 +64,11 @@ def ogd_step(q_lag, g_lag, step, p_bar: float, out=None) -> np.ndarray:
         halves = repeat(np.array(0.5 * step + 0j))
     else:  # complex 0-d arrays, which numpy multiplies by faster than floats
         halves = map(np.array, (np.multiply(step, 0.5) + 0j).tolist())
-    matmul, add, conj = np.matmul, np.add, np.conjugate
+    dot, add, conj = np.dot, np.add, np.conjugate
     solve, eigh = _umath_linalg.solve, _umath_linalg.eigh_lo
     with _lapack_guard():
         for q, g, x, diag, half in zip(q_lag, g_lag, out, _real_diagonal(out), halves):
-            matmul(g, q, out=sq)
+            dot(g, q, out=sq)
             sq += eye
             solve(sq, g, signature="DD->D", out=sol)  # D = (I + G Q)^{-1} G
             add(sol, conj(sol_t, out=sq), out=x)

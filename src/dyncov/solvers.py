@@ -89,12 +89,19 @@ def _cap_sweep(a: list[float], tau0: float, cap: float) -> tuple[list[float] | N
     cap), which is within cap of the exact loading.  Returns theta, r and
     tau, with theta None where the sweep accepted a prefix: its loading is
     ``_prefix_loading(a, r, cap)``, which a caller builds only if it reads it.
-    Works on Python floats: each operation is the IEEE one numpy would do
-    on the array.
+    The sweep builds a loading only to return it: below eight terms the clip
+    test sums max(0, a - tau0) as it goes, in ``_sum``'s order.  Works on
+    Python floats: each operation is the IEEE one numpy would do on the array.
     """
-    theta = [max(x - tau0, 0.0) for x in a]
-    if _sum(theta) <= cap:
-        return theta, 0, tau0
+    if len(a) < 8:  # a 0.0 term would leave s as it is, since s is never -0.0
+        s = 0.0
+        for x in a:
+            if not x < tau0:  # max(x - tau0, 0.0) is x - tau0, NaN included
+                s += x - tau0
+    else:
+        s = _sum([max(x - tau0, 0.0) for x in a])
+    if s <= cap:  # "or 0.0": a -0.0 term loads +0.0, as numpy's maximum gives
+        return [max(x - tau0, 0.0) or 0.0 for x in a], 0, tau0
     n = len(a)
     s = 0.0
     for r in range(1, n + 1):
@@ -111,12 +118,22 @@ def _cap_sweep(a: list[float], tau0: float, cap: float) -> tuple[list[float] | N
     return theta, 0, a[0] - theta[0]
 
 
+def _sum_minus(x: float, a: list[float]) -> float:
+    """_sum([x - y for y in a]), with no list below eight terms."""
+    if len(a) >= 8:
+        return _sum([x - y for y in a])
+    s = 0.0
+    for y in a:
+        s += x - y
+    return s
+
+
 def _prefix_loading(a: list[float], r: int, cap: float) -> list[float]:
     """The loading on the active prefix a[:r] at its threshold, algebraically
     a_j - tau but free of the large-intermediate cancellation, so it sums to
     the cap at machine precision; zero past the prefix."""
     act = a[:r]
-    theta = [max((cap + _sum([x - y for y in act])) / r, 0.0) for x in act]
+    theta = [max((cap + _sum_minus(x, act)) / r, 0.0) for x in act]
     return theta + [0.0] * (len(a) - r)
 
 
@@ -175,13 +192,14 @@ def waterfill_penalized(h_tilde, z_over_v: float, cap: float) -> WaterfillResult
 def _cap_plan(w: np.ndarray, cap: float) -> tuple[float, list[float] | None]:
     """The projection of a Hermitian X with ascending eigenvalues w (n,):
     (tau, None) where every mode keeps a positive loading and tau <= cap, so
-    that it is X - tau I, else (tau, theta), the descending loading to compose."""
+    that it is X - tau I, else (tau, theta), the descending loading to compose,
+    a prefix's built only then; the kept test sums as it goes (``_sum_minus``)."""
     a = w.tolist()
     a.reverse()  # descending
     theta, r, tau = _cap_sweep(a, 0.0, cap)
     n = len(a)
     if theta is None:  # the last mode is loaded as in _prefix_loading, on a prefix of all n
-        kept = r == n and (cap + _sum([a[-1] - y for y in a])) / n > 0.0
+        kept = r == n and (cap + _sum_minus(a[-1], a)) / n > 0.0
     else:
         kept = theta[-1] > 0.0
     if kept and tau <= cap:  # every mode kept: V diag(sigma - tau) V^H = X - tau I

@@ -476,7 +476,9 @@ def check_lapack_kernels() -> CheckResult:
     unconverged eigensolve (3x3 NaN) raise LinAlgError, not a
     RuntimeWarning, in the hot path (``ogd_step``, on a block of one row)
     and through the public ``capacity_gradient``, each holding the guard
-    itself."""
+    itself.  The hot path also rests on ``np.dot`` and ``np.matmul`` giving
+    the same bytes on one matrix (one zgemm); ``tests/test_linalg.py`` pins
+    that under the numpy CI installs (2.4.6)."""
     rng = np.random.default_rng(SEED + 14)
     count = 40
     failed = []

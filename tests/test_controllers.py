@@ -139,6 +139,17 @@ class TestOgdStep:
         expect = psd_cap_project(gamma * h.conj().T @ h, 2.0)
         assert frobenius(q - expect) <= 1e-12
 
+    def test_real_arrays_step_as_their_complex_values(self):
+        # np.dot writes no real product into the complex buffer: the Grams are
+        # taken as complex first, so real input steps as it did through matmul
+        q0, g = np.diag([1.2, 0.5]), np.array([[2.0, 1.0], [1.0, 3.0]])
+        expect = ogd_step([q0.astype(complex)], [g.astype(complex)], 0.05, 1.0)[0]
+        d = np.linalg.solve(np.eye(2) + g @ q0, g)  # the gradient (I + G Q)^{-1} G
+        assert frobenius(expect - psd_cap_project(q0 + 0.025 * (d + d.T), 1.0)) <= 1e-12
+        for q_lag in (q0, q0.astype(complex)):
+            for g_lag in (g, g.astype(complex)):
+                assert ogd_step([q_lag], [g_lag], 0.05, 1.0)[0].tobytes() == expect.tobytes()
+
     def test_inverse_sqrt_schedule(self):
         # the harness passes step 1/sqrt(t): slot 1 takes a unit step, slot 4 half
         h = strong_channel()

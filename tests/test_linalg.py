@@ -27,9 +27,11 @@ from dyncov import (
 from dyncov.channel import PAPER_H1
 from dyncov.harness import _decide
 from dyncov.linalg import (
+    Workspace,
     _capacity_gradient,
     _compose,
     _ct,
+    _eigh,
     _eigh_desc,
     _eye,
     _gram,
@@ -227,6 +229,37 @@ def shift_projection(x, cap):
     return x - tau * np.eye(len(x)) if theta[-1] > 0.0 and tau <= cap else None
 
 
+class TestDotEqualsMatmul:
+    """The hot path multiplies one matrix by ``np.dot`` (``ogd_step``'s G Q, a
+    single-matrix ``_compose``) and a stack by ``np.matmul``, on the premise
+    that both call the same BLAS zgemm and give the same bits.  Pinned on the
+    layouts that path passes, under the numpy that CI installs."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_dot_equals_matmul_on_hot_path_layouts(self, n, scale):
+        rng = np.random.default_rng(100 + n)
+        count = 16
+        g, q = scale * (
+            rng.standard_normal((2, count, n, n)) + 1j * rng.standard_normal((2, count, n, n))
+        )
+        x = hermitian_stack(rng, n, count, "generic", scale)
+        stacked = np.matmul(g, q)
+        work = Workspace(n)
+        for k in range(count):
+            guarded(_eigh, x[k], work.eig)
+            v_desc = work.eig[1][:, ::-1]  # the reversed-column view of LAPACK's vectors
+            c = np.conjugate(v_desc, out=work.sq)
+            c *= rng.uniform(0.0, scale, (1, n))  # as _compose scales conj(V)
+            # contiguous stack rows (G and Q), then V against the transpose of conj(V)
+            for a, b in ((g[k], q[k]), (v_desc, c.T)):
+                expect = np.matmul(a, b).tobytes()
+                assert np.dot(a, b).tobytes() == expect
+                out = np.empty((n, n), dtype=complex)
+                assert np.dot(a, b, out=out) is out and out.tobytes() == expect
+            assert stacked[k].tobytes() == np.dot(g[k], q[k]).tobytes()
+
+
 class TestSpectralLayout:
     """One layout: ``_eigh_desc`` and the public ``herm_eig`` return
     (sigma, v) with eigenvector columns, and ``_compose`` turns a stack of
@@ -235,6 +268,7 @@ class TestSpectralLayout:
     @pytest.mark.parametrize("kind", ["generic", "rank-deficient", "repeated"])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_stacked_compose_equals_per_matrix(self, n, kind):
+        # a stack composes by np.matmul and one matrix by np.dot: this pins the two alike
         rng = np.random.default_rng(60 + n)
         a = hermitian_stack(rng, n, 64, kind, 1.0)
         sigma, v = guarded(_eigh_desc, a)

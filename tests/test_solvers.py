@@ -20,7 +20,7 @@ from dyncov import (
     waterfill_penalized,
 )
 from dyncov.linalg import ConvergenceError, trace_real
-from dyncov.solvers import _cap_threshold
+from dyncov.solvers import _cap_plan, _cap_threshold
 from dyncov.validate import (
     capacity_stack,
     psd_cap_project_stack,
@@ -68,6 +68,13 @@ def scalar_channel(sigma):
 def cap_threshold_numpy(a, tau0, cap):
     """The numpy-scalar sweep that ``_cap_threshold`` replaced, kept as its
     oracle: the Python-float sweep must return the same bytes."""
+
+    def prefix_loading(r):
+        act = a[:r]
+        theta = np.zeros_like(a)
+        theta[:r] = np.maximum(0.0, (cap + (act[:, None] - act[None, :]).sum(axis=1)) / r)
+        return theta
+
     theta = np.maximum(a - tau0, 0.0)
     if theta.sum() <= cap:
         return theta, tau0
@@ -80,11 +87,41 @@ def cap_threshold_numpy(a, tau0, cap):
             continue
         if r < n and a[r] - tau > 0.0:
             continue
-        act = a[:r]
-        theta = np.zeros_like(a)
-        theta[:r] = np.maximum(0.0, (cap + (act[:, None] - act[None, :]).sum(axis=1)) / r)
-        return theta, tau
-    raise ConvergenceError("sweep exhausted")
+        return prefix_loading(r), tau
+    # a cap below the rounding resolution of a's sums: the entries tied with a[0]
+    theta = prefix_loading(int((a == a[0]).sum()))
+    if theta.sum() > cap:
+        theta = prefix_loading(1)
+    return theta, a[0] - theta[0]
+
+
+NAN, INF = float("nan"), float("inf")
+
+# The sweep validates nothing, and an eigensolve can return NaN without
+# raising, so what it returns on non-finite entries is pinned as it was when
+# its sums still built lists: a (descending), _cap_threshold(a, tau0, 2.0)
+# for tau0 = 0.0, -1.0 and -inf, and _cap_plan of the spectrum a at cap 2.0.
+NON_FINITE = [
+    ([0.5, NAN], 3 * [([2.0, 0.0], -1.5)], (-1.5, [2.0, 0.0])),
+    ([NAN, 0.5], 3 * [([NAN, 0.0], NAN)], (NAN, [NAN, 0.0])),
+    ([NAN, NAN], 3 * [([NAN, NAN], NAN)], (NAN, [NAN, 0.0])),
+    ([1.0, INF], 3 * [([2.0, 0.0], -1.0)], (-1.0, [2.0, 0.0])),
+    ([INF, 0.5], 3 * [([NAN, 0.0], NAN)], (NAN, [NAN, 0.0])),
+    ([INF, INF], 3 * [([NAN, NAN], NAN)], (NAN, [NAN, NAN])),
+    ([INF, -INF], 3 * [([NAN, 0.0], NAN)], (NAN, [NAN, 0.0])),
+    ([0.5, -INF], [([0.5, 0.0], 0.0), ([1.5, 0.0], -1.0), ([2.0, 0.0], -1.5)], (0.0, [0.5, 0.0])),
+    ([-INF, -INF], [([0.0, 0.0], 0.0), ([0.0, 0.0], -1.0), ([NAN, NAN], NAN)], (0.0, [0.0, 0.0])),
+    ([NAN] + 7 * [1.0], 3 * [([NAN] + 7 * [0.0], NAN)], (NAN, [NAN] + 7 * [0.0])),
+    (7 * [1.0] + [NAN], 3 * [(7 * [2 / 7] + [0.0], 5 / 7)], (5 / 7, 7 * [2 / 7] + [0.0])),
+    (
+        3 * [1.0] + [NAN] + 4 * [0.5],
+        3 * [(3 * [2 / 3] + 5 * [0.0], 1 / 3)],
+        (1 / 3, 3 * [2 / 3] + 5 * [0.0]),
+    ),
+    ([INF] + 7 * [0.5], 3 * [([NAN] + 7 * [0.0], NAN)], (NAN, [NAN] + 7 * [0.0])),
+    (7 * [1.0] + [-INF], 3 * [(7 * [2 / 7] + [0.0], 5 / 7)], (5 / 7, 7 * [2 / 7] + [0.0])),
+    (8 * [INF], 3 * [(8 * [NAN], NAN)], (NAN, 8 * [NAN])),
+]
 
 
 class TestCapThreshold:
@@ -109,16 +146,14 @@ class TestCapThreshold:
             fraction = data.draw(st.floats(0.01, 0.99))
             cap = total * fraction if binding else total * (1.0 + fraction) + magnitude * 1e-3
             assume(cap > 0.0)
-        try:
-            expect = cap_threshold_numpy(np.array(a), tau0, cap)
-        except ConvergenceError:
-            with pytest.raises(ConvergenceError):
-                _cap_threshold(a, tau0, cap)
-            return
+        expect = cap_threshold_numpy(np.array(a), tau0, cap)
         theta, tau = _cap_threshold(a, tau0, cap)
         assert np.array(theta).tobytes() == expect[0].tobytes()
         assert np.float64(tau).tobytes() == np.float64(expect[1]).tobytes()
-        assert (tau != tau0) == binding
+        # a binding cap moves the loading off the clip at tau0, though tau
+        # itself can round back to tau0 when the cap is within an ulp of a[0]
+        clip = np.maximum(np.array(a) - tau0, 0.0)
+        assert tau >= tau0 and (np.array(theta).tobytes() != clip.tobytes()) == binding
 
     @pytest.mark.parametrize("cap", [1e-17, 1e-300, 5e-324])
     @pytest.mark.parametrize(
@@ -137,6 +172,15 @@ class TestCapThreshold:
         for q in (psd_cap_project(x, cap), waterfill_penalized(np.sqrt(x), 0.0, cap).q):
             assert np.linalg.eigvalsh(q).min() >= 0.0
             assert trace_real(q) <= cap
+
+    @pytest.mark.parametrize(
+        "a, thresholds, plan", NON_FINITE, ids=[repr(case[0]) for case in NON_FINITE]
+    )
+    def test_non_finite_entries_keep_their_results(self, a, thresholds, plan):
+        # repr shows NaN and the sign of zero; the sums must carry NaN as _sum does
+        for tau0, expect in zip((0.0, -1.0, -np.inf), thresholds):
+            assert repr(_cap_threshold(list(a), tau0, 2.0)) == repr(expect)
+        assert repr(_cap_plan(np.array(a[::-1]), 2.0)) == repr(plan)
 
     def test_cap_below_rounding_resolution_equal_split(self):
         theta, tau = _cap_threshold([1.0, 1.0], 0.0, 1e-17)
