@@ -20,7 +20,6 @@ from .channel import (
     ProductChannel,
     TabulatedCsit,
     channel_bounds,
-    draw_path,
     observe_csit,
     paper_continuous,
     paper_error_case,
@@ -92,7 +91,6 @@ __all__ = [
     "compute_baseline",
     "decode_check",
     "dpp_step",
-    "draw_path",
     "emit_outputs",
     "empirical_policy",
     "ergodic_constant_covariance",

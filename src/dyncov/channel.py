@@ -9,8 +9,9 @@ run seed with SeedSequence spawn keys, one stream per slot index, so a
 full (H(t), observation(t)) trace is a pure function of (model, error
 model, seed) and reproduces bit-for-bit across platforms.  ``slot_rng``
 is the reference definition of slot t's stream.  ``ChannelPath`` draws
-any range of slots without building a Generator per slot: it restates
-numpy's SeedSequence hash and PCG64 seeding as vectorised integer
+any range of slots without building a Generator per slot: it takes the
+run's SeedSequence pool from numpy and restates only what depends on t,
+the hash of t into that pool and PCG64 seeding, as vectorised integer
 arithmetic over t (a counter-based derivation of the same stream layout),
 then either reads each slot's single uniform straight from its first PCG64
 output or, where numpy's samplers are needed, loads each slot's seeded
@@ -49,21 +50,13 @@ _POOL_SIZE = 4
 _PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
 
 
-def _hash_consts(const: int, mult: int):
-    """SeedSequence's word hash (``hashmix``) xors, advances its running
-    multiplier ``const``, multiplies and xorshifts.  The returned function
-    takes the xor and the multiply constants of the next k calls, as a
-    (2, k, 1) uint32 array, so that ``_hash_rows`` makes k calls at once."""
-
-    def take(count: int) -> np.ndarray:
-        nonlocal const
-        c = [const]
-        for _ in range(count):
-            c.append(c[-1] * mult & _M32)
-        const = c[-1]
-        return np.array([c[:-1], c[1:]], dtype=np.uint32)[..., None]
-
-    return take
+def _hash_consts(const: int, mult: int, first: int, count: int) -> np.ndarray:
+    """The constants of SeedSequence's word-hash (``hashmix``) calls
+    first..first + count - 1, a (2, count, 1) uint32 array for ``_hash_rows``
+    to make them at once: call i xors with const * mult**i, then multiplies
+    by const * mult**(i + 1), mod 2**32."""
+    c = [const * pow(mult, i, 2**32) & _M32 for i in range(first, first + count + 1)]
+    return np.array([c[:-1], c[1:]], dtype=np.uint32)[..., None]
 
 
 def _hash_rows(values, consts: np.ndarray) -> np.ndarray:
@@ -80,39 +73,32 @@ def _mix(x, y):
 
 # generate_state(4, np.uint64) hashes eight uint32 words cycled from the
 # pool, under fixed constants
-_OUT_CONSTS = _hash_consts(_INIT_B, _MULT_B)(2 * _POOL_SIZE)
+_OUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE)
 _OUT_ROWS = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
 
 
 def _seed_pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The SeedSequence pool of ``SeedSequence(seed, spawn_key=(0, t))``, a
     (4, 1) uint32 array, after every entropy word but t, the only one that
-    depends on the slot, and the constants that hash t into it.  Built once
-    per run; ``_seed_words`` finishes it per slot."""
-    seed = operator.index(seed)  # numpy integers too, as SeedSequence takes them
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    # the seed's little-endian uint32 words, zero-padded to the pool size
-    # because a spawn key follows
-    n_words = max(_POOL_SIZE, -(-seed.bit_length() // 32))
-    run = [(seed >> 32 * i) & _M32 for i in range(n_words)]
-    consts = _hash_consts(_INIT_A, _MULT_A)
-    pool = _hash_rows(np.array(run[:_POOL_SIZE], dtype=np.uint32)[:, None], consts(_POOL_SIZE))
-    for i_src in range(_POOL_SIZE):
-        dst = [i for i in range(_POOL_SIZE) if i != i_src]
-        pool[dst] = _mix(pool[dst], _hash_rows(pool[i_src], consts(_POOL_SIZE - 1)))
-    for word in run[_POOL_SIZE:] + [_STREAM_SLOT]:
-        pool = _mix(pool, _hash_rows(np.uint32(word), consts(_POOL_SIZE)))
-    return pool, consts(_POOL_SIZE)
+    depends on the slot, and the constants that hash t into it.  That pool
+    is numpy's own, of ``SeedSequence(seed, spawn_key=(0,))``; numpy has made
+    4w hash calls on it, for the w words before t (the seed's, zero-padded
+    to the pool size, then 0): 4 to fill the pool, 12 to cross-mix it and 4
+    for each word past the pool size.  Built once per run; ``_seed_words``
+    finishes it per slot."""
+    seed = operator.index(seed)  # numpy integers too; None would draw fresh entropy
+    root = np.random.SeedSequence(seed, spawn_key=(_STREAM_SLOT,))
+    words = max(_POOL_SIZE, -(-seed.bit_length() // 32)) + 1
+    return root.pool[:, None], _hash_consts(_INIT_A, _MULT_A, 4 * words, _POOL_SIZE)
 
 
 def _seed_words(seed_pool: tuple[np.ndarray, np.ndarray], slots: np.ndarray) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=(0, t)).generate_state(4, np.uint64)``
-    for every t in ``slots`` (each below 2**32), as a (len(slots), 4) uint64
-    array, from the seed's ``_seed_pool``."""
+    for every t in ``slots`` (each in 0..2**32 - 1), as a (len(slots), 4)
+    uint64 array, from the seed's ``_seed_pool``."""
     slots = np.asarray(slots)
-    if slots.size and int(slots.max()) > _M32:
-        raise ValueError("slot indices must be below 2**32")
+    if slots.size and not 0 <= int(slots.min()) <= int(slots.max()) <= _M32:
+        raise ValueError("slot indices must be in 0..2**32 - 1")
     pool, consts = seed_pool
     pool = _mix(pool, _hash_rows(slots.astype(np.uint32), consts))
     # eight uint32 words, paired little-endian
@@ -382,10 +368,11 @@ class ChannelPath:
     range: ``draw(start, stop)`` returns two (stop - start, n_r, n_t) stacks
     equal bit for bit to drawing each slot t with ``sample_channel`` then
     ``observe_csit`` from ``slot_rng(seed, t)``, so consecutive ranges
-    concatenate to the draw of their union.
+    concatenate to the draw of their union.  Slots are 0..2**32 - 1, as
+    spawn-key words are.
 
-    What does not depend on the slot is built once, here: the seed's
-    SeedSequence pool (``_seed_pool``), a discrete channel's state
+    What does not depend on the slot is built once, here: numpy's SeedSequence
+    pool of the seed (``_seed_pool``), a discrete channel's state
     observations and the reused Generator.  A discrete channel under a
     deterministic error model draws one uniform per slot, so its state
     indices come from the streams' first outputs.  Every other pair loads
@@ -431,14 +418,6 @@ class ChannelPath:
                 r[k] = uniform()
         h = _product(model, g, u) if states is None else states[model.index(u)]
         return h, _observe(h, err, g_err, r)
-
-
-def draw_path(
-    model: ChannelModel, err: CsitErrorModel, seed: int, stop: int, start: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """H(t) and H~(t) for start <= t < stop: ``ChannelPath(model, err,
-    seed).draw(start, stop)``, for a caller that draws one range."""
-    return ChannelPath(model, err, seed).draw(start, stop)
 
 
 @dataclass(frozen=True)

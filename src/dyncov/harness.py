@@ -31,6 +31,7 @@ from .controllers import BoundReport, dpp_step, ogd_step, theoretical_bounds
 from .linalg import (
     _compose,
     _count,
+    _eigh_desc,
     _gram,
     _lapack_guard,
     capacity,
@@ -43,7 +44,6 @@ from .rate_adapt import RateLedger, decode_check
 from .solvers import (
     CdiPolicy,
     ConstantCovariance,
-    _gram_eig,
     _waterfill_thresholds,
     cdi_optimal_policy,
     empirical_policy,
@@ -441,15 +441,15 @@ def _decide(
     start + 1, ...: returns the committed covariances q, Z(t) for
     t = start..stop for the queue controller (else None), and the recursion
     state after the block.  That carry is Z(start) for the queue controller;
-    for the gradient controller it is a (2, min(T, horizon), n_t, n_t)
-    array, advanced in place, of the covariances committed and the Grams
-    observed in the slots just before start, oldest first.  None is the
-    run's start: an empty queue, or zeros.  Everything that does not depend
-    on the carry is computed up front."""
+    for the gradient controller it is two lists of min(T, horizon) rows, the
+    covariances committed and the Grams observed in the slots just before
+    start, oldest first: views of earlier blocks' arrays, which a block only
+    reads.  None is the run's start: an empty queue, or zeros.  Everything
+    that does not depend on the carry is computed up front."""
     b, spec = len(h), cfg.controller
     with _lapack_guard():  # one failure guard for every LAPACK call of the block
         if isinstance(spec, DppSpec):
-            sigma, v = _gram_eig(h_obs)  # every observed Gram spectrum in one stacked solve
+            sigma, v = _eigh_desc(_gram(h_obs))  # every observed Gram spectrum in one stacked solve
             a = _waterfill_thresholds(sigma)
             z, theta = [0.0 if carry is None else carry], []
             args = cfg.n_t, spec.v, cfg.p, cfg.p_bar  # looked up once, not per slot
@@ -463,21 +463,17 @@ def _decide(
         if isinstance(spec, OgdSpec):
             lag = spec.t_delay
             if carry is None:  # a delay past the horizon never reads it
-                rows = min(lag, cfg.horizon)
-                carry = np.zeros((2, rows, cfg.n_t, cfg.n_t), dtype=np.complex128)
+                zeros = [np.zeros_like(q[0])] * min(lag, cfg.horizon)
+                carry = zeros, zeros
             g = _gram(h_obs)  # every observed Gram matrix in one stacked product
             # the carry's rows, then the block's: slot t - T is row k, slot t row k + T
-            qs, gs = list(carry[0]) + list(q), list(carry[1]) + list(g)
+            qs, gs = carry[0] + list(q), carry[1] + list(g)
             # before slot T no observation has arrived: q[t] stays zero
             k0 = min(max(lag - start, 0), b)
             ts = np.arange(start + k0, start + b)
             step = 1.0 / np.sqrt(ts) if spec.gamma is None else spec.gamma
             ogd_step(qs[k0:b], gs[k0:b], step, cfg.p_bar, q[k0:])
-            # the carry moves on to the last slots of itself and the block
-            rows = len(carry[0])
-            m = min(b, rows)
-            carry[:, : rows - m] = carry[:, m:]
-            carry[0, rows - m :], carry[1, rows - m :] = q[b - m :], g[b - m :]
+            carry = qs[b:], gs[b:]
         elif isinstance(spec.policy, CdiPolicy):
             q[:] = spec.policy.lookup(h)
         else:

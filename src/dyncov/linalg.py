@@ -121,8 +121,9 @@ def frobenius(a) -> float:
 def nearest_index(h, states: np.ndarray):
     """Index of the matrix in the stack ``states`` nearest to h in Frobenius
     distance, the first on a tie; each distance equals ``frobenius(h - s)``.
-    A stack of matrices h (k, n_r, n_t) gives k indices, found in blocks
-    that bound the (block, states, n_r, n_t) temporaries."""
+    A stack of matrices h (k, n_r, n_t) gives k indices, found in blocks of
+    256 that bound the (block, states, n_r, n_t) temporaries however long a
+    stack ``CdiPolicy.lookup`` is given."""
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim == 3 and len(h) > 256:
         return np.concatenate([nearest_index(h[i:i + 256], states) for i in range(0, len(h), 256)])
@@ -146,16 +147,10 @@ def trace_real(a):
     return _scalar_or_stack(np.trace(np.asarray(a), axis1=-2, axis2=-1).real)
 
 
-def symmetrize(a) -> np.ndarray:
-    """Hermitian part (A + A^H) / 2; absorbs round-off before eig/Cholesky."""
-    m = as_matrix(a)
-    return 0.5 * (m + m.conj().T)
-
-
 def require_hermitian(a) -> np.ndarray:
     """Validate an eigensolver input's finiteness and Hermitian-ness and
-    return the symmetrized copy, or the input itself when it is exactly
-    Hermitian already (a ``_gram`` matrix).
+    return its Hermitian part (A + A^H) / 2, which absorbs round-off, or the
+    input itself when it is exactly Hermitian already (a ``_gram`` matrix).
 
     The entrywise deviation from A^H may be at most 1e-12 * max(1, max|a_ij|),
     so round-off on large-magnitude input is not mistaken for asymmetry.
@@ -168,7 +163,7 @@ def require_hermitian(a) -> np.ndarray:
     dev = float(np.max(np.abs(m - m.conj().T), initial=0.0))
     if dev > HERMITIAN_ATOL * max(1.0, float(np.max(np.abs(m), initial=0.0))):
         raise ValueError(f"eigensolver input is not Hermitian (max deviation {dev:.3e})")
-    return m if dev == 0.0 else symmetrize(m)
+    return m if dev == 0.0 else 0.5 * (m + m.conj().T)
 
 
 def require_psd(stack: np.ndarray, key: str) -> None:

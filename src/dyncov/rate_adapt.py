@@ -9,6 +9,7 @@ earlier slot exactly its own capacity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .linalg import check_fields
@@ -59,8 +60,8 @@ class RateLedger:
         whose cumulative capacity reaches n_total."""
         if self.completed:
             raise LedgerError("ledger already completed; no further slots accepted")
-        if r_t < 0:
-            raise ValueError("per-slot capacity must be nonnegative")
+        if not 0 <= r_t < math.inf:  # a NaN would hold the batch open for good
+            raise ValueError(f"per-slot capacity must be finite and nonnegative, got {r_t!r}")
         self.capacities.append(float(r_t))
         self.delivered += self.capacities[-1]
         if self.delivered >= self.n_total:

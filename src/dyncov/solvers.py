@@ -26,7 +26,6 @@ from .linalg import (
     _capacity_gradient,
     _compose,
     _eigh,
-    _eigh_desc,
     _gram,
     _lapack_guard,
     _real_diagonal,
@@ -135,11 +134,6 @@ def _prefix_loading(a: list[float], r: int, cap: float) -> list[float]:
     act = a[:r]
     theta = [max((cap + _sum_minus(x, act)) / r, 0.0) for x in act]
     return theta + [0.0] * (len(a) - r)
-
-
-def _gram_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_eigh_desc`` of H^H H for a finite channel or a stack of them (unvalidated)."""
-    return _eigh_desc(_gram(h))
 
 
 def _waterfill_thresholds(sigma: np.ndarray) -> list:

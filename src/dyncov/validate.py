@@ -455,7 +455,7 @@ def check_draw_stream() -> CheckResult:
     for model in (ch.paper_two_state(), ch.paper_continuous(), ch.ProductChannel(4, 4, 0.5)):
         for err in errs if model.n_r == 2 else errs[:-1]:  # the case1 table is 2x2
             for s in (SEED, SEED + 2**64):
-                h, h_obs = ch.draw_path(model, err, s, horizon)
+                h, h_obs = ch.ChannelPath(model, err, s).draw(0, horizon)
                 checked += horizon
                 for t in range(horizon):
                     rng = ch.slot_rng(s, t)
@@ -532,7 +532,7 @@ def check_decide_recursion() -> CheckResult:
     specs = (DppSpec(v=100.0), OgdSpec(gamma=0.01, t_delay=2), OgdSpec(gamma=None))
     failed = []
     for model, err in cases:
-        h, h_obs = ch.draw_path(model, err, SEED, horizon)
+        h, h_obs = ch.ChannelPath(model, err, SEED).draw(0, horizon)
         for spec in specs:
             cfg = ExperimentConfig(
                 channel=model, csit_error=err, controller=spec,

@@ -18,7 +18,6 @@ from dyncov import (
     PhaseQuantizeCsit,
     ProductChannel,
     ReplaySpec,
-    draw_path,
     emit_outputs,
     paper_continuous,
     paper_error_case,
@@ -111,12 +110,12 @@ def test_outputs_do_not_depend_on_the_block_size(
 )
 def test_slot_ranges_concatenate_to_the_whole_draw(model, err):
     seed, cuts = 2**40 + 9, [0, 1, 8, 8, 75, 200]
-    whole = draw_path(model, err, seed, 200)
+    whole = ChannelPath(model, err, seed).draw(0, 200)
     path = ChannelPath(model, err, seed)
     ranges = list(zip(cuts[:-1], cuts[1:]))
     for parts in (
         [path.draw(a, b) for a, b in ranges],
-        [draw_path(model, err, seed, b, a) for a, b in ranges],
+        [ChannelPath(model, err, seed).draw(a, b) for a, b in ranges],
     ):
         for i in range(2):
             assert np.concatenate([p[i] for p in parts]).tobytes() == whole[i].tobytes()
@@ -132,9 +131,9 @@ def test_a_delay_past_the_horizon_carries_no_more_than_the_horizon(constant_refe
         controller=OgdSpec(gamma=0.01, t_delay=10**12), reference=constant_reference,
         p=3.0, p_bar=2.0, horizon=50, seed=1,
     )
-    h, h_obs = draw_path(cfg.channel, cfg.csit_error, cfg.seed, cfg.horizon)
+    h, h_obs = ChannelPath(cfg.channel, cfg.csit_error, cfg.seed).draw(0, cfg.horizon)
     q, _, carry = harness._decide(cfg, 0, h, h_obs)
-    assert not q.any() and carry.shape == (2, 50, 2, 2)
+    assert not q.any() and len(carry[0]) == len(carry[1]) == 50
     assert not run_experiment(cfg).tr_q.any()
 
 

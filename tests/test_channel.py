@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from dyncov import (
     BoundedBallCsit,
+    ChannelPath,
     DiscreteChannel,
     ExactCsit,
     MagPhaseQuantizeCsit,
     PhaseQuantizeCsit,
     ProductChannel,
     channel_bounds,
-    draw_path,
     observe_csit,
     paper_continuous,
     paper_error_case,
@@ -196,7 +196,8 @@ DRAW_CSIT = {
 
 
 class TestDrawPath:
-    @given(seed=st.integers(0, 2**80), t=st.integers(0, 2**20))
+    # past 2**128 the seed has entropy words beyond numpy's four-word pool
+    @given(seed=st.integers(0, 2**200), t=st.integers(0, 2**20))
     def test_stream_words_match_numpy(self, seed, t):
         # a numpy whose SeedSequence or PCG64 moved fails here, not in a trace
         words = _seed_words(_seed_pool(seed), np.array([t]))
@@ -205,7 +206,9 @@ class TestDrawPath:
         assert words[0].tobytes() == expected.tobytes()
         assert _first_uniforms(words)[0] == slot_rng(seed, t).random()
 
-    @pytest.mark.parametrize("seed", [7, 2**32 + 5, 2**70 + 3])
+    @pytest.mark.parametrize(
+        "seed", [7, 2**32 - 1, 2**32, 2**32 + 5, 2**70 + 3, 2**96, 2**128 - 1, 2**128, 2**160 + 3]
+    )
     @pytest.mark.parametrize("csit", list(DRAW_CSIT))
     @pytest.mark.parametrize(
         "name, model, states", DRAW_CHANNELS, ids=[c[0] for c in DRAW_CHANNELS]
@@ -213,7 +216,7 @@ class TestDrawPath:
     def test_equals_slot_rng_loop(self, name, model, states, csit, seed):
         err = DRAW_CSIT[csit](states)
         for horizon in (200, 1):
-            h, h_obs = draw_path(model, err, seed, horizon)
+            h, h_obs = ChannelPath(model, err, seed).draw(0, horizon)
             ref_h, ref_obs = loop_path(model, err, seed, horizon)
             assert h.dtype == h_obs.dtype == np.complex128
             assert h.shape == h_obs.shape == (horizon, model.n_r, model.n_t)
@@ -237,15 +240,27 @@ class TestDrawPath:
 
     def test_seed_types_follow_slot_rng(self):
         # numpy integer seeds draw as their value; negative and fractional
-        # seeds fail as SeedSequence fails on them
+        # seeds fail as SeedSequence fails on them, and no seed is fresh entropy
         for model in (paper_two_state(), paper_continuous()):
-            a = draw_path(model, ExactCsit(), np.uint64(2**40 + 1), 50)
+            a = ChannelPath(model, ExactCsit(), np.uint64(2**40 + 1)).draw(0, 50)
             b = loop_path(model, ExactCsit(), 2**40 + 1, 50)
             assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
         with pytest.raises(ValueError):
-            draw_path(paper_two_state(), ExactCsit(), -1, 5)
-        with pytest.raises(TypeError):
-            draw_path(paper_two_state(), ExactCsit(), 1.5, 5)
+            ChannelPath(paper_two_state(), ExactCsit(), -1)
+        for seed in (1.5, None, [1, 2]):
+            with pytest.raises(TypeError):
+                ChannelPath(paper_two_state(), ExactCsit(), seed)
+
+    @pytest.mark.parametrize("start, stop", [(-2, -1), (-1, 3), (2**32 - 1, 2**32 + 1)])
+    def test_slots_outside_the_stream_keys_fail(self, start, stop):
+        # spawn keys are uint32 words: a negative slot has no stream of its
+        # own, as slot_rng(seed, -2) has none, and must not wrap to 2**32 - 2
+        for model in (paper_two_state(), paper_continuous()):
+            with pytest.raises(ValueError, match="slot indices"):
+                ChannelPath(model, ExactCsit(), 5).draw(start, stop)
+        h = ChannelPath(paper_continuous(), ExactCsit(), 5).draw(2**32 - 1, 2**32)[0]
+        rng = slot_rng(5, 2**32 - 1)  # the last slot that has a stream
+        assert h[0].tobytes() == sample_channel(paper_continuous(), rng).tobytes()
 
 
 class TestChannelBounds:

@@ -14,18 +14,18 @@ from hypothesis import strategies as st
 
 from dyncov import (
     BoundedBallCsit,
+    ChannelPath,
     DppSpec,
     ExperimentConfig,
     OgdSpec,
-    draw_path,
     dpp_step,
     paper_continuous,
     paper_error_case,
     paper_two_state,
 )
 from dyncov.harness import BLOCK_SLOTS
-from dyncov.linalg import _compose, _lapack_guard
-from dyncov.solvers import _gram_eig, _waterfill_thresholds
+from dyncov.linalg import _compose, _eigh_desc, _gram, _lapack_guard
+from dyncov.solvers import _waterfill_thresholds
 from dyncov.validate import decide_blocks, random_complex
 
 import decide_oracle as oracle
@@ -48,7 +48,7 @@ def test_decide_equals_the_oracle(name):
         csit_error=BoundedBallCsit(delta=0.1) if error == "ball" else paper_error_case(error),
         controller=spec, p=3.0, p_bar=2.0, horizon=5000, seed=11,
     )
-    h, h_obs = draw_path(cfg.channel, cfg.csit_error, cfg.seed, cfg.horizon)
+    h, h_obs = ChannelPath(cfg.channel, cfg.csit_error, cfg.seed).draw(0, cfg.horizon)
     q, z = decide_blocks(cfg, h, h_obs, BLOCK_SLOTS)
     q_ref, z_ref = oracle.decide(cfg, h_obs)
     assert np.abs(q - q_ref).max() <= oracle.q_atol(cfg.p_bar)
@@ -71,7 +71,7 @@ def test_queue_step_equals_the_oracle(n, n_r, rank, z, p, seed):
     h = random_complex(rng, (n_r, rank)) @ random_complex(rng, (rank, n))
     v, p_bar = 100.0, 0.6 * p
     with _lapack_guard():
-        sigma, vecs = _gram_eig(h)
+        sigma, vecs = _eigh_desc(_gram(h))
     theta, z_next = dpp_step(z, _waterfill_thresholds(sigma), n, v, p, p_bar)
     q_ref, theta_ref = oracle.waterfill(h, z / v, p)
     z_ref = max(0.0, z + theta_ref.sum() - p_bar)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from dyncov import (
     BoundedBallCsit,
     CdiPolicy,
+    ChannelPath,
     ConstantCovariance,
     DiscreteChannel,
     DppSpec,
@@ -34,7 +35,6 @@ from dyncov import (
     cdi_optimal_policy,
     compute_baseline,
     dpp_step,
-    draw_path,
     emit_outputs,
     ergodic_constant_covariance,
     load_config,
@@ -54,9 +54,9 @@ from dyncov import (
 )
 from dyncov.cli import main as cli_main
 from dyncov.harness import ConfigError, _decide, csv_to_columns, trace_to_csv
-from dyncov.linalg import _compose, capacity, capacity_gradient, trace_real
+from dyncov.linalg import _compose, _eigh_desc, _gram, capacity, capacity_gradient, trace_real
 from dyncov.matrixio import json_text, matrix_from_json, matrix_to_json
-from dyncov.solvers import _gram_eig, _sum, _waterfill_thresholds
+from dyncov.solvers import _sum, _waterfill_thresholds
 from dyncov.validate import (
     CheckResult, check_decide_recursion, decide_blocks, decide_reference,
 )
@@ -267,7 +267,7 @@ class TestRunExperiment:
                 p=p_bar * data.draw(st.floats(1.0, 3.0)), p_bar=p_bar,
                 horizon=data.draw(st.integers(1, 30)), seed=data.draw(st.integers(0, 2**70)),
             )
-            h, h_obs = draw_path(channel, err, cfg.seed, cfg.horizon)
+            h, h_obs = ChannelPath(channel, err, cfg.seed).draw(0, cfg.horizon)
             q_ref, z_ref = decide_reference(cfg, h_obs)
             # the run's decide folded over blocks, the state carried across them
             q, z = decide_blocks(cfg, h, h_obs, data.draw(st.integers(1, 31)))
@@ -293,7 +293,7 @@ class TestRunExperiment:
             csit_error=BoundedBallCsit(delta=0.1), controller=OgdSpec(gamma=gamma, t_delay=2),
             p=3.0, p_bar=2.0, horizon=200, seed=5,
         )
-        h, h_obs = draw_path(cfg.channel, cfg.csit_error, cfg.seed, cfg.horizon)
+        h, h_obs = ChannelPath(cfg.channel, cfg.csit_error, cfg.seed).draw(0, cfg.horizon)
         q_ref, _ = decide_reference(cfg, h_obs)
         q, z = decide_blocks(cfg, h, h_obs, 7)
         assert z is None
@@ -385,9 +385,9 @@ class TestRunExperiment:
             csit_error=BoundedBallCsit(delta=0.1), controller=DppSpec(v=10.0),
             p=3.0, p_bar=2.0, horizon=200, seed=3,
         )
-        h, h_obs = draw_path(cfg.channel, cfg.csit_error, cfg.seed, cfg.horizon)
+        h, h_obs = ChannelPath(cfg.channel, cfg.csit_error, cfg.seed).draw(0, cfg.horizon)
         q, z, _ = _decide(cfg, 0, h, h_obs)  # the whole path as one block
-        sigma, v = _gram_eig(h_obs)
+        sigma, v = _eigh_desc(_gram(h_obs))
         a = _waterfill_thresholds(sigma)
         for t in range(cfg.horizon):
             theta, z_next = dpp_step(z[t], a[t], n_t, 10.0, 3.0, 2.0)
@@ -487,7 +487,7 @@ class TestRunExperiment:
 
     def test_no_csit_replay_holds_the_constant_covariance(self, constant_reference):
         cfg = experiment(controller=ReplaySpec(policy=constant_reference), horizon=50)
-        h, h_obs = draw_path(cfg.channel, cfg.csit_error, cfg.seed, cfg.horizon)
+        h, h_obs = ChannelPath(cfg.channel, cfg.csit_error, cfg.seed).draw(0, cfg.horizon)
         q, z, _ = _decide(cfg, 0, h, h_obs)
         assert z is None
         assert all(np.array_equal(q_t, constant_reference.q) for q_t in q)

@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dyncov import (
+    ChannelPath,
     DiscreteChannel,
     ExactCsit,
     ExperimentConfig,
@@ -22,7 +23,6 @@ from dyncov import (
     ProductChannel,
     capacity_gradient,
     dpp_step,
-    draw_path,
     ergodic_constant_covariance,
     ogd_step,
     paper_two_state,
@@ -157,7 +157,7 @@ class TestDecideWorkspace:
             controller=OgdSpec(gamma=gamma, t_delay=t_delay), p=3.0, p_bar=2.0,
             horizon=40, seed=3,
         )
-        h, h_obs = draw_path(cfg.channel, cfg.csit_error, cfg.seed, cfg.horizon)
+        h, h_obs = ChannelPath(cfg.channel, cfg.csit_error, cfg.seed).draw(0, cfg.horizon)
         carry, qs, taken, works = None, [], [], []
         real_step = harness.ogd_step
 
@@ -165,7 +165,7 @@ class TestDecideWorkspace:
             m = len(out)
             assert len(q_lag) == len(g_lag) == m
             for k in range(m):  # a committed row aliases nothing its slot reads
-                reads = [q_lag[k], g_lag[k]] + ([] if carry is None else [carry])
+                reads = [q_lag[k], g_lag[k]] + ([] if carry is None else [*carry[0], *carry[1]])
                 assert not any(np.shares_memory(out[k], r) for r in reads)
             steps = [step] * m if np.ndim(step) == 0 else list(step)
             rows = None
@@ -196,7 +196,8 @@ class TestDecideWorkspace:
             qs.append(q)
             for work in works:  # nor does any workspace alias a committed row
                 arrays = workspace_arrays(work)
-                assert not any(np.shares_memory(a, m) for a in arrays for m in (q, carry))
+                rows = (q, *carry[0], *carry[1])
+                assert not any(np.shares_memory(a, m) for a in arrays for m in rows)
         assert len(works) == len(qs)
         assert len(taken) == cfg.horizon - t_delay
         assert set(taken) == branches
@@ -209,7 +210,7 @@ class TestDecideWorkspace:
             channel=ProductChannel(n_r=2, n_t=3, v_max=1.0), csit_error=ExactCsit(),
             controller=OgdSpec(gamma=gamma, t_delay=9), p=3.0, p_bar=2.0, horizon=30, seed=5,
         )
-        h, h_obs = draw_path(cfg.channel, cfg.csit_error, cfg.seed, cfg.horizon)
+        h, h_obs = ChannelPath(cfg.channel, cfg.csit_error, cfg.seed).draw(0, cfg.horizon)
         q, _ = decide_blocks(cfg, h, h_obs, 4)
         assert not q[:9].any() and q[9:].any(axis=(1, 2)).all()
         assert q.tobytes() == decide_reference(cfg, h_obs)[0].tobytes()

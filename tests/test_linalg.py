@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from dyncov import (
+    ChannelPath,
     DppSpec,
     ExactCsit,
     ExperimentConfig,
@@ -18,7 +19,6 @@ from dyncov import (
     ProductChannel,
     capacity,
     capacity_gradient,
-    draw_path,
     frobenius,
     herm_eig,
     ogd_step,
@@ -38,7 +38,6 @@ from dyncov.linalg import (
     _lapack_guard,
     nearest_index,
     require_hermitian,
-    symmetrize,
     trace_real,
 )
 from dyncov.solvers import _cap_project, _cap_threshold
@@ -202,7 +201,7 @@ class TestLapackKernels:
             channel=ProductChannel(n_r=3, n_t=3, v_max=1.0), csit_error=ExactCsit(),
             controller=controller, p=3.0, p_bar=2.0, horizon=5, seed=1,
         )
-        h, h_obs = draw_path(cfg.channel, cfg.csit_error, cfg.seed, cfg.horizon)
+        h, h_obs = ChannelPath(cfg.channel, cfg.csit_error, cfg.seed).draw(0, cfg.horizon)
         h_obs[0] = np.nan
         assert outcome(_decide, cfg, 0, h, h_obs) is LinAlgError
 
@@ -649,10 +648,11 @@ class TestNearestIndex:
 
 
 class TestHelpers:
-    def test_symmetrize_fixes_round_off(self):
+    def test_require_hermitian_fixes_round_off(self):
         a = np.array([[1.0, 0.5 + 1e-14j], [0.5 - 2e-14j, 2.0]])
-        s = symmetrize(a)
+        s = require_hermitian(a)
         assert frobenius(s - s.conj().T) == 0.0
+        assert s.tobytes() == (0.5 * (a + a.conj().T)).tobytes()
 
     def test_require_hermitian_tolerance(self):
         good = np.array([[1.0, 0.5 + 5e-13j], [0.5 - 5e-13j, 2.0]])

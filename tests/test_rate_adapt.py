@@ -47,6 +47,17 @@ class TestLedger:
         with pytest.raises(ValueError):
             led.record(-0.1)
 
+    @pytest.mark.parametrize("r_t", [float("nan"), float("inf"), np.float64("nan")])
+    def test_non_finite_rate_rejected(self, r_t):
+        # after a NaN no later slot could complete the batch, and an infinite
+        # slot would complete it with an overhead no summary can write
+        led = RateLedger(1.0)
+        with pytest.raises(ValueError, match="finite"):
+            led.record(r_t)
+        assert led.capacities == [] and not led.completed
+        led.record(5.0)
+        assert led.completed_at == 1 and led.overhead == 4.0
+
     def test_long_run_matches_sequential_prefix_sums(self):
         caps = np.random.default_rng(5).uniform(0.0, 2.0, 20_000)
         n_total = float(caps.sum()) - 1.0

@@ -554,7 +554,7 @@ class TestEmpiricalPolicy:
         assert len(pol.covariances) == 100
 
     def test_stacked_lookup_equals_per_slot_lookup(self):
-        from dyncov import ExactCsit, draw_path, paper_continuous, sample_channel
+        from dyncov import ChannelPath, ExactCsit, paper_continuous, sample_channel
         from dyncov.channel import sampling_rng
 
         model = paper_continuous()
@@ -562,7 +562,7 @@ class TestEmpiricalPolicy:
         pol = empirical_policy(
             [sample_channel(model, rng) for _ in range(30)], p_bar=2.0, p=3.0, mode="with-csit"
         )
-        h, _ = draw_path(model, ExactCsit(), 3, 600)  # more than one 256-slot block
+        h, _ = ChannelPath(model, ExactCsit(), 3).draw(0, 600)  # more than one 256-slot block
         stacked = pol.lookup(h)
         assert stacked.shape == (600, 2, 2)
         assert np.array_equal(stacked, np.stack([pol.lookup(x) for x in h]))
