@@ -9,9 +9,9 @@ T slots ago and projects back onto the trace-capped PSD set.
 
 The queue step is a one-slot function of the scalar queue Z; the gradient
 step runs a block of slots, each from the covariance Q(t - T), writing Q(t)
-into the rows it is given.  ``dyncov.harness`` keeps both states in the run's
-arrays.  Controllers never see the true channel; the harness computes
-realized utility separately.
+into the rows it is given.  ``dyncov.harness`` carries Z, or the last T
+covariances and observed Grams, between blocks.  Controllers never see the
+true channel; the harness computes realized utility separately.
 """
 
 from __future__ import annotations

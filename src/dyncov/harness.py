@@ -19,15 +19,17 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
+from itertools import chain, islice
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
 from . import channel as ch
-from .controllers import BoundReport, dpp_step, ogd_step, theoretical_bounds
+from .controllers import dpp_step, ogd_step, theoretical_bounds
 from .linalg import (
     _compose,
     _count,
@@ -441,11 +443,11 @@ def _decide(
     start + 1, ...: returns the committed covariances q, Z(t) for
     t = start..stop for the queue controller (else None), and the recursion
     state after the block.  That carry is Z(start) for the queue controller;
-    for the gradient controller it is two lists of min(T, horizon) rows, the
-    covariances committed and the Grams observed in the slots just before
-    start, oldest first: views of earlier blocks' arrays, which a block only
-    reads.  None is the run's start: an empty queue, or zeros.  Everything
-    that does not depend on the carry is computed up front."""
+    for the gradient controller it is its T chains' last iterates, two
+    deques of the last T covariances and observed Grams before start (none
+    when T >= horizon), oldest first, which the block extends with copies of
+    its last rows.  None is the run's start: an empty queue, or empty deques.
+    Everything that does not depend on the carry is computed up front."""
     b, spec = len(h), cfg.controller
     with _lapack_guard():  # one failure guard for every LAPACK call of the block
         if isinstance(spec, DppSpec):
@@ -462,18 +464,18 @@ def _decide(
         q = np.zeros((b, cfg.n_t, cfg.n_t), dtype=np.complex128)
         if isinstance(spec, OgdSpec):
             lag = spec.t_delay
-            if carry is None:  # a delay past the horizon never reads it
-                zeros = [np.zeros_like(q[0])] * min(lag, cfg.horizon)
-                carry = zeros, zeros
+            if carry is None:  # a delay past the horizon reads no row, and maxlen T can overflow
+                span = lag if lag < cfg.horizon else 0
+                carry = deque(maxlen=span), deque(maxlen=span)
             g = _gram(h_obs)  # every observed Gram matrix in one stacked product
-            # the carry's rows, then the block's: slot t - T is row k, slot t row k + T
-            qs, gs = carry[0] + list(q), carry[1] + list(g)
-            # before slot T no observation has arrived: q[t] stays zero
-            k0 = min(max(lag - start, 0), b)
+            k0 = min(max(lag - start, 0), b)  # no observation arrives before slot T: q[t] stays 0
             ts = np.arange(start + k0, start + b)
             step = 1.0 / np.sqrt(ts) if spec.gamma is None else spec.gamma
-            ogd_step(qs[k0:b], gs[k0:b], step, cfg.p_bar, q[k0:])
-            carry = qs[b:], gs[b:]
+            # slot start + k0 reads slot start + k0 - T: the carry's first row, then the block's
+            q_lag, g_lag = (list(islice(chain(c, new), b - k0)) for c, new in zip(carry, (q, g)))
+            ogd_step(q_lag, g_lag, step, cfg.p_bar, q[k0:])
+            for c, new in zip(carry, (q, g)):  # copies, so no carry row keeps this block alive
+                c.extend(new[-min(lag, b):].copy())
         elif isinstance(spec.policy, CdiPolicy):
             q[:] = spec.policy.lookup(h)
         else:
@@ -559,12 +561,12 @@ def _skipped(name: str) -> dict:
     return {"name": name, "passed": None, "detail": "skipped: channel norm has no certified cap"}
 
 
-def certify_run(result: RunResult, bounds: Optional[BoundReport]) -> list[dict]:
-    """Bound verdicts for one run; every check is re-derivable from the
-    per-slot trace (plus the final queue value, which follows from the last
-    row by the queue recursion)."""
+def certify_run(result: RunResult) -> list[dict]:
+    """Bound verdicts for one run against its config's bound report; every
+    check is re-derivable from the per-slot trace (plus the final queue
+    value, which follows from the last row by the queue recursion)."""
     cfg = result.config
-    spec = cfg.controller
+    spec, bounds = cfg.controller, cfg._bounds[1]
     t_axis = np.arange(1, cfg.horizon + 1, dtype=float)
 
     # the gradient controller projects onto tr(Q) <= p_bar; the others cap at p
@@ -623,7 +625,7 @@ def _reference_utility(result: RunResult) -> Optional[float]:
 def _build_summary(result: RunResult) -> dict:
     cfg = result.config
     cb, bounds = cfg._bounds
-    certs = certify_run(result, bounds)
+    certs = certify_run(result)
     summary = {
         "horizon": cfg.horizon,
         "seed": cfg.seed,

@@ -46,13 +46,11 @@ def random_complex(rng, shape) -> np.ndarray:
 
 
 def random_hermitian(rng, n: int, scale: float = 1.0) -> np.ndarray:
-    g = random_complex(rng, (n, n)) * scale
-    return 0.5 * (g + g.conj().T)
+    return random_hermitian_stack(rng, 1, n, scale)[0]
 
 
 def random_psd(rng, n: int, scale: float = 1.0) -> np.ndarray:
-    g = random_complex(rng, (n, n)) * scale
-    return g @ g.conj().T
+    return random_psd_stack(rng, 1, n, scale)[0]
 
 
 def random_hermitian_stack(rng, count: int, n: int, scale: float = 1.0) -> np.ndarray:

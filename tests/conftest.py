@@ -31,8 +31,10 @@ ERROR_CASES = ("exact", "case1", "case2")
 
 # property tests draw the same examples on every run; no per-example deadline
 settings.register_profile("dyncov", derandomize=True, deadline=None)
-# ten times the examples, for the decide's, the sweep's and the draw's property tests in CI:
+# ten times the examples, for the decide's, the fold's, the sweep's and the draw's property
+# tests in CI:
 # pytest --hypothesis-profile=dyncov-deep tests/test_in_place.py tests/test_decide_oracle.py \
+#     tests/test_harness.py::TestRunExperiment::test_decide_equals_public_recursion \
 #     tests/test_solvers.py::TestCapThreshold tests/test_channel.py::TestDrawPath
 settings.register_profile("dyncov-deep", settings.get_profile("dyncov"), max_examples=1000)
 settings.load_profile("dyncov")

@@ -124,8 +124,8 @@ def test_slot_ranges_concatenate_to_the_whole_draw(model, err):
 
 
 def test_a_delay_past_the_horizon_carries_no_more_than_the_horizon(constant_reference):
-    # no observation arrives within the run, so every slot commits Q = 0;
-    # a carry of t_delay slots would not fit in memory
+    # no observation arrives within the run, so every slot commits Q = 0 and
+    # no row is ever read; a carry of t_delay slots would not fit in memory
     cfg = ExperimentConfig(
         channel=paper_two_state(), csit_error=ExactCsit(),
         controller=OgdSpec(gamma=0.01, t_delay=10**12), reference=constant_reference,
@@ -133,8 +133,50 @@ def test_a_delay_past_the_horizon_carries_no_more_than_the_horizon(constant_refe
     )
     h, h_obs = ChannelPath(cfg.channel, cfg.csit_error, cfg.seed).draw(0, cfg.horizon)
     q, _, carry = harness._decide(cfg, 0, h, h_obs)
-    assert not q.any() and len(carry[0]) == len(carry[1]) == 50
+    assert not q.any() and len(carry[0]) == len(carry[1]) == 0
     assert not run_experiment(cfg).tr_q.any()
+
+
+def delayed_ogd(t_delay, horizon):
+    return ExperimentConfig(
+        channel=paper_two_state(), csit_error=paper_error_case("case1"),
+        controller=OgdSpec(gamma=0.05, t_delay=t_delay), p=3.0, p_bar=2.0,
+        horizon=horizon, seed=2,
+    )
+
+
+def first_block_peak(cfg):
+    h, h_obs = ChannelPath(cfg.channel, cfg.csit_error, cfg.seed).draw(0, DEFAULT_BLOCK)
+    tracemalloc.start()
+    try:
+        harness._decide(cfg, 0, h, h_obs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_block_allocates_the_same_whatever_the_delay_and_horizon():
+    # the carry is a delay line of at most T rows: a block adds copies of its
+    # last rows, and pads or copies nothing in proportion to T or the horizon
+    first_block_peak(delayed_ogd(10**6, 600))  # caches of the first decide
+    near, far = (first_block_peak(delayed_ogd(t, 2**20)) for t in (2 * DEFAULT_BLOCK, 10**6))
+    assert abs(far - near) <= 16 * 1024, (near, far)
+    # a delay past the horizon keeps no row
+    assert first_block_peak(delayed_ogd(10**6, DEFAULT_BLOCK)) <= far
+
+
+@pytest.mark.parametrize("t_delay", [1, 3, DEFAULT_BLOCK, 700])
+def test_no_carry_row_aliases_a_block(t_delay):
+    # the carry holds copies of each block's last rows, so it keeps no block alive
+    cfg = delayed_ogd(t_delay, 2 * DEFAULT_BLOCK)
+    h, h_obs = ChannelPath(cfg.channel, cfg.csit_error, cfg.seed).draw(0, cfg.horizon)
+    carry, qs = None, []
+    for start in (0, DEFAULT_BLOCK):
+        block = slice(start, start + DEFAULT_BLOCK)
+        q, _, carry = harness._decide(cfg, start, h[block], h_obs[block], carry)
+        qs.append(q)
+    assert not any(np.shares_memory(row, q) for row in (*carry[0], *carry[1]) for q in qs)
+    assert np.array(carry[0]).tobytes() == np.concatenate(qs)[-t_delay:].tobytes()
 
 
 def heap_peak(horizon, tmp_path):

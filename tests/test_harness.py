@@ -258,7 +258,8 @@ class TestRunExperiment:
                 DppSpec(v=data.draw(st.floats(0.5, 200.0))),
                 OgdSpec(
                     gamma=data.draw(st.none() | st.floats(1e-3, 1.0)),
-                    t_delay=data.draw(st.integers(1, 3)),
+                    # past the drawn block size and horizon too: the carry is a delay line
+                    t_delay=data.draw(st.integers(1, 3) | st.integers(4, 70)),
                 ),
             ]))
             p_bar = data.draw(st.floats(0.1, 5.0))
