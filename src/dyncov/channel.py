@@ -28,7 +28,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .linalg import as_matrix, check_fields, frobenius, matrix_stack, nearest_index
+from .linalg import MAX_ANTENNAS, as_matrix, check_fields, frobenius, matrix_stack, nearest_index
 
 # stream domains: (domain, index) spawn keys under the run seed
 _STREAM_SLOT = 0
@@ -166,6 +166,8 @@ class DiscreteChannel:
 
     def __post_init__(self):
         states = matrix_stack(self.states, "states")
+        if max(states.shape[1:]) > MAX_ANTENNAS:
+            raise ValueError(f"'states' must be at most {MAX_ANTENNAS} by {MAX_ANTENNAS}")
         check_fields(self, arrays=("probs",))
         if len(self.probs) != len(states):
             raise ValueError("probs length must match number of states")
@@ -203,6 +205,9 @@ class ProductChannel:
         check_fields(self, finite=("v_max",), counts=("n_r", "n_t"))
         if self.n_r < 1 or self.n_t < 1:
             raise ValueError("antenna counts must be positive")
+        for key, n in (("n_r", self.n_r), ("n_t", self.n_t)):
+            if n > MAX_ANTENNAS:
+                raise ValueError(f"{key!r} must be at most {MAX_ANTENNAS} antennas, got {n}")
         if not self.v_max > 0:
             raise ValueError("v_max must be positive")
 

@@ -72,6 +72,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class DppSpec:
     v: float  # the queue starts empty, Z(0) = 0, as the certified bounds assume
+    cap_verdict = "short-term-power-cap", "p"  # the tr(Q) cap's verdict and config field
 
     def __post_init__(self):
         check_fields(self, finite=("v",), error=ConfigError)
@@ -79,11 +80,49 @@ class DppSpec:
         if not self.v > 0:
             raise ConfigError("v must be positive")
 
+    def decide(self, cfg, start, h, h_obs, carry):
+        """The queue recursion over one block: the covariances, Z(t) for
+        t = start..stop and the carry, Z(stop) (None: an empty queue)."""
+        sigma, v = _eigh_desc(_gram(h_obs))  # every observed Gram spectrum in one stacked solve
+        a = _waterfill_thresholds(sigma)
+        z, theta = [0.0 if carry is None else carry], []
+        args = cfg.n_t, self.v, cfg.p, cfg.p_bar  # looked up once, not per slot
+        for k in range(len(h)):
+            theta_t, z_next = dpp_step(z[k], a[k], *args)
+            theta.append(theta_t)
+            z.append(z_next)
+        # the queue never reads Q(t) = V diag(theta) V^H: compose them all at once
+        return _compose(v, theta), np.array(z), z[-1]
+
+    def certify(self, result, bounds) -> list[dict]:
+        cfg = result.config
+        # queue vs running power: pure queue arithmetic, distribution-free
+        z_seq = np.append(result.z[1:], result.z_final)  # Z(t) for t = 1..horizon
+        rel = result.runavg_tr_q - (cfg.p_bar + z_seq / np.arange(1, cfg.horizon + 1, dtype=float))
+        what = "max over t of avg power - (p_bar + Z(t)/t)"
+        certs = [_upper("running-power-vs-queue", what, float(np.max(rel)))]
+        if bounds is None:
+            return certs + [_skipped("queue-bound")]
+        worst_z = max(np.max(result.z), result.z_final) - bounds.queue_bound
+        budget = cfg.p_bar + bounds.queue_bound / cfg.horizon
+        certs += [
+            _upper("queue-bound", "max Z(t) - queue bound", float(worst_z)),
+            _upper("average-power-budget", "final avg power - budgeted bound",
+                   float(result.runavg_tr_q[-1] - budget)),
+        ]
+        r_opt = _reference_utility(result)
+        if r_opt is not None:
+            floor = r_opt - (bounds.epsilon + bounds.phi_delta)
+            what = "final avg utility - (reference - eps - phi)"
+            certs.append(_floor("utility-floor", what, float(result.runavg_r[-1] - floor)))
+        return certs
+
 
 @dataclass(frozen=True)
 class OgdSpec:
     gamma: Optional[float] = 0.01  # None selects the 1/sqrt(t) schedule
     t_delay: int = 1  # observations arrive t_delay slots late
+    cap_verdict = "trace-cap", "p_bar"  # it projects onto tr(Q) <= p_bar
 
     def __post_init__(self):
         finite = () if self.gamma is None else ("gamma",)
@@ -94,10 +133,54 @@ class OgdSpec:
         if self.t_delay < 1:
             raise ConfigError("t_delay must be at least one slot")
 
+    def decide(self, cfg, start, h, h_obs, carry):
+        """The gradient recursion over one block: the covariances, no queue, and
+        the carry, the T chains' last iterates: two deques of the last T (none
+        when T >= horizon) covariances and observed Grams before start, oldest
+        first, which the block extends with copies of its last rows."""
+        b, lag = len(h), self.t_delay
+        if carry is None:  # a delay past the horizon reads no row, and maxlen T can overflow
+            span = lag if lag < cfg.horizon else 0
+            carry = deque(maxlen=span), deque(maxlen=span)
+        q = np.zeros((b, cfg.n_t, cfg.n_t), dtype=np.complex128)
+        g = _gram(h_obs)  # every observed Gram matrix in one stacked product
+        k0 = min(max(lag - start, 0), b)  # no observation arrives before slot T: q[t] stays 0
+        step = 1.0 / np.sqrt(np.arange(start + k0, start + b)) if self.gamma is None else self.gamma
+        # slot start + k0 reads slot start + k0 - T: the carry's first row, then the block's
+        m, n_old = b - k0, min(len(carry[1]), b - k0)
+        q_lag = list(islice(chain(carry[0], q), m))  # q_lag[k + T] may be q[k0 + k]
+        g_lag = np.concatenate([list(islice(carry[1], n_old)), g[:m - n_old]]) if n_old else g[:m]
+        ogd_step(q_lag, g_lag, step, cfg.p_bar, q[k0:])
+        for c, new in zip(carry, (q, g)):  # copies, so no carry row keeps this block alive
+            c.extend(new[-min(lag, b):].copy())
+        return q, None, carry
+
+    def certify(self, result, bounds) -> list[dict]:
+        if bounds is None:
+            return [_skipped("per-slot-regret-floor")]
+        if result.r_ref is None:
+            return []
+        t_axis = np.arange(1, result.config.horizon + 1, dtype=float)
+        avg_ref = np.cumsum(result.r_ref) / t_axis
+        regret = bounds.regret_bound(t_axis, self.gamma, self.t_delay)
+        what = "min over t of avg utility - (reference avg - bound)"
+        gap = float(np.min(result.runavg_r - (avg_ref - regret)))
+        return [_floor("per-slot-regret-floor", what, gap)]
+
 
 @dataclass(frozen=True)
 class ReplaySpec:
     policy: Union[CdiPolicy, ConstantCovariance]
+    cap_verdict = DppSpec.cap_verdict
+
+    def decide(self, cfg, start, h, h_obs, carry):
+        """The replayed policy's covariances for the block's true channels; no carry."""
+        q = np.zeros((len(h), cfg.n_t, cfg.n_t), dtype=np.complex128)
+        q[:] = self.policy.lookup(h) if isinstance(self.policy, CdiPolicy) else self.policy.q
+        return q, None, carry
+
+    def certify(self, result, bounds) -> list[dict]:
+        return []
 
 
 ControllerSpec = Union[DppSpec, OgdSpec, ReplaySpec]
@@ -439,48 +522,11 @@ def compute_baseline(
 def _decide(
     cfg: ExperimentConfig, start: int, h: np.ndarray, h_obs: np.ndarray, carry=None
 ) -> tuple[np.ndarray, Optional[np.ndarray], object]:
-    """The controller's recursion over one drawn block of slots start,
-    start + 1, ...: returns the committed covariances q, Z(t) for
-    t = start..stop for the queue controller (else None), and the recursion
-    state after the block.  That carry is Z(start) for the queue controller;
-    for the gradient controller it is its T chains' last iterates, two
-    deques of the last T covariances and observed Grams before start (none
-    when T >= horizon), oldest first, which the block extends with copies of
-    its last rows.  None is the run's start: an empty queue, or empty deques.
-    Everything that does not depend on the carry is computed up front."""
-    b, spec = len(h), cfg.controller
+    """The controller spec's ``decide`` on one drawn block of slots start, start + 1, ...
+    under one LAPACK failure guard: the committed covariances q, Z(t) for t = start..stop
+    for the queue controller (else None), and the carry after the block (None: the start)."""
     with _lapack_guard():  # one failure guard for every LAPACK call of the block
-        if isinstance(spec, DppSpec):
-            sigma, v = _eigh_desc(_gram(h_obs))  # every observed Gram spectrum in one stacked solve
-            a = _waterfill_thresholds(sigma)
-            z, theta = [0.0 if carry is None else carry], []
-            args = cfg.n_t, spec.v, cfg.p, cfg.p_bar  # looked up once, not per slot
-            for k in range(b):
-                theta_t, z_next = dpp_step(z[k], a[k], *args)
-                theta.append(theta_t)
-                z.append(z_next)
-            # the queue never reads Q(t) = V diag(theta) V^H: compose them all at once
-            return _compose(v, theta), np.array(z), z[-1]
-        q = np.zeros((b, cfg.n_t, cfg.n_t), dtype=np.complex128)
-        if isinstance(spec, OgdSpec):
-            lag = spec.t_delay
-            if carry is None:  # a delay past the horizon reads no row, and maxlen T can overflow
-                span = lag if lag < cfg.horizon else 0
-                carry = deque(maxlen=span), deque(maxlen=span)
-            g = _gram(h_obs)  # every observed Gram matrix in one stacked product
-            k0 = min(max(lag - start, 0), b)  # no observation arrives before slot T: q[t] stays 0
-            ts = np.arange(start + k0, start + b)
-            step = 1.0 / np.sqrt(ts) if spec.gamma is None else spec.gamma
-            # slot start + k0 reads slot start + k0 - T: the carry's first row, then the block's
-            q_lag, g_lag = (list(islice(chain(c, new), b - k0)) for c, new in zip(carry, (q, g)))
-            ogd_step(q_lag, g_lag, step, cfg.p_bar, q[k0:])
-            for c, new in zip(carry, (q, g)):  # copies, so no carry row keeps this block alive
-                c.extend(new[-min(lag, b):].copy())
-        elif isinstance(spec.policy, CdiPolicy):
-            q[:] = spec.policy.lookup(h)
-        else:
-            q[:] = spec.policy.q
-    return q, None, carry
+        return cfg.controller.decide(cfg, start, h, h_obs, carry)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
@@ -504,8 +550,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         # draw: the channel path is exogenous, one seeded stream per slot
         h, h_obs = path.draw(block.start, block.stop)
 
-        # decide: only the controller's recursion is sequential
-        q, z_block, carry = _decide(cfg, start, h, h_obs, carry)
+        try:  # decide: only the controller's recursion is sequential
+            q, z_block, carry = _decide(cfg, start, h, h_obs, carry)
+        except np.linalg.LinAlgError as exc:  # parameters too large for the solves
+            raise ConfigError(f"decide of slots {start}..{block.stop - 1}: {exc}") from exc
 
         # evaluate: true-channel capacities and powers over the block's stack
         r[block] = capacity(h, q)
@@ -562,59 +610,14 @@ def _skipped(name: str) -> dict:
 
 
 def certify_run(result: RunResult) -> list[dict]:
-    """Bound verdicts for one run against its config's bound report; every
-    check is re-derivable from the per-slot trace (plus the final queue
-    value, which follows from the last row by the queue recursion)."""
-    cfg = result.config
-    spec, bounds = cfg.controller, cfg._bounds[1]
-    t_axis = np.arange(1, cfg.horizon + 1, dtype=float)
-
-    # the gradient controller projects onto tr(Q) <= p_bar; the others cap at p
-    if isinstance(spec, OgdSpec):
-        cap_name, cap_field, cap = "trace-cap", "p_bar", cfg.p_bar
-    else:
-        cap_name, cap_field, cap = "short-term-power-cap", "p", cfg.p
-    certs = [_upper(cap_name, f"max tr(Q) - {cap_field}", float(np.max(result.tr_q) - cap))]
-
-    if isinstance(spec, DppSpec):
-        # queue vs running power: pure queue arithmetic, distribution-free
-        z_seq = np.append(result.z[1:], result.z_final)  # Z(t) for t = 1..horizon
-        rel = result.runavg_tr_q - (cfg.p_bar + z_seq / t_axis)
-        certs.append(_upper(
-            "running-power-vs-queue", "max over t of avg power - (p_bar + Z(t)/t)",
-            float(np.max(rel)),
-        ))
-        if bounds is None:
-            certs.append(_skipped("queue-bound"))
-        else:
-            worst_z = max(np.max(result.z), result.z_final) - bounds.queue_bound
-            certs.append(_upper("queue-bound", "max Z(t) - queue bound", float(worst_z)))
-            budget = cfg.p_bar + bounds.queue_bound / cfg.horizon
-            certs.append(_upper(
-                "average-power-budget", "final avg power - budgeted bound",
-                float(result.runavg_tr_q[-1] - budget),
-            ))
-            r_opt = _reference_utility(result)
-            if r_opt is not None:
-                floor = r_opt - (bounds.epsilon + bounds.phi_delta)
-                certs.append(_floor(
-                    "utility-floor", "final avg utility - (reference - eps - phi)",
-                    float(result.runavg_r[-1] - floor),
-                ))
-
-    elif isinstance(spec, OgdSpec):
-        if bounds is None:
-            certs.append(_skipped("per-slot-regret-floor"))
-        elif result.r_ref is not None:
-            avg_ref = np.cumsum(result.r_ref) / t_axis
-            regret = bounds.regret_bound(t_axis, spec.gamma, spec.t_delay)
-            certs.append(_floor(
-                "per-slot-regret-floor",
-                "min over t of avg utility - (reference avg - bound)",
-                float(np.min(result.runavg_r - (avg_ref - regret))),
-            ))
-
-    return certs
+    """Bound verdicts for one run: the cap on tr(Q) that its spec names, then
+    the spec's own against the config's bound report.  Each is re-derivable
+    from the per-slot trace (plus the final queue value, which follows from
+    the last row by the queue recursion)."""
+    cfg, spec = result.config, result.config.controller
+    name, cap_field = spec.cap_verdict
+    excess = float(np.max(result.tr_q) - getattr(cfg, cap_field))
+    return [_upper(name, f"max tr(Q) - {cap_field}", excess)] + spec.certify(result, cfg._bounds[1])
 
 
 def _reference_utility(result: RunResult) -> Optional[float]:

@@ -1,7 +1,7 @@
 """Dense complex linear algebra kernels for small matrices.
 
 Everything here operates on plain complex numpy arrays of modest size
-(channel matrices and transmit covariances, n <= 8 in practice).  Every
+(channel matrices and transmit covariances, n <= ``MAX_ANTENNAS`` = 8).  Every
 eigensolve is the stack-aware LAPACK ``eigh`` call of ``_eigh``, whose
 ascending pair ``_eigh_desc`` reverses, but the ogd recursion's
 (``controllers.ogd_step``), which calls the gufuncs itself, slot by slot;
@@ -31,6 +31,9 @@ import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 HERMITIAN_ATOL = 1e-12
+
+# the largest antenna count of a channel: the n that the kernels are checked up to
+MAX_ANTENNAS = 8
 
 # 1/2 as a read-only complex 0-d array: numpy multiplies by it faster than by a float
 _HALF = np.broadcast_to(0.5 + 0j, ())

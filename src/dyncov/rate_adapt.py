@@ -10,9 +10,12 @@ earlier slot exactly its own capacity.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
-from .linalg import check_fields
+from .linalg import MAX_ANTENNAS, check_fields
+
+N_TOTAL_MIN = 2 * MAX_ANTENNAS * math.log(sys.float_info.max) / sys.float_info.max
 
 
 class LedgerError(RuntimeError):
@@ -26,6 +29,10 @@ class RateLedger:
     ``completed_at`` is the number of slots consumed when the cumulative
     capacity first reaches ``n_total`` (None while still transmitting).
     ``delivered`` is that cumulative capacity, summed in slot order.
+
+    ``relative_overhead`` is finite: the overhead is below the last slot's capacity,
+    a sum of min(n_r, n_t) <= ``MAX_ANTENNAS`` logs of finite floats, and ``n_total``
+    is at least ``N_TOTAL_MIN``, twice ``MAX_ANTENNAS`` ln(max float) over max float.
     """
 
     n_total: float
@@ -35,8 +42,8 @@ class RateLedger:
 
     def __post_init__(self):
         check_fields(self, finite=("n_total",))
-        if not self.n_total > 0:
-            raise ValueError("n_total must be positive")
+        if not self.n_total >= N_TOTAL_MIN:
+            raise ValueError(f"n_total must be positive and at least {N_TOTAL_MIN!r}")
 
     @property
     def completed(self) -> bool:

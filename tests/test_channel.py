@@ -31,7 +31,7 @@ from dyncov.channel import (
     _seed_pool,
     _seed_words,
 )
-from dyncov.linalg import frobenius
+from dyncov.linalg import MAX_ANTENNAS, frobenius
 
 # elementwise oracles, computed from the printed magnitude/phase tables
 H1_FROBENIUS = 4.692305883038744
@@ -310,6 +310,24 @@ class TestChannelBounds:
             delta = channel_bounds(model, err).delta
             for s in model.states:
                 assert frobenius(observe_csit(s, err) - s) <= delta + 1e-9
+
+
+class TestAntennaCounts:
+    """A count past MAX_ANTENNAS fails at construction, naming its field, not
+    in numpy's allocation of the run's first block."""
+
+    @pytest.mark.parametrize("n", [MAX_ANTENNAS + 1, 2**40])
+    @pytest.mark.parametrize("key", ["n_r", "n_t"])
+    def test_product_channel_bounds_each_count(self, key, n):
+        with pytest.raises(ValueError, match=f"^'{key}' must be at most 8 antennas, got {n}$"):
+            ProductChannel(**{"n_r": 2, "n_t": 2, key: n}, v_max=1.0)
+        assert getattr(ProductChannel(**{"n_r": 2, "n_t": 2, key: 8}, v_max=1.0), key) == 8
+
+    @pytest.mark.parametrize("shape", [(9, 2), (2, 9)])
+    def test_discrete_channel_bounds_each_count(self, shape):
+        with pytest.raises(ValueError, match="^'states' must be at most 8 by 8$"):
+            DiscreteChannel(states=[np.ones(shape)], probs=[1.0])
+        assert DiscreteChannel(states=[np.ones((8, 8))], probs=[1.0]).n_t == 8
 
 
 class TestPresets:

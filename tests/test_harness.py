@@ -1695,6 +1695,13 @@ BAD_CONFIGS = [
     }), "probabilities sum to 0.5, expected 1"),
     ("no-antennas", config_text(channel={"kind": "continuous-product", "n_r": 0, "n_t": 2,
                                          "v_max": 1.0}), "antenna counts must be positive"),
+    # numpy's MemoryError ("Unable to allocate 256. TiB") in the first draw
+    ("too-many-antennas", config_text(channel={"kind": "continuous-product", "n_r": 2,
+                                               "n_t": 2**40, "v_max": 1.0}),
+     "'n_t' must be at most 8 antennas, got 1099511627776"),
+    # a summary with "relative_overhead": Infinity, which is not JSON
+    ("subnormal-ledger", config_text(rate_adapt={"n_total": 5e-324}),
+     "n_total must be positive and at least "),
     ("unknown-csit-preset", config_text(csit_error={"preset": "case9"}),
      "unknown error preset 'case9'"),
     ("malformed-entry", config_text(channel={
@@ -1829,6 +1836,24 @@ class TestCli:
         assert exit_.value.code == 2
         assert capsys.readouterr().err.startswith(
             "dyncov: error: 'q' must be positive semidefinite (relative least eigenvalue "
+        )
+
+    def test_failed_lapack_solve_mid_run_exits_2(self, tmp_path, capsys):
+        # observations of norm about 1e300 overflow their Gram matrices in the
+        # decide; a LinAlgError traceback would exit 1, a failed certification
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(
+            channel={"preset": "paper-continuous"},
+            csit_error={"kind": "bounded-ball", "delta": 1e300},
+            controller={"kind": "ogd", "step": "inverse-sqrt", "t_delay": 6},
+            p=602.9, p_bar=67.5, horizon=23,
+        ))
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["run", str(cfg_path)])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err == (
+            "dyncov: error: decide of slots 0..22: LAPACK kernel failed: "
+            "singular matrix or eigenvalues did not converge\n"
         )
 
     @pytest.mark.parametrize("command", ["run", "baseline"])

@@ -1,9 +1,14 @@
 """Residual-bit ledger arithmetic and the reverse-decode feasibility check."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
 from dyncov import LedgerError, RateLedger, decode_check
+from dyncov.linalg import MAX_ANTENNAS
+from dyncov.rate_adapt import N_TOTAL_MIN
 
 
 class TestLedger:
@@ -72,6 +77,20 @@ class TestLedger:
     def test_nonpositive_total_rejected(self):
         with pytest.raises(ValueError):
             RateLedger(0.0)
+
+    @pytest.mark.parametrize(
+        "n_total", [5e-324, 1e-310, N_TOTAL_MIN / 2], ids=["subnormal", "1e-310", "half-the-least"]
+    )
+    def test_total_whose_relative_overhead_can_overflow_rejected(self, n_total):
+        # a summary would hold "relative_overhead": Infinity, which is not JSON
+        with pytest.raises(ValueError, match="^n_total must be positive and at least "):
+            RateLedger(n_total)
+
+    def test_relative_overhead_finite_at_the_least_total(self):
+        # the most one slot carries: a log of the largest float for each of 8 modes
+        led = RateLedger(N_TOTAL_MIN)
+        led.record(MAX_ANTENNAS * math.log(sys.float_info.max))
+        assert math.isfinite(led.relative_overhead)
 
     @pytest.mark.parametrize("field", [{"capacities": [5.0]}, {"completed_at": 1}])
     def test_recorded_state_is_not_an_argument(self, field):
