@@ -409,10 +409,12 @@ class ChannelPath:
         r = np.empty(m)  # the ball's radii
         rng = self._rng
         bits, normal, uniform = rng.bit_generator, rng.standard_normal, rng.random
-        fixed = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+        seeded = {"state": 0, "inc": 0}  # the setter copies its two integers out
+        full = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
         limbs = zip(state[0].tolist(), state[1].tolist(), inc[0].tolist(), inc[1].tolist())
         for k, (s_hi, s_lo, i_hi, i_lo) in enumerate(limbs):
-            bits.state = {**fixed, "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}}
+            seeded["state"], seeded["inc"] = s_hi << 64 | s_lo, i_hi << 64 | i_lo
+            bits.state = full
             if states is None:
                 normal(out=g[k])
                 uniform(out=u[k])

@@ -35,7 +35,7 @@ def dpp_step(
     where sum(theta) = tr Q(t) in exact arithmetic; the queue never reads Q(t)."""
     z_over_v = z / v
     theta = _cap_threshold(a, -1.0 / z_over_v if z_over_v > 0.0 else -np.inf, p)[0]
-    theta += [0.0] * (n - len(a))  # from eight terms on, _sum's order depends on the count
+    theta += [0.0] * (n - len(a))  # the stacked compose takes n entries per row
     return theta, max(0.0, z + _sum(theta) - p_bar)
 
 

@@ -555,8 +555,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         except np.linalg.LinAlgError as exc:  # parameters too large for the solves
             raise ConfigError(f"decide of slots {start}..{block.stop - 1}: {exc}") from exc
 
-        # evaluate: true-channel capacities and powers over the block's stack
-        r[block] = capacity(h, q)
+        try:  # evaluate: true-channel capacities and powers over the block's stack
+            r[block] = capacity(h, q)
+        except ValueError as exc:  # a covariance that overflowed, or too large to factor
+            raise ConfigError(f"evaluate of slots {start}..{block.stop - 1}: {exc}") from exc
         tr_q[block] = trace_real(q)
         if z is not None:
             z[block] = z_block[:-1]

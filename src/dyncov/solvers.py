@@ -63,9 +63,9 @@ class WaterfillResult:
 
 
 def _sum(xs: list[float]) -> float:
-    """``np.sum`` of a list of floats, in numpy's order: term by term from 0.0
-    below eight terms, numpy's pairwise sum from eight on."""
-    return float(np.add.reduce(xs)) if len(xs) >= 8 else reduce(add, xs, 0.0)
+    """The sum of a list of floats, term by term from 0.0 at every length: the
+    order of ``np.cumsum``, and of every running sum in the loading kernels."""
+    return reduce(add, xs, 0.0)
 
 
 def _cap_threshold(a: list[float], tau0: float, cap: float) -> tuple[list[float], float]:
@@ -88,17 +88,14 @@ def _cap_sweep(a: list[float], tau0: float, cap: float) -> tuple[list[float] | N
     cap), which is within cap of the exact loading.  Returns theta, r and
     tau, with theta None where the sweep accepted a prefix: its loading is
     ``_prefix_loading(a, r, cap)``, which a caller builds only if it reads it.
-    The sweep builds a loading only to return it: below eight terms the clip
-    test sums max(0, a - tau0) as it goes, in ``_sum``'s order.  Works on
-    Python floats: each operation is the IEEE one numpy would do on the array.
+    The sweep builds a loading only to return it: the clip test sums
+    max(0, a - tau0) as it goes, in ``_sum``'s order.  Works on Python
+    floats: each operation is the IEEE one numpy would do on the array.
     """
-    if len(a) < 8:  # a 0.0 term would leave s as it is, since s is never -0.0
-        s = 0.0
-        for x in a:
-            if not x < tau0:  # max(x - tau0, 0.0) is x - tau0, NaN included
-                s += x - tau0
-    else:
-        s = _sum([max(x - tau0, 0.0) for x in a])
+    s = 0.0  # a 0.0 term would leave s as it is, since s is never -0.0
+    for x in a:
+        if not x < tau0:  # max(x - tau0, 0.0) is x - tau0, NaN included
+            s += x - tau0
     if s <= cap:  # "or 0.0": a -0.0 term loads +0.0, as numpy's maximum gives
         return [max(x - tau0, 0.0) or 0.0 for x in a], 0, tau0
     n = len(a)
@@ -118,9 +115,7 @@ def _cap_sweep(a: list[float], tau0: float, cap: float) -> tuple[list[float] | N
 
 
 def _sum_minus(x: float, a: list[float]) -> float:
-    """_sum([x - y for y in a]), with no list below eight terms."""
-    if len(a) >= 8:
-        return _sum([x - y for y in a])
+    """_sum([x - y for y in a]), with no list."""
     s = 0.0
     for y in a:
         s += x - y

@@ -1856,6 +1856,38 @@ class TestCli:
             "singular matrix or eigenvalues did not converge\n"
         )
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            (  # a loading near the float range: I + H Q H^H fails its Cholesky
+                dict(
+                    channel={"kind": "continuous-product", "n_r": 4, "n_t": 1, "v_max": 1e12},
+                    controller={"kind": "ogd", "step": "inverse-sqrt"},
+                    p=1.7976931348623157e308, p_bar=1e12, horizon=4, seed=1,
+                ),
+                "evaluate of slots 0..3: capacity argument I + H Q H^H is numerically "
+                "indefinite; is the covariance PSD?",
+            ),
+            (  # a step of the largest float: the decide's covariance overflows to inf
+                dict(
+                    channel={"kind": "continuous-product", "n_r": 1, "n_t": 1, "v_max": 3.38},
+                    controller={"kind": "ogd", "gamma": 1.7976931348623157e308},
+                    p=1e12, p_bar=1e12, horizon=13, seed=2,
+                ),
+                "evaluate of slots 0..12: covariance has non-finite entries",
+            ),
+        ],
+        ids=["indefinite-capacity", "non-finite-covariance"],
+    )
+    def test_failed_evaluate_exits_2(self, tmp_path, capsys, case, message):
+        # the evaluate's ValueError would exit 1, a failed certification
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(**case))
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["run", str(cfg_path)])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err == f"dyncov: error: {message}\n"
+
     @pytest.mark.parametrize("command", ["run", "baseline"])
     def test_policy_file_not_object_exits_2(self, tmp_path, command):
         (tmp_path / "ref.json").write_text("[1, 2]")

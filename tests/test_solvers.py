@@ -20,7 +20,7 @@ from dyncov import (
     waterfill_penalized,
 )
 from dyncov.linalg import ConvergenceError, trace_real
-from dyncov.solvers import _cap_plan, _cap_threshold
+from dyncov.solvers import _cap_plan, _cap_threshold, _sum
 from dyncov.validate import (
     capacity_stack,
     psd_cap_project_stack,
@@ -65,18 +65,25 @@ def scalar_channel(sigma):
     return np.array([[np.sqrt(sigma)]], dtype=complex)
 
 
+def sum_in_order(x):
+    """Sums over the last axis, term by term from 0.0 (``np.add.accumulate``)."""
+    x = np.asarray(x)
+    return np.add.accumulate(np.insert(x, 0, 0.0, axis=-1), axis=-1)[..., -1]
+
+
 def cap_threshold_numpy(a, tau0, cap):
     """The numpy-scalar sweep that ``_cap_threshold`` replaced, kept as its
-    oracle: the Python-float sweep must return the same bytes."""
+    oracle: the Python-float sweep must return the same bytes.  Every sum
+    runs left to right from 0.0, as the sweep's do."""
 
     def prefix_loading(r):
         act = a[:r]
         theta = np.zeros_like(a)
-        theta[:r] = np.maximum(0.0, (cap + (act[:, None] - act[None, :]).sum(axis=1)) / r)
+        theta[:r] = np.maximum(0.0, (cap + sum_in_order(act[:, None] - act[None, :])) / r)
         return theta
 
     theta = np.maximum(a - tau0, 0.0)
-    if theta.sum() <= cap:
+    if sum_in_order(theta) <= cap:
         return theta, tau0
     n = len(a)
     s = 0.0
@@ -90,7 +97,7 @@ def cap_threshold_numpy(a, tau0, cap):
         return prefix_loading(r), tau
     # a cap below the rounding resolution of a's sums: the entries tied with a[0]
     theta = prefix_loading(int((a == a[0]).sum()))
-    if theta.sum() > cap:
+    if sum_in_order(theta) > cap:
         theta = prefix_loading(1)
     return theta, a[0] - theta[0]
 
@@ -181,6 +188,12 @@ class TestCapThreshold:
         for tau0, expect in zip((0.0, -1.0, -np.inf), thresholds):
             assert repr(_cap_threshold(list(a), tau0, 2.0)) == repr(expect)
         assert repr(_cap_plan(np.array(a[::-1]), 2.0)) == repr(plan)
+
+    @pytest.mark.parametrize("ones, expect", [(5, 5.0), (6, 6.0)], ids=["8-terms", "9-terms"])
+    def test_sum_runs_left_to_right_at_every_length(self, ones, expect):
+        # 1.0 + 1e16 rounds to 1e16, so the leading 1.0 is lost; numpy's pairwise
+        # sum, from eight terms on, would also lose the 1.0 after -1e16 (4.0, 5.0)
+        assert _sum([1.0, 1e16, -1e16] + ones * [1.0]) == expect
 
     def test_cap_below_rounding_resolution_equal_split(self):
         theta, tau = _cap_threshold([1.0, 1.0], 0.0, 1e-17)
