@@ -43,7 +43,6 @@ from .harness import (
     save_policy,
 )
 from .linalg import (
-    ConvergenceError,
     capacity,
     capacity_gradient,
     frobenius,
@@ -68,7 +67,6 @@ __all__ = [
     "ChannelBounds",
     "ChannelPath",
     "ConstantCovariance",
-    "ConvergenceError",
     "DiscreteChannel",
     "DppSpec",
     "ExactCsit",

@@ -10,7 +10,8 @@ Subcommands:
 Matrices on stdin/stdout use {"rows": m, "cols": n, "entries": [[re, im], ...]}
 in row-major order.  Exit status is 1 on a failed certification or check, or
 on a no-csit baseline solve that did not converge, and 2 on bad input, such
-as a missing file or an invalid config (``dyncov: error: ...``).
+as a missing file, an invalid config, or a baseline solve that fails at the
+config's magnitudes (``dyncov: error: ...``).
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ def _cmd_baseline(args) -> int:
         converged = str(policy.converged).lower()
         print(f"solver: {policy.iterations} iterations, converged: {converged}")
     print(f"wrote {args.out}")
-    # the with-csit bisection raises ConvergenceError where FISTA flags its result
     return 0 if args.kind == "with-csit" or policy.converged else 1
 
 

@@ -500,20 +500,26 @@ def compute_baseline(
     Discrete channels are solved on their exact distribution.  Continuous
     channels get the empirical route: n_samples accurate realizations are
     drawn from a dedicated stream of the run seed and the policy is solved
-    on the uniform empirical distribution.
+    on the uniform empirical distribution.  A solve that fails at the
+    config's magnitudes raises a ConfigError naming the kind and the count.
     """
     if kind not in _POLICIES:
         raise ConfigError(f"unknown baseline kind {kind!r}")
     n_samples = _count(n_samples, "n_samples", ConfigError)
     if n_samples < 1:
         raise ConfigError(f"n_samples must be at least 1, got {n_samples}")
-    if isinstance(cfg.channel, ch.DiscreteChannel):
-        if kind == "with-csit":
-            return cdi_optimal_policy(cfg.channel, cfg.p_bar, cfg.p)
-        return ergodic_constant_covariance(cfg.channel, cfg.p_bar)
-    rng = ch.sampling_rng(cfg.seed)
-    samples = [ch.sample_channel(cfg.channel, rng) for _ in range(n_samples)]
-    return empirical_policy(samples, cfg.p_bar, cfg.p, mode=kind)
+    discrete = isinstance(cfg.channel, ch.DiscreteChannel)
+    try:
+        if discrete:
+            if kind == "with-csit":
+                return cdi_optimal_policy(cfg.channel, cfg.p_bar, cfg.p)
+            return ergodic_constant_covariance(cfg.channel, cfg.p_bar)
+        rng = ch.sampling_rng(cfg.seed)
+        samples = [ch.sample_channel(cfg.channel, rng) for _ in range(n_samples)]
+        return empirical_policy(samples, cfg.p_bar, cfg.p, mode=kind)
+    except ValueError as exc:  # a LinAlgError too: magnitudes too large for the solves
+        count = f"{len(cfg.channel.probs)} states" if discrete else f"{n_samples} samples"
+        raise ConfigError(f"{kind} baseline solve on {count}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- main loop

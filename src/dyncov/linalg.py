@@ -39,10 +39,6 @@ MAX_ANTENNAS = 8
 _HALF = np.broadcast_to(0.5 + 0j, ())
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative routine ran out of iterations."""
-
-
 def finite_number(x, key: str, error=ValueError) -> float:
     """x as a float: a real number, not a bool, and finite; ``key`` names it."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):

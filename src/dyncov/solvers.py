@@ -21,7 +21,6 @@ import numpy as np
 
 from .channel import DiscreteChannel
 from .linalg import (
-    ConvergenceError,
     Workspace,
     _capacity_gradient,
     _compose,
@@ -42,7 +41,7 @@ from .linalg import (
 )
 
 _SIGMA_FLOOR = 1e-14  # eigen-modes at or below this carry no power
-_BISECTION_TOL = 1e-6  # width of cdi_optimal_policy's average-power target
+_BISECTION_BAND = 5e-7  # cdi_optimal_policy's power target [p_bar - 5e-7 p_bar, p_bar]
 _FISTA_TOL = 1e-9  # ergodic_constant_covariance's stop tolerance on ||Q+ - Y||_F
 _FISTA_ITER_CAP = 100_000  # and its iteration cap
 
@@ -279,44 +278,38 @@ def cdi_optimal_policy(model: DiscreteChannel, p_bar: float, p: float) -> CdiPol
 
     Lagrangian decomposition: at multiplier lam each state solves a
     penalized water-filling with cap p; lam is bisected until the average
-    power lands in [p_bar - 1e-6, p_bar] (or lam = 0 is already feasible).
-    Average power is monotone non-increasing in lam.
+    power lands in [p_bar - 5e-7 p_bar, p_bar] (or lam = 0 is already
+    feasible), or the bracket is two adjacent floats, at its feasible end
+    (a p_bar below the loading's resolution, such as 1e-100).  Average power
+    is monotone non-increasing in lam.  The policy maximizes utility minus
+    lam times power, so it is within lam (p_bar - power) of the optimum.
     """
     if not isinstance(model, DiscreteChannel):
         raise TypeError("cdi_optimal_policy needs a discrete channel model")
     if not (p >= p_bar > 0):
         raise ValueError("need p >= p_bar > 0")
 
-    covs, power = _policy_at(model, 0.0, p)
-    if power <= p_bar:
-        lam = 0.0
-    else:
-        hi = max(frobenius(s) for s in model.states) ** 2
-        covs_hi, power_hi = _policy_at(model, hi, p)
-        expansions = 0
-        while power_hi > p_bar:
-            hi *= 2.0
-            expansions += 1
-            if expansions > 60:
-                raise ConvergenceError(
-                    "could not bracket the long-term power multiplier"
-                )
-            covs_hi, power_hi = _policy_at(model, hi, p)
-        lo = 0.0
-        lam, covs, power = hi, covs_hi, power_hi
-        for _ in range(200):
-            if p_bar - _BISECTION_TOL <= power <= p_bar:
+    lam = 0.0
+    covs, power = _policy_at(model, lam, p)
+    if power > p_bar:
+        # Every Gram eigenvalue sigma is at most max_s ||H_s||_F^2, so once lam
+        # is twice that, every water level 1/lam lies below every 1/sigma and
+        # the power is exactly 0: the doubling ends after at most one step.
+        lam = max(frobenius(s) for s in model.states) ** 2
+        covs, power = _policy_at(model, lam, p)
+        while power > p_bar:
+            lam *= 2.0
+            covs, power = _policy_at(model, lam, p)
+        lo, floor = 0.0, p_bar - _BISECTION_BAND * p_bar
+        while power < floor:  # lam is the bracket's feasible end
+            mid = 0.5 * (lo + lam)
+            if not lo < mid < lam:  # adjacent floats
                 break
-            mid = 0.5 * (lo + hi)
             covs_mid, power_mid = _policy_at(model, mid, p)
             if power_mid > p_bar:
                 lo = mid
             else:
-                hi, lam, covs, power = mid, mid, covs_mid, power_mid
-        else:
-            raise ConvergenceError(
-                f"long-term power bisection did not reach tolerance {_BISECTION_TOL}"
-            )
+                lam, covs, power = mid, covs_mid, power_mid
 
     # builtin sum: the same sequential order as summing state by state
     r_opt = float(sum(model.probs * capacity(model.states, covs)))

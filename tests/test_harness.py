@@ -1888,6 +1888,46 @@ class TestCli:
         assert exit_.value.code == 2
         assert capsys.readouterr().err == f"dyncov: error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "kind, case, message",
+        [
+            (  # FISTA's LAPACK solve fails
+                "no-csit",
+                dict(channel={"kind": "continuous-product", "n_r": 2, "n_t": 4,
+                              "v_max": 567.9794692138184},
+                     p=3.088027098986263e+162, p_bar=2.0600791112257162e+162, seed=12),
+                "LAPACK kernel failed: singular matrix or eigenvalues did not converge",
+            ),
+            (  # the utility of FISTA's covariance fails its Cholesky
+                "no-csit",
+                dict(channel={"kind": "continuous-product", "n_r": 2, "n_t": 1,
+                              "v_max": 1.7868996784023536e-14},
+                     p=3.524901012373408e+73, p_bar=2.7639416266369308e+73, seed=66),
+                "capacity argument I + H Q H^H is numerically indefinite; is the covariance PSD?",
+            ),
+            (  # H Q H^H overflows in the policy's utility
+                "with-csit",
+                dict(channel={"kind": "continuous-product", "n_r": 2, "n_t": 4,
+                              "v_max": 6.814026052759262e+87},
+                     p=1.39719557563671e+282, p_bar=2.656991569755166e+281, seed=4),
+                "'r_opt' must be finite, got nan",
+            ),
+        ],
+        ids=["lapack", "indefinite-capacity", "non-finite-utility"],
+    )
+    def test_failed_baseline_solve_exits_2(self, tmp_path, kind, case, message):
+        # the solve's LinAlgError or ValueError would exit 1, a failed certification
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(horizon=1, **case))
+        out = self.run_cli(
+            "baseline", str(cfg_path), "--kind", kind, "--out", str(tmp_path / "ref.json")
+        )
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.splitlines()[-1] == (
+            f"dyncov: error: {kind} baseline solve on 100 samples: {message}"
+        )
+        assert "Traceback" not in out.stderr
+
     @pytest.mark.parametrize("command", ["run", "baseline"])
     def test_policy_file_not_object_exits_2(self, tmp_path, command):
         (tmp_path / "ref.json").write_text("[1, 2]")

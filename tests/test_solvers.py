@@ -19,7 +19,7 @@ from dyncov import (
     solvers,
     waterfill_penalized,
 )
-from dyncov.linalg import ConvergenceError, trace_real
+from dyncov.linalg import trace_real
 from dyncov.solvers import _cap_plan, _cap_threshold, _sum
 from dyncov.validate import (
     capacity_stack,
@@ -391,7 +391,7 @@ class TestProjection:
 
 class TestCdiPolicy:
     def test_single_state_budget_binds(self, monkeypatch):
-        monkeypatch.setattr(solvers, "_BISECTION_TOL", 1e-8)
+        monkeypatch.setattr(solvers, "_BISECTION_BAND", 1e-8)
         rng = np.random.default_rng(19)
         h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         h *= 3.0 / frobenius(h)  # strong channel: full-power level above p_bar
@@ -442,6 +442,44 @@ class TestCdiPolicy:
         for s, q in zip(pol.states, pol.covariances):
             assert np.array_equal(q, waterfill_penalized(s, pol.lam, 3.0).q)
         assert 2.0 - 1e-6 <= sum(pol.probs * trace_real(pol.covariances)) <= 2.0
+
+    def test_large_budget_ends_in_band(self, preset_model):
+        # a float step of the average power here is wider than 1e-6, so the
+        # band must scale with p_bar
+        p_bar = 594897762246.195
+        pol = cdi_optimal_policy(preset_model, p_bar, 918773237262.0908)
+        assert p_bar - 5e-7 * p_bar <= sum(pol.probs * trace_real(pol.covariances)) <= p_bar
+
+    def test_small_budget_gets_a_positive_policy(self, preset_model):
+        # p_bar is below 1e-6, so a band of that absolute width would hold the
+        # zero policy; per-state adaptation beats the best constant covariance
+        pol = cdi_optimal_policy(preset_model, 1e-7, 1.5e-7)
+        assert pol.r_opt == pytest.approx(1.737e-6, rel=1e-3)
+        assert pol.r_opt > ergodic_constant_covariance(preset_model, 1e-7).r_opt
+
+    @given(exponent=st.floats(-8.0, 14.0), headroom=st.floats(-3.0, 1.0),
+           seed=st.one_of(st.none(), st.integers(0, 99)))
+    def test_every_budget_gets_a_policy_property(self, exponent, headroom, seed):
+        # p_bar over 22 decades, on the two-state preset (seed None) or on a
+        # 20-sample continuous model
+        p_bar = 10.0**exponent
+        p = p_bar * (1.0 + 10.0**headroom)
+        model = paper_two_state() if seed is None else continuous_model(seed, 20)
+        pol = cdi_optimal_policy(model, p_bar, p)
+        power = float(sum(pol.probs * trace_real(pol.covariances)))
+        assert power <= p_bar
+        if pol.lam > 0.0:
+            assert p_bar - 5e-7 * p_bar <= power
+        for s, q in zip(pol.states, pol.covariances):
+            assert np.array_equal(q, waterfill_penalized(s, pol.lam, p).q)
+        # the policy maximizes utility - lam * power, so a feasible constant Q
+        # can beat it by at most lam (p_bar - power), within lam 5e-7 p_bar
+        qs = [np.eye(model.n_t) * (p_bar / model.n_t)]
+        if p_bar <= 1e6:
+            qs.append(ergodic_constant_covariance(model, p_bar).q)
+        for q in qs:
+            r = float(sum(model.probs * capacity(model.states, q)))
+            assert pol.r_opt >= r - pol.lam * 5e-7 * p_bar
 
     def test_lookup_returns_nearest(self, cdi_reference):
         assert np.array_equal(
