@@ -83,16 +83,17 @@ class DppSpec:
     def decide(self, cfg, start, h, h_obs, carry):
         """The queue recursion over one block: the covariances, Z(t) for
         t = start..stop and the carry, Z(stop) (None: an empty queue)."""
-        sigma, v = _eigh_desc(_gram(h_obs))  # every observed Gram spectrum in one stacked solve
-        a = _waterfill_thresholds(sigma)
-        z, theta = [0.0 if carry is None else carry], []
-        args = cfg.n_t, self.v, cfg.p, cfg.p_bar  # looked up once, not per slot
-        for k in range(len(h)):
-            theta_t, z_next = dpp_step(z[k], a[k], *args)
-            theta.append(theta_t)
-            z.append(z_next)
-        # the queue never reads Q(t) = V diag(theta) V^H: compose them all at once
-        return _compose(v, theta), np.array(z), z[-1]
+        with _lapack_guard():  # a failed LAPACK call raises, as in np.linalg
+            sigma, v = _eigh_desc(_gram(h_obs))  # every observed Gram spectrum in one solve
+            a = _waterfill_thresholds(sigma)
+            z, theta = [0.0 if carry is None else carry], []
+            args = cfg.n_t, self.v, cfg.p, cfg.p_bar  # looked up once, not per slot
+            for k in range(len(h)):
+                theta_t, z_next = dpp_step(z[k], a[k], *args)
+                theta.append(theta_t)
+                z.append(z_next)
+            # the queue never reads Q(t) = V diag(theta) V^H: compose them all at once
+            return _compose(v, theta), np.array(z), z[-1]
 
     def certify(self, result, bounds) -> list[dict]:
         cfg = result.config
@@ -143,7 +144,8 @@ class OgdSpec:
             span = lag if lag < cfg.horizon else 0
             carry = deque(maxlen=span), deque(maxlen=span)
         q = np.zeros((b, cfg.n_t, cfg.n_t), dtype=np.complex128)
-        g = _gram(h_obs)  # every observed Gram matrix in one stacked product
+        with _lapack_guard():  # ogd_step holds it too; a Gram past the float range is inf
+            g = _gram(h_obs)  # every observed Gram matrix in one stacked product
         k0 = min(max(lag - start, 0), b)  # no observation arrives before slot T: q[t] stays 0
         step = 1.0 / np.sqrt(np.arange(start + k0, start + b)) if self.gamma is None else self.gamma
         # slot start + k0 reads slot start + k0 - T: the carry's first row, then the block's
@@ -329,13 +331,11 @@ def _decode(f, key: str, x):
     """A JSON value as the argument for field f: matrix objects decoded where
     f holds a matrix or a list of them, anything else left to the constructor."""
     form = f.metadata.get("json")
-    try:
+    with _bad_input(f"{key!r}: "):
         if form == "matrix":
             return matrix_from_json(x)
         if form == "matrices" and isinstance(x, list):
             return [matrix_from_json(m) for m in x]
-    except ValueError as exc:
-        raise ConfigError(f"{key!r}: {exc}") from exc
     return x
 
 
@@ -424,15 +424,17 @@ def _resolve(path: str, base_dir: Optional[Path]) -> Path:
 
 
 @contextmanager
-def _bad_input():
+def _bad_input(what: str = ""):
     """Report a ValueError raised inside, such as a constructor's own check
-    of a loaded value, as a ConfigError; a JSON syntax error stays one."""
+    of a loaded value or a LAPACK failure of a solve at the config's
+    magnitudes, as a ConfigError whose message ``what`` prefixes; a
+    ConfigError or a JSON syntax error stays as it is."""
     try:
         yield
     except (ConfigError, json.JSONDecodeError):
         raise
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{what}{exc}") from exc
 
 
 def _read(source: Union[str, Path, dict], what: str) -> tuple[Optional[Path], dict]:
@@ -509,7 +511,8 @@ def compute_baseline(
     if n_samples < 1:
         raise ConfigError(f"n_samples must be at least 1, got {n_samples}")
     discrete = isinstance(cfg.channel, ch.DiscreteChannel)
-    try:
+    count = f"{len(cfg.channel.probs)} states" if discrete else f"{n_samples} samples"
+    with _bad_input(f"{kind} baseline solve on {count}: "):
         if discrete:
             if kind == "with-csit":
                 return cdi_optimal_policy(cfg.channel, cfg.p_bar, cfg.p)
@@ -517,22 +520,9 @@ def compute_baseline(
         rng = ch.sampling_rng(cfg.seed)
         samples = [ch.sample_channel(cfg.channel, rng) for _ in range(n_samples)]
         return empirical_policy(samples, cfg.p_bar, cfg.p, mode=kind)
-    except ValueError as exc:  # a LinAlgError too: magnitudes too large for the solves
-        count = f"{len(cfg.channel.probs)} states" if discrete else f"{n_samples} samples"
-        raise ConfigError(f"{kind} baseline solve on {count}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- main loop
-
-
-def _decide(
-    cfg: ExperimentConfig, start: int, h: np.ndarray, h_obs: np.ndarray, carry=None
-) -> tuple[np.ndarray, Optional[np.ndarray], object]:
-    """The controller spec's ``decide`` on one drawn block of slots start, start + 1, ...
-    under one LAPACK failure guard: the committed covariances q, Z(t) for t = start..stop
-    for the queue controller (else None), and the carry after the block (None: the start)."""
-    with _lapack_guard():  # one failure guard for every LAPACK call of the block
-        return cfg.controller.decide(cfg, start, h, h_obs, carry)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
@@ -540,7 +530,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     The run is a fold over blocks of ``BLOCK_SLOTS`` slots: each block is
     drawn, decided from the carry the block before left and evaluated into
-    the run's float columns, which are all that outlive it."""
+    the run's float columns, which are all that outlive it.  A block's
+    decide or evaluate that fails at the config's magnitudes raises a
+    ConfigError naming the layer and the block's slots."""
     horizon, spec = cfg.horizon, cfg.controller
     path = ch.ChannelPath(cfg.channel, cfg.csit_error, cfg.seed)
     r, tr_q = np.empty(horizon), np.empty(horizon)
@@ -556,20 +548,18 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         # draw: the channel path is exogenous, one seeded stream per slot
         h, h_obs = path.draw(block.start, block.stop)
 
-        try:  # decide: only the controller's recursion is sequential
-            q, z_block, carry = _decide(cfg, start, h, h_obs, carry)
-        except np.linalg.LinAlgError as exc:  # parameters too large for the solves
-            raise ConfigError(f"decide of slots {start}..{block.stop - 1}: {exc}") from exc
+        slots = f"of slots {start}..{block.stop - 1}: "
+        with _bad_input(f"decide {slots}"):  # decide: only the controller's recursion is sequential
+            q, z_block, carry = spec.decide(cfg, start, h, h_obs, carry)
 
-        try:  # evaluate: true-channel capacities and powers over the block's stack
+        # evaluate: true-channel capacities and powers over the block's stack
+        with _bad_input(f"evaluate {slots}"):  # a covariance or argument past the float range
             r[block] = capacity(h, q)
-        except ValueError as exc:  # a covariance that overflowed, or too large to factor
-            raise ConfigError(f"evaluate of slots {start}..{block.stop - 1}: {exc}") from exc
+            if r_ref is not None:
+                r_ref[block] = capacity(h, cfg.reference.q)
         tr_q[block] = trace_real(q)
         if z is not None:
             z[block] = z_block[:-1]
-        if r_ref is not None:
-            r_ref[block] = capacity(h, cfg.reference.q)
         if ledger is not None and not ledger.completed:
             for r_t in r[block].tolist():
                 if ledger.completed:

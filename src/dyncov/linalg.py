@@ -122,12 +122,13 @@ def nearest_index(h, states: np.ndarray):
     distance, the first on a tie; each distance equals ``frobenius(h - s)``.
     A stack of matrices h (k, n_r, n_t) gives k indices, found in blocks of
     256 that bound the (block, states, n_r, n_t) temporaries however long a
-    stack ``CdiPolicy.lookup`` is given."""
+    stack ``CdiPolicy.lookup`` is given; a distance past the float range is inf."""
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim == 3 and len(h) > 256:
         return np.concatenate([nearest_index(h[i:i + 256], states) for i in range(0, len(h), 256)])
-    e = h[..., None, :, :] - states
-    k = np.argmin(np.sqrt((e.real * e.real + e.imag * e.imag).sum(axis=(-2, -1))), axis=-1)
+    with np.errstate(over="ignore"):
+        e = h[..., None, :, :] - states
+        k = np.argmin(np.sqrt((e.real * e.real + e.imag * e.imag).sum(axis=(-2, -1))), axis=-1)
     return int(k) if k.ndim == 0 else k
 
 
@@ -295,18 +296,22 @@ def _capacity_arg(h, q) -> tuple[np.ndarray, np.ndarray]:
 def capacity(h, q):
     """log det(I + H Q H^H) in nats, via Cholesky of the positive definite argument.
 
-    Nonnegative for any PSD Q.  A Cholesky failure means the argument was
-    numerically indefinite, which valid inputs cannot produce.  Stacks give
-    an array over their broadcast leading axes.
+    Finite and nonnegative for any PSD Q, or a ValueError: for an argument
+    past the float range (formed without a RuntimeWarning), or a Cholesky
+    failure, a numerically indefinite argument that valid inputs cannot give.
+    Stacks give an array over their broadcast leading axes.
     """
     hm, qm = _capacity_arg(h, q)
-    # one Q: H Q as one flat product, equal entry by entry to the stacked one
-    # (as in _capacity_gradient) unless numpy multiplies one-row channels as vectors
-    if qm.ndim == 2 and hm.ndim > 2 and hm.shape[-2] > 1:
-        m = (hm.reshape(-1, qm.shape[0]) @ qm).reshape(hm.shape) @ _ct(hm)
-    else:
-        m = hm @ qm @ _ct(hm)
-    m = _eye(hm.shape[-2]) + 0.5 * (m + _ct(m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one Q: H Q as one flat product, equal entry by entry to the stacked one
+        # (as in _capacity_gradient) unless numpy multiplies one-row channels as vectors
+        if qm.ndim == 2 and hm.ndim > 2 and hm.shape[-2] > 1:
+            m = (hm.reshape(-1, qm.shape[0]) @ qm).reshape(hm.shape) @ _ct(hm)
+        else:
+            m = hm @ qm @ _ct(hm)
+        m = _eye(hm.shape[-2]) + 0.5 * (m + _ct(m))
+    if not np.isfinite(m).all():
+        raise ValueError("capacity argument I + H Q H^H overflowed")
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:

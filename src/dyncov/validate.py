@@ -20,7 +20,7 @@ from numpy.linalg import LinAlgError
 
 from . import channel as ch
 from .controllers import ogd_step, theoretical_bounds
-from .harness import DppSpec, ExperimentConfig, OgdSpec, _decide, run_experiment, trace_to_csv
+from .harness import DppSpec, ExperimentConfig, OgdSpec, run_experiment, trace_to_csv
 from .linalg import (
     _capacity_gradient, _ct, _eigh_desc, _gram, _lapack_guard,
     capacity, capacity_gradient, frobenius, trace_real,
@@ -114,13 +114,13 @@ def decide_reference(cfg, h_obs: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
 
 
 def decide_blocks(cfg, h: np.ndarray, h_obs: np.ndarray, size: int):
-    """The run's decide (``harness._decide``) on a drawn path, folded over
-    blocks of ``size`` slots with the carry passed from block to block:
-    returns what ``decide_reference`` does."""
+    """The run's decide, the controller spec's ``decide``, on a drawn path,
+    folded over blocks of ``size`` slots with the carry passed from block to
+    block: returns what ``decide_reference`` does."""
     qs, zs, carry = [], [], None
     for start in range(0, cfg.horizon, size):
         block = slice(start, start + size)
-        q, z, carry = _decide(cfg, start, h[block], h_obs[block], carry)
+        q, z, carry = cfg.controller.decide(cfg, start, h[block], h_obs[block], carry)
         qs.append(q)
         zs.append(z[:-1] if z is not None else None)
     return np.concatenate(qs), None if zs[0] is None else np.append(np.concatenate(zs), carry)

@@ -132,7 +132,7 @@ def test_a_delay_past_the_horizon_carries_no_more_than_the_horizon(constant_refe
         p=3.0, p_bar=2.0, horizon=50, seed=1,
     )
     h, h_obs = ChannelPath(cfg.channel, cfg.csit_error, cfg.seed).draw(0, cfg.horizon)
-    q, _, carry = harness._decide(cfg, 0, h, h_obs)
+    q, _, carry = cfg.controller.decide(cfg, 0, h, h_obs, None)
     assert not q.any() and len(carry[0]) == len(carry[1]) == 0
     assert not run_experiment(cfg).tr_q.any()
 
@@ -149,7 +149,7 @@ def first_block_peak(cfg):
     h, h_obs = ChannelPath(cfg.channel, cfg.csit_error, cfg.seed).draw(0, DEFAULT_BLOCK)
     tracemalloc.start()
     try:
-        harness._decide(cfg, 0, h, h_obs)
+        cfg.controller.decide(cfg, 0, h, h_obs, None)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -173,7 +173,7 @@ def test_no_carry_row_aliases_a_block(t_delay):
     carry, qs = None, []
     for start in (0, DEFAULT_BLOCK):
         block = slice(start, start + DEFAULT_BLOCK)
-        q, _, carry = harness._decide(cfg, start, h[block], h_obs[block], carry)
+        q, _, carry = cfg.controller.decide(cfg, start, h[block], h_obs[block], carry)
         qs.append(q)
     assert not any(np.shares_memory(row, q) for row in (*carry[0], *carry[1]) for q in qs)
     assert np.array(carry[0]).tobytes() == np.concatenate(qs)[-t_delay:].tobytes()

@@ -53,7 +53,7 @@ from dyncov import (
     waterfill_penalized,
 )
 from dyncov.cli import main as cli_main
-from dyncov.harness import ConfigError, _decide, csv_to_columns, trace_to_csv
+from dyncov.harness import ConfigError, csv_to_columns, trace_to_csv
 from dyncov.linalg import _compose, _eigh_desc, _gram, capacity, capacity_gradient, trace_real
 from dyncov.matrixio import json_text, matrix_from_json, matrix_to_json
 from dyncov.solvers import _sum, _waterfill_thresholds
@@ -387,7 +387,7 @@ class TestRunExperiment:
             p=3.0, p_bar=2.0, horizon=200, seed=3,
         )
         h, h_obs = ChannelPath(cfg.channel, cfg.csit_error, cfg.seed).draw(0, cfg.horizon)
-        q, z, _ = _decide(cfg, 0, h, h_obs)  # the whole path as one block
+        q, z, _ = cfg.controller.decide(cfg, 0, h, h_obs, None)  # the whole path as one block
         sigma, v = _eigh_desc(_gram(h_obs))
         a = _waterfill_thresholds(sigma)
         for t in range(cfg.horizon):
@@ -489,7 +489,7 @@ class TestRunExperiment:
     def test_no_csit_replay_holds_the_constant_covariance(self, constant_reference):
         cfg = experiment(controller=ReplaySpec(policy=constant_reference), horizon=50)
         h, h_obs = ChannelPath(cfg.channel, cfg.csit_error, cfg.seed).draw(0, cfg.horizon)
-        q, z, _ = _decide(cfg, 0, h, h_obs)
+        q, z, _ = cfg.controller.decide(cfg, 0, h, h_obs, None)
         assert z is None
         assert all(np.array_equal(q_t, constant_reference.q) for q_t in q)
         assert np.array_equal(run_experiment(cfg).r, capacity(h, constant_reference.q))
@@ -1910,23 +1910,59 @@ class TestCli:
                 dict(channel={"kind": "continuous-product", "n_r": 2, "n_t": 4,
                               "v_max": 6.814026052759262e+87},
                      p=1.39719557563671e+282, p_bar=2.656991569755166e+281, seed=4),
-                "'r_opt' must be finite, got nan",
+                "capacity argument I + H Q H^H overflowed",
             ),
         ],
         ids=["lapack", "indefinite-capacity", "non-finite-utility"],
     )
     def test_failed_baseline_solve_exits_2(self, tmp_path, kind, case, message):
-        # the solve's LinAlgError or ValueError would exit 1, a failed certification
+        # the solve's LinAlgError or ValueError would exit 1, a failed certification;
+        # stderr is the one error line, with no RuntimeWarning ahead of it
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(config_text(horizon=1, **case))
         out = self.run_cli(
             "baseline", str(cfg_path), "--kind", kind, "--out", str(tmp_path / "ref.json")
         )
         assert out.returncode == 2 and out.stdout == ""
-        assert out.stderr.splitlines()[-1] == (
-            f"dyncov: error: {kind} baseline solve on 100 samples: {message}"
+        assert out.stderr == f"dyncov: error: {kind} baseline solve on 100 samples: {message}\n"
+
+    @pytest.mark.parametrize(
+        "case, policy",
+        [
+            (  # an ogd run's no-csit reference whose utility overflows on the channel
+                dict(controller={"kind": "ogd", "gamma": 0.01}, p=2.0,
+                     reference={"policy": "policy.json"}),
+                {"kind": "no-csit", "q": matrix_to_json(np.diag([1.7e308, 1.7e308])),
+                 "r_opt": 1.0, "per_state_utility": [1.0], "converged": True},
+            ),
+            (  # a queue run at the largest loadings: H Q H^H overflows
+                dict(channel={"preset": "paper-continuous"},
+                     controller={"kind": "dpp", "v": 1e308}, p=1e308, p_bar=1.0),
+                None,
+            ),
+            (  # a replayed policy on channel entries of about 1e200
+                dict(channel={"kind": "continuous-product", "n_r": 2, "n_t": 2,
+                              "v_max": 1e200},
+                     controller={"kind": "baseline-replay", "policy": "policy.json"}),
+                {"kind": "with-csit", "lambda": 1.0, "r_opt": 1.0, "probs": [1.0],
+                 "states": [matrix_to_json(np.eye(2))],
+                 "covariances": [matrix_to_json(np.eye(2))]},
+            ),
+        ],
+        ids=["ogd-reference", "dpp", "replay"],
+    )
+    def test_overflowed_capacity_exits_2(self, tmp_path, case, policy):
+        # an overflowed capacity would put inf or NaN in the finals and the summary,
+        # RuntimeWarnings on stderr, and exit 0 or 1 on the verdicts
+        if policy is not None:
+            (tmp_path / "policy.json").write_text(json.dumps(policy))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(horizon=5, **case))
+        out = self.run_cli("run", str(cfg_path))
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == (
+            "dyncov: error: evaluate of slots 0..4: capacity argument I + H Q H^H overflowed\n"
         )
-        assert "Traceback" not in out.stderr
 
     @pytest.mark.parametrize("command", ["run", "baseline"])
     def test_policy_file_not_object_exits_2(self, tmp_path, command):

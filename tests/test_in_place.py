@@ -192,7 +192,7 @@ class TestDecideWorkspace:
         record_workspaces(monkeypatch, works)
         for start in range(0, cfg.horizon, 7):  # 6 blocks: slots read the carry rows
             block = slice(start, start + 7)
-            q, _, carry = harness._decide(cfg, start, h[block], h_obs[block], carry)
+            q, _, carry = cfg.controller.decide(cfg, start, h[block], h_obs[block], carry)
             qs.append(q)
             for work in works:  # nor does any workspace alias a committed row
                 arrays = workspace_arrays(work)

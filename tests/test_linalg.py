@@ -25,7 +25,6 @@ from dyncov import (
     psd_cap_project,
 )
 from dyncov.channel import PAPER_H1
-from dyncov.harness import _decide
 from dyncov.linalg import (
     Workspace,
     _capacity_gradient,
@@ -195,15 +194,15 @@ class TestLapackKernels:
         "controller", [DppSpec(v=10.0), OgdSpec(gamma=0.1)], ids=["dpp", "ogd"]
     )
     def test_run_decide_raises_on_unconverged_eigensolve(self, controller):
-        # the decide holds one guard over its loop; without it the failed
-        # eigensolve would be a RuntimeWarning and NaN covariances
+        # each spec's decide holds the guard itself, with no guard of its caller's;
+        # without one the failed eigensolve would be a RuntimeWarning and NaN covariances
         cfg = ExperimentConfig(
             channel=ProductChannel(n_r=3, n_t=3, v_max=1.0), csit_error=ExactCsit(),
             controller=controller, p=3.0, p_bar=2.0, horizon=5, seed=1,
         )
         h, h_obs = ChannelPath(cfg.channel, cfg.csit_error, cfg.seed).draw(0, cfg.horizon)
         h_obs[0] = np.nan
-        assert outcome(_decide, cfg, 0, h, h_obs) is LinAlgError
+        assert outcome(cfg.controller.decide, cfg, 0, h, h_obs, None) is LinAlgError
 
     def test_validate_check_passes(self):
         check = check_lapack_kernels()
@@ -466,6 +465,23 @@ class TestCapacity:
         # strongly negative "covariance" drives I + H Q H^H indefinite
         with pytest.raises(ValueError, match="indefinite"):
             capacity(np.eye(2) * 2.0, -np.eye(2))
+
+    @pytest.mark.parametrize(
+        "h, q",
+        [
+            (np.full((2, 2), 1e200), np.eye(2)),  # H H^H past the float range
+            (np.eye(2), np.diag([1.7e308, 1.7e308])),  # H Q H^H finite, its symmetrizing sum not
+            (np.stack([np.eye(2), np.full((2, 2), 1e200)]), np.eye(2)),  # one stacked entry
+            (np.stack([np.eye(2)] * 3), np.stack([np.eye(2), np.eye(2), 1.7e308 * np.eye(2)])),
+        ],
+        ids=["overflow", "symmetrizing-overflow", "stack-one-q", "stack"],
+    )
+    def test_overflowed_argument_rejected(self, h, q):
+        # unchecked, an overflowed argument would give inf or NaN and RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^capacity argument I \+ H Q H\^H overflowed$"):
+                capacity(h, q)
 
     def test_midpoint_concavity(self):
         rng = np.random.default_rng(19)
